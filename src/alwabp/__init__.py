@@ -14,7 +14,8 @@ from .lp import export_lp, write_lp
 from .constructive import (DIRECTIONS, NoFeasibleAssignmentError, RuleConfig,
                            RuleRun, TaskRule, WorkerRule, all_rule_configs,
                            assemble, best_cycle, bwa_cycle, cycle_ceiling,
-                           run_all_96, score_worker, solve_lower_bound_search,
+                           priority_rows, run_all_96, run_configs,
+                           score_worker, solve_lower_bound_search,
                            station_load_tasks)
 from .localsearch import (DoubleShift, Move, Shift, Swap, WorkerSwap,
                           critical_count, improve)
@@ -33,7 +34,8 @@ __all__ = [
     "export_lp", "write_lp",
     "DIRECTIONS", "NoFeasibleAssignmentError", "RuleConfig", "RuleRun",
     "TaskRule", "WorkerRule", "all_rule_configs", "assemble", "best_cycle",
-    "bwa_cycle", "cycle_ceiling", "run_all_96", "score_worker",
+    "bwa_cycle", "cycle_ceiling", "priority_rows", "run_all_96",
+    "run_configs", "score_worker",
     "solve_lower_bound_search", "station_load_tasks",
     "DoubleShift", "Move", "Shift", "Swap", "WorkerSwap", "critical_count",
     "improve",

@@ -10,6 +10,7 @@ consistent for every task.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -124,16 +125,24 @@ def relax_sidecar(path) -> float | None:
     """Read an externally computed relaxation bound for an instance file.
 
     The side file sits next to the instance with '.relax' appended to the
-    full file name and holds a single number.
+    full file name and holds a single finite number.  Raises ParseError
+    when it cannot be read or holds anything else.
     """
     p = Path(str(path) + ".relax")
     if not p.exists():
         return None
-    text = p.read_text().strip()
     try:
-        return float(text)
+        text = p.read_text().strip()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {p}: {exc}") from exc
+    try:
+        value = float(text)
     except ValueError:
-        raise ParseError(f"{p}: expected a single number, got {text!r}") from None
+        value = math.nan
+    if not math.isfinite(value):
+        raise ParseError(f"{p}: expected a single finite number, "
+                         f"got {text!r}")
+    return value
 
 
 def preprocess(inst: Instance, c: int) -> tuple[Instance, int]:

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .bounds import compute_bounds, relax_sidecar
 from .constructive import (NoFeasibleAssignmentError, RuleConfig, TaskRule,
-                           WorkerRule, all_rule_configs,
+                           WorkerRule, all_rule_configs, run_configs,
                            solve_lower_bound_search)
 from .generator import DENSITY_LEVELS, GeneratorConfig, generate, load_base
 from .hga import HgaParams, evolve
@@ -37,11 +36,19 @@ def _map_jobs(fn, items, jobs):
         return list(pool.map(fn, items))
 
 
-def _load_all(paths):
+def _load_all(paths, with_relax=False):
+    """Instances that load, as (path, instance) or, with `with_relax`,
+    (path, instance, relaxation bound from the sidecar); each file that
+    does not load, or whose sidecar does not parse, is reported on
+    stderr and listed in the returned errors."""
     loaded, errors = [], []
     for path in paths:
         try:
-            loaded.append((Path(path), load_instance(path)))
+            inst = load_instance(path)
+            if with_relax:
+                loaded.append((Path(path), inst, relax_sidecar(path)))
+            else:
+                loaded.append((Path(path), inst))
         except Exception as exc:
             errors.append(f"{path}: {exc}")
     for msg in errors:
@@ -52,11 +59,11 @@ def _load_all(paths):
 # -- bounds -------------------------------------------------------------------
 
 def cmd_bounds(args) -> int:
-    loaded, errors = _load_all(args.instances)
+    loaded, errors = _load_all(args.instances, with_relax=True)
     rows = []
     tally = [0, 0, 0]
-    for path, inst in loaded:
-        report = compute_bounds(inst, relax_sidecar(path))
+    for _, inst, relax in loaded:
+        report = compute_bounds(inst, relax)
         top = max(report.lc1, report.lc2, report.lc3)
         flags = [int(report.lc1 == top), int(report.lc2 == top),
                  int(report.lc3 == top)]
@@ -75,17 +82,11 @@ def cmd_bounds(args) -> int:
 # -- construct ----------------------------------------------------------------
 
 def _construct_one(item):
-    inst, cfg, use_preprocess = item
-    t0 = time.perf_counter()
-    try:
-        sol = solve_lower_bound_search(inst, cfg.task_rule, cfg.worker_rule,
-                                       cfg.direction,
-                                       use_preprocess=use_preprocess)
-        cycle = sol.cycle
-        err = None
-    except NoFeasibleAssignmentError as exc:
-        cycle, err = None, str(exc)
-    return cycle, round(time.perf_counter() - t0, 4), err
+    inst, configs, use_preprocess = item
+    # looked up in this module at each call, so a wrapper installed on
+    # `cli.solve_lower_bound_search` (a tracer, say) sees every search
+    return run_configs(inst, configs, use_preprocess,
+                       _search=solve_lower_bound_search)
 
 
 def cmd_construct(args) -> int:
@@ -101,28 +102,26 @@ def cmd_construct(args) -> int:
     bkv = load_bkv(args.bkv) if args.bkv else {}
     loaded, errors = _load_all(args.instances)
 
-    items = [(inst, cfg, args.preprocess) for _, inst in loaded
-             for cfg in configs]
+    items = [(inst, configs, args.preprocess) for _, inst in loaded]
     results = _map_jobs(_construct_one, items, args.jobs)
 
     rows = []
     per_config = {cfg: {"devs": [], "times": []} for cfg in configs}
     best_agg = {"devs": [], "times": []}
     failed = False
-    k = 0
-    for _, inst in loaded:
+    for (_, inst), runs in zip(loaded, results):
         known = bkv.get(inst.name)
         if args.bkv and known is None:
             print(f"warning: no best known value for {inst.name}",
                   file=sys.stderr)
         inst_best = None
         inst_time = 0.0
-        for cfg in configs:
-            cycle, elapsed, err = results[k]
-            k += 1
+        for run in runs:
+            cfg, cycle = run.config, run.cycle
+            elapsed = round(run.elapsed, 4)
             inst_time += elapsed
-            if err is not None:
-                print(f"error: {inst.name} {cfg.label}: {err}",
+            if run.error is not None:
+                print(f"error: {inst.name} {cfg.label}: {run.error}",
                       file=sys.stderr)
                 failed = True
             dev = (deviation_pct(cycle, known)
@@ -179,9 +178,9 @@ def cmd_construct(args) -> int:
 # -- hga ----------------------------------------------------------------------
 
 def _hga_one(item):
-    path, inst, params = item
+    inst, relax, params = item
     try:
-        res = evolve(inst, params, external_relax=relax_sidecar(path))
+        res = evolve(inst, params, external_relax=relax)
     except NoFeasibleAssignmentError as exc:
         return None, str(exc)
     return res, None
@@ -189,7 +188,7 @@ def _hga_one(item):
 
 def cmd_hga(args) -> int:
     bkv = load_bkv(args.bkv) if args.bkv else {}
-    loaded, errors = _load_all(args.instances)
+    loaded, errors = _load_all(args.instances, with_relax=True)
     base = dict(p=args.population, q=args.q, max_iters=args.max_iters,
                 max_stale_iters=args.max_stale,
                 stop_at_lower_bound=not args.no_bound_stop)
@@ -198,15 +197,15 @@ def cmd_hga(args) -> int:
     if args.immigrants is not None:
         base["p_r"] = args.immigrants
 
-    items = [(path, inst, HgaParams(rng_seed=args.seed + j, **base))
-             for path, inst in loaded for j in range(args.seeds)]
+    items = [(inst, relax, HgaParams(rng_seed=args.seed + j, **base))
+             for _, inst, relax in loaded for j in range(args.seeds)]
     results = _map_jobs(_hga_one, items, args.jobs)
 
     out_dir = Path(args.out)
     rows, srows = [], []
     failed = False
     k = 0
-    for path, inst in loaded:
+    for _, inst, _ in loaded:
         known = bkv.get(inst.name)
         if args.bkv and known is None:
             print(f"warning: no best known value for {inst.name}",

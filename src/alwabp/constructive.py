@@ -13,9 +13,15 @@ remaining work.
 Priorities come either from a named task rule or from an externally
 supplied worker x task matrix of values in [0, 1] (larger = earlier).
 Worker-dependent statistics (fastest/slowest/average times, positional
-weights, ranks) are recomputed per station over the workers still
-available, with INFEASIBLE times replaced by the tentative cycle time
-where an aggregate needs a finite stand-in.
+weights, ranks, MinBWA's fastest workers) are taken over the workers
+still available, with INFEASIBLE times replaced by the tentative cycle
+time where an aggregate needs a finite stand-in.  One search caches them
+per set of available workers (`_Crew`), built the first time it meets
+the set, so later stations with the same workers available read them
+instead of rescanning the times; the aggregates that depend on the
+tentative cycle are derived per station, for the unassigned tasks, and
+so are the rows that read the precedence, which differs between the two
+directions one crew serves.
 
 Tie-breaking is fixed everywhere so runs are reproducible: tasks by more
 immediate followers, then smaller time for the candidate worker, then
@@ -27,8 +33,10 @@ time, then smaller index.
 from __future__ import annotations
 
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 from .bounds import CycleInfeasibleError, lc1, preprocess
@@ -93,100 +101,178 @@ def all_rule_configs() -> list[RuleConfig]:
             for t in TaskRule for w in WorkerRule for d in DIRECTIONS]
 
 
-# -- per-station statistics ---------------------------------------------------
+# -- statistics of one set of available workers ------------------------------
 
-def _min_stats(times, workers, n):
-    """Fastest and second fastest worker per task, over `workers`."""
-    min1 = [INFEASIBLE] * n
-    amin = [-1] * n
-    min2 = [INFEASIBLE] * n
-    for w in workers:
-        row = times[w]
-        for i in range(n):
-            t = row[i]
-            if t < min1[i]:
-                min2[i] = min1[i]
-                min1[i] = t
-                amin[i] = w
-            elif t < min2[i]:
-                min2[i] = t
-    return min1, amin, min2
+_BY_MIN = (TaskRule.MAX_TIME_MIN, TaskRule.MIN_TIME_MIN, TaskRule.MAX_PW_MIN)
+_BY_MAX = (TaskRule.MAX_TIME_MAX, TaskRule.MIN_TIME_MAX, TaskRule.MAX_PW_MAX)
+_BY_AVG = (TaskRule.MAX_TIME_AVG, TaskRule.MIN_TIME_AVG, TaskRule.MAX_PW_AVG)
+_MAX_TIME = (TaskRule.MAX_TIME_MIN, TaskRule.MAX_TIME_MAX, TaskRule.MAX_TIME_AVG)
+_MIN_TIME = (TaskRule.MIN_TIME_MIN, TaskRule.MIN_TIME_MAX, TaskRule.MIN_TIME_AVG)
 
 
-def _with_pw(clo, vec):
-    return [vec[i] + sum(vec[h] for h in clo.succ_star[i])
-            for i in range(len(vec))]
+class _Crew:
+    """Per-task statistics of one set of available workers.
 
-
-def _prio_builder(source, inst, clo, workers, c_bar, min1):
-    """Returns prio(w) -> per-task priority list (larger = earlier).
-
-    Shared, worker-independent arrays are computed once per station;
-    worker-dependent rules compute an O(n) array per candidate worker.
-    Entries for tasks the worker cannot execute are never read.
+    `min1`, `amin` and `min2` hold each task's fastest time, the
+    smallest-index worker at that time (-1 if none) and the second
+    fastest time (equal to `min1` when two workers tie).  The fields
+    only some rules read (`ties`, `spread`, MinRank rows) are built on
+    first use.  A search builds one crew per set of workers it meets and
+    reads it at every later station with the same workers available.
     """
-    n = inst.n_tasks
-    times = inst.times
 
+    def __init__(self, times, workers, n):
+        self.times = times
+        self.workers = tuple(workers)
+        self.min1 = min1 = [INFEASIBLE] * n
+        self.amin = amin = [-1] * n
+        self.min2 = min2 = [INFEASIBLE] * n
+        for w in self.workers:
+            row = times[w]
+            for i in range(n):
+                t = row[i]
+                if t < min1[i]:
+                    min2[i] = min1[i]
+                    min1[i] = t
+                    amin[i] = w
+                elif t < min2[i]:
+                    min2[i] = t
+        self.ranks = {}             # worker -> its MinRank row
+
+    @cached_property
+    def cols(self):
+        """Per task: its times over the workers."""
+        n = len(self.min1)
+        return list(zip(*(self.times[w] for w in self.workers))) or [()] * n
+
+    @cached_property
+    def ranked(self):
+        """Per task: its times over the workers, sorted."""
+        return list(map(sorted, self.cols))
+
+    @cached_property
+    def ties(self):
+        """Per task: (its bit, the worker that alone is fastest or -1,
+        the fastest time, the workers at that time, the second fastest
+        time, and the workers at that time when one worker alone is
+        fastest, else ())."""
+        out = []
+        workers = self.workers
+        for i, (col, t1, t2) in enumerate(zip(self.cols, self.min1,
+                                              self.min2)):
+            solo, at1, at2 = -1, (), ()
+            if t1 != INFEASIBLE:
+                at1 = _workers_at(workers, col, t1)
+                if t1 != t2:
+                    solo = at1[0]
+                    if t2 != INFEASIBLE:
+                        at2 = _workers_at(workers, col, t2)
+            out.append((1 << i, solo, t1, at1, t2, at2))
+        return out
+
+    @cached_property
+    def spread(self):
+        """Per task: the largest finite time (0 if none), the sum of the
+        finite times and the number of INFEASIBLE cells."""
+        k = len(self.workers)
+        fmax, fsum, ninf = [], [], []
+        for col in self.cols:
+            finite = [t for t in col if t != INFEASIBLE]
+            fmax.append(max(finite, default=0))
+            fsum.append(sum(finite))
+            ninf.append(k - len(finite))
+        return fmax, fsum, ninf
+
+
+def _workers_at(workers, col, t):
+    """The workers whose time in `col` is t, in `workers` order."""
+    if col.count(t) == 1:
+        return (workers[col.index(t)],)
+    return tuple(w for w, x in zip(workers, col) if x == t)
+
+
+def _station_prio(source, crew, line, left, c_bar):
+    """Returns prio(w) -> per-task priority list (larger = earlier) at a
+    station where `crew` is available and the tasks `left` are not yet
+    assigned.
+
+    Aggregates over the crew count an INFEASIBLE time as c_bar; they and
+    the positional weights are set for `left` only, as a station reads
+    no other entry (in a pass every follower of an unassigned task is
+    unassigned too).  MinRank rows, which need the sorted times, are
+    kept on the crew; a crew serves both directions of a search, so rows
+    that read the precedence are built per station.  Entries for tasks
+    the worker cannot execute are never read.
+    """
     if not isinstance(source, TaskRule):          # priority matrix
         return source.__getitem__
 
     rule = source
     if rule is TaskRule.MAX_F:
-        arr = [len(s) for s in clo.succ_star]
-        return lambda w: arr
+        return lambda w: line.n_star
     if rule is TaskRule.MAX_IF:
-        arr = [len(s) for s in clo.succ]
-        return lambda w: arr
+        return lambda w: line.n_imm
+    if rule is TaskRule.MIN_RANK:       # minus the number of faster workers
+        ranks = crew.ranks
 
-    if rule in (TaskRule.MAX_TIME_MIN, TaskRule.MIN_TIME_MIN,
-                TaskRule.MAX_PW_MIN):
-        base = [t if t != INFEASIBLE else c_bar for t in min1]
-    elif rule in (TaskRule.MAX_TIME_MAX, TaskRule.MIN_TIME_MAX,
-                  TaskRule.MAX_PW_MAX):
-        base = [max((times[w][i] if times[w][i] != INFEASIBLE else c_bar)
-                    for w in workers) for i in range(n)]
-    elif rule in (TaskRule.MAX_TIME_AVG, TaskRule.MIN_TIME_AVG,
-                  TaskRule.MAX_PW_AVG):
-        k = len(workers)
-        base = [sum((times[w][i] if times[w][i] != INFEASIBLE else c_bar)
-                    for w in workers) / k for i in range(n)]
-    else:
-        base = None
-
-    if rule in (TaskRule.MAX_TIME_MIN, TaskRule.MAX_TIME_MAX,
-                TaskRule.MAX_TIME_AVG):
-        return lambda w: base
-    if rule in (TaskRule.MIN_TIME_MIN, TaskRule.MIN_TIME_MAX,
-                TaskRule.MIN_TIME_AVG):
-        neg = [-t for t in base]
-        return lambda w: neg
-    if rule in (TaskRule.MAX_PW_MIN, TaskRule.MAX_PW_MAX,
-                TaskRule.MAX_PW_AVG):
-        pw = _with_pw(clo, base)
-        return lambda w: pw
-
+        def rank_prio(w):
+            row = ranks.get(w)
+            if row is None:
+                row = ranks[w] = [-bisect_left(s, t) for s, t
+                                  in zip(crew.ranked, crew.times[w])]
+            return row
+        return rank_prio
+    times, min1 = crew.times, crew.min1
+    n = len(min1)
     if rule is TaskRule.MIN_D:
         return lambda w: [min1[i] - times[w][i] for i in range(n)]
     if rule is TaskRule.MIN_R:
         return lambda w: [-(times[w][i] / min1[i]) if min1[i] != INFEASIBLE
                           else 0.0 for i in range(n)]
     if rule is TaskRule.MAX_F_TIME:
-        n_imm = [len(s) for s in clo.succ]
+        n_imm = line.n_imm
         return lambda w: [n_imm[i] / times[w][i] for i in range(n)]
     if rule is TaskRule.MAX_IF_TIME:
-        n_star = [len(s) for s in clo.succ_star]
+        n_star = line.n_star
         return lambda w: [n_star[i] / times[w][i] for i in range(n)]
-    if rule is TaskRule.MIN_RANK:
-        def rank_prio(w):
-            row = times[w]
-            out = []
-            for i in range(n):
-                t = row[i]
-                out.append(-sum(1 for v in workers if times[v][i] < t))
-            return out
-        return rank_prio
-    raise AssertionError(rule)
+
+    if rule in _BY_MIN:
+        base = [t if t != INFEASIBLE else c_bar for t in crew.min1]
+    else:
+        fmax, fsum, ninf = crew.spread
+        base = [0] * len(fmax)
+        if rule in _BY_MAX:
+            for i in left:
+                base[i] = max(fmax[i], c_bar) if ninf[i] else fmax[i]
+        else:
+            k = len(crew.workers)
+            for i in left:
+                base[i] = (fsum[i] + c_bar * ninf[i]) / k
+    if rule in _MAX_TIME:
+        return lambda w: base
+    if rule in _MIN_TIME:
+        neg = [-t for t in base]
+        return lambda w: neg
+    succ_star = line.clo.succ_star
+    pw = [0] * len(base)
+    for i in left:
+        pw[i] = base[i] + sum(base[h] for h in succ_star[i])
+    return lambda w: pw
+
+
+def priority_rows(inst, source, c_bar, workers=None) -> list[list]:
+    """Priority of every task (larger = earlier) for each worker of
+    `workers` (default: the whole crew, in index order) when exactly
+    those workers are available, under a task rule or a priority matrix.
+
+    INFEASIBLE times count as c_bar where an aggregate needs a finite
+    stand-in.
+    """
+    workers = range(inst.n_workers) if workers is None else sorted(workers)
+    crew = _Crew(inst.times, workers, inst.n_tasks)
+    prio = _station_prio(source, crew, _Line(inst), range(inst.n_tasks),
+                         c_bar)
+    return [list(prio(w)) for w in workers]
 
 
 class _Line:
@@ -198,10 +284,12 @@ class _Line:
         self.clo = inst.closure()
         self.pred_masks = inst.pred_masks
         self.succ = self.clo.succ
-        self.neg_imm = [-len(s) for s in self.succ]
+        self.n_imm = [len(s) for s in self.succ]
+        self.n_star = [len(s) for s in self.clo.succ_star]
+        self.neg_imm = [-k for k in self.n_imm]
 
 
-def _station_start(left, u_mask, pred_masks, stats, m):
+def _station_start(left, u_mask, pred_masks, crew, m):
     """The tasks of `left`, the unassigned ones (also given as
     `u_mask`), whose predecessors are all assigned, and the rest-bound
     totals.
@@ -210,7 +298,7 @@ def _station_start(left, u_mask, pred_masks, stats, m):
     the fastest times, the count of tasks no available worker can
     execute and, per worker w, how that sum changes when w is gone and
     the count of tasks only w can execute."""
-    min1, amin, min2 = stats
+    min1, amin, min2 = crew.min1, crew.amin, crew.min2
     ready = []
     total = short = 0
     extra = [0] * m
@@ -282,11 +370,8 @@ def station_load_tasks(inst, unassigned, available_workers, worker, c_bar,
     u_mask = 0
     for i in left:
         u_mask |= 1 << i
-    stats = _min_stats(inst.times, workers, inst.n_tasks)
-    ready, _ = _station_start(left, u_mask, line.pred_masks, stats,
-                              inst.n_workers)
-    prio = _prio_builder(source, inst, line.clo, workers, c_bar,
-                         stats[0])(worker)
+    ready = [i for i in left if not line.pred_masks[i] & u_mask]
+    prio = priority_rows(inst, source, c_bar, workers)[workers.index(worker)]
     line.succ = [s.intersection(left) for s in line.succ]   # not done yet
     _, _, picked = _fill(inst.times[worker], prio, ready, u_mask, c_bar, line)
     return set(picked)
@@ -328,7 +413,34 @@ def bwa_cycle(inst, tasks, workers) -> float:
     return max(loads.values())
 
 
-def _rest_bound(totals, others, w, picked, stats):
+def _bwa_without(crew, left, T, w, m):
+    """`bwa_cycle` of the tasks of `left` (ascending) outside the mask T
+    over the crew without worker w, read from the crew's ties.
+
+    Without w a task's fastest time is still min1, unless w alone was
+    fastest; then it is min2, at the workers tied there."""
+    ties = crew.ties
+    loads = [0] * m
+    for i in left:
+        bit, solo, t, at, t2, at2 = ties[i]
+        if T & bit:
+            continue
+        if solo == w:
+            t, at = t2, at2
+        if t == INFEASIBLE:
+            return INFEASIBLE
+        if len(at) == 1:                # never w: w is not alone here
+            pick = at[0]
+        else:
+            pick = -1
+            for v in at:
+                if v != w and (pick < 0 or loads[v] < loads[pick]):
+                    pick = v
+        loads[pick] += t
+    return max(loads)
+
+
+def _rest_bound(totals, others, w, picked, crew):
     """Average fastest-time load of the tasks w leaves over the `others`
     other workers; INFEASIBLE if one of those tasks needs w.
 
@@ -338,7 +450,7 @@ def _rest_bound(totals, others, w, picked, stats):
     count, total, short, extra, lost = totals
     if others == 0:
         return 0 if count == len(picked) else INFEASIBLE
-    min1, amin, min2 = stats
+    min1, amin, min2 = crew.min1, crew.amin, crew.min2
     total += extra[w]
     short += lost[w]
     for i in picked:
@@ -364,10 +476,10 @@ def score_worker(inst, unassigned, available_workers, worker,
     others = [v for v in workers if v != worker]
     if rule is WorkerRule.MIN_BWA:
         return bwa_cycle(inst, rest, others)
-    stats = _min_stats(inst.times, workers, inst.n_tasks)
-    _, totals = _station_start(sorted(rest), 0, inst.pred_masks, stats,
+    crew = _Crew(inst.times, workers, inst.n_tasks)
+    _, totals = _station_start(sorted(rest), 0, inst.pred_masks, crew,
                                inst.n_workers)
-    return _rest_bound(totals, len(others), worker, (), stats)
+    return _rest_bound(totals, len(others), worker, (), crew)
 
 
 # -- full assembly ------------------------------------------------------------
@@ -376,9 +488,8 @@ def _assemble_forward(inst, c_bar, source, worker_rule, line, memo):
     """One pass in line order at tentative cycle c_bar; None on failure.
 
     `line` is the `_Line` of this direction and `memo` maps a set of
-    available workers, as a bitmask, to its `_min_stats` over
-    inst.times; callers share one memo only between instances with the
-    same times.
+    available workers, as a bitmask, to its `_Crew` over inst.times;
+    callers share one memo only between passes with the same times.
 
     A failing pass stops at the first station whose committed worker
     leaves a rest lower bound above c_bar.  That is exact: each of the
@@ -397,25 +508,23 @@ def _assemble_forward(inst, c_bar, source, worker_rule, line, memo):
     picks = []
 
     for _ in range(m):
-        stats = memo.get(w_mask)
-        if stats is None:
-            stats = memo[w_mask] = _min_stats(times, workers, n)
-        ready, totals = _station_start(left, u_mask, pred_masks, stats, m)
-        prio_of = _prio_builder(source, inst, line.clo, workers, c_bar,
-                                stats[0])
+        crew = memo.get(w_mask)
+        if crew is None:
+            crew = memo[w_mask] = _Crew(times, workers, n)
+        ready, totals = _station_start(left, u_mask, pred_masks, crew, m)
+        prio_of = _station_prio(source, crew, line, left, c_bar)
         others = len(workers) - 1
         best = None
         best_score = None
         for w in workers:
             T, load, picked = _fill(times[w], prio_of(w), ready, u_mask,
                                     c_bar, line)
-            rlb = _rest_bound(totals, others, w, picked, stats)
+            rlb = _rest_bound(totals, others, w, picked, crew)
             if worker_rule is WorkerRule.MAX_TASKS:
                 score = (-len(picked), rlb, c_bar - load, w)
             elif worker_rule is WorkerRule.MIN_BWA:
-                rest_tasks = [i for i in left if not T >> i & 1]
-                bwa = bwa_cycle(inst, rest_tasks, [v for v in workers if v != w])
-                score = (bwa, rlb, c_bar - load, w)
+                score = (_bwa_without(crew, left, T, w, m), rlb,
+                         c_bar - load, w)
             else:
                 score = (rlb, -len(picked), c_bar - load, w)
             if best_score is None or score < best_score:
@@ -481,7 +590,8 @@ def _cycle_blocked(inst, c) -> bool:
     n, m = inst.n_tasks, inst.n_workers
     if m == 1:
         return False
-    min1, amin, min2 = _min_stats(inst.times, range(m), n)
+    crew = _Crew(inst.times, range(m), n)
+    min1, amin, min2 = crew.min1, crew.amin, crew.min2
     if INFEASIBLE in min1:
         return True
     for w, row in enumerate(inst.times):
@@ -538,7 +648,7 @@ def solve_lower_bound_search(inst, source, worker_rule, direction="forward",
         ceiling = cache["ceiling"] = cycle_ceiling(inst)
     ceiling = max(ceiling, c)       # an explicit start is always tried
     lines = {}
-    memo, memo_of = {}, None        # worker statistics of one work instance
+    memo, memo_of = {}, None        # the crews met on one work instance
     while c <= ceiling:
         key = c if use_preprocess else "plain"
         entry = cache.get(key)
@@ -576,23 +686,38 @@ class RuleRun:
     config: RuleConfig
     cycle: int | None          # None when the search ceiling was exhausted
     elapsed: float
+    error: str | None = None   # the search's message when cycle is None
+
+
+def run_configs(inst, configs, use_preprocess=False, c_start=None,
+                _search=None) -> list[RuleRun]:
+    """Run the lower-bound search of each configuration on `inst`, in
+    order, timing each; the searches share one cache, so the reversed
+    instance, the reductions and the search ceiling are built once, in
+    the time of the first configuration that needs them.
+    """
+    # `_search` is a seam for instrumentation only (the CLI passes its own
+    # module's name so a wrapper installed there sees every search), not a
+    # supported option
+    search = _search or solve_lower_bound_search
+    rows = []
+    cache = {}
+    for cfg in configs:
+        t0 = time.perf_counter()
+        try:
+            sol = search(inst, cfg.task_rule, cfg.worker_rule, cfg.direction,
+                         c_start=c_start, use_preprocess=use_preprocess,
+                         cache=cache)
+            cycle, error = sol.cycle, None
+        except NoFeasibleAssignmentError as exc:
+            cycle, error = None, str(exc)
+        rows.append(RuleRun(cfg, cycle, time.perf_counter() - t0, error))
+    return rows
 
 
 def run_all_96(inst, use_preprocess=False, c_start=None) -> list[RuleRun]:
     """Run every rule combination once; order is fixed and deterministic."""
-    rows = []
-    cache = {}
-    for cfg in all_rule_configs():
-        t0 = time.perf_counter()
-        try:
-            sol = solve_lower_bound_search(
-                inst, cfg.task_rule, cfg.worker_rule, cfg.direction,
-                c_start=c_start, use_preprocess=use_preprocess, cache=cache)
-            cycle = sol.cycle
-        except NoFeasibleAssignmentError:
-            cycle = None
-        rows.append(RuleRun(cfg, cycle, time.perf_counter() - t0))
-    return rows
+    return run_configs(inst, all_rule_configs(), use_preprocess, c_start)
 
 
 def best_cycle(rows, worker_rule: WorkerRule | None = None) -> int | None:

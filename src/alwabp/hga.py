@@ -24,7 +24,7 @@ import time
 from dataclasses import dataclass
 
 from .bounds import compute_bounds
-from .constructive import (TaskRule, WorkerRule, _min_stats, _prio_builder,
+from .constructive import (TaskRule, WorkerRule, priority_rows,
                            solve_lower_bound_search)
 from .localsearch import improve
 from .solution import Solution
@@ -39,10 +39,6 @@ class Chromosome:
             for v in row:
                 if not 0.0 <= v <= 1.0:
                     raise ValueError(f"priority {v!r} outside [0, 1]")
-
-    @property
-    def matrix(self):
-        return self.p
 
 
 @dataclass(frozen=True, order=True)
@@ -114,16 +110,11 @@ def encode_rule(inst, rule: TaskRule, c_bar=None) -> Chromosome:
     worst 0.  Aggregates use max(LC1, LC2, LC3) to stand in for
     INFEASIBLE entries unless a cycle is given.
     """
-    n, m = inst.n_tasks, inst.n_workers
+    n = inst.n_tasks
     if c_bar is None:
         c_bar = compute_bounds(inst).best
-    workers = list(range(m))
-    clo = inst.closure()
-    min1, _, _ = _min_stats(inst.times, workers, n)
-    prio_of = _prio_builder(rule, inst, clo, workers, c_bar, min1)
     rows = []
-    for w in workers:
-        prio = prio_of(w)
+    for prio in priority_rows(inst, rule, c_bar):
         order = sorted(range(n), key=lambda i: (-prio[i], i))
         keys = [0.0] * n
         for rank, i in enumerate(order):        # rank 0 is the best task

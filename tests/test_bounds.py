@@ -82,6 +82,17 @@ def test_relax_sidecar(tmp_path, tiny_a):
     assert relax_sidecar(p) == 2.75
 
 
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "abc", ""])
+def test_relax_sidecar_rejects_non_finite(tmp_path, tiny_a, text):
+    from alwabp import ParseError, save_instance
+
+    p = tmp_path / "tiny-A.alwabp"
+    save_instance(tiny_a, p)
+    (tmp_path / "tiny-A.alwabp.relax").write_text(text + "\n")
+    with pytest.raises(ParseError, match="tiny-A.alwabp.relax"):
+        relax_sidecar(p)
+
+
 def test_bounds_never_exceed_optimum():
     """Dual route: every bound is at most the brute-force optimum."""
     rng = random.Random(515)

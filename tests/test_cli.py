@@ -72,6 +72,31 @@ def test_bounds_partial_results_on_bad_file(tmp_path, capsys):
     assert names == ["tiny-A", "TALLY"]
 
 
+@pytest.mark.parametrize("command", ["bounds", "hga"])
+@pytest.mark.parametrize("text", ["nan", "inf", "abc"])
+def test_bad_relax_sidecar_fails_only_its_item(tmp_path, capsys, command,
+                                               text):
+    good = write_tiny(tmp_path)
+    bad = write_tiny(tmp_path, name="tiny-B")
+    sidecar = tmp_path / "tiny-B.alwabp.relax"
+    sidecar.write_text(text + "\n")
+    rep = tmp_path / "rep"
+    rc = main([command, str(bad), str(good), "--out", str(rep)])
+    assert rc == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {bad}: ")
+    assert str(sidecar) in err[0] and repr(text) in err[0]
+    if command == "bounds":
+        rows = read_rows(rep / "bounds.csv")
+        assert [r[0] for r in rows[1:]] == ["tiny-A", "TALLY"]
+    else:
+        rows = read_rows(rep / "hga_runs.csv")
+        assert [(r[0], r[7]) for r in rows[1:]] == [("tiny-A", "bound")]
+        summary = read_rows(rep / "hga_summary.csv")
+        assert [r[0] for r in summary[1:]] == ["tiny-A"]
+
+
 # -- construct ----------------------------------------------------------------
 
 def test_construct_single_rule_with_bkv(tmp_path):
@@ -191,15 +216,25 @@ def test_construct_infeasible_instance_exits_nonzero(tmp_path, capsys):
 
 
 def test_construct_deterministic_across_runs_and_jobs(tmp_path):
-    inst = write_tiny(tmp_path)
+    # --jobs spreads instances over threads, so it takes several of them
+    import random
+
+    from conftest import random_instance
+    rng = random.Random(0xD0B)
+    paths = [str(write_tiny(tmp_path))]
+    for k in range(3):
+        inst = random_instance(rng, name=f"jobs{k}")
+        paths.append(str(tmp_path / f"{inst.name}.alwabp"))
+        save_instance(inst, paths[-1])
     outs = []
-    for tag, jobs in (("a", "1"), ("b", "1"), ("c", "2")):
-        rc = main(["construct", str(inst), "--all-96", "--jobs", jobs,
+    for tag, jobs in (("a", "1"), ("b", "1"), ("c", "2"), ("d", "3")):
+        rc = main(["construct", *paths, "--all-96", "--jobs", jobs,
                    "--out", str(tmp_path / tag)])
         assert rc == 0
         outs.append(drop_timing(read_rows(tmp_path / tag
                                           / "construct_runs.csv")))
-    assert outs[0] == outs[1] == outs[2]
+    assert len(outs[0]) == 1 + 4 * 97      # 96 runs and a best row each
+    assert outs[0] == outs[1] == outs[2] == outs[3]
 
 
 # -- hga ----------------------------------------------------------------------

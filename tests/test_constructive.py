@@ -17,6 +17,7 @@ from alwabp import (
     bwa_cycle,
     compute_bounds,
     cycle_ceiling,
+    lc1,
     run_all_96,
     score_worker,
     solve_lower_bound_search,
@@ -24,7 +25,8 @@ from alwabp import (
     validate_solution,
 )
 
-from alwabp.constructive import _cycle_blocked
+from alwabp.constructive import (_bwa_without, _Crew, _cycle_blocked, _Line,
+                                 _station_prio, priority_rows)
 from bruteforce import brute_force_optimum
 from conftest import random_instance
 
@@ -114,6 +116,119 @@ def test_score_worker_tiny(tiny_a):
     assert s == bwa_cycle(tiny_a, {1, 2}, {1}) == 2
 
 
+# -- per-worker-set tables against the direct formulas --------------------------
+
+def dense_tie_instance(rng):
+    """Random instance with times drawn from {1, 2, 3, INFEASIBLE}, so
+    that most tasks have several workers at the fastest time."""
+    n, m = rng.randint(1, 12), rng.randint(1, 6)
+    times = [[rng.choice((1, 2, 3, INFEASIBLE)) for _ in range(n)]
+             for _ in range(m)]
+    for i in range(n):
+        if all(row[i] == INFEASIBLE for row in times):
+            times[rng.randrange(m)][i] = rng.randint(1, 3)
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < 0.25]
+    return Instance(n, m, times, edges, name="ties")
+
+
+def random_crew(rng, inst):
+    return sorted(rng.sample(range(inst.n_workers),
+                             rng.randint(1, inst.n_workers)))
+
+
+def test_table_bwa_equals_bwa_cycle():
+    """MinBWA's score read from the crew table equals `bwa_cycle` of the
+    rest over the crew without the candidate."""
+    rng = random.Random(0xB3A)
+    tied = checked = 0
+    for _ in range(400):
+        inst = dense_tie_instance(rng)
+        n = inst.n_tasks
+        crew_workers = random_crew(rng, inst)
+        crew = _Crew(inst.times, crew_workers, n)
+        tied += sum(1 for a, b in zip(crew.min1, crew.min2)
+                    if a == b != INFEASIBLE)
+        left = sorted(rng.sample(range(n), rng.randint(0, n)))
+        for w in crew_workers:
+            mine = set(rng.sample(left, rng.randint(0, len(left))))
+            T = sum(1 << i for i in mine)
+            rest = [i for i in left if i not in mine]
+            others = [v for v in crew_workers if v != w]
+            got = _bwa_without(crew, left, T, w, inst.n_workers)
+            assert got == bwa_cycle(inst, rest, others), (inst.times, w)
+            checked += 1
+    assert checked > 800 and tied > 500
+
+
+def direct_base(rule, inst, crew_workers, c_bar):
+    """The worker aggregate of a time rule, computed from scratch."""
+    times, n = inst.times, inst.n_tasks
+    if rule in (TaskRule.MAX_TIME_MIN, TaskRule.MIN_TIME_MIN,
+                TaskRule.MAX_PW_MIN):
+        fastest = [min(times[w][i] for w in crew_workers) for i in range(n)]
+        return [t if t != INFEASIBLE else c_bar for t in fastest]
+    cells = [[times[w][i] if times[w][i] != INFEASIBLE else c_bar
+              for w in crew_workers] for i in range(n)]
+    if rule in (TaskRule.MAX_TIME_MAX, TaskRule.MIN_TIME_MAX,
+                TaskRule.MAX_PW_MAX):
+        return [max(c) for c in cells]
+    return [sum(c) / len(crew_workers) for c in cells]
+
+
+def direct_prio(rule, inst, crew_workers, w, c_bar):
+    times, clo = inst.times, inst.closure()
+    if rule is TaskRule.MIN_RANK:
+        return [-sum(1 for v in crew_workers if times[v][i] < times[w][i])
+                for i in range(inst.n_tasks)]
+    base = direct_base(rule, inst, crew_workers, c_bar)
+    if rule.value.startswith("MaxTime"):
+        return base
+    if rule.value.startswith("MinTime"):
+        return [-t for t in base]
+    return [base[i] + sum(base[h] for h in clo.succ_star[i])
+            for i in range(inst.n_tasks)]
+
+
+TABLE_RULES = [TaskRule.MAX_TIME_MIN, TaskRule.MAX_TIME_MAX,
+               TaskRule.MAX_TIME_AVG, TaskRule.MIN_TIME_MIN,
+               TaskRule.MIN_TIME_MAX, TaskRule.MIN_TIME_AVG,
+               TaskRule.MAX_PW_MIN, TaskRule.MAX_PW_MAX, TaskRule.MAX_PW_AVG,
+               TaskRule.MIN_RANK]
+
+
+def test_table_priorities_equal_direct_formulas():
+    """Aggregates, positional weights and ranks read from a crew table
+    equal the direct formulas, bit for bit, at every tentative cycle, on
+    the unassigned tasks of a station (closed under followers)."""
+    rng = random.Random(0x9A1)
+    checked = 0
+    for _ in range(150):
+        inst = dense_tie_instance(rng)
+        n = inst.n_tasks
+        clo = inst.closure()
+        line = _Line(inst)
+        crew_workers = random_crew(rng, inst)
+        left = set(rng.sample(range(n), rng.randint(0, n)))
+        for i in list(left):
+            left |= clo.succ_star[i]
+        left = sorted(left)
+        for rule in TABLE_RULES:
+            crew = _Crew(inst.times, crew_workers, n)    # one per search
+            for c_bar in range(1, 10):
+                prio = _station_prio(rule, crew, line, left, c_bar)
+                for w in crew_workers:
+                    want = direct_prio(rule, inst, crew_workers, w, c_bar)
+                    got = prio(w)
+                    assert ([repr(got[i]) for i in left]
+                            == [repr(want[i]) for i in left]), (rule, c_bar)
+                    checked += 1
+            rows = priority_rows(inst, rule, 7, crew_workers)
+            for w, row in zip(crew_workers, rows):
+                assert row == direct_prio(rule, inst, crew_workers, w, 7)
+    assert checked > 10000
+
+
 # -- full assembly ------------------------------------------------------------
 
 def test_assemble_tiny_forward(tiny_a):
@@ -195,6 +310,29 @@ def test_solve_infeasible_instance():
     with pytest.raises(NoFeasibleAssignmentError):
         solve_lower_bound_search(inst, TaskRule.MAX_F, WorkerRule.MIN_RLB,
                                  direction="both")
+
+
+def test_both_directions_equal_separate_passes():
+    """direction='both' returns, for every rule, the first success of
+    forward then backward single passes, each on its own, at the
+    smallest cycle; the two directions share a search but read their
+    own precedence (a chain's follower counts differ when reversed)."""
+    rng = random.Random(0xB07)
+    chain = Instance(5, 3, [[1, 2, 3, 2, 1], [2, 1, 2, 3, 2], [3, 3, 1, 1, 2]],
+                     [(i, i + 1) for i in range(4)], name="chain")
+    insts = [chain] + [random_instance(rng, n_max=7, m_max=3)
+                       for _ in range(6)]
+    for inst in insts:
+        for rule in TaskRule:
+            for wr in WorkerRule:
+                want = None
+                for c in range(lc1(inst), cycle_ceiling(inst) + 1):
+                    want = (assemble(inst, c, rule, wr, "forward")
+                            or assemble(inst, c, rule, wr, "backward"))
+                    if want is not None:
+                        break
+                got = solve_lower_bound_search(inst, rule, wr, "both")
+                assert got == want, (inst.name, rule, wr)
 
 
 def test_run_all_96_tiny(tiny_a):
