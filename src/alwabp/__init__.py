@@ -12,10 +12,10 @@ from .bounds import (BoundsReport, CycleInfeasibleError, compute_bounds, lc1,
                      station_windows)
 from .lp import export_lp, write_lp
 from .constructive import (DIRECTIONS, NoFeasibleAssignmentError, RuleConfig,
-                           RuleRun, TaskRule, WorkerRule, all_rule_configs,
-                           assemble, best_cycle, bwa_cycle, cycle_ceiling,
-                           priority_rows, run_all_96, run_configs,
-                           score_worker, solve_lower_bound_search,
+                           RuleRun, SearchCache, TaskRule, WorkerRule,
+                           all_rule_configs, assemble, best_cycle, bwa_cycle,
+                           cycle_ceiling, priority_rows, run_all_96,
+                           run_configs, score_worker, solve_lower_bound_search,
                            station_load_tasks)
 from .localsearch import (DoubleShift, Move, Shift, Swap, WorkerSwap,
                           critical_count, improve)
@@ -33,9 +33,9 @@ __all__ = [
     "lc3", "min_times", "preprocess", "relax_sidecar", "station_windows",
     "export_lp", "write_lp",
     "DIRECTIONS", "NoFeasibleAssignmentError", "RuleConfig", "RuleRun",
-    "TaskRule", "WorkerRule", "all_rule_configs", "assemble", "best_cycle",
-    "bwa_cycle", "cycle_ceiling", "priority_rows", "run_all_96",
-    "run_configs", "score_worker",
+    "SearchCache", "TaskRule", "WorkerRule", "all_rule_configs", "assemble",
+    "best_cycle", "bwa_cycle", "cycle_ceiling", "priority_rows",
+    "run_all_96", "run_configs", "score_worker",
     "solve_lower_bound_search", "station_load_tasks",
     "DoubleShift", "Move", "Shift", "Swap", "WorkerSwap", "critical_count",
     "improve",

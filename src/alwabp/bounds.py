@@ -108,8 +108,6 @@ class BoundsReport:
 
 def compute_bounds(inst: Instance,
                    external_relax: float | None = None) -> BoundsReport:
-    import math
-
     a = lc1(inst)
     b = lc2(inst)
     c = lc3(inst, max(a, b))
@@ -209,7 +207,4 @@ def preprocess(inst: Instance, c: int) -> tuple[Instance, int]:
 
     if removed == 0:
         return inst, 0
-    reduced = Instance(n, m, times, inst.edges, name=inst.name)
-    reduced._closure = clo
-    reduced._pred_masks = inst._pred_masks
-    return reduced, removed
+    return Instance(n, m, times, inst.edges, name=inst.name), removed

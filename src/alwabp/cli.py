@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .bounds import compute_bounds, relax_sidecar
@@ -27,13 +26,6 @@ from .instance import load_instance, save_instance
 from .lp import write_lp
 from .reports import (deviation_pct, fmt_agg, fmt_dev, fmt_time, load_bkv,
                       summarize, write_csv)
-
-
-def _map_jobs(fn, items, jobs):
-    if jobs <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
 
 
 def _load_all(paths, with_relax=False):
@@ -81,14 +73,6 @@ def cmd_bounds(args) -> int:
 
 # -- construct ----------------------------------------------------------------
 
-def _construct_one(item):
-    inst, configs, use_preprocess = item
-    # looked up in this module at each call, so a wrapper installed on
-    # `cli.solve_lower_bound_search` (a tracer, say) sees every search
-    return run_configs(inst, configs, use_preprocess,
-                       _search=solve_lower_bound_search)
-
-
 def cmd_construct(args) -> int:
     if args.all_96:
         configs = all_rule_configs()
@@ -102,8 +86,12 @@ def cmd_construct(args) -> int:
     bkv = load_bkv(args.bkv) if args.bkv else {}
     loaded, errors = _load_all(args.instances)
 
-    items = [(inst, configs, args.preprocess) for _, inst in loaded]
-    results = _map_jobs(_construct_one, items, args.jobs)
+    # the search is looked up in this module at each call, so a wrapper
+    # installed on `cli.solve_lower_bound_search` (a tracer, say) sees
+    # every search
+    results = [run_configs(inst, configs, args.preprocess,
+                           _search=solve_lower_bound_search)
+               for _, inst in loaded]
 
     rows = []
     per_config = {cfg: {"devs": [], "times": []} for cfg in configs}
@@ -177,8 +165,7 @@ def cmd_construct(args) -> int:
 
 # -- hga ----------------------------------------------------------------------
 
-def _hga_one(item):
-    inst, relax, params = item
+def _hga_one(inst, relax, params):
     try:
         res = evolve(inst, params, external_relax=relax)
     except NoFeasibleAssignmentError as exc:
@@ -197,9 +184,9 @@ def cmd_hga(args) -> int:
     if args.immigrants is not None:
         base["p_r"] = args.immigrants
 
-    items = [(inst, relax, HgaParams(rng_seed=args.seed + j, **base))
-             for _, inst, relax in loaded for j in range(args.seeds)]
-    results = _map_jobs(_hga_one, items, args.jobs)
+    results = [_hga_one(inst, relax,
+                        HgaParams(rng_seed=args.seed + j, **base))
+               for _, inst, relax in loaded for j in range(args.seeds)]
 
     out_dir = Path(args.out)
     rows, srows = [], []
@@ -346,7 +333,6 @@ def _build_parser():
     c.add_argument("--preprocess", action="store_true",
                    help="reduce instances at each tentative cycle")
     c.add_argument("--bkv", help="CSV of best known values (instance,cycle)")
-    c.add_argument("--jobs", type=int, default=1)
     c.add_argument("--out", default=".", help="report directory")
     c.set_defaults(func=cmd_construct)
 
@@ -365,7 +351,6 @@ def _build_parser():
     h.add_argument("--no-bound-stop", action="store_true",
                    help="keep evolving even at the lower bound")
     h.add_argument("--bkv", help="CSV of best known values (instance,cycle)")
-    h.add_argument("--jobs", type=int, default=1)
     h.add_argument("--out", default=".", help="report directory")
     h.set_defaults(func=cmd_hga)
 

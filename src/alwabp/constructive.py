@@ -8,7 +8,15 @@ set, and the next station starts.  If tasks remain after the last
 station, the cycle time is infeasible for the heuristic and the search
 tries the next integer.  A failing assembly may stop before the last
 station, as soon as the remaining stations provably cannot hold the
-remaining work.
+remaining work.  A backward pass fills the stations from the end of the
+line: it runs the same assembly on the flipped precedence and reports
+its stations in original line order.
+
+An assembly reads only the worker times and the precedence of its
+direction.  The searches on one instance share a `SearchCache`: the
+search ceiling, the precedence of each direction (so the instance is
+reversed at most once) and, per tentative cycle, the reduced times, or
+the proof that the cycle is infeasible.
 
 Priorities come either from a named task rule or from an externally
 supplied worker x task matrix of values in [0, 1] (larger = earlier).
@@ -40,7 +48,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 from .bounds import CycleInfeasibleError, lc1, preprocess
-from .instance import INFEASIBLE, Instance
+from .instance import INFEASIBLE
 from .solution import Solution
 
 
@@ -277,10 +285,16 @@ def priority_rows(inst, source, c_bar, workers=None) -> list[list]:
 
 class _Line:
     """Precedence of one direction of an instance, as the hot path reads
-    it.  Reductions only turn cells INFEASIBLE, so it serves every
-    reduction of that direction."""
+    it; 'backward' reads the instance with every edge flipped.
+    Reductions only turn cells INFEASIBLE, so it serves every reduction
+    of the instance."""
 
-    def __init__(self, inst):
+    def __init__(self, inst, direction="forward"):
+        if direction not in DIRECTIONS:
+            raise ValueError(f"unknown direction {direction!r}")
+        self.direction = direction
+        if direction == "backward":
+            inst = inst.reverse()
         self.clo = inst.closure()
         self.pred_masks = inst.pred_masks
         self.succ = self.clo.succ
@@ -484,12 +498,14 @@ def score_worker(inst, unassigned, available_workers, worker,
 
 # -- full assembly ------------------------------------------------------------
 
-def _assemble_forward(inst, c_bar, source, worker_rule, line, memo):
-    """One pass in line order at tentative cycle c_bar; None on failure.
+def _assemble(times, c_bar, source, worker_rule, line, memo):
+    """One pass over `times` in the order of `line`, the `_Line` of its
+    direction, at tentative cycle c_bar; None on failure.  The stations
+    come back in original line order.
 
-    `line` is the `_Line` of this direction and `memo` maps a set of
-    available workers, as a bitmask, to its `_Crew` over inst.times;
-    callers share one memo only between passes with the same times.
+    `memo` maps a set of available workers, as a bitmask, to its `_Crew`
+    over `times`; callers share one memo only between passes with the
+    same times.
 
     A failing pass stops at the first station whose committed worker
     leaves a rest lower bound above c_bar.  That is exact: each of the
@@ -498,8 +514,7 @@ def _assemble_forward(inst, c_bar, source, worker_rule, line, memo):
     over.  Every worker rule computes that bound for its scores, so the
     cut changes no decision.
     """
-    n, m = inst.n_tasks, inst.n_workers
-    times = inst.times
+    n, m = len(times[0]), len(times)
     pred_masks = line.pred_masks
     left = list(range(n))
     u_mask = (1 << n) - 1
@@ -539,15 +554,12 @@ def _assemble_forward(inst, c_bar, source, worker_rule, line, memo):
         workers.remove(w)
         w_mask ^= 1 << w
 
+    if line.direction == "backward":
+        picks.reverse()
     stations = tuple((w, frozenset(sorted(picked))) for w, picked, _ in picks)
     loads = tuple(load for _, _, load in picks)
-    return Solution(stations, loads, max(loads) if loads else 0, "forward")
-
-
-def _backward(sol):
-    """A pass on the reversed instance, in original line order."""
-    return Solution(tuple(reversed(sol.stations)), tuple(reversed(sol.loads)),
-                    sol.cycle, "backward")
+    return Solution(stations, loads, max(loads) if loads else 0,
+                    line.direction)
 
 
 def assemble(inst, c_bar, source, worker_rule,
@@ -555,16 +567,11 @@ def assemble(inst, c_bar, source, worker_rule,
     """One full pass at a fixed tentative cycle time.
 
     Returns a feasible Solution or None when tasks remain unassigned.
-    Backward runs work on the reversed instance and report the stations
-    flipped back into original line order.
+    Backward runs fill the stations from the end of the line and report
+    them in original line order.
     """
-    if direction not in DIRECTIONS:
-        raise ValueError(f"unknown direction {direction!r}")
-    work = inst if direction == "forward" else inst.reverse()
-    sol = _assemble_forward(work, c_bar, source, worker_rule, _Line(work), {})
-    if sol is None or direction == "forward":
-        return sol
-    return _backward(sol)
+    return _assemble(inst.times, c_bar, source, worker_rule,
+                     _Line(inst, direction), {})
 
 
 def cycle_ceiling(inst) -> int:
@@ -577,8 +584,9 @@ def cycle_ceiling(inst) -> int:
     return total
 
 
-def _cycle_blocked(inst, c) -> bool:
-    """Whether a station bound proves that no assignment has cycle <= c.
+def _cycle_blocked(times, c) -> bool:
+    """Whether a station bound proves that no assignment over `times`
+    has cycle <= c.
 
     Whichever worker w staffs a station takes tasks of load at most c,
     and the other m - 1 stations, each at most c, must hold the rest,
@@ -587,14 +595,14 @@ def _cycle_blocked(inst, c) -> bool:
     bounds what w's station can take off that rest; when it falls short
     for every w, c is infeasible and every assembly at c fails.
     """
-    n, m = inst.n_tasks, inst.n_workers
+    n, m = len(times[0]), len(times)
     if m == 1:
         return False
-    crew = _Crew(inst.times, range(m), n)
+    crew = _Crew(times, range(m), n)
     min1, amin, min2 = crew.min1, crew.amin, crew.min2
     if INFEASIBLE in min1:
         return True
-    for w, row in enumerate(inst.times):
+    for w, row in enumerate(times):
         rest = forced = 0
         items = []
         for i in range(n):
@@ -623,6 +631,47 @@ def _cycle_blocked(inst, c) -> bool:
     return True
 
 
+class SearchCache:
+    """What the lower-bound searches on one instance share: the search
+    ceiling, the precedence of each direction, built on first use (so
+    the instance is reversed at most once), and per tentative cycle the
+    times its assemblies run on when the instance is reduced.
+
+    Pass one as the `cache` of every `solve_lower_bound_search` call on
+    `inst`; each search still keeps its own per-crew statistics.
+    """
+
+    def __init__(self, inst):
+        self.inst = inst
+        self._lines = {}
+        self._reduced = {}      # cycle -> reduced times, None if infeasible
+
+    @cached_property
+    def ceiling(self) -> int:
+        return cycle_ceiling(self.inst)
+
+    def line(self, direction) -> _Line:
+        line = self._lines.get(direction)
+        if line is None:
+            line = self._lines[direction] = _Line(self.inst, direction)
+        return line
+
+    def times(self, c, use_preprocess):
+        """The times assemblies at tentative cycle c run on, or None when
+        `preprocess` or `_cycle_blocked` proves c infeasible."""
+        if not use_preprocess:
+            return self.inst.times
+        if c not in self._reduced:
+            try:
+                times = preprocess(self.inst, c)[0].times
+            except CycleInfeasibleError:
+                times = None
+            if times is not None and _cycle_blocked(times, c):
+                times = None
+            self._reduced[c] = times
+        return self._reduced[c]
+
+
 def solve_lower_bound_search(inst, source, worker_rule, direction="forward",
                              c_start=None, use_preprocess=False,
                              cache=None) -> Solution:
@@ -633,49 +682,30 @@ def solve_lower_bound_search(inst, source, worker_rule, direction="forward",
     the instance is reduced at each tentative cycle first; a cycle the
     reduction or a station bound (`_cycle_blocked`) proves infeasible is
     skipped, as no assembly can succeed there.
-    `cache` (a dict) may be shared between calls on the same instance to
-    reuse reductions and the search ceiling.
+    `cache`, a `SearchCache` of `inst`, may be shared between calls on
+    the same instance to reuse the reversal, the reductions and the
+    search ceiling.
     """
+    if direction != "both" and direction not in DIRECTIONS:
+        raise ValueError(f"unknown direction {direction!r}")
     directions = DIRECTIONS if direction == "both" else (direction,)
-    for d in directions:
-        if d not in DIRECTIONS:
-            raise ValueError(f"unknown direction {d!r}")
-    c = c_start if c_start is not None else lc1(inst)
     if cache is None:
-        cache = {}
-    ceiling = cache.get("ceiling")
-    if ceiling is None:
-        ceiling = cache["ceiling"] = cycle_ceiling(inst)
-    ceiling = max(ceiling, c)       # an explicit start is always tried
-    lines = {}
-    memo, memo_of = {}, None        # the crews met on one work instance
+        cache = SearchCache(inst)
+    elif cache.inst is not inst:
+        raise ValueError("the search cache belongs to another instance")
+    c = c_start if c_start is not None else lc1(inst)
+    ceiling = max(cache.ceiling, c)     # an explicit start is always tried
+    memo, memo_of = {}, None            # the crews met on one set of times
     while c <= ceiling:
-        key = c if use_preprocess else "plain"
-        entry = cache.get(key)
-        if entry is None:
-            work = inst
-            if use_preprocess:
-                try:
-                    work, _ = preprocess(inst, c)
-                except CycleInfeasibleError:
-                    work = None
-                if work is not None and _cycle_blocked(work, c):
-                    work = None
-            entry = cache[key] = [work, None]   # and its reversal, once used
-        work = entry[0]
-        if work is not None:
-            if work is not memo_of:
-                memo, memo_of = {}, work
+        times = cache.times(c, use_preprocess)
+        if times is not None:
+            if times is not memo_of:
+                memo, memo_of = {}, times
             for d in directions:
-                if d == "backward" and entry[1] is None:
-                    entry[1] = work.reverse()
-                inst_d = work if d == "forward" else entry[1]
-                if d not in lines:
-                    lines[d] = _Line(inst_d)
-                sol = _assemble_forward(inst_d, c, source, worker_rule,
-                                        lines[d], memo)
+                sol = _assemble(times, c, source, worker_rule, cache.line(d),
+                                memo)
                 if sol is not None:
-                    return sol if d == "forward" else _backward(sol)
+                    return sol
         c += 1
     raise NoFeasibleAssignmentError(
         f"{inst.name}: no feasible assignment up to cycle {ceiling}")
@@ -701,7 +731,7 @@ def run_configs(inst, configs, use_preprocess=False, c_start=None,
     # supported option
     search = _search or solve_lower_bound_search
     rows = []
-    cache = {}
+    cache = SearchCache(inst)
     for cfg in configs:
         t0 = time.perf_counter()
         try:

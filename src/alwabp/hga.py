@@ -24,8 +24,8 @@ import time
 from dataclasses import dataclass
 
 from .bounds import compute_bounds
-from .constructive import (TaskRule, WorkerRule, priority_rows,
-                           solve_lower_bound_search)
+from .constructive import (SearchCache, TaskRule, WorkerRule,
+                           priority_rows, solve_lower_bound_search)
 from .localsearch import improve
 from .solution import Solution
 
@@ -160,26 +160,25 @@ def decode(inst, chromosome: Chromosome, c_start=None,
     return sol, fit
 
 
-def _seed_chromosomes(inst, params, rng):
+def _initial_population(inst, params, rng, c_start, cache):
+    """`seed_population`, decoded from c_start through `cache`."""
     c_bar = compute_bounds(inst).best       # encode_rule's own default
     chroms = [encode_rule(inst, rule, c_bar) for rule in TaskRule]
-    for _ in range(max(0, params.p - len(chroms))):
-        chroms.append(random_chromosome(inst, rng))
-    return chroms
+    chroms += [random_chromosome(inst, rng)
+               for _ in range(params.p - len(chroms))]
+    pop = []
+    for chrom in chroms:
+        sol, fit = decode(inst, chrom, c_start, cache)
+        pop.append(Individual(chrom, sol, fit))
+    pop.sort(key=lambda ind: ind.fitness)
+    return pop[:params.p]
 
 
 def seed_population(inst, params: HgaParams) -> list[Individual]:
     """Initial population: the 16 rule encodings plus random top-up,
     decoded, sorted by fitness, truncated to the p best."""
-    rng = random.Random(params.rng_seed)
-    cache = {}
-    c_start = compute_bounds(inst).best
-    pop = []
-    for chrom in _seed_chromosomes(inst, params, rng):
-        sol, fit = decode(inst, chrom, c_start, cache)
-        pop.append(Individual(chrom, sol, fit))
-    pop.sort(key=lambda ind: ind.fitness)
-    return pop[:params.p]
+    return _initial_population(inst, params, random.Random(params.rng_seed),
+                               compute_bounds(inst).best, SearchCache(inst))
 
 
 def evolve(inst, params: HgaParams, external_relax=None) -> HgaResult:
@@ -191,16 +190,9 @@ def evolve(inst, params: HgaParams, external_relax=None) -> HgaResult:
     """
     t0 = time.perf_counter()
     rng = random.Random(params.rng_seed)
-    report = compute_bounds(inst, external_relax)
-    c_start = report.best
-    cache = {}
-
-    population = []
-    for chrom in _seed_chromosomes(inst, params, rng):
-        sol, fit = decode(inst, chrom, c_start, cache)
-        population.append(Individual(chrom, sol, fit))
-    population.sort(key=lambda ind: ind.fitness)
-    population = population[:params.p]
+    c_start = compute_bounds(inst, external_relax).best
+    cache = SearchCache(inst)
+    population = _initial_population(inst, params, rng, c_start, cache)
 
     best = population[0]
     log = [LogEntry(0, best.fitness.cycle, best.fitness.norm_load,

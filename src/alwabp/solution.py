@@ -23,13 +23,6 @@ class Solution:
             sum(inst.times[w][i] for i in ts) if ts else 0 for w, ts in norm)
         return cls(norm, loads, max(loads) if loads else 0, direction)
 
-    def station_of(self) -> dict[int, int]:
-        where = {}
-        for k, (_, tasks) in enumerate(self.stations):
-            for i in tasks:
-                where.setdefault(i, k)
-        return where
-
 
 def validate_solution(inst: Instance, sol: Solution) -> tuple[bool, list[str]]:
     """Check a solution against the instance; returns (feasible, violations).

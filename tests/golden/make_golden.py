@@ -132,7 +132,7 @@ def outputs_of(inst):
             try:
                 sol = solve_lower_bound_search(
                     inst, _source(inst, name), WorkerRule.MIN_RLB, "both",
-                    c_start=best, use_preprocess=True, cache={})
+                    c_start=best, use_preprocess=True)
                 searched[name] = sol_text(sol)
             except NoFeasibleAssignmentError:
                 searched[name] = None

@@ -215,26 +215,25 @@ def test_construct_infeasible_instance_exits_nonzero(tmp_path, capsys):
     assert rows[1][5] == ""  # empty cycle on the failed run
 
 
-def test_construct_deterministic_across_runs_and_jobs(tmp_path):
-    # --jobs spreads instances over threads, so it takes several of them
+def test_construct_deterministic_across_runs(tmp_path):
     import random
 
     from conftest import random_instance
     rng = random.Random(0xD0B)
     paths = [str(write_tiny(tmp_path))]
     for k in range(3):
-        inst = random_instance(rng, name=f"jobs{k}")
+        inst = random_instance(rng, name=f"det{k}")
         paths.append(str(tmp_path / f"{inst.name}.alwabp"))
         save_instance(inst, paths[-1])
     outs = []
-    for tag, jobs in (("a", "1"), ("b", "1"), ("c", "2"), ("d", "3")):
-        rc = main(["construct", *paths, "--all-96", "--jobs", jobs,
+    for tag in ("a", "b"):
+        rc = main(["construct", *paths, "--all-96",
                    "--out", str(tmp_path / tag)])
         assert rc == 0
         outs.append(drop_timing(read_rows(tmp_path / tag
                                           / "construct_runs.csv")))
     assert len(outs[0]) == 1 + 4 * 97      # 96 runs and a best row each
-    assert outs[0] == outs[1] == outs[2] == outs[3]
+    assert outs[0] == outs[1]
 
 
 # -- hga ----------------------------------------------------------------------

@@ -9,6 +9,7 @@ from alwabp import (
     Instance,
     NoFeasibleAssignmentError,
     RuleConfig,
+    SearchCache,
     TaskRule,
     WorkerRule,
     all_rule_configs,
@@ -28,7 +29,7 @@ from alwabp import (
 from alwabp.constructive import (_bwa_without, _Crew, _cycle_blocked, _Line,
                                  _station_prio, priority_rows)
 from bruteforce import brute_force_optimum
-from conftest import random_instance
+from conftest import TINY_A, random_instance
 
 
 def test_all_rule_configs_shape():
@@ -403,7 +404,7 @@ def test_cycle_blocked_never_rejects_a_feasible_cycle():
         if opt is None:
             continue
         for c in range(max(1, opt - 4), opt + 3):
-            if _cycle_blocked(inst, c):
+            if _cycle_blocked(inst.times, c):
                 assert c < opt, (inst.name, c, opt)
                 blocked += 1
     assert blocked > 0
@@ -416,7 +417,7 @@ def test_search_with_preprocess_stays_valid():
         inst = random_instance(rng)
         if brute_force_optimum(inst) is None:
             continue
-        cache = {}
+        cache = SearchCache(inst)
         for t_rule, w_rule, direction in SAMPLED_CONFIGS[:4]:
             sol = solve_lower_bound_search(inst, t_rule, w_rule, direction,
                                            use_preprocess=True, cache=cache)
@@ -424,6 +425,51 @@ def test_search_with_preprocess_stays_valid():
             assert ok, (inst.name, violations)
             cases += 1
     assert cases >= 40
+
+
+def test_shared_search_cache_matches_fresh_searches(monkeypatch):
+    """One SearchCache serves every configuration, with and without
+    reduction, and a 'both' search with a matrix source: the solutions
+    equal those of fresh searches and the instance is reversed once."""
+    rng = random.Random(0x5CA)
+    reverse = Instance.reverse
+    reversals = []
+
+    def counted_reverse(inst):
+        reversals.append(inst)
+        return reverse(inst)
+
+    for _ in range(6):
+        inst = random_instance(rng)
+        matrix = [[rng.random() for _ in range(inst.n_tasks)]
+                  for _ in range(inst.n_workers)]
+        searches = [(cfg.task_rule, cfg.worker_rule, cfg.direction, reduce)
+                    for cfg in all_rule_configs() for reduce in (False, True)]
+        searches += [(matrix, WorkerRule.MIN_RLB, "both", reduce)
+                     for reduce in (False, True)]
+
+        def run(cache):
+            out = []
+            for source, w_rule, direction, reduce in searches:
+                try:
+                    out.append(solve_lower_bound_search(
+                        inst, source, w_rule, direction,
+                        use_preprocess=reduce, cache=cache))
+                except NoFeasibleAssignmentError:
+                    out.append(None)
+            return out
+
+        fresh = run(None)
+        reversals.clear()
+        monkeypatch.setattr(Instance, "reverse", counted_reverse)
+        shared = run(SearchCache(inst))
+        monkeypatch.undo()
+        assert shared == fresh, inst
+        assert reversals == [inst]
+
+    with pytest.raises(ValueError):
+        solve_lower_bound_search(TINY_A, TaskRule.MAX_F, WorkerRule.MIN_RLB,
+                                 cache=SearchCache(inst))
 
 
 def test_matrix_source_end_to_end(tiny_a):
