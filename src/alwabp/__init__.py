@@ -1,12 +1,12 @@
 """Heuristic solver kit for assembly line worker assignment and balancing
 (type 2: fixed stations, minimize the cycle time)."""
 
-from .instance import (INFEASIBLE, ClosureView, Instance, ParseError,
-                       ValidationError, closure, format_instance,
-                       load_instance, parse_instance, reverse, save_instance)
+from .instance import (INFEASIBLE, BaseInstance, ClosureView, Instance,
+                       ParseError, ValidationError, format_instance, load_base,
+                       load_instance, parse_base, parse_instance,
+                       save_instance)
 from .solution import Solution, validate_solution
-from .generator import (BaseInstance, GeneratorConfig, generate, load_base,
-                        parse_base)
+from .generator import GeneratorConfig, generate
 from .bounds import (BoundsReport, CycleInfeasibleError, compute_bounds, lc1,
                      lc2, lc3, min_times, preprocess, relax_sidecar,
                      station_windows)
@@ -25,8 +25,7 @@ from .hga import (Chromosome, Fitness, HgaParams, HgaResult, Individual,
 
 __all__ = [
     "INFEASIBLE", "ClosureView", "Instance", "ParseError", "ValidationError",
-    "closure", "format_instance", "load_instance", "parse_instance",
-    "reverse", "save_instance",
+    "format_instance", "load_instance", "parse_instance", "save_instance",
     "Solution", "validate_solution",
     "BaseInstance", "GeneratorConfig", "generate", "load_base", "parse_base",
     "BoundsReport", "CycleInfeasibleError", "compute_bounds", "lc1", "lc2",

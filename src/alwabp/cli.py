@@ -20,9 +20,9 @@ from .bounds import compute_bounds, relax_sidecar
 from .constructive import (NoFeasibleAssignmentError, RuleConfig, TaskRule,
                            WorkerRule, all_rule_configs, run_configs,
                            solve_lower_bound_search)
-from .generator import DENSITY_LEVELS, GeneratorConfig, generate, load_base
+from .generator import DENSITY_LEVELS, GeneratorConfig, generate
 from .hga import HgaParams, evolve
-from .instance import load_instance, save_instance
+from .instance import load_base, load_instance, save_instance
 from .lp import write_lp
 from .reports import (deviation_pct, fmt_agg, fmt_dev, fmt_time, load_bkv,
                       summarize, write_csv)

@@ -13,10 +13,10 @@ line: it runs the same assembly on the flipped precedence and reports
 its stations in original line order.
 
 An assembly reads only the worker times and the precedence of its
-direction.  The searches on one instance share a `SearchCache`: the
-search ceiling, the precedence of each direction (so the instance is
-reversed at most once) and, per tentative cycle, the reduced times, or
-the proof that the cycle is infeasible.
+direction, both read off the instance's one closure.  The searches on
+one instance share a `SearchCache`: the search ceiling, the precedence
+of each direction and, per tentative cycle, the reduced times, or the
+proof that the cycle is infeasible.
 
 Priorities come either from a named task rule or from an externally
 supplied worker x task matrix of values in [0, 1] (larger = earlier).
@@ -261,7 +261,7 @@ def _station_prio(source, crew, line, left, c_bar):
     if rule in _MIN_TIME:
         neg = [-t for t in base]
         return lambda w: neg
-    succ_star = line.clo.succ_star
+    succ_star = line.succ_star
     pw = [0] * len(base)
     for i in left:
         pw[i] = base[i] + sum(base[h] for h in succ_star[i])
@@ -285,21 +285,22 @@ def priority_rows(inst, source, c_bar, workers=None) -> list[list]:
 
 class _Line:
     """Precedence of one direction of an instance, as the hot path reads
-    it; 'backward' reads the instance with every edge flipped.
-    Reductions only turn cells INFEASIBLE, so it serves every reduction
-    of the instance."""
+    it; 'backward' reads the instance's closure with every edge flipped,
+    so predecessors and followers swap.  Reductions only turn cells
+    INFEASIBLE, so it serves every reduction of the instance."""
 
     def __init__(self, inst, direction="forward"):
         if direction not in DIRECTIONS:
             raise ValueError(f"unknown direction {direction!r}")
         self.direction = direction
-        if direction == "backward":
-            inst = inst.reverse()
-        self.clo = inst.closure()
-        self.pred_masks = inst.pred_masks
-        self.succ = self.clo.succ
+        clo = inst.closure()
+        if direction == "forward":
+            pred, self.succ, self.succ_star = clo.pred, clo.succ, clo.succ_star
+        else:
+            pred, self.succ, self.succ_star = clo.succ, clo.pred, clo.pred_star
+        self.pred_masks = [sum(1 << p for p in ps) for ps in pred]
         self.n_imm = [len(s) for s in self.succ]
-        self.n_star = [len(s) for s in self.clo.succ_star]
+        self.n_star = [len(s) for s in self.succ_star]
         self.neg_imm = [-k for k in self.n_imm]
 
 
@@ -491,7 +492,7 @@ def score_worker(inst, unassigned, available_workers, worker,
     if rule is WorkerRule.MIN_BWA:
         return bwa_cycle(inst, rest, others)
     crew = _Crew(inst.times, workers, inst.n_tasks)
-    _, totals = _station_start(sorted(rest), 0, inst.pred_masks, crew,
+    _, totals = _station_start(sorted(rest), 0, _Line(inst).pred_masks, crew,
                                inst.n_workers)
     return _rest_bound(totals, len(others), worker, (), crew)
 
@@ -633,9 +634,8 @@ def _cycle_blocked(times, c) -> bool:
 
 class SearchCache:
     """What the lower-bound searches on one instance share: the search
-    ceiling, the precedence of each direction, built on first use (so
-    the instance is reversed at most once), and per tentative cycle the
-    times its assemblies run on when the instance is reduced.
+    ceiling, the precedence of each direction (`lines`) and per tentative
+    cycle the times its assemblies run on when the instance is reduced.
 
     Pass one as the `cache` of every `solve_lower_bound_search` call on
     `inst`; each search still keeps its own per-crew statistics.
@@ -643,18 +643,12 @@ class SearchCache:
 
     def __init__(self, inst):
         self.inst = inst
-        self._lines = {}
+        self.lines = {d: _Line(inst, d) for d in DIRECTIONS}
         self._reduced = {}      # cycle -> reduced times, None if infeasible
 
     @cached_property
     def ceiling(self) -> int:
         return cycle_ceiling(self.inst)
-
-    def line(self, direction) -> _Line:
-        line = self._lines.get(direction)
-        if line is None:
-            line = self._lines[direction] = _Line(self.inst, direction)
-        return line
 
     def times(self, c, use_preprocess):
         """The times assemblies at tentative cycle c run on, or None when
@@ -683,8 +677,8 @@ def solve_lower_bound_search(inst, source, worker_rule, direction="forward",
     reduction or a station bound (`_cycle_blocked`) proves infeasible is
     skipped, as no assembly can succeed there.
     `cache`, a `SearchCache` of `inst`, may be shared between calls on
-    the same instance to reuse the reversal, the reductions and the
-    search ceiling.
+    the same instance to reuse the precedence of each direction, the
+    reductions and the search ceiling.
     """
     if direction != "both" and direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
@@ -702,7 +696,7 @@ def solve_lower_bound_search(inst, source, worker_rule, direction="forward",
             if times is not memo_of:
                 memo, memo_of = {}, times
             for d in directions:
-                sol = _assemble(times, c, source, worker_rule, cache.line(d),
+                sol = _assemble(times, c, source, worker_rule, cache.lines[d],
                                 memo)
                 if sol is not None:
                     return sol
@@ -722,9 +716,9 @@ class RuleRun:
 def run_configs(inst, configs, use_preprocess=False, c_start=None,
                 _search=None) -> list[RuleRun]:
     """Run the lower-bound search of each configuration on `inst`, in
-    order, timing each; the searches share one cache, so the reversed
-    instance, the reductions and the search ceiling are built once, in
-    the time of the first configuration that needs them.
+    order, timing each; the searches share one cache, so the reductions
+    and the search ceiling are built once, in the time of the first
+    configuration that needs them.
     """
     # `_search` is a seam for instrumentation only (the CLI passes its own
     # module's name so a wrapper installed there sees every search), not a

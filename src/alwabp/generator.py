@@ -1,12 +1,5 @@
-"""Derive worker-dependent instances from single-time base instances.
-
-A base instance is SALBP-like: one integer time per task plus the
-precedence edges.  Base text format:
-
-    n_tasks
-    t_i             one line per task
-    n_edges
-    i j             one line per edge, 1-based
+"""Derive worker-dependent instances from single-time base instances
+(`instance.BaseInstance`).
 
 From a base, worker times are drawn uniformly per cell: U[1, t_i] under
 low variability, U[1, 3 t_i] under high.  A fraction of the cells is then
@@ -17,10 +10,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from pathlib import Path
 
-from .instance import (INFEASIBLE, Instance, ParseError, ValidationError,
-                       _read_int, _tokens)
+from .instance import INFEASIBLE, BaseInstance, Instance, ValidationError
 
 VARIABILITY_FACTOR = {"low": 1, "high": 3}
 
@@ -28,49 +19,6 @@ VARIABILITY_FACTOR = {"low": 1, "high": 3}
 DENSITY_LEVELS = {"low": 0.10, "high": 0.20}
 
 REDRAW_CAP = 10_000
-
-
-@dataclass(frozen=True)
-class BaseInstance:
-    name: str
-    times: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.times)
-
-
-def parse_base(text: str, name: str = "base") -> BaseInstance:
-    stream = _tokens(text)
-    n = _read_int(stream, "task count")
-    if n < 1:
-        raise ValidationError("need at least one task")
-    times = []
-    for _ in range(n):
-        t = _read_int(stream, "a task time")
-        if t < 1:
-            raise ValidationError(f"base task times must be positive, got {t}")
-        times.append(t)
-    n_edges = _read_int(stream, "edge count")
-    edges = []
-    for _ in range(n_edges):
-        i = _read_int(stream, "edge tail")
-        j = _read_int(stream, "edge head")
-        edges.append((i - 1, j - 1))
-    leftover = next(stream, None)
-    if leftover is not None:
-        raise ParseError(f"line {leftover[0]}: trailing data {leftover[1]!r}")
-    return BaseInstance(name, tuple(times), tuple(edges))
-
-
-def load_base(path) -> BaseInstance:
-    p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {p}: {exc}") from exc
-    return parse_base(text, name=p.stem)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""ALWABP-2 instances: file format, precedence structure, derived views.
+"""ALWABP-2 instances: file formats, precedence structure, derived views.
 
 Instance text format (whitespace separated, lines starting with '#' are
 comments):
@@ -12,11 +12,21 @@ comments):
 Times are positive integers.  Zero entries are rejected on load so that
 ratio based priority rules never divide by zero.  Internally tasks and
 workers are 0-based; only the file format is 1-based.
+
+A base instance is SALBP-like: one integer time per task plus the
+precedence edges (`generator` derives worker times from it).  Base text
+format, in the same lexical conventions:
+
+    n_tasks
+    t_i             one line per task
+    n_edges
+    i j             one line per edge, 1-based
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
 INFEASIBLE = float("inf")
 
@@ -37,7 +47,6 @@ class ClosureView:
     succ: tuple[frozenset[int], ...]        # F_i, immediate successors
     pred_star: tuple[frozenset[int], ...]   # all transitive predecessors
     succ_star: tuple[frozenset[int], ...]   # all transitive successors
-    topo_order: tuple[int, ...]
     order_strength: float                   # 2|E*| / (n(n-1)), 0 for n < 2
 
 
@@ -101,7 +110,6 @@ class Instance:
                 raise ValidationError(f"task {i + 1} has no capable worker")
 
         self._closure = None
-        self._pred_masks = None
 
     # -- derived views ----------------------------------------------------
 
@@ -126,44 +134,14 @@ class Instance:
                 succ=self.succ,
                 pred_star=tuple(frozenset(s) for s in pred_star),
                 succ_star=tuple(frozenset(s) for s in succ_star),
-                topo_order=tuple(self._topo),
                 order_strength=strength,
             )
         return self._closure
 
-    @property
-    def pred_masks(self) -> tuple[int, ...]:
-        """Bitmask of immediate predecessors per task (hot-path helper)."""
-        if self._pred_masks is None:
-            masks = []
-            for i in range(self.n_tasks):
-                m = 0
-                for p in self.pred[i]:
-                    m |= 1 << p
-                masks.append(m)
-            self._pred_masks = tuple(masks)
-        return self._pred_masks
-
     def reverse(self) -> "Instance":
         """Instance with every precedence edge flipped; times unchanged."""
-        rev = Instance(
-            self.n_tasks,
-            self.n_workers,
-            self.times,
-            [(j, i) for i, j in self.edges],
-            name=self.name,
-        )
-        if self._closure is not None:
-            c = self._closure
-            rev._closure = ClosureView(
-                pred=c.succ,
-                succ=c.pred,
-                pred_star=c.succ_star,
-                succ_star=c.pred_star,
-                topo_order=tuple(reversed(c.topo_order)),
-                order_strength=c.order_strength,
-            )
-        return rev
+        return Instance(self.n_tasks, self.n_workers, self.times,
+                        [(j, i) for i, j in self.edges], name=self.name)
 
     # -- misc --------------------------------------------------------------
 
@@ -196,14 +174,6 @@ def _toposort(n, succ, indegree) -> list[int]:
     return order
 
 
-def closure(inst: Instance) -> ClosureView:
-    return inst.closure()
-
-
-def reverse(inst: Instance) -> Instance:
-    return inst.reverse()
-
-
 # -- text format ------------------------------------------------------------
 
 def _tokens(text: str):
@@ -226,6 +196,21 @@ def _read_int(stream, what):
         return int(tok)
     except ValueError:
         raise ParseError(f"line {lineno}: expected {what}, got {tok!r}") from None
+
+
+def _read_end(stream):
+    leftover = next(stream, None)
+    if leftover is not None:
+        raise ParseError(f"line {leftover[0]}: trailing data {leftover[1]!r}")
+
+
+def _read_file(path) -> tuple[str, str]:
+    """The text of the file at `path` and its stem, or ParseError."""
+    p = Path(path)
+    try:
+        return p.read_text(), p.stem
+    except OSError as exc:
+        raise ParseError(f"cannot read {p}: {exc}") from exc
 
 
 def parse_instance(text: str, name: str = "instance") -> Instance:
@@ -253,21 +238,53 @@ def parse_instance(text: str, name: str = "instance") -> Instance:
                     raise ParseError(
                         f"line {lineno}: bad time entry {tok!r}") from None
         times.append(row)
-    leftover = next(stream, None)
-    if leftover is not None:
-        raise ParseError(f"line {leftover[0]}: trailing data {leftover[1]!r}")
+    _read_end(stream)
     return Instance(n_tasks, n_workers, times, edges, name=name)
 
 
 def load_instance(path) -> Instance:
-    from pathlib import Path
+    text, name = _read_file(path)
+    return parse_instance(text, name=name)
 
-    p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise ParseError(f"cannot read {p}: {exc}") from exc
-    return parse_instance(text, name=p.stem)
+
+@dataclass(frozen=True)
+class BaseInstance:
+    """Single-time base instance (see module docstring)."""
+
+    name: str
+    times: tuple[int, ...]
+    edges: tuple[tuple[int, int], ...]
+
+    @property
+    def n_tasks(self) -> int:
+        return len(self.times)
+
+
+def parse_base(text: str, name: str = "base") -> BaseInstance:
+    """Parse the base format (see module docstring)."""
+    stream = _tokens(text)
+    n = _read_int(stream, "task count")
+    if n < 1:
+        raise ValidationError("need at least one task")
+    times = []
+    for _ in range(n):
+        t = _read_int(stream, "a task time")
+        if t < 1:
+            raise ValidationError(f"base task times must be positive, got {t}")
+        times.append(t)
+    n_edges = _read_int(stream, "edge count")
+    edges = []
+    for _ in range(n_edges):
+        i = _read_int(stream, "edge tail")
+        j = _read_int(stream, "edge head")
+        edges.append((i - 1, j - 1))
+    _read_end(stream)
+    return BaseInstance(name, tuple(times), tuple(edges))
+
+
+def load_base(path) -> BaseInstance:
+    text, name = _read_file(path)
+    return parse_base(text, name=name)
 
 
 def format_instance(inst: Instance) -> str:
@@ -284,6 +301,4 @@ def format_instance(inst: Instance) -> str:
 
 
 def save_instance(inst: Instance, path) -> None:
-    from pathlib import Path
-
     Path(path).write_text(format_instance(inst))

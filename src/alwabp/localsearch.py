@@ -101,9 +101,8 @@ class _State:
     def __init__(self, inst, sol):
         self.inst = inst
         self.times = inst.times
-        clo = inst.closure()
-        self.pred = clo.pred
-        self.succ = clo.succ
+        self.pred = inst.pred
+        self.succ = inst.succ
         self.m = inst.n_workers
         self.workers = [w for w, _ in sol.stations]
         self.tasks = [sorted(ts) for _, ts in sol.stations]
