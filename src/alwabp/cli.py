@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 from .bounds import compute_bounds, relax_sidecar
@@ -24,8 +25,9 @@ from .generator import DENSITY_LEVELS, GeneratorConfig, generate
 from .hga import HgaParams, evolve
 from .instance import load_base, load_instance, save_instance
 from .lp import write_lp
-from .reports import (deviation_pct, fmt_agg, fmt_dev, fmt_time, load_bkv,
-                      summarize, write_csv)
+from .reports import (BOUNDS, CONSTRUCT_RUNS, CONSTRUCT_SUMMARY, HGA_LOG,
+                      HGA_RUNS, HGA_SUMMARY, BkvError, deviation_pct,
+                      load_bkv, mean, summarize, write_csv)
 
 
 def _load_all(paths, with_relax=False):
@@ -52,21 +54,21 @@ def _load_all(paths, with_relax=False):
 
 def cmd_bounds(args) -> int:
     loaded, errors = _load_all(args.instances, with_relax=True)
-    rows = []
-    tally = [0, 0, 0]
+    records = []
+    tally = {"lc1_max": 0, "lc2_max": 0, "lc3_max": 0}
     for _, inst, relax in loaded:
         report = compute_bounds(inst, relax)
-        top = max(report.lc1, report.lc2, report.lc3)
-        flags = [int(report.lc1 == top), int(report.lc2 == top),
-                 int(report.lc3 == top)]
-        for k in range(3):
-            tally[k] += flags[k]
-        rows.append([inst.name, report.lc1, report.lc2, report.lc3,
-                     fmt_agg(report.external_relax), report.best, *flags])
-    rows.append(["TALLY", "", "", "", "", "", *tally])
+        lcs = {"lc1": report.lc1, "lc2": report.lc2, "lc3": report.lc3}
+        top = max(lcs.values())
+        flags = {f"{k}_max": int(v == top) for k, v in lcs.items()}
+        for k, v in flags.items():
+            tally[k] += v
+        records.append({"instance": inst.name, **lcs,
+                        "relax": report.external_relax, "best": report.best,
+                        **flags})
+    records.append({"instance": "TALLY", **tally})
     out = Path(args.out) / "bounds.csv"
-    write_csv(out, ["instance", "lc1", "lc2", "lc3", "relax", "best",
-                    "lc1_max", "lc2_max", "lc3_max"], rows)
+    write_csv(out, BOUNDS, records)
     print(f"wrote {out}")
     return 1 if errors else 0
 
@@ -86,167 +88,123 @@ def cmd_construct(args) -> int:
     bkv = load_bkv(args.bkv) if args.bkv else {}
     loaded, errors = _load_all(args.instances)
 
-    # the search is looked up in this module at each call, so a wrapper
-    # installed on `cli.solve_lower_bound_search` (a tracer, say) sees
-    # every search
-    results = [run_configs(inst, configs, args.preprocess,
-                           _search=solve_lower_bound_search)
-               for _, inst in loaded]
-
-    rows = []
-    per_config = {cfg: {"devs": [], "times": []} for cfg in configs}
-    best_agg = {"devs": [], "times": []}
+    records = []
+    by_config = {cfg: [] for cfg in configs}    # solved run records
+    bests = []                                  # solved best records
     failed = False
-    for (_, inst), runs in zip(loaded, results):
+    for _, inst in loaded:
         known = bkv.get(inst.name)
         if args.bkv and known is None:
             print(f"warning: no best known value for {inst.name}",
                   file=sys.stderr)
-        inst_best = None
-        inst_time = 0.0
-        for run in runs:
+        best, total = None, 0.0
+        # the search is looked up in this module at each call, so a wrapper
+        # installed on `cli.solve_lower_bound_search` (a tracer, say) sees
+        # every search
+        for run in run_configs(inst, configs, args.preprocess,
+                               _search=solve_lower_bound_search):
             cfg, cycle = run.config, run.cycle
-            elapsed = round(run.elapsed, 4)
-            inst_time += elapsed
             if run.error is not None:
                 print(f"error: {inst.name} {cfg.label}: {run.error}",
                       file=sys.stderr)
                 failed = True
-            dev = (deviation_pct(cycle, known)
-                   if cycle is not None and known is not None else None)
-            rows.append(["run", inst.name, cfg.task_rule.value,
-                         cfg.worker_rule.value, cfg.direction,
-                         "" if cycle is None else cycle,
-                         "" if known is None else known,
-                         fmt_dev(dev), fmt_time(elapsed)])
+            rec = {"kind": "run", "instance": inst.name,
+                   "task_rule": cfg.task_rule.value,
+                   "worker_rule": cfg.worker_rule.value,
+                   "direction": cfg.direction, "cycle": cycle, "bkv": known,
+                   "dev_pct": deviation_pct(cycle, known),
+                   "elapsed_s": round(run.elapsed, 4)}
+            records.append(rec)
+            total += rec["elapsed_s"]
             if cycle is not None:
-                per_config[cfg]["times"].append(elapsed)
-                if dev is not None:
-                    per_config[cfg]["devs"].append(dev)
-                if inst_best is None or cycle < inst_best:
-                    inst_best = cycle
-        best_dev = (deviation_pct(inst_best, known)
-                    if inst_best is not None and known is not None else None)
-        rows.append(["best", inst.name, "", "", "",
-                     "" if inst_best is None else inst_best,
-                     "" if known is None else known,
-                     fmt_dev(best_dev), fmt_time(round(inst_time, 4))])
-        if inst_best is not None:
-            best_agg["times"].append(round(inst_time, 4))
-            if best_dev is not None:
-                best_agg["devs"].append(best_dev)
+                by_config[cfg].append(rec)
+                best = cycle if best is None else min(best, cycle)
+        rec = {"kind": "best", "instance": inst.name, "cycle": best,
+               "bkv": known, "dev_pct": deviation_pct(best, known),
+               "elapsed_s": round(total, 4)}
+        records.append(rec)
+        if best is not None:
+            bests.append(rec)
 
     out = Path(args.out) / "construct_runs.csv"
-    write_csv(out, ["kind", "instance", "task_rule", "worker_rule",
-                    "direction", "cycle", "bkv", "dev_pct", "elapsed_s"],
-              rows)
+    write_csv(out, CONSTRUCT_RUNS, records)
     print(f"wrote {out}")
 
     if args.bkv:
-        srows = []
-        for cfg in configs:
-            agg = summarize(per_config[cfg]["devs"], per_config[cfg]["times"])
-            srows.append([cfg.task_rule.value, cfg.worker_rule.value,
-                          cfg.direction, fmt_agg(agg["av_dev_pct"]),
-                          fmt_agg(agg["max_dev_pct"]),
-                          fmt_agg(agg["av_time_s"]),
-                          fmt_agg(agg["max_time_s"])])
-        agg = summarize(best_agg["devs"], best_agg["times"])
-        srows.append(["BestOverAll", "", "", fmt_agg(agg["av_dev_pct"]),
-                      fmt_agg(agg["max_dev_pct"]), fmt_agg(agg["av_time_s"]),
-                      fmt_agg(agg["max_time_s"])])
+        summary = [{"task_rule": cfg.task_rule.value,
+                    "worker_rule": cfg.worker_rule.value,
+                    "direction": cfg.direction, **summarize(runs)}
+                   for cfg, runs in by_config.items()]
+        summary.append({"task_rule": "BestOverAll", **summarize(bests)})
         sout = Path(args.out) / "construct_summary.csv"
-        write_csv(sout, ["task_rule", "worker_rule", "direction",
-                         "av_dev_pct", "max_dev_pct", "av_time_s",
-                         "max_time_s"], srows)
+        write_csv(sout, CONSTRUCT_SUMMARY, summary)
         print(f"wrote {sout}")
     return 1 if errors or failed else 0
 
 
 # -- hga ----------------------------------------------------------------------
 
-def _hga_one(inst, relax, params):
-    try:
-        res = evolve(inst, params, external_relax=relax)
-    except NoFeasibleAssignmentError as exc:
-        return None, str(exc)
-    return res, None
-
-
 def cmd_hga(args) -> int:
+    try:
+        params = HgaParams(p=args.population, p_e=args.elite,
+                           p_r=args.immigrants, q=args.q,
+                           max_iters=args.max_iters,
+                           max_stale_iters=args.max_stale,
+                           stop_at_lower_bound=not args.no_bound_stop)
+        if args.seeds < 1:
+            raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     bkv = load_bkv(args.bkv) if args.bkv else {}
     loaded, errors = _load_all(args.instances, with_relax=True)
-    base = dict(p=args.population, q=args.q, max_iters=args.max_iters,
-                max_stale_iters=args.max_stale,
-                stop_at_lower_bound=not args.no_bound_stop)
-    if args.elite is not None:
-        base["p_e"] = args.elite
-    if args.immigrants is not None:
-        base["p_r"] = args.immigrants
-
-    results = [_hga_one(inst, relax,
-                        HgaParams(rng_seed=args.seed + j, **base))
-               for _, inst, relax in loaded for j in range(args.seeds)]
 
     out_dir = Path(args.out)
-    rows, srows = [], []
+    records, summary = [], []
     failed = False
-    k = 0
-    for _, inst, _ in loaded:
+    for _, inst, relax in loaded:
         known = bkv.get(inst.name)
         if args.bkv and known is None:
             print(f"warning: no best known value for {inst.name}",
                   file=sys.stderr)
-        cycles, devs, times, tbests = [], [], [], []
-        for j in range(args.seeds):
-            res, err = results[k]
-            k += 1
-            seed = args.seed + j
-            if err is not None:
-                print(f"error: {inst.name} seed {seed}: {err}",
+        solved = []
+        for seed in range(args.seed, args.seed + args.seeds):
+            try:
+                res = evolve(inst, replace(params, rng_seed=seed),
+                             external_relax=relax)
+            except NoFeasibleAssignmentError as exc:
+                print(f"error: {inst.name} seed {seed}: {exc}",
                       file=sys.stderr)
                 failed = True
-                rows.append([inst.name, seed, "", "", "", "", "",
-                             "infeasible", "", ""])
+                records.append({"instance": inst.name, "seed": seed,
+                                "reason": "infeasible"})
                 continue
-            elapsed = round(res.log[-1].seconds, 4)
-            t_best = next(round(e.seconds, 4) for e in res.log
-                          if e.cycle == res.fitness.cycle
-                          and e.norm_load == res.fitness.norm_load)
-            dev = (deviation_pct(res.fitness.cycle, known)
-                   if known is not None else None)
-            rows.append([inst.name, seed, res.fitness.cycle,
-                         f"{res.fitness.norm_load:.6f}",
-                         "" if known is None else known, fmt_dev(dev),
-                         res.iterations, res.reason, fmt_time(elapsed),
-                         fmt_time(t_best)])
-            write_csv(out_dir / f"{inst.name}.seed{seed}.log.csv",
-                      ["iteration", "cycle", "norm_load", "seconds"],
-                      [[e.iteration, e.cycle, f"{e.norm_load:.6f}",
-                        fmt_time(round(e.seconds, 4))] for e in res.log])
-            cycles.append(res.fitness.cycle)
-            times.append(elapsed)
-            tbests.append(t_best)
-            if dev is not None:
-                devs.append(dev)
-        if cycles:
-            best_cycle = min(cycles)
-            best_dev = (deviation_pct(best_cycle, known)
-                        if known is not None else None)
-            srows.append([inst.name, len(cycles), best_cycle,
-                          fmt_dev(best_dev),
-                          fmt_agg(sum(devs) / len(devs) if devs else None),
-                          fmt_agg(sum(times) / len(times)),
-                          fmt_agg(sum(tbests) / len(tbests))])
-        else:
-            srows.append([inst.name, 0, "", "", "", "", ""])
+            fit = res.fitness
+            rec = {"instance": inst.name, "seed": seed, "cycle": fit.cycle,
+                   "norm_load": fit.norm_load, "bkv": known,
+                   "dev_pct": deviation_pct(fit.cycle, known),
+                   "iterations": res.iterations, "reason": res.reason,
+                   "elapsed_s": round(res.log[-1].seconds, 4),
+                   "time_to_best_s": next(
+                       round(e.seconds, 4) for e in res.log
+                       if e.cycle == fit.cycle
+                       and e.norm_load == fit.norm_load)}
+            records.append(rec)
+            solved.append(rec)
+            write_csv(out_dir / f"{inst.name}.seed{seed}.log.csv", HGA_LOG,
+                      [asdict(e) for e in res.log])
+        best = min((r["cycle"] for r in solved), default=None)
+        summary.append({
+            "instance": inst.name, "runs": len(solved), "best_cycle": best,
+            "best_dev_pct": deviation_pct(best, known),
+            "avg_dev_pct": mean([r["dev_pct"] for r in solved
+                                 if r["dev_pct"] is not None]),
+            "avg_time_s": mean([r["elapsed_s"] for r in solved]),
+            "avg_time_to_best_s": mean([r["time_to_best_s"]
+                                        for r in solved])})
 
-    write_csv(out_dir / "hga_runs.csv",
-              ["instance", "seed", "cycle", "norm_load", "bkv", "dev_pct",
-               "iterations", "reason", "elapsed_s", "time_to_best_s"], rows)
-    write_csv(out_dir / "hga_summary.csv",
-              ["instance", "runs", "best_cycle", "best_dev_pct",
-               "avg_dev_pct", "avg_time_s", "avg_time_to_best_s"], srows)
+    write_csv(out_dir / "hga_runs.csv", HGA_RUNS, records)
+    write_csv(out_dir / "hga_summary.csv", HGA_SUMMARY, summary)
     print(f"wrote {out_dir / 'hga_runs.csv'}")
     print(f"wrote {out_dir / 'hga_summary.csv'}")
     return 1 if errors or failed else 0
@@ -378,7 +336,15 @@ def _build_parser():
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except BkvError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:      # an output file cannot be written
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

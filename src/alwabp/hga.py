@@ -60,7 +60,8 @@ class HgaParams:
 
     def __post_init__(self):
         if self.p < 1:
-            raise ValueError("population must hold at least one individual")
+            raise ValueError("population p must hold at least one "
+                             f"individual, got {self.p}")
         if self.p_e is None:
             object.__setattr__(self, "p_e", max(1, round(0.2 * self.p)))
         if self.p_r is None:
@@ -73,9 +74,12 @@ class HgaParams:
             raise ValueError("elite + immigrants must leave room for "
                              "offspring")
         if not 0.5 <= self.q <= 1.0:
-            raise ValueError("crossover probability must be in [0.5, 1]")
+            raise ValueError("crossover probability q must be in [0.5, 1], "
+                             f"got {self.q}")
         if self.max_iters < 0 or self.max_stale_iters < 1:
-            raise ValueError("iteration limits out of range")
+            raise ValueError("iteration limits out of range: max_iters="
+                             f"{self.max_iters}, max_stale_iters="
+                             f"{self.max_stale_iters}")
 
 
 @dataclass(frozen=True)

@@ -209,7 +209,7 @@ def _read_file(path) -> tuple[str, str]:
     p = Path(path)
     try:
         return p.read_text(), p.stem
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {p}: {exc}") from exc
 
 

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import csv
+import re
+from pathlib import Path
 
 import pytest
 
 from alwabp import INFEASIBLE, Instance, load_instance, save_instance
+from alwabp import reports
 from alwabp.cli import main
 from conftest import TINY_A
 from lpsolve import parse_lp
@@ -384,3 +387,103 @@ def test_export_lp_missing_file(tmp_path, capsys):
     rc = main(["export-lp", str(tmp_path / "nope.alwabp")])
     assert rc == 1
     assert "nope.alwabp" in capsys.readouterr().err
+
+
+# -- bad inputs ---------------------------------------------------------------
+
+# argv with {inst} (tiny-A), {tmp}, {file} (a regular file) and {binary}
+# (undecodable bytes) filled in; the exit status; the text the one error
+# line must name; the report still written, or None when the command must
+# stop before any search and write nothing
+BAD_INPUTS = {
+    "construct-bkv-missing": (["construct", "{inst}", "--rule", "MaxF",
+                               "--bkv", "{tmp}/nope.csv"], 1, "nope.csv",
+                              None),
+    "hga-bkv-missing": (["hga", "{inst}", "--bkv", "{tmp}/nope.csv"], 1,
+                        "nope.csv", None),
+    "construct-bkv-malformed": (["construct", "{inst}", "--rule", "MaxF",
+                                 "--bkv", "{tmp}/bad.csv"], 1, "bad.csv:2",
+                                None),
+    "hga-bkv-malformed": (["hga", "{inst}", "--bkv", "{tmp}/bad.csv"], 1,
+                          "bad.csv:2", None),
+    "hga-population": (["hga", "{inst}", "--population", "0"], 2,
+                       "population", None),
+    "hga-q": (["hga", "{inst}", "--q", "2"], 2, "crossover probability q",
+              None),
+    "hga-max-iters": (["hga", "{inst}", "--max-iters", "-1"], 2,
+                      "max_iters=-1", None),
+    "hga-seeds": (["hga", "{inst}", "--seeds", "0"], 2, "--seeds", None),
+    "bounds-out": (["bounds", "{inst}", "--out", "{file}/sub"], 1,
+                   "{file}/sub", None),
+    "construct-out": (["construct", "{inst}", "--all-96", "--out",
+                       "{file}/sub"], 1, "{file}/sub", None),
+    "hga-out": (["hga", "{inst}", "--out", "{file}/sub"], 1, "{file}/sub",
+                None),
+    "generate-out": (["generate", "{tmp}/line.base", "--workers", "2",
+                      "--out", "{file}/sub"], 1, "{file}/sub", None),
+    "export-lp-out": (["export-lp", "{inst}", "--out", "{tmp}/missing/x.lp"],
+                      1, "{tmp}/missing/x.lp", None),
+    "binary-instance": (["bounds", "{binary}", "{inst}"], 1, "{binary}",
+                        "bounds.csv"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_bad_input_gives_one_error_line(tmp_path, capsys, case):
+    argv, status, named, report = BAD_INPUTS[case]
+    paths = {"inst": write_tiny(tmp_path), "tmp": tmp_path,
+             "file": tmp_path / "afile", "binary": tmp_path / "bin.alwabp"}
+    paths["file"].write_text("")
+    paths["binary"].write_bytes(b"\xff\xfe\x00\x01")
+    (tmp_path / "bad.csv").write_text("instance,cycle\ntiny-A,2,3\n")
+    (tmp_path / "line.base").write_text("3\n1 2 3\n0\n")
+    argv = [a.format(**paths) for a in argv]
+    rep = tmp_path / "rep"
+    if "--out" not in argv:
+        argv += ["--out", str(rep)]
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert rc == status
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert named.format(**paths) in errors[0]
+    assert "Traceback" not in out + err
+    written = sorted(p.name for p in rep.iterdir()) if rep.exists() else []
+    assert written == ([report] if report else [])
+
+
+# -- report schemas -----------------------------------------------------------
+
+def test_report_headers_match_declarations(tmp_path):
+    inst = write_tiny(tmp_path)
+    bkv = write_bkv(tmp_path, {"tiny-A": 2})
+    rep = tmp_path / "rep"
+    for argv in (["bounds", str(inst)],
+                 ["construct", str(inst), "--rule", "MaxF", "--bkv", str(bkv)],
+                 ["hga", str(inst), "--seed", "7", "--bkv", str(bkv)]):
+        assert main([*argv, "--out", str(rep)]) == 0
+    declared = {"bounds.csv": reports.BOUNDS,
+                "construct_runs.csv": reports.CONSTRUCT_RUNS,
+                "construct_summary.csv": reports.CONSTRUCT_SUMMARY,
+                "hga_runs.csv": reports.HGA_RUNS,
+                "hga_summary.csv": reports.HGA_SUMMARY,
+                "tiny-A.seed7.log.csv": reports.HGA_LOG}
+    assert sorted(p.name for p in rep.iterdir()) == sorted(declared)
+    for name, columns in declared.items():
+        assert read_rows(rep / name)[0] == list(columns), name
+
+
+def test_readme_lists_declared_columns():
+    """Each report in the README's "Reports" section lists its columns as
+    one backticked comma list right after the file name."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("\n## Reports\n", 1)[1].split("\n## ", 1)[0]
+    listed = {name: tuple(re.sub(r"\s+", "", cols).split(","))
+              for name, cols in re.findall(r"^- `([^`]+)`: `([^`]+)`",
+                                           section, re.M)}
+    assert listed == {"bounds.csv": reports.BOUNDS,
+                      "construct_runs.csv": reports.CONSTRUCT_RUNS,
+                      "construct_summary.csv": reports.CONSTRUCT_SUMMARY,
+                      "hga_runs.csv": reports.HGA_RUNS,
+                      "hga_summary.csv": reports.HGA_SUMMARY,
+                      "<instance>.seed<S>.log.csv": reports.HGA_LOG}

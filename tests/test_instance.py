@@ -5,8 +5,8 @@ import random
 import pytest
 
 from alwabp import (INFEASIBLE, Instance, ParseError, Solution,
-                    ValidationError, format_instance, load_instance,
-                    parse_instance, validate_solution)
+                    ValidationError, format_instance, load_base,
+                    load_instance, parse_instance, validate_solution)
 from bruteforce import brute_force_feasible
 from conftest import random_instance
 
@@ -59,6 +59,14 @@ def test_load_names_instance_after_file(tmp_path, tiny_a):
 def test_parse_errors(text):
     with pytest.raises(ParseError):
         parse_instance(text)
+
+
+@pytest.mark.parametrize("load", [load_instance, load_base])
+def test_undecodable_file_is_a_parse_error(tmp_path, load):
+    p = tmp_path / "binary.alwabp"
+    p.write_bytes(b"\xff\xfe\x00\x01 3 2\n")
+    with pytest.raises(ParseError, match="binary.alwabp"):
+        load(p)
 
 
 def test_cycle_is_rejected():
