@@ -30,19 +30,22 @@ from .reports import (BOUNDS, CONSTRUCT_RUNS, CONSTRUCT_SUMMARY, HGA_LOG,
                       load_bkv, mean, summarize, write_csv)
 
 
+def _report_dir(out) -> Path:
+    """`out`, created before any input is read or any search is run."""
+    Path(out).mkdir(parents=True, exist_ok=True)
+    return Path(out)
+
+
 def _load_all(paths, with_relax=False):
-    """Instances that load, as (path, instance) or, with `with_relax`,
-    (path, instance, relaxation bound from the sidecar); each file that
-    does not load, or whose sidecar does not parse, is reported on
-    stderr and listed in the returned errors."""
+    """Instances that load, as (instance, relaxation bound) pairs; the
+    bound comes from the sidecar with `with_relax`, else it is None.
+    Each file that does not load, or whose sidecar does not parse, is
+    reported on stderr and listed in the returned errors."""
     loaded, errors = [], []
     for path in paths:
         try:
-            inst = load_instance(path)
-            if with_relax:
-                loaded.append((Path(path), inst, relax_sidecar(path)))
-            else:
-                loaded.append((Path(path), inst))
+            loaded.append((load_instance(path),
+                           relax_sidecar(path) if with_relax else None))
         except Exception as exc:
             errors.append(f"{path}: {exc}")
     for msg in errors:
@@ -53,10 +56,11 @@ def _load_all(paths, with_relax=False):
 # -- bounds -------------------------------------------------------------------
 
 def cmd_bounds(args) -> int:
+    out = _report_dir(args.out) / "bounds.csv"
     loaded, errors = _load_all(args.instances, with_relax=True)
     records = []
     tally = {"lc1_max": 0, "lc2_max": 0, "lc3_max": 0}
-    for _, inst, relax in loaded:
+    for inst, relax in loaded:
         report = compute_bounds(inst, relax)
         lcs = {"lc1": report.lc1, "lc2": report.lc2, "lc3": report.lc3}
         top = max(lcs.values())
@@ -67,7 +71,6 @@ def cmd_bounds(args) -> int:
                         "relax": report.external_relax, "best": report.best,
                         **flags})
     records.append({"instance": "TALLY", **tally})
-    out = Path(args.out) / "bounds.csv"
     write_csv(out, BOUNDS, records)
     print(f"wrote {out}")
     return 1 if errors else 0
@@ -85,6 +88,7 @@ def cmd_construct(args) -> int:
             return 2
         configs = [RuleConfig(TaskRule(args.rule),
                               WorkerRule(args.worker_rule), args.direction)]
+    out_dir = _report_dir(args.out)
     bkv = load_bkv(args.bkv) if args.bkv else {}
     loaded, errors = _load_all(args.instances)
 
@@ -92,7 +96,7 @@ def cmd_construct(args) -> int:
     by_config = {cfg: [] for cfg in configs}    # solved run records
     bests = []                                  # solved best records
     failed = False
-    for _, inst in loaded:
+    for inst, _ in loaded:
         known = bkv.get(inst.name)
         if args.bkv and known is None:
             print(f"warning: no best known value for {inst.name}",
@@ -126,7 +130,7 @@ def cmd_construct(args) -> int:
         if best is not None:
             bests.append(rec)
 
-    out = Path(args.out) / "construct_runs.csv"
+    out = out_dir / "construct_runs.csv"
     write_csv(out, CONSTRUCT_RUNS, records)
     print(f"wrote {out}")
 
@@ -136,7 +140,7 @@ def cmd_construct(args) -> int:
                     "direction": cfg.direction, **summarize(runs)}
                    for cfg, runs in by_config.items()]
         summary.append({"task_rule": "BestOverAll", **summarize(bests)})
-        sout = Path(args.out) / "construct_summary.csv"
+        sout = out_dir / "construct_summary.csv"
         write_csv(sout, CONSTRUCT_SUMMARY, summary)
         print(f"wrote {sout}")
     return 1 if errors or failed else 0
@@ -156,13 +160,13 @@ def cmd_hga(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    out_dir = _report_dir(args.out)
     bkv = load_bkv(args.bkv) if args.bkv else {}
     loaded, errors = _load_all(args.instances, with_relax=True)
 
-    out_dir = Path(args.out)
     records, summary = [], []
     failed = False
-    for _, inst, relax in loaded:
+    for inst, relax in loaded:
         known = bkv.get(inst.name)
         if args.bkv and known is None:
             print(f"warning: no best known value for {inst.name}",
@@ -213,6 +217,7 @@ def cmd_hga(args) -> int:
 # -- generate -----------------------------------------------------------------
 
 def cmd_generate(args) -> int:
+    out_dir = _report_dir(args.out)
     try:
         base = load_base(args.base)
     except Exception as exc:
@@ -222,8 +227,6 @@ def cmd_generate(args) -> int:
                   else [args.variability])
     dens_levels = (["low", "high"] if args.density == "both"
                    else [args.density])
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     idx = 0
     written = 0
     status = 0

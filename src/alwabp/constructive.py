@@ -713,7 +713,7 @@ class RuleRun:
     error: str | None = None   # the search's message when cycle is None
 
 
-def run_configs(inst, configs, use_preprocess=False, c_start=None,
+def run_configs(inst, configs, use_preprocess=False,
                 _search=None) -> list[RuleRun]:
     """Run the lower-bound search of each configuration on `inst`, in
     order, timing each; the searches share one cache, so the reductions
@@ -730,8 +730,7 @@ def run_configs(inst, configs, use_preprocess=False, c_start=None,
         t0 = time.perf_counter()
         try:
             sol = search(inst, cfg.task_rule, cfg.worker_rule, cfg.direction,
-                         c_start=c_start, use_preprocess=use_preprocess,
-                         cache=cache)
+                         use_preprocess=use_preprocess, cache=cache)
             cycle, error = sol.cycle, None
         except NoFeasibleAssignmentError as exc:
             cycle, error = None, str(exc)
@@ -739,9 +738,9 @@ def run_configs(inst, configs, use_preprocess=False, c_start=None,
     return rows
 
 
-def run_all_96(inst, use_preprocess=False, c_start=None) -> list[RuleRun]:
+def run_all_96(inst, use_preprocess=False) -> list[RuleRun]:
     """Run every rule combination once; order is fixed and deterministic."""
-    return run_configs(inst, all_rule_configs(), use_preprocess, c_start)
+    return run_configs(inst, all_rule_configs(), use_preprocess)
 
 
 def best_cycle(rows, worker_rule: WorkerRule | None = None) -> int | None:

@@ -18,8 +18,6 @@ VARIABILITY_FACTOR = {"low": 1, "high": 3}
 # factor levels used by the benchmark generator
 DENSITY_LEVELS = {"low": 0.10, "high": 0.20}
 
-REDRAW_CAP = 10_000
-
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -74,7 +72,8 @@ def _mark_infeasible(times, target, rng):
 
     Draws cells without replacement; a draw that would leave its task
     with no capable worker is rejected (such a cell can never become
-    safe again, so it is dropped from the pool).
+    safe again, so it is dropped from the pool).  Each task is rejected
+    at most once, so with target <= m*n - n the pool cannot run dry.
     """
     if target == 0:
         return
@@ -82,14 +81,9 @@ def _mark_infeasible(times, target, rng):
     finite_left = [len(times) for _ in range(n)]
     pool = [(w, i) for w in range(len(times)) for i in range(n)]
     marked = 0
-    redraws = 0
     while marked < target:
-        if not pool or redraws > REDRAW_CAP:
-            raise ValidationError("cannot place infeasible cells without "
-                                  "leaving a task uncoverable")
         w, i = pool.pop(rng.randrange(len(pool)))
         if finite_left[i] <= 1:
-            redraws += 1
             continue
         times[w][i] = INFEASIBLE
         finite_left[i] -= 1

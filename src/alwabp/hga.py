@@ -164,25 +164,43 @@ def decode(inst, chromosome: Chromosome, c_start=None,
     return sol, fit
 
 
-def _initial_population(inst, params, rng, c_start, cache):
-    """`seed_population`, decoded from c_start through `cache`."""
-    c_bar = compute_bounds(inst).best       # encode_rule's own default
+def _seed_chromosomes(inst, params, rng, bounds):
+    """The 16 rule encodings, at max(LC1, LC2, LC3) as in encode_rule's
+    own default, topped up with random chromosomes to p."""
+    c_bar = max(bounds.lc1, bounds.lc2, bounds.lc3)
     chroms = [encode_rule(inst, rule, c_bar) for rule in TaskRule]
-    chroms += [random_chromosome(inst, rng)
-               for _ in range(params.p - len(chroms))]
-    pop = []
-    for chrom in chroms:
-        sol, fit = decode(inst, chrom, c_start, cache)
-        pop.append(Individual(chrom, sol, fit))
+    return chroms + [random_chromosome(inst, rng)
+                     for _ in range(params.p - len(chroms))]
+
+
+def _ranked(inst, p, kept, chroms, c_start, cache):
+    """`kept` plus `chroms` decoded from c_start through `cache`, sorted
+    by fitness (ties keep that order) and truncated to the p best."""
+    pop = kept + [Individual(chrom, *decode(inst, chrom, c_start, cache))
+                  for chrom in chroms]
     pop.sort(key=lambda ind: ind.fitness)
-    return pop[:params.p]
+    return pop[:p]
 
 
 def seed_population(inst, params: HgaParams) -> list[Individual]:
     """Initial population: the 16 rule encodings plus random top-up,
     decoded, sorted by fitness, truncated to the p best."""
-    return _initial_population(inst, params, random.Random(params.rng_seed),
-                               compute_bounds(inst).best, SearchCache(inst))
+    bounds = compute_bounds(inst)
+    chroms = _seed_chromosomes(inst, params, random.Random(params.rng_seed),
+                               bounds)
+    return _ranked(inst, params.p, [], chroms, bounds.best, SearchCache(inst))
+
+
+def _stop_reason(params, at_bound, iteration, stale):
+    """Why the run stops after this generation, or None; when several
+    limits hold, the bound comes first, then max_iters, then stale."""
+    if params.stop_at_lower_bound and at_bound:
+        return "bound"
+    if iteration >= params.max_iters:
+        return "max_iters"
+    if stale >= params.max_stale_iters:
+        return "stale"
+    return None
 
 
 def evolve(inst, params: HgaParams, external_relax=None) -> HgaResult:
@@ -194,49 +212,30 @@ def evolve(inst, params: HgaParams, external_relax=None) -> HgaResult:
     """
     t0 = time.perf_counter()
     rng = random.Random(params.rng_seed)
-    c_start = compute_bounds(inst, external_relax).best
+    bounds = compute_bounds(inst, external_relax)
     cache = SearchCache(inst)
-    population = _initial_population(inst, params, rng, c_start, cache)
-
-    best = population[0]
-    log = [LogEntry(0, best.fitness.cycle, best.fitness.norm_load,
-                    time.perf_counter() - t0)]
-    iteration = 0
-    stale = 0
-    reason = "max_iters"
-    while iteration < params.max_iters:
-        if params.stop_at_lower_bound and best.fitness.cycle <= c_start:
-            reason = "bound"
-            break
-        if stale >= params.max_stale_iters:
-            reason = "stale"
-            break
-        iteration += 1
-        elite = population[:params.p_e]
-        rest = population[params.p_e:]
-        nxt = list(elite)
-        for _ in range(params.p - params.p_e - params.p_r):
-            a = elite[rng.randrange(len(elite))]
-            b = rest[rng.randrange(len(rest))]
-            child = crossover(a.chromosome, b.chromosome, params.q, rng)
-            sol, fit = decode(inst, child, c_start, cache)
-            nxt.append(Individual(child, sol, fit))
-        for _ in range(params.p_r):
-            chrom = random_chromosome(inst, rng)
-            sol, fit = decode(inst, chrom, c_start, cache)
-            nxt.append(Individual(chrom, sol, fit))
-        nxt.sort(key=lambda ind: ind.fitness)
-        population = nxt
-        if population[0].fitness < best.fitness:
-            best = population[0]
-            stale = 0
+    elite, chroms = [], _seed_chromosomes(inst, params, rng, bounds)
+    best, log, iteration, stale = None, [], 0, 0
+    while True:
+        # decode draws nothing, so decoding after all draws keeps their order
+        population = _ranked(inst, params.p, elite, chroms, bounds.best, cache)
+        if best is None or population[0].fitness < best.fitness:
+            best, stale = population[0], 0
         else:
             stale += 1
         log.append(LogEntry(iteration, best.fitness.cycle,
                             best.fitness.norm_load,
                             time.perf_counter() - t0))
-    if params.stop_at_lower_bound and best.fitness.cycle <= c_start:
-        reason = "bound"
-
-    return HgaResult(best.solution, best.fitness, tuple(log), iteration,
-                     reason)
+        reason = _stop_reason(params, best.fitness.cycle <= bounds.best,
+                              iteration, stale)
+        if reason is not None:
+            return HgaResult(best.solution, best.fitness, tuple(log),
+                             iteration, reason)
+        iteration += 1
+        elite, rest = population[:params.p_e], population[params.p_e:]
+        # per child: the elite parent, the other parent, then the cells
+        chroms = [crossover(elite[rng.randrange(len(elite))].chromosome,
+                            rest[rng.randrange(len(rest))].chromosome,
+                            params.q, rng)
+                  for _ in range(params.p - params.p_e - params.p_r)]
+        chroms += [random_chromosome(inst, rng) for _ in range(params.p_r)]

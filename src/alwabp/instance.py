@@ -198,6 +198,14 @@ def _read_int(stream, what):
         raise ParseError(f"line {lineno}: expected {what}, got {tok!r}") from None
 
 
+def _read_count(stream, what, least=1):
+    """A count of at least `least`, checked before it sizes any loop."""
+    n = _read_int(stream, what)
+    if n < least:
+        raise ParseError(f"{what} must be at least {least}, got {n}")
+    return n
+
+
 def _read_end(stream):
     leftover = next(stream, None)
     if leftover is not None:
@@ -216,9 +224,9 @@ def _read_file(path) -> tuple[str, str]:
 def parse_instance(text: str, name: str = "instance") -> Instance:
     """Parse the canonical instance format (see module docstring)."""
     stream = _tokens(text)
-    n_tasks = _read_int(stream, "task count")
-    n_workers = _read_int(stream, "worker count")
-    n_edges = _read_int(stream, "edge count")
+    n_tasks = _read_count(stream, "task count")
+    n_workers = _read_count(stream, "worker count")
+    n_edges = _read_count(stream, "edge count", 0)
     edges = []
     for _ in range(n_edges):
         i = _read_int(stream, "edge tail")
@@ -263,16 +271,14 @@ class BaseInstance:
 def parse_base(text: str, name: str = "base") -> BaseInstance:
     """Parse the base format (see module docstring)."""
     stream = _tokens(text)
-    n = _read_int(stream, "task count")
-    if n < 1:
-        raise ValidationError("need at least one task")
+    n = _read_count(stream, "task count")
     times = []
     for _ in range(n):
         t = _read_int(stream, "a task time")
         if t < 1:
             raise ValidationError(f"base task times must be positive, got {t}")
         times.append(t)
-    n_edges = _read_int(stream, "edge count")
+    n_edges = _read_count(stream, "edge count", 0)
     edges = []
     for _ in range(n_edges):
         i = _read_int(stream, "edge tail")

@@ -11,7 +11,6 @@ report and recomputing its summary reproduces it exactly.
 from __future__ import annotations
 
 import csv
-from pathlib import Path
 
 BOUNDS = ("instance", "lc1", "lc2", "lc3", "relax", "best",
           "lc1_max", "lc2_max", "lc3_max")
@@ -81,11 +80,9 @@ def deviation_pct(cycle: int | None, bkv: int | None) -> float | None:
 
 def write_csv(path, columns, records):
     """Write `records`, dicts keyed by column name, under a header row of
-    `columns`.  A missing or None cell is left empty, a value in a column
-    of FORMATS is written in its format, and a key that is not one of
-    `columns` raises ValueError."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    `columns` to `path`, whose directory must exist.  A missing or None
+    cell is left empty, a value in a column of FORMATS is written in its
+    format, and a key that is not one of `columns` raises ValueError."""
     formats = [(col, FORMATS[col]) for col in columns if col in FORMATS]
     with open(path, "w", newline="") as fh:
         w = csv.DictWriter(fh, columns, lineterminator="\n")

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from alwabp import INFEASIBLE, Instance, load_instance, save_instance
-from alwabp import reports
+from alwabp import cli, reports
 from alwabp.cli import main
 from conftest import TINY_A
 from lpsolve import parse_lp
@@ -428,8 +428,12 @@ BAD_INPUTS = {
 }
 
 
+def _forbidden(*args, **kwargs):
+    raise AssertionError("called although the command had to stop first")
+
+
 @pytest.mark.parametrize("case", list(BAD_INPUTS))
-def test_bad_input_gives_one_error_line(tmp_path, capsys, case):
+def test_bad_input_gives_one_error_line(tmp_path, capsys, monkeypatch, case):
     argv, status, named, report = BAD_INPUTS[case]
     paths = {"inst": write_tiny(tmp_path), "tmp": tmp_path,
              "file": tmp_path / "afile", "binary": tmp_path / "bin.alwabp"}
@@ -437,6 +441,13 @@ def test_bad_input_gives_one_error_line(tmp_path, capsys, case):
     paths["binary"].write_bytes(b"\xff\xfe\x00\x01")
     (tmp_path / "bad.csv").write_text("instance,cycle\ntiny-A,2,3\n")
     (tmp_path / "line.base").write_text("3\n1 2 3\n0\n")
+    # no case may run a search; a report directory that cannot be made
+    # must fail before any input file is read
+    forbidden = ["solve_lower_bound_search", "evolve"]
+    if "{file}/sub" in argv:
+        forbidden += ["load_instance", "load_base"]
+    for name in forbidden:
+        monkeypatch.setattr(cli, name, _forbidden)
     argv = [a.format(**paths) for a in argv]
     rep = tmp_path / "rep"
     if "--out" not in argv:

@@ -27,6 +27,10 @@ def test_parse_base_errors():
         parse_base("2\n10\n")
     with pytest.raises(ValidationError):
         parse_base("1\n0\n0\n")
+    with pytest.raises(ParseError):
+        parse_base("0\n0\n")
+    with pytest.raises(ParseError):
+        parse_base("1\n5\n-1\n")      # once read as no edges
 
 
 def test_low_variability_range():
@@ -57,6 +61,17 @@ def test_exact_infeasible_count_and_coverage():
         assert n_inf == round(density * 20)
         for i in range(10):
             assert any(inst.times[w][i] != INFEASIBLE for w in range(2))
+
+
+@pytest.mark.parametrize("m, n, density", [(2, 10, 0.5), (5, 30, 0.8)])
+def test_densest_marking_leaves_one_worker_per_task(m, n, density):
+    # target == m*n - n: every task keeps exactly one capable worker
+    base = BaseInstance("b", (5,) * n, ())
+    for seed in range(50):
+        inst = generate(base, GeneratorConfig(
+            n_workers=m, infeasibility_density=density, rng_seed=seed))
+        for i in range(n):
+            assert sum(inst.times[w][i] != INFEASIBLE for w in range(m)) == 1
 
 
 def test_generation_is_deterministic():

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from alwabp import hga
 from alwabp import (
     Chromosome,
     Fitness,
@@ -214,6 +215,42 @@ def test_evolve_max_iters_stop(tiny_a):
     assert res.reason == "max_iters"
     assert res.iterations == 2
     assert len(res.log) == 3
+
+
+# (max_iters, max_stale_iters, stop_at_lower_bound) -> (reason, iterations);
+# seed 7 reaches tiny-A's bound, cycle 2, at iteration 0 and never improves
+@pytest.mark.parametrize("limits, expected", [
+    ((0, 1, True), ("bound", 0)),           # bound before max_iters=0
+    ((0, 1, False), ("max_iters", 0)),
+    ((1, 1, False), ("max_iters", 1)),      # max_iters before stale
+    ((2, 1, False), ("stale", 1)),
+    ((3, 50, True), ("bound", 0)),
+])
+def test_evolve_stop_reason_precedence(tiny_a, limits, expected):
+    max_iters, max_stale, bound_stop = limits
+    res = evolve(tiny_a, HgaParams(p=8, rng_seed=7, max_iters=max_iters,
+                                   max_stale_iters=max_stale,
+                                   stop_at_lower_bound=bound_stop))
+    assert (res.reason, res.iterations) == expected
+    assert len(res.log) == res.iterations + 1
+
+
+@pytest.mark.parametrize("run", [
+    lambda inst: evolve(inst, HgaParams(p=8, rng_seed=1, max_iters=2,
+                                        stop_at_lower_bound=False),
+                        external_relax=1.5),
+    lambda inst: seed_population(inst, HgaParams(p=8, rng_seed=1)),
+], ids=["evolve", "seed_population"])
+def test_ga_computes_bounds_once(tiny_a, monkeypatch, run):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return compute_bounds(*args, **kwargs)
+
+    monkeypatch.setattr(hga, "compute_bounds", counted)
+    run(tiny_a)
+    assert len(calls) == 1
 
 
 def test_evolve_deterministic(tiny_a):

@@ -55,6 +55,9 @@ def test_load_names_instance_after_file(tmp_path, tiny_a):
     "2 1\n0\nx 2\n",         # bad time token
     "2 1\n0\n1 2\n9\n",      # trailing data
     "q 1\n0\n1\n",           # bad count
+    "0 99999999 0",          # no tasks: must fail before 10^8 empty rows
+    "1 0\n0\n",              # no workers
+    "1 1\n-1\n4\n",          # negative edge count
 ])
 def test_parse_errors(text):
     with pytest.raises(ParseError):
