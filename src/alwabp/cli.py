@@ -7,7 +7,9 @@ logs), `generate` (factorial instance generation from a base), and
 `export-lp` (mixed-integer model file).
 
 All reports are plain CSV with a header row.  Exit status is 0 only
-when every requested item succeeded; partial results are still written.
+when every requested item succeeded; partial results are still written
+and each failed item gets one `error:` line on stderr.  Bad arguments
+give exit status 2 before any input is read or any output is made.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import asdict, replace
+from itertools import product
 from pathlib import Path
 
 from .bounds import compute_bounds, relax_sidecar
@@ -36,31 +39,35 @@ def _report_dir(out) -> Path:
     return Path(out)
 
 
-def _load_all(paths, with_relax=False):
+def _fail(errors, msg):
+    """Report one failed item on stderr and record it in `errors`."""
+    print(f"error: {msg}", file=sys.stderr)
+    errors.append(msg)
+
+
+def _load_all(paths, errors, with_relax=False):
     """Instances that load, as (instance, relaxation bound) pairs; the
     bound comes from the sidecar with `with_relax`, else it is None.
-    Each file that does not load, or whose sidecar does not parse, is
-    reported on stderr and listed in the returned errors."""
-    loaded, errors = [], []
+    Each file that does not load, or whose sidecar does not parse, fails
+    its item through `_fail`."""
+    loaded = []
     for path in paths:
         try:
             loaded.append((load_instance(path),
                            relax_sidecar(path) if with_relax else None))
         except Exception as exc:
-            errors.append(f"{path}: {exc}")
-    for msg in errors:
-        print(f"error: {msg}", file=sys.stderr)
-    return loaded, errors
+            _fail(errors, f"{path}: {exc}")
+    return loaded
 
 
 # -- bounds -------------------------------------------------------------------
 
 def cmd_bounds(args) -> int:
     out = _report_dir(args.out) / "bounds.csv"
-    loaded, errors = _load_all(args.instances, with_relax=True)
+    errors = []
     records = []
     tally = {"lc1_max": 0, "lc2_max": 0, "lc3_max": 0}
-    for inst, relax in loaded:
+    for inst, relax in _load_all(args.instances, errors, with_relax=True):
         report = compute_bounds(inst, relax)
         lcs = {"lc1": report.lc1, "lc2": report.lc2, "lc3": report.lc3}
         top = max(lcs.values())
@@ -79,24 +86,27 @@ def cmd_bounds(args) -> int:
 # -- construct ----------------------------------------------------------------
 
 def cmd_construct(args) -> int:
-    if args.all_96:
-        configs = all_rule_configs()
-    else:
-        if not args.rule:
-            print("error: either --rule or --all-96 is required",
-                  file=sys.stderr)
-            return 2
-        configs = [RuleConfig(TaskRule(args.rule),
-                              WorkerRule(args.worker_rule), args.direction)]
+    try:
+        if args.all_96 == (args.rule is not None):
+            raise ValueError("exactly one of --rule or --all-96 is required")
+        if args.all_96 and (args.worker_rule or args.direction):
+            raise ValueError("--worker-rule and --direction go with --rule, "
+                             "not with --all-96")
+        configs = all_rule_configs() if args.all_96 else [RuleConfig(
+            TaskRule(args.rule),
+            WorkerRule(args.worker_rule or WorkerRule.MIN_RLB),
+            args.direction or "forward")]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out_dir = _report_dir(args.out)
     bkv = load_bkv(args.bkv) if args.bkv else {}
-    loaded, errors = _load_all(args.instances)
+    errors = []
 
     records = []
     by_config = {cfg: [] for cfg in configs}    # solved run records
     bests = []                                  # solved best records
-    failed = False
-    for inst, _ in loaded:
+    for inst, _ in _load_all(args.instances, errors):
         known = bkv.get(inst.name)
         if args.bkv and known is None:
             print(f"warning: no best known value for {inst.name}",
@@ -109,9 +119,7 @@ def cmd_construct(args) -> int:
                                _search=solve_lower_bound_search):
             cfg, cycle = run.config, run.cycle
             if run.error is not None:
-                print(f"error: {inst.name} {cfg.label}: {run.error}",
-                      file=sys.stderr)
-                failed = True
+                _fail(errors, f"{inst.name} {cfg.label}: {run.error}")
             rec = {"kind": "run", "instance": inst.name,
                    "task_rule": cfg.task_rule.value,
                    "worker_rule": cfg.worker_rule.value,
@@ -143,7 +151,7 @@ def cmd_construct(args) -> int:
         sout = out_dir / "construct_summary.csv"
         write_csv(sout, CONSTRUCT_SUMMARY, summary)
         print(f"wrote {sout}")
-    return 1 if errors or failed else 0
+    return 1 if errors else 0
 
 
 # -- hga ----------------------------------------------------------------------
@@ -162,11 +170,10 @@ def cmd_hga(args) -> int:
         return 2
     out_dir = _report_dir(args.out)
     bkv = load_bkv(args.bkv) if args.bkv else {}
-    loaded, errors = _load_all(args.instances, with_relax=True)
+    errors = []
 
     records, summary = [], []
-    failed = False
-    for inst, relax in loaded:
+    for inst, relax in _load_all(args.instances, errors, with_relax=True):
         known = bkv.get(inst.name)
         if args.bkv and known is None:
             print(f"warning: no best known value for {inst.name}",
@@ -177,9 +184,7 @@ def cmd_hga(args) -> int:
                 res = evolve(inst, replace(params, rng_seed=seed),
                              external_relax=relax)
             except NoFeasibleAssignmentError as exc:
-                print(f"error: {inst.name} seed {seed}: {exc}",
-                      file=sys.stderr)
-                failed = True
+                _fail(errors, f"{inst.name} seed {seed}: {exc}")
                 records.append({"instance": inst.name, "seed": seed,
                                 "reason": "infeasible"})
                 continue
@@ -211,60 +216,55 @@ def cmd_hga(args) -> int:
     write_csv(out_dir / "hga_summary.csv", HGA_SUMMARY, summary)
     print(f"wrote {out_dir / 'hga_runs.csv'}")
     print(f"wrote {out_dir / 'hga_summary.csv'}")
-    return 1 if errors or failed else 0
+    return 1 if errors else 0
 
 
 # -- generate -----------------------------------------------------------------
 
 def cmd_generate(args) -> int:
+    levels = {"low": ["low"], "high": ["high"], "both": ["low", "high"]}
+    items = []      # (name suffix, config), seeded in this order
+    try:
+        if args.replicates < 1:
+            raise ValueError(
+                f"--replicates must be at least 1, got {args.replicates}")
+        for var, dens, rep in product(levels[args.variability],
+                                      levels[args.density],
+                                      range(args.replicates)):
+            pct = round(DENSITY_LEVELS[dens] * 100)
+            items.append((f"_w{args.workers}_var{var}_inf{pct:02d}_{rep:02d}",
+                          GeneratorConfig(args.workers, var,
+                                          DENSITY_LEVELS[dens],
+                                          args.seed + len(items))))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     out_dir = _report_dir(args.out)
+    errors = []
     try:
         base = load_base(args.base)
     except Exception as exc:
-        print(f"error: {args.base}: {exc}", file=sys.stderr)
+        _fail(errors, f"{args.base}: {exc}")
         return 1
-    var_levels = (["low", "high"] if args.variability == "both"
-                  else [args.variability])
-    dens_levels = (["low", "high"] if args.density == "both"
-                   else [args.density])
-    idx = 0
-    written = 0
-    status = 0
-    for var in var_levels:
-        for dens in dens_levels:
-            pct = int(round(DENSITY_LEVELS[dens] * 100))
-            for rep in range(args.replicates):
-                cfg = GeneratorConfig(n_workers=args.workers,
-                                      variability=var,
-                                      infeasibility_density=
-                                      DENSITY_LEVELS[dens],
-                                      rng_seed=args.seed + idx)
-                idx += 1
-                name = (f"{base.name}_w{args.workers}_var{var}"
-                        f"_inf{pct:02d}_{rep:02d}")
-                try:
-                    inst = generate(base, cfg)
-                    save_instance(inst, out_dir / f"{name}.alwabp")
-                    written += 1
-                except Exception as exc:
-                    print(f"error: {name}: {exc}", file=sys.stderr)
-                    status = 1
-    print(f"wrote {written} instances to {out_dir}")
-    return status
+    for suffix, cfg in items:
+        name = base.name + suffix
+        try:
+            save_instance(generate(base, cfg), out_dir / f"{name}.alwabp")
+        except Exception as exc:
+            _fail(errors, f"{name}: {exc}")
+    print(f"wrote {len(items) - len(errors)} instances to {out_dir}")
+    return 1 if errors else 0
 
 
 # -- export-lp ----------------------------------------------------------------
 
 def cmd_export_lp(args) -> int:
-    try:
-        inst = load_instance(args.instance)
-    except Exception as exc:
-        print(f"error: {args.instance}: {exc}", file=sys.stderr)
-        return 1
-    out = Path(args.out) if args.out else Path(str(args.instance) + ".lp")
-    write_lp(inst, out, relaxed=args.relaxed)
-    print(f"wrote {out}")
-    return 0
+    errors = []
+    for inst, _ in _load_all([args.instance], errors):
+        out = Path(args.out) if args.out else Path(f"{args.instance}.lp")
+        write_lp(inst, out, relaxed=args.relaxed)
+        print(f"wrote {out}")
+    return 1 if errors else 0
 
 
 # -- parser -------------------------------------------------------------------
@@ -286,9 +286,10 @@ def _build_parser():
     c.add_argument("--rule", choices=[r.value for r in TaskRule],
                    help="task priority rule")
     c.add_argument("--worker-rule", choices=[r.value for r in WorkerRule],
-                   default=WorkerRule.MIN_RLB.value)
+                   help="worker rule, with --rule only (default: "
+                        f"{WorkerRule.MIN_RLB.value})")
     c.add_argument("--direction", choices=["forward", "backward"],
-                   default="forward")
+                   help="with --rule only (default: forward)")
     c.add_argument("--all-96", action="store_true",
                    help="run every rule/worker-rule/direction combination")
     c.add_argument("--preprocess", action="store_true",

@@ -206,6 +206,13 @@ def _read_count(stream, what, least=1):
     return n
 
 
+def _read_edges(stream):
+    """An edge count, then that many 1-based `i j` lines, as 0-based pairs."""
+    return [(_read_int(stream, "edge tail") - 1,
+             _read_int(stream, "edge head") - 1)
+            for _ in range(_read_count(stream, "edge count", 0))]
+
+
 def _read_end(stream):
     leftover = next(stream, None)
     if leftover is not None:
@@ -226,12 +233,7 @@ def parse_instance(text: str, name: str = "instance") -> Instance:
     stream = _tokens(text)
     n_tasks = _read_count(stream, "task count")
     n_workers = _read_count(stream, "worker count")
-    n_edges = _read_count(stream, "edge count", 0)
-    edges = []
-    for _ in range(n_edges):
-        i = _read_int(stream, "edge tail")
-        j = _read_int(stream, "edge head")
-        edges.append((i - 1, j - 1))
+    edges = _read_edges(stream)
     times = []
     for _ in range(n_workers):
         row = []
@@ -278,13 +280,10 @@ def parse_base(text: str, name: str = "base") -> BaseInstance:
         if t < 1:
             raise ValidationError(f"base task times must be positive, got {t}")
         times.append(t)
-    n_edges = _read_count(stream, "edge count", 0)
-    edges = []
-    for _ in range(n_edges):
-        i = _read_int(stream, "edge tail")
-        j = _read_int(stream, "edge head")
-        edges.append((i - 1, j - 1))
+    edges = _read_edges(stream)
     _read_end(stream)
+    # the edges must pass the checks an instance's edges pass
+    Instance(n, 1, [times], edges, name=name)
     return BaseInstance(name, tuple(times), tuple(edges))
 
 

@@ -99,7 +99,6 @@ class _State:
     """Mutable working copy of a solution."""
 
     def __init__(self, inst, sol):
-        self.inst = inst
         self.times = inst.times
         self.pred = inst.pred
         self.succ = inst.succ

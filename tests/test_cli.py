@@ -425,6 +425,17 @@ BAD_INPUTS = {
                       1, "{tmp}/missing/x.lp", None),
     "binary-instance": (["bounds", "{binary}", "{inst}"], 1, "{binary}",
                         "bounds.csv"),
+    "generate-workers": (["generate", "{tmp}/line.base", "--workers", "0"], 2,
+                         "at least one worker", None),
+    "generate-replicates": (["generate", "{tmp}/line.base", "--workers", "2",
+                             "--replicates", "-1"], 2, "--replicates", None),
+    "generate-base-edge": (["generate", "{tmp}/edge.base", "--workers", "2"],
+                           1, "{tmp}/edge.base", None),
+    "construct-rule-and-all": (["construct", "{inst}", "--rule", "MaxF",
+                                "--all-96"], 2, "--rule or --all-96", None),
+    "construct-worker-rule-with-all": (["construct", "{inst}", "--all-96",
+                                        "--worker-rule", "MaxTasks"], 2,
+                                       "--worker-rule", None),
 }
 
 
@@ -441,10 +452,11 @@ def test_bad_input_gives_one_error_line(tmp_path, capsys, monkeypatch, case):
     paths["binary"].write_bytes(b"\xff\xfe\x00\x01")
     (tmp_path / "bad.csv").write_text("instance,cycle\ntiny-A,2,3\n")
     (tmp_path / "line.base").write_text("3\n1 2 3\n0\n")
-    # no case may run a search; a report directory that cannot be made
-    # must fail before any input file is read
+    (tmp_path / "edge.base").write_text("3\n1 2 3\n1\n5 9\n")
+    # no case may run a search; bad arguments (exit status 2) and a report
+    # directory that cannot be made must fail before any input file is read
     forbidden = ["solve_lower_bound_search", "evolve"]
-    if "{file}/sub" in argv:
+    if status == 2 or "{file}/sub" in argv:
         forbidden += ["load_instance", "load_base"]
     for name in forbidden:
         monkeypatch.setattr(cli, name, _forbidden)
@@ -459,6 +471,8 @@ def test_bad_input_gives_one_error_line(tmp_path, capsys, monkeypatch, case):
     assert len(errors) == 1
     assert named.format(**paths) in errors[0]
     assert "Traceback" not in out + err
+    if status == 2:
+        assert not rep.exists()     # not even the report directory
     written = sorted(p.name for p in rep.iterdir()) if rep.exists() else []
     assert written == ([report] if report else [])
 

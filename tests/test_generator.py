@@ -31,6 +31,13 @@ def test_parse_base_errors():
         parse_base("0\n0\n")
     with pytest.raises(ParseError):
         parse_base("1\n5\n-1\n")      # once read as no edges
+    # edges are checked as an instance's are
+    with pytest.raises(ValidationError, match="out of range"):
+        parse_base("3\n1\n2\n3\n1\n5 9\n")
+    with pytest.raises(ValidationError, match="precedes itself"):
+        parse_base("2\n1\n2\n1\n2 2\n")
+    with pytest.raises(ValidationError, match="cycle"):
+        parse_base("2\n1\n2\n2\n1 2\n2 1\n")
 
 
 def test_low_variability_range():

@@ -1,5 +1,6 @@
-"""Property tests with hypothesis: the instance format round-trips, and
-the readers of outside input raise only their documented errors.
+"""Property tests with hypothesis: the instance format round-trips, the
+readers of outside input raise only their documented errors, and the
+solution checker agrees with an independent one on broken solutions.
 
 Every test is derandomized with a fixed example budget, so a run is
 repeatable and its time stable.
@@ -10,13 +11,16 @@ from __future__ import annotations
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from alwabp import (INFEASIBLE, Instance, ParseError, ValidationError,
+from alwabp import (INFEASIBLE, Instance, NoFeasibleAssignmentError,
+                    ParseError, Solution, ValidationError, all_rule_configs,
                     format_instance, load_base, load_instance, parse_base,
-                    parse_instance, relax_sidecar)
+                    parse_instance, relax_sidecar, solve_lower_bound_search,
+                    validate_solution)
 from alwabp.reports import BkvError, load_bkv
+from bruteforce import brute_force_feasible
 
 SETTINGS = settings(derandomize=True, max_examples=200, deadline=None)
 
@@ -91,3 +95,60 @@ def test_file_readers_raise_only_documented_errors(fuzz_dir, data):
             read(path)
         except documented:
             pass
+
+
+MUTATIONS = ["move", "swap_workers", "drop", "duplicate", "load", "cycle"]
+
+
+@st.composite
+def mutated_solutions(draw):
+    """A solver's solution of a drawn instance after one mutation: a task
+    moved, two stations' workers swapped, a task dropped or duplicated
+    (each with the loads and cycle kept or recomputed), or one load or
+    the cycle corrupted."""
+    inst = draw(instances())
+    cfg = draw(st.sampled_from(all_rule_configs()))
+    try:
+        sol = solve_lower_bound_search(inst, cfg.task_rule, cfg.worker_rule,
+                                       cfg.direction)
+    except NoFeasibleAssignmentError:
+        assume(False)
+    stations = [[w, set(ts)] for w, ts in sol.stations]
+    loads, cycle = list(sol.loads), sol.cycle
+    m = len(stations)
+    kind = draw(st.sampled_from(MUTATIONS if m > 1 else
+                                ["drop", "load", "cycle"]))
+    k = draw(st.integers(0, m - 1))
+    other = (k + draw(st.integers(1, m - 1))) % m if m > 1 else k
+    task = draw(st.integers(0, inst.n_tasks - 1))
+    home = next(s for s in stations if task in s[1])
+    delta = draw(st.sampled_from([-2, -1, 1, 2]))
+    if kind == "move":
+        home[1].discard(task)
+        stations[other][1].add(task)
+    elif kind == "swap_workers":
+        stations[k][0], stations[other][0] = stations[other][0], stations[k][0]
+    elif kind == "drop":
+        home[1].discard(task)
+    elif kind == "duplicate":
+        next(s for s in stations if task not in s[1])[1].add(task)
+    elif kind == "load":
+        loads[k] += delta
+    else:
+        cycle += delta
+    if kind not in ("load", "cycle") and draw(st.booleans()):
+        loads = [sum(inst.times[w][i] for i in ts) for w, ts in stations]
+        cycle = max(loads)
+    return inst, Solution(tuple((w, frozenset(ts)) for w, ts in stations),
+                          tuple(loads), cycle, sol.direction)
+
+
+@SETTINGS
+@given(mutated_solutions())
+def test_validate_agrees_with_independent_check_on_mutations(case):
+    inst, sol = case
+    expected = (brute_force_feasible(inst, sol.stations)
+                and list(sol.loads) == [sum(inst.times[w][i] for i in ts)
+                                        for w, ts in sol.stations]
+                and sol.cycle == max(sol.loads))
+    assert validate_solution(inst, sol)[0] == expected
