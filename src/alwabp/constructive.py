@@ -26,10 +26,14 @@ still available, with INFEASIBLE times replaced by the tentative cycle
 time where an aggregate needs a finite stand-in.  One search caches them
 per set of available workers (`_Crew`), built the first time it meets
 the set, so later stations with the same workers available read them
-instead of rescanning the times; the aggregates that depend on the
-tentative cycle are derived per station, for the unassigned tasks, and
-so are the rows that read the precedence, which differs between the two
-directions one crew serves.
+instead of rescanning the times.  A new set is the previous station's
+minus its committed worker, so its crew is derived from that station's
+crew: it rescans only the tasks where the departed worker's time is at
+most the second fastest, as on every other task the departure changes
+no fastest or second fastest time and no worker at either.  The
+aggregates that depend on the tentative cycle are derived per station,
+for the unassigned tasks, and so are the rows that read the precedence,
+which differs between the two directions one crew serves.
 
 Tie-breaking is fixed everywhere so runs are reproducible: tasks by more
 immediate followers, then smaller time for the candidate worker, then
@@ -127,17 +131,43 @@ class _Crew:
     only some rules read (`ties`, `spread`, MinRank rows) are built on
     first use.  A search builds one crew per set of workers it meets and
     reads it at every later station with the same workers available.
+
+    A station's crew is derived from `parent`, the previous station's
+    crew, without `gone`, the worker committed there; a crew with no
+    parent (None) is the same with every task to redo.  A derived crew
+    copies its parent's entries and rescans, over its workers, only the
+    tasks `redo` where `gone`'s time is finite and at most the parent's
+    second fastest time.  On every other task `gone` is at neither time,
+    so the fastest and second fastest times, the fastest worker and the
+    workers at both times (`ties`) are exactly the parent's.  `spread`
+    takes `gone`'s row out of the parent's sums and counts, which is
+    exact as times are integers, and rescans the largest finite time
+    only where `gone` held it.  `ranked` and MinRank rows are built
+    afresh.
     """
 
-    def __init__(self, times, workers, n):
+    def __init__(self, times, workers, n, parent, gone):
         self.times = times
         self.workers = tuple(workers)
-        self.min1 = min1 = [INFEASIBLE] * n
-        self.amin = amin = [-1] * n
-        self.min2 = min2 = [INFEASIBLE] * n
+        self.parent, self.gone = parent, gone
+        if parent is None:
+            self.redo = redo = range(n)
+            self.min1 = min1 = [INFEASIBLE] * n
+            self.amin = amin = [-1] * n
+            self.min2 = min2 = [INFEASIBLE] * n
+        else:
+            self.min1 = min1 = parent.min1.copy()
+            self.amin = amin = parent.amin.copy()
+            self.min2 = min2 = parent.min2.copy()
+            self.redo = redo = []
+            for i, t in enumerate(times[gone]):
+                if t <= min2[i] and t != INFEASIBLE:
+                    redo.append(i)
+                    min1[i] = min2[i] = INFEASIBLE
+                    amin[i] = -1
         for w in self.workers:
             row = times[w]
-            for i in range(n):
+            for i in redo:
                 t = row[i]
                 if t < min1[i]:
                     min2[i] = min1[i]
@@ -164,10 +194,14 @@ class _Crew:
         the fastest time, the workers at that time, the second fastest
         time, and the workers at that time when one worker alone is
         fastest, else ())."""
-        out = []
-        workers = self.workers
-        for i, (col, t1, t2) in enumerate(zip(self.cols, self.min1,
-                                              self.min2)):
+        if self.parent is None:
+            out = [None] * len(self.min1)
+        else:
+            out = self.parent.ties.copy()
+        workers, cols = self.workers, self.cols
+        min1, min2 = self.min1, self.min2
+        for i in self.redo:
+            col, t1, t2 = cols[i], min1[i], min2[i]
             solo, at1, at2 = -1, (), ()
             if t1 != INFEASIBLE:
                 at1 = _workers_at(workers, col, t1)
@@ -175,20 +209,33 @@ class _Crew:
                     solo = at1[0]
                     if t2 != INFEASIBLE:
                         at2 = _workers_at(workers, col, t2)
-            out.append((1 << i, solo, t1, at1, t2, at2))
+            out[i] = (1 << i, solo, t1, at1, t2, at2)
         return out
 
     @cached_property
     def spread(self):
         """Per task: the largest finite time (0 if none), the sum of the
         finite times and the number of INFEASIBLE cells."""
-        k = len(self.workers)
-        fmax, fsum, ninf = [], [], []
-        for col in self.cols:
-            finite = [t for t in col if t != INFEASIBLE]
-            fmax.append(max(finite, default=0))
-            fsum.append(sum(finite))
-            ninf.append(k - len(finite))
+        if self.parent is None:
+            n = len(self.min1)
+            fmax, fsum, ninf = [0] * n, [0] * n, [0] * n
+            redo = range(n)
+        else:
+            fmax, fsum, ninf = map(list.copy, self.parent.spread)
+            redo = []
+            for i, t in enumerate(self.times[self.gone]):
+                if t == INFEASIBLE:
+                    ninf[i] -= 1
+                else:
+                    fsum[i] -= t
+                    if t == fmax[i]:
+                        redo.append(i)
+        k, cols = len(self.workers), self.cols
+        for i in redo:
+            finite = [t for t in cols[i] if t != INFEASIBLE]
+            fmax[i] = max(finite, default=0)
+            fsum[i] = sum(finite)
+            ninf[i] = k - len(finite)
         return fmax, fsum, ninf
 
 
@@ -277,7 +324,7 @@ def priority_rows(inst, source, c_bar, workers=None) -> list[list]:
     stand-in.
     """
     workers = range(inst.n_workers) if workers is None else sorted(workers)
-    crew = _Crew(inst.times, workers, inst.n_tasks)
+    crew = _Crew(inst.times, workers, inst.n_tasks, None, None)
     prio = _station_prio(source, crew, _Line(inst), range(inst.n_tasks),
                          c_bar)
     return [list(prio(w)) for w in workers]
@@ -491,7 +538,7 @@ def score_worker(inst, unassigned, available_workers, worker,
     others = [v for v in workers if v != worker]
     if rule is WorkerRule.MIN_BWA:
         return bwa_cycle(inst, rest, others)
-    crew = _Crew(inst.times, workers, inst.n_tasks)
+    crew = _Crew(inst.times, workers, inst.n_tasks, None, None)
     _, totals = _station_start(sorted(rest), 0, _Line(inst).pred_masks, crew,
                                inst.n_workers)
     return _rest_bound(totals, len(others), worker, (), crew)
@@ -522,11 +569,12 @@ def _assemble(times, c_bar, source, worker_rule, line, memo):
     workers = list(range(m))
     w_mask = (1 << m) - 1
     picks = []
+    crew = w = None         # the previous station's crew and committed worker
 
     for _ in range(m):
-        crew = memo.get(w_mask)
+        parent, crew = crew, memo.get(w_mask)
         if crew is None:
-            crew = memo[w_mask] = _Crew(times, workers, n)
+            crew = memo[w_mask] = _Crew(times, workers, n, parent, w)
         ready, totals = _station_start(left, u_mask, pred_masks, crew, m)
         prio_of = _station_prio(source, crew, line, left, c_bar)
         others = len(workers) - 1
@@ -599,7 +647,7 @@ def _cycle_blocked(times, c) -> bool:
     n, m = len(times[0]), len(times)
     if m == 1:
         return False
-    crew = _Crew(times, range(m), n)
+    crew = _Crew(times, range(m), n, None, None)
     min1, amin, min2 = crew.min1, crew.amin, crew.min2
     if INFEASIBLE in min1:
         return True

@@ -138,16 +138,71 @@ def random_crew(rng, inst):
                              rng.randint(1, inst.n_workers)))
 
 
+def derived_crew(rng, inst, crew_workers):
+    """A crew of `crew_workers` derived, as stations derive it, from a
+    fresh crew of them plus a random set of other workers, removing those
+    in random order one worker at a time; and how many it removed."""
+    extra = [v for v in range(inst.n_workers) if v not in crew_workers]
+    extra = rng.sample(extra, rng.randint(0, len(extra)))
+    workers = sorted(crew_workers + extra)
+    crew = _Crew(inst.times, workers, inst.n_tasks, None, None)
+    for gone in extra:
+        workers.remove(gone)
+        crew = _Crew(inst.times, workers, inst.n_tasks, crew, gone)
+    return crew, len(extra)
+
+
+def test_derived_crews_equal_fresh_crews():
+    """Along random chains of worker removals, every field of a derived
+    crew equals that of a fresh crew of the same workers, whether or not
+    its parent built that field first."""
+    rng = random.Random(0xDE7)
+    derived = skipped = cold = 0
+    for _ in range(300):
+        inst = dense_tie_instance(rng)
+        n = inst.n_tasks
+        line = _Line(inst)
+        workers = random_crew(rng, inst)
+        crew = _Crew(inst.times, workers, n, None, None)
+        while True:
+            fresh = _Crew(inst.times, workers, n, None, None)
+            assert crew.workers == fresh.workers
+            assert (crew.min1, crew.amin, crew.min2) == (
+                fresh.min1, fresh.amin, fresh.min2)
+            for name in rng.sample(["ties", "spread", "ranked"],
+                                   rng.randint(0, 3)):
+                cold += (crew.parent is not None
+                         and name not in vars(crew.parent))
+                assert getattr(crew, name) == getattr(fresh, name), name
+            if rng.random() < 0.5:
+                got = _station_prio(TaskRule.MIN_RANK, crew, line, range(n), 1)
+                want = _station_prio(TaskRule.MIN_RANK, fresh, line, range(n),
+                                     1)
+                for w in workers:
+                    assert got(w) == want(w)
+            if len(workers) == 1:
+                break
+            gone = rng.choice(workers)
+            workers = [v for v in workers if v != gone]
+            crew = _Crew(inst.times, workers, n, crew, gone)
+            derived += 1
+            skipped += n - len(crew.redo)
+    assert derived > 300 and skipped > 300 and cold > 100
+
+
 def test_table_bwa_equals_bwa_cycle():
     """MinBWA's score read from the crew table equals `bwa_cycle` of the
     rest over the crew without the candidate."""
     rng = random.Random(0xB3A)
-    tied = checked = 0
+    chain_rng = random.Random(0xB3B)
+    tied = checked = derived = 0
     for _ in range(400):
         inst = dense_tie_instance(rng)
         n = inst.n_tasks
         crew_workers = random_crew(rng, inst)
-        crew = _Crew(inst.times, crew_workers, n)
+        crew = _Crew(inst.times, crew_workers, n, None, None)
+        chained, removed = derived_crew(chain_rng, inst, crew_workers)
+        derived += removed > 0
         tied += sum(1 for a, b in zip(crew.min1, crew.min2)
                     if a == b != INFEASIBLE)
         left = sorted(rng.sample(range(n), rng.randint(0, n)))
@@ -156,10 +211,13 @@ def test_table_bwa_equals_bwa_cycle():
             T = sum(1 << i for i in mine)
             rest = [i for i in left if i not in mine]
             others = [v for v in crew_workers if v != w]
+            want = bwa_cycle(inst, rest, others)
             got = _bwa_without(crew, left, T, w, inst.n_workers)
-            assert got == bwa_cycle(inst, rest, others), (inst.times, w)
+            assert got == want, (inst.times, w)
+            got = _bwa_without(chained, left, T, w, inst.n_workers)
+            assert got == want, (inst.times, w, "derived")
             checked += 1
-    assert checked > 800 and tied > 500
+    assert checked > 800 and tied > 500 and derived > 100
 
 
 def direct_base(rule, inst, crew_workers, c_bar):
@@ -203,7 +261,8 @@ def test_table_priorities_equal_direct_formulas():
     equal the direct formulas, bit for bit, at every tentative cycle, on
     the unassigned tasks of a station (closed under followers)."""
     rng = random.Random(0x9A1)
-    checked = 0
+    chain_rng = random.Random(0x9A2)
+    checked = derived = 0
     for _ in range(150):
         inst = dense_tie_instance(rng)
         n = inst.n_tasks
@@ -215,19 +274,24 @@ def test_table_priorities_equal_direct_formulas():
             left |= clo.succ_star[i]
         left = sorted(left)
         for rule in TABLE_RULES:
-            crew = _Crew(inst.times, crew_workers, n)    # one per search
-            for c_bar in range(1, 10):
-                prio = _station_prio(rule, crew, line, left, c_bar)
-                for w in crew_workers:
-                    want = direct_prio(rule, inst, crew_workers, w, c_bar)
-                    got = prio(w)
-                    assert ([repr(got[i]) for i in left]
-                            == [repr(want[i]) for i in left]), (rule, c_bar)
-                    checked += 1
+            chained, removed = derived_crew(chain_rng, inst, crew_workers)
+            derived += removed > 0
+            for crew in (_Crew(inst.times, crew_workers, n, None, None),
+                         chained):                  # one per search
+                for c_bar in range(1, 10):
+                    prio = _station_prio(rule, crew, line, left, c_bar)
+                    for w in crew_workers:
+                        want = direct_prio(rule, inst, crew_workers, w,
+                                           c_bar)
+                        got = prio(w)
+                        assert ([repr(got[i]) for i in left]
+                                == [repr(want[i]) for i in left]), (
+                                    rule, c_bar, crew is chained)
+                        checked += 1
             rows = priority_rows(inst, rule, 7, crew_workers)
             for w, row in zip(crew_workers, rows):
                 assert row == direct_prio(rule, inst, crew_workers, w, 7)
-    assert checked > 10000
+    assert checked > 20000 and derived > 500
 
 
 # -- full assembly ------------------------------------------------------------
