@@ -14,6 +14,11 @@ accepted move the descent restarts from the first neighborhood, so the
 outcome is deterministic.  Moves that provably cannot improve are
 skipped without evaluating them, which leaves the first improving move
 in scan order, and so the outcome, unchanged.
+
+The swap pass, the one with the most candidates, takes once per station
+pair the room each station has below the cycle, skips a task when no
+partner task could fit in those rooms, and tests the other candidates
+against the rooms inline (see the notes above the passes).
 """
 
 from __future__ import annotations
@@ -77,7 +82,8 @@ def _key(loads):
 
 def _beats(key, over, at, loads, a, la, b, lb):
     """Whether loading stations a != b with la and lb instead gives a
-    smaller key than `key` = (cycle, count).
+    smaller key than `key` = (cycle, count); the test of the shift,
+    double-shift and worker-swap passes.
 
     `over` and `at` count the stations of `loads` above and at that
     cycle.  The other stations keep their loads, so none of them may be
@@ -159,13 +165,6 @@ class _State:
 
     # -- swaps ----------------------------------------------------------
 
-    def swap_loads(self, i, a, j, b):
-        """New loads of a and b if tasks i@a and j@b trade places
-        (INFEASIBLE when a worker cannot execute its new task)."""
-        row_a, row_b = self.times[self.workers[a]], self.times[self.workers[b]]
-        return (self.loads[a] - row_a[i] + row_a[j],
-                self.loads[b] - row_b[j] + row_b[i])
-
     def swap_allowed(self, i, a, j, b):
         """Whether tasks i@a and j@b can trade places (a < b)."""
         where = self.where
@@ -210,6 +209,22 @@ class _State:
 # critical station keeps its load and the key cannot drop, so the passes
 # skip such moves unevaluated.  The scan order of the others is kept, and
 # with it the first improving move.
+#
+# The swap pass tests its candidates inline.  For stations a < b, one of
+# them at the cycle, it takes the rooms room_a = cycle - loads[a] and
+# room_b = cycle - loads[b].  Trading task i of a for task j of b changes
+# a's load by da = row_a[j] - row_a[i] and b's by db = row_b[i] - row_b[j],
+# where row_s holds the times of s's worker.  With one station at the
+# cycle, the key drops exactly when both loads end below it: da < room_a
+# and db < room_b.  With both at it, both loads must stay at most at the
+# cycle and one must fall below it: da <= 0, db <= 0 and da + db < 0.  A
+# worker's INFEASIBLE time is infinite and fails every test.  Per pair,
+# the pass also takes the smallest time of a's worker over b's tasks and
+# the largest of b's worker, which bound from below the da and db that
+# any j gives a task i; when even those bounds fail, no j can pass and i
+# is skipped.  Each skip drops only swaps that cannot lower the key, and
+# the others reach the precedence check in scan order, so the first
+# improving swap is the one a full scan would accept.
 
 def _try_shift(st, key, moves):
     cycle, count = key
@@ -225,17 +240,36 @@ def _try_shift(st, key, moves):
 
 
 def _try_swap(st, key, moves):
-    cycle, count = key
-    loads = st.loads
+    cycle = key[0]
+    loads, tasks = st.loads, st.tasks
+    times, workers = st.times, st.workers
     for a in range(st.m):
+        row_a = times[workers[a]]
+        room_a = cycle - loads[a]
         for b in range(a + 1, st.m):
-            if loads[a] != cycle and loads[b] != cycle:
+            room_b = cycle - loads[b]
+            if room_a and room_b:
                 continue
-            for i in st.tasks[a]:
-                for j in st.tasks[b]:
-                    la, lb = st.swap_loads(i, a, j, b)
-                    if (_beats(key, 0, count, loads, a, la, b, lb)
-                            and st.swap_allowed(i, a, j, b)):
+            both = not (room_a or room_b)
+            row_b = times[workers[b]]
+            tasks_b = tasks[b]
+            fastest_a = min((row_a[j] for j in tasks_b), default=INFEASIBLE)
+            slowest_b = max((row_b[j] for j in tasks_b), default=-INFEASIBLE)
+            for i in tasks[a]:
+                ti_a, ti_b = row_a[i], row_b[i]
+                if both:
+                    if fastest_a > ti_a or ti_b > slowest_b:
+                        continue
+                elif fastest_a - ti_a >= room_a or ti_b - slowest_b >= room_b:
+                    continue
+                for j in tasks_b:
+                    da = row_a[j] - ti_a
+                    db = ti_b - row_b[j]
+                    if both:
+                        wins = da <= 0 and db <= 0 and da + db < 0
+                    else:
+                        wins = da < room_a and db < room_b
+                    if wins and st.swap_allowed(i, a, j, b):
                         st.do_swap(i, a, j, b)
                         if moves is not None:
                             moves.append(Swap(i, j))

@@ -117,3 +117,99 @@ def enumerate_min_times(inst):
                   if inst.times[w][i] != INF]
         mins.append(min(finite))
     return mins
+
+
+def reference_improve(inst, sol):
+    """The local search's descent by its definition; returns (moves,
+    stations, loads).
+
+    Four passes in order (shift, swap, double shift, worker swap), each
+    over every candidate in scan order: stations ascending, tasks
+    ascending, target stations ascending.  A candidate counts when every
+    worker can execute its tasks, every edge runs forward, and the key
+    (max load, stations at it), recomputed over all loads, drops.  A
+    pass runs only when the passes before it have no such candidate, so
+    the move applied is the first such candidate over the four passes
+    in turn; then the descent starts again.  A double shift is a feasible shift followed by a
+    shift feasible after it; only the pair must lower the key.  Moves
+    are tuples: ("shift", i, a, b), ("swap", i, j), ("double_shift",
+    (i, a, b), (j, c, d)) and ("worker_swap", a, b).  `stations` lists
+    (worker, frozenset of tasks) per station.
+    """
+    n, m, times = inst.n_tasks, inst.n_workers, inst.times
+    pred = [[] for _ in range(n)]
+    succ = [[] for _ in range(n)]
+    for i, j in inst.edges:
+        pred[j].append(i)
+        succ[i].append(j)
+
+    def loads_of(where, workers):
+        loads = [0] * m
+        for i in range(n):
+            loads[where[i]] += times[workers[where[i]]][i]
+        return loads
+
+    def key_of(where, workers):
+        loads = loads_of(where, workers)
+        top = max(loads)
+        return top, loads.count(top)
+
+    def feasible(where, workers, tasks):
+        """Whether `tasks` are executable and their edges run forward."""
+        return all(times[workers[where[i]]][i] != INF
+                   and all(where[p] <= where[i] for p in pred[i])
+                   and all(where[i] <= where[s] for s in succ[i])
+                   for i in tasks)
+
+    def at(where, s):
+        return [i for i in range(n) if where[i] == s]
+
+    def shifts(where, workers):
+        for a in range(m):
+            for i in at(where, a):
+                for b in range(m):
+                    if b == a:
+                        continue
+                    moved = where[:]
+                    moved[i] = b
+                    if feasible(moved, workers, (i,)):
+                        yield (i, a, b), moved
+
+    def candidates(where, workers):
+        """Every feasible move, pass after pass: (move, where, workers)."""
+        for shift, moved in shifts(where, workers):
+            yield ("shift", *shift), moved, workers
+        for a in range(m):
+            for b in range(a + 1, m):
+                for i in at(where, a):
+                    for j in at(where, b):
+                        moved = where[:]
+                        moved[i], moved[j] = b, a
+                        if feasible(moved, workers, (i, j)):
+                            yield ("swap", i, j), moved, workers
+        for first, mid in shifts(where, workers):
+            for second, moved in shifts(mid, workers):
+                yield ("double_shift", first, second), moved, workers
+        for a in range(m):
+            for b in range(a + 1, m):
+                swapped = workers[:]
+                swapped[a], swapped[b] = workers[b], workers[a]
+                if feasible(where, swapped, range(n)):
+                    yield ("worker_swap", a, b), where, swapped
+
+    workers = [w for w, _ in sol.stations]
+    where = [None] * n
+    for s, (_, tasks) in enumerate(sol.stations):
+        for i in tasks:
+            where[i] = s
+    moves = []
+    while True:
+        key = key_of(where, workers)
+        step = next((c for c in candidates(where, workers)
+                     if key_of(c[1], c[2]) < key), None)
+        if step is None:
+            break
+        move, where, workers = step
+        moves.append(move)
+    stations = [(workers[s], frozenset(at(where, s))) for s in range(m)]
+    return moves, stations, loads_of(where, workers)

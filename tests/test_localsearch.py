@@ -5,9 +5,14 @@ import random
 import pytest
 
 from alwabp import (
+    INFEASIBLE,
+    GeneratorConfig,
+    NoFeasibleAssignmentError,
     Solution,
     TaskRule,
     WorkerRule,
+    generate,
+    lc1,
     solve_lower_bound_search,
     validate_solution,
 )
@@ -17,12 +22,14 @@ from alwabp.localsearch import (
     Shift,
     Swap,
     WorkerSwap,
+    _State,
+    _try_swap,
     critical_count,
     improve,
 )
 
-from bruteforce import brute_force_optimum
-from conftest import random_instance
+from bruteforce import brute_force_optimum, reference_improve
+from conftest import random_base, random_instance
 
 
 def test_move_invariants():
@@ -164,3 +171,88 @@ def test_improve_often_helps():
         assert out.cycle >= opt
         ok, _ = validate_solution(inst, out)
         assert ok
+
+
+def as_tuple(move):
+    """A move in the tuple form `reference_improve` returns."""
+    if isinstance(move, Shift):
+        return "shift", move.task, move.from_station, move.to_station
+    if isinstance(move, Swap):
+        return "swap", move.task_a, move.task_b
+    if isinstance(move, DoubleShift):
+        return ("double_shift", as_tuple(move.first)[1:],
+                as_tuple(move.second)[1:])
+    return "worker_swap", move.station_a, move.station_b
+
+
+def test_improve_matches_reference_descent():
+    """Every skip and filter of `improve` keeps the first improving move:
+    the descent takes the same moves, one by one, as the reference that
+    scores every candidate from scratch.  Loose start cycles leave the
+    first stations full and the last ones empty, so all four passes
+    fire."""
+    rng = random.Random(0x5A)
+    kinds = dict.fromkeys(["shift", "swap", "double_shift", "worker_swap"], 0)
+    checked = 0
+    while checked < 40:
+        n, m = rng.randint(15, 40), rng.randint(3, 8)
+        base = random_base(rng, n, edge_prob=rng.choice([0.1, 0.2, 0.3]))
+        cfg = GeneratorConfig(n_workers=m,
+                              variability=rng.choice(["low", "high"]),
+                              infeasibility_density=rng.choice([0.0, 0.1, 0.2]),
+                              rng_seed=rng.randrange(2 ** 32))
+        inst = generate(base, cfg)
+        try:
+            sol = solve_lower_bound_search(
+                inst, rng.choice(list(TaskRule)), rng.choice(list(WorkerRule)),
+                c_start=int(rng.choice([1.5, 2.0]) * lc1(inst)) + 1)
+        except NoFeasibleAssignmentError:
+            continue        # no assembly of this rule pair succeeds
+        checked += 1
+        moves = []
+        out = improve(inst, sol, moves)
+        want, stations, loads = reference_improve(inst, sol)
+        assert [as_tuple(mv) for mv in moves] == want, inst.times
+        assert list(out.stations) == stations
+        assert list(out.loads) == loads
+        for move in want:
+            kinds[move[0]] += 1
+    assert kinds["shift"] > 100 and kinds["swap"] > 25, kinds
+    assert kinds["double_shift"] > 15 and kinds["worker_swap"] > 1, kinds
+
+
+X = INFEASIBLE
+
+
+@pytest.mark.parametrize("times, stations, move, loads", [
+    # an empty station on either side of the one at the cycle
+    ([[9, 9], [4, 2], [9, 9], [2, 1]], [(0, ()), (1, {0}), (2, ()), (3, {1})],
+     Swap(0, 1), (0, 2, 0, 2)),
+    # both at the cycle; the swap leaves one of them at it
+    ([[5, 5], [3, 5]], [(0, {0}), (1, {1})], Swap(0, 1), (5, 3)),
+    ([[5, 3], [5, 5]], [(0, {0}), (1, {1})], Swap(0, 1), (3, 5)),
+    # both at the cycle and both stay at it: da = db = 0
+    ([[5, 5], [5, 5]], [(0, {0}), (1, {1})], None, (5, 5)),
+    # one at the cycle; the winning swap sits on the bounds of the
+    # per-task filter: da = room_a - 1 and db = room_b - 1
+    ([[5, 4], [4, 2]], [(0, {0}), (1, {1})], Swap(0, 1), (4, 4)),
+    ([[2, 4], [4, 5]], [(0, {0}), (1, {1})], Swap(0, 1), (4, 4)),
+    # one at the cycle; it stays there (da = 0), or the other reaches it
+    # (db = room_b): no swap of task 0, or only the one with task 2
+    ([[5, 5], [1, 2]], [(0, {0}), (1, {1})], None, (5, 2)),
+    ([[5, 4], [5, 2]], [(0, {0}), (1, {1})], None, (5, 2)),
+    ([[5, 5, 4], [1, 1, 1]], [(0, {0}), (1, {1, 2})], Swap(0, 2), (4, 2)),
+    ([[5, 4, 4], [3, 1, 2]], [(0, {0}), (1, {1, 2})], Swap(0, 2), (4, 4)),
+    # task 0 cannot go to worker 1 and task 2 not to worker 0: the first
+    # swap that every worker can execute is 1 <-> 3
+    ([[3, 3, X, 1], [X, 2, 1, 2]], [(0, {0, 1}), (1, {2, 3})],
+     Swap(1, 3), (4, 3)),
+])
+def test_swap_pass_boundaries(times, stations, move, loads):
+    n = len(times[0])
+    inst = Instance(n, len(times), times, [])
+    st = _State(inst, Solution.build(inst, stations))
+    moves = []
+    assert _try_swap(st, st.key(), moves) == (move is not None)
+    assert moves == ([move] if move else [])
+    assert tuple(st.loads) == loads
