@@ -13,12 +13,10 @@ from .bounds import (BoundsReport, CycleInfeasibleError, compute_bounds, lc1,
 from .lp import export_lp, write_lp
 from .constructive import (DIRECTIONS, NoFeasibleAssignmentError, RuleConfig,
                            RuleRun, SearchCache, TaskRule, WorkerRule,
-                           all_rule_configs, assemble, best_cycle, bwa_cycle,
-                           cycle_ceiling, priority_rows, run_all_96,
-                           run_configs, score_worker, solve_lower_bound_search,
-                           station_load_tasks)
-from .localsearch import (DoubleShift, Move, Shift, Swap, WorkerSwap,
-                          critical_count, improve)
+                           all_rule_configs, assemble, cycle_ceiling,
+                           priority_rows, run_all_96, run_configs,
+                           solve_lower_bound_search)
+from .localsearch import DoubleShift, Move, Shift, Swap, WorkerSwap, improve
 from .hga import (Chromosome, Fitness, HgaParams, HgaResult, Individual,
                   LogEntry, crossover, decode, encode_rule, evolve,
                   random_chromosome, seed_population)
@@ -33,11 +31,9 @@ __all__ = [
     "export_lp", "write_lp",
     "DIRECTIONS", "NoFeasibleAssignmentError", "RuleConfig", "RuleRun",
     "SearchCache", "TaskRule", "WorkerRule", "all_rule_configs", "assemble",
-    "best_cycle", "bwa_cycle", "cycle_ceiling", "priority_rows",
-    "run_all_96", "run_configs", "score_worker",
-    "solve_lower_bound_search", "station_load_tasks",
-    "DoubleShift", "Move", "Shift", "Swap", "WorkerSwap", "critical_count",
-    "improve",
+    "cycle_ceiling", "priority_rows", "run_all_96", "run_configs",
+    "solve_lower_bound_search",
+    "DoubleShift", "Move", "Shift", "Swap", "WorkerSwap", "improve",
     "Chromosome", "Fitness", "HgaParams", "HgaResult", "Individual",
     "LogEntry", "crossover", "decode", "encode_rule", "evolve",
     "random_chromosome", "seed_population",

@@ -315,15 +315,15 @@ def _station_prio(source, crew, line, left, c_bar):
     return lambda w: pw
 
 
-def priority_rows(inst, source, c_bar, workers=None) -> list[list]:
-    """Priority of every task (larger = earlier) for each worker of
-    `workers` (default: the whole crew, in index order) when exactly
-    those workers are available, under a task rule or a priority matrix.
+def priority_rows(inst, source, c_bar) -> list[list]:
+    """Priority of every task (larger = earlier) for each worker, in
+    index order, when the whole crew is available, under a task rule or
+    a priority matrix.
 
     INFEASIBLE times count as c_bar where an aggregate needs a finite
     stand-in.
     """
-    workers = range(inst.n_workers) if workers is None else sorted(workers)
+    workers = range(inst.n_workers)
     crew = _Crew(inst.times, workers, inst.n_tasks, None, None)
     prio = _station_prio(source, crew, _Line(inst), range(inst.n_tasks),
                          c_bar)
@@ -419,68 +419,18 @@ def _fill(row, prio, ready, u_mask, c_bar, line):
     return T, load, picked
 
 
-def station_load_tasks(inst, unassigned, available_workers, worker, c_bar,
-                       source) -> set[int]:
-    """Task set worker would take at the next station (public wrapper).
-
-    `unassigned` are the tasks not yet committed to earlier stations;
-    everything else counts as already done.
-    """
-    line = _Line(inst)
-    workers = sorted(available_workers)
-    left = sorted(unassigned)
-    u_mask = 0
-    for i in left:
-        u_mask |= 1 << i
-    ready = [i for i in left if not line.pred_masks[i] & u_mask]
-    prio = priority_rows(inst, source, c_bar, workers)[workers.index(worker)]
-    line.succ = [s.intersection(left) for s in line.succ]   # not done yet
-    _, _, picked = _fill(inst.times[worker], prio, ready, u_mask, c_bar, line)
-    return set(picked)
-
-
 # -- worker scoring -----------------------------------------------------------
 
-def bwa_cycle(inst, tasks, workers) -> float:
-    """Bottleneck cycle of the relaxed assignment ignoring precedence.
-
-    Tasks in ascending index order each go to their fastest worker
-    (ties: least loaded so far, then smallest index); returns the
-    largest resulting load, INFEASIBLE if some task has no capable
-    worker, and 0 for an empty task set.
-    """
-    tasks = sorted(tasks)
-    if not tasks:
-        return 0
-    workers = sorted(workers)
-    if not workers:
-        return INFEASIBLE
-    times = inst.times
-    loads = {v: 0 for v in workers}
-    for i in tasks:
-        fastest = INFEASIBLE
-        for v in workers:
-            t = times[v][i]
-            if t < fastest:
-                fastest = t
-        if fastest == INFEASIBLE:
-            return INFEASIBLE
-        pick = -1
-        pick_load = None
-        for v in workers:
-            if times[v][i] == fastest and (pick < 0 or loads[v] < pick_load):
-                pick = v
-                pick_load = loads[v]
-        loads[pick] += fastest
-    return max(loads.values())
-
-
 def _bwa_without(crew, left, T, w, m):
-    """`bwa_cycle` of the tasks of `left` (ascending) outside the mask T
-    over the crew without worker w, read from the crew's ties.
+    """MinBWA's score of committing w with the tasks of the mask T: the
+    largest load when the other tasks of `left`, in ascending order, each
+    go to their fastest worker other than w (ties: the least loaded so
+    far, then the smallest index), ignoring precedence; INFEASIBLE when a
+    task has no such worker, 0 when no task is left.
 
-    Without w a task's fastest time is still min1, unless w alone was
-    fastest; then it is min2, at the workers tied there."""
+    Read from the crew's ties: without w a task's fastest time is still
+    min1, unless w alone was fastest; then it is min2, at the workers
+    tied there."""
     ties = crew.ties
     loads = [0] * m
     for i in left:
@@ -525,23 +475,6 @@ def _rest_bound(totals, others, w, picked, crew):
     if short:
         return INFEASIBLE
     return total / others
-
-
-def score_worker(inst, unassigned, available_workers, worker,
-                 tasks_for_worker, rule: WorkerRule) -> float:
-    """Score of committing `worker` with `tasks_for_worker` (public
-    wrapper; smaller is better for MinBWA/MinRLB, larger for MaxTasks)."""
-    workers = sorted(available_workers)
-    rest = set(unassigned) - set(tasks_for_worker)
-    if rule is WorkerRule.MAX_TASKS:
-        return len(tasks_for_worker)
-    others = [v for v in workers if v != worker]
-    if rule is WorkerRule.MIN_BWA:
-        return bwa_cycle(inst, rest, others)
-    crew = _Crew(inst.times, workers, inst.n_tasks, None, None)
-    _, totals = _station_start(sorted(rest), 0, _Line(inst).pred_masks, crew,
-                               inst.n_workers)
-    return _rest_bound(totals, len(others), worker, (), crew)
 
 
 # -- full assembly ------------------------------------------------------------
@@ -790,10 +723,3 @@ def run_all_96(inst, use_preprocess=False) -> list[RuleRun]:
     """Run every rule combination once; order is fixed and deterministic."""
     return run_configs(inst, all_rule_configs(), use_preprocess)
 
-
-def best_cycle(rows, worker_rule: WorkerRule | None = None) -> int | None:
-    """Best cycle over the rows, optionally only those of one worker rule."""
-    cycles = [r.cycle for r in rows
-              if r.cycle is not None
-              and (worker_rule is None or r.config.worker_rule is worker_rule)]
-    return min(cycles) if cycles else None

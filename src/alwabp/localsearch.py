@@ -70,11 +70,6 @@ class WorkerSwap:
 Move = Shift | Swap | DoubleShift | WorkerSwap
 
 
-def critical_count(sol: Solution) -> int:
-    """Stations whose load equals the cycle time."""
-    return sum(1 for load in sol.loads if load == sol.cycle)
-
-
 def _key(loads):
     cycle = max(loads)
     return cycle, loads.count(cycle)
@@ -340,19 +335,21 @@ def _try_worker_swap(st, key, moves):
     return False
 
 
-def improve(inst, sol: Solution, moves: list | None = None) -> Solution:
+def improve(inst, sol: Solution,
+            moves: list[Move] | None = None) -> Solution:
     """Descend until no move is accepted; never worsens, never breaks
-    feasibility.  When `moves` is a list, accepted moves are appended."""
+    feasibility.  When `moves` is a list, accepted moves are appended.
+    An accepted move that does not lower the key raises RuntimeError."""
     st = _State(inst, sol)
+    key = st.key()
     while True:
-        key = st.key()
-        if _try_shift(st, key, moves):
-            continue
-        if _try_swap(st, key, moves):
-            continue
-        if _try_double_shift(st, key, moves):
-            continue
-        if _try_worker_swap(st, key, moves):
-            continue
-        break
-    return st.to_solution(sol.direction)
+        for step in (_try_shift, _try_swap, _try_double_shift,
+                     _try_worker_swap):
+            if step(st, key, moves):
+                break
+        else:
+            return st.to_solution(sol.direction)
+        last, key = key, st.key()
+        if not key < last:
+            raise RuntimeError(f"{step.__name__} accepted a move that does "
+                               f"not lower the key: {last} -> {key}")

@@ -119,6 +119,57 @@ def enumerate_min_times(inst):
     return mins
 
 
+def bwa_cycle(inst, tasks, workers) -> float:
+    """Bottleneck cycle of the relaxed assignment ignoring precedence.
+
+    Tasks in ascending index order each go to their fastest worker
+    (ties: least loaded so far, then smallest index); returns the
+    largest resulting load, INF if some task has no capable worker, and
+    0 for an empty task set.
+    """
+    tasks = sorted(tasks)
+    if not tasks:
+        return 0
+    workers = sorted(workers)
+    if not workers:
+        return INF
+    times = inst.times
+    loads = {v: 0 for v in workers}
+    for i in tasks:
+        fastest = INF
+        for v in workers:
+            t = times[v][i]
+            if t < fastest:
+                fastest = t
+        if fastest == INF:
+            return INF
+        pick = -1
+        pick_load = None
+        for v in workers:
+            if times[v][i] == fastest and (pick < 0 or loads[v] < pick_load):
+                pick = v
+                pick_load = loads[v]
+        loads[pick] += fastest
+    return max(loads.values())
+
+
+def rest_bound(inst, tasks, workers, w):
+    """MinRLB's bound on what worker w leaves: the sum over `tasks` of
+    the fastest time among the other `workers`, divided by their number;
+    INF when a task has no such worker.  With no other worker it is 0
+    for no tasks, else INF."""
+    others = [v for v in workers if v != w]
+    if not others:
+        return 0 if not tasks else INF
+    total = 0
+    for i in tasks:
+        fastest = min(inst.times[v][i] for v in others)
+        if fastest == INF:
+            return INF
+        total += fastest
+    return total / len(others)
+
+
 def reference_improve(inst, sol):
     """The local search's descent by its definition; returns (moves,
     stations, loads).

@@ -1,6 +1,6 @@
 """Frozen outputs of the deterministic solver layers.
 
-    PYTHONPATH=src python3 tests/golden/make_golden.py
+    PYTHONPATH=src:tests python3 tests/golden/make_golden.py
 
 rewrites `golden.json` next to this file: 20 seeded instances (their
 text is stored, so the snapshot does not depend on the generator) and,
@@ -16,8 +16,10 @@ for each, what the solver makes of them:
   from the first feasible assemblies and from loose ones;
 - `evolve`: short genetic runs for three seeds, with fitness, stations,
   iterations, stop reason and the incumbent log without its seconds;
-- `wrappers`: `station_load_tasks` and `score_worker` on random sets of
-  unassigned tasks and available workers, not closed under precedence.
+- `wrappers`: one station's load and worker scores on random sets of
+  unassigned tasks and available workers, not closed under precedence,
+  built from the constructive module's parts by the test helper
+  `tests/stations.py` (`station_load_tasks`, `score_worker`).
 
 `test_golden.py` recomputes the same sections with `outputs_of` and
 compares them with the file.  Regenerate the file only when an output
@@ -35,8 +37,8 @@ from alwabp import (BaseInstance, GeneratorConfig, HgaParams,
                     NoFeasibleAssignmentError, TaskRule, WorkerRule, assemble,
                     compute_bounds, cycle_ceiling, encode_rule, evolve,
                     format_instance, generate, improve, lc1,
-                    random_chromosome, run_all_96, score_worker,
-                    solve_lower_bound_search, station_load_tasks)
+                    random_chromosome, run_all_96, solve_lower_bound_search)
+from stations import score_worker, station_load_tasks
 
 GOLDEN = Path(__file__).with_name("golden.json")
 

@@ -28,7 +28,6 @@ from alwabp import (
     WorkerRule,
     all_rule_configs,
     assemble,
-    bwa_cycle,
     compute_bounds,
     decode,
     encode_rule,
@@ -36,15 +35,15 @@ from alwabp import (
     generate,
     run_all_96,
     save_instance,
-    score_worker,
     seed_population,
     solve_lower_bound_search,
 )
 from alwabp.bounds import CycleInfeasibleError, preprocess
 from alwabp.cli import main
-from bruteforce import brute_force_optimum
+from bruteforce import brute_force_optimum, bwa_cycle
 from conftest import random_instance
 from lpsolve import parse_lp, solve_lp_text
+from stations import score_worker
 
 
 @contextmanager

@@ -14,22 +14,20 @@ from alwabp import (
     WorkerRule,
     all_rule_configs,
     assemble,
-    best_cycle,
-    bwa_cycle,
     compute_bounds,
     cycle_ceiling,
     lc1,
     run_all_96,
-    score_worker,
     solve_lower_bound_search,
-    station_load_tasks,
     validate_solution,
 )
 
 from alwabp.constructive import (_bwa_without, _Crew, _cycle_blocked, _Line,
-                                 _station_prio, priority_rows)
-from bruteforce import brute_force_optimum
+                                 _rest_bound, _station_prio, _station_start,
+                                 priority_rows)
+from bruteforce import brute_force_optimum, bwa_cycle, rest_bound
 from conftest import TINY_A, random_instance
+from stations import score_worker, station_load_tasks
 
 
 def test_all_rule_configs_shape():
@@ -220,6 +218,43 @@ def test_table_bwa_equals_bwa_cycle():
     assert checked > 800 and tied > 500 and derived > 100
 
 
+def test_rest_bound_equals_oracle():
+    """MinRLB's bound read from a station's totals, less the tasks the
+    candidate picks, equals the bound computed from the raw times, on
+    the unassigned tasks of a station (closed under followers)."""
+    rng = random.Random(0x51B)
+    chain_rng = random.Random(0x51C)
+    checked = picking = finite = derived = 0
+    for _ in range(300):
+        inst = dense_tie_instance(rng)
+        n, m = inst.n_tasks, inst.n_workers
+        clo = inst.closure()
+        line = _Line(inst)
+        crew_workers = random_crew(rng, inst)
+        chained, removed = derived_crew(chain_rng, inst, crew_workers)
+        derived += removed > 0
+        left = set(rng.sample(range(n), rng.randint(0, n)))
+        for i in list(left):
+            left |= clo.succ_star[i]
+        left = sorted(left)
+        u_mask = sum(1 << i for i in left)
+        for crew in (_Crew(inst.times, crew_workers, n, None, None), chained):
+            _, totals = _station_start(left, u_mask, line.pred_masks, crew, m)
+            for w in crew_workers:
+                can = [i for i in left if inst.times[w][i] != INFEASIBLE]
+                picked = rng.sample(can, rng.randint(0, len(can)))
+                rest = [i for i in left if i not in picked]
+                want = rest_bound(inst, rest, crew_workers, w)
+                got = _rest_bound(totals, len(crew_workers) - 1, w, picked,
+                                  crew)
+                assert got == want, (inst.times, left, w, picked,
+                                     crew is chained)
+                checked += 1
+                picking += len(picked) > 0
+                finite += want != INFEASIBLE
+    assert checked > 1200 and picking > 700 and finite > 900 and derived > 100
+
+
 def direct_base(rule, inst, crew_workers, c_bar):
     """The worker aggregate of a time rule, computed from scratch."""
     times, n = inst.times, inst.n_tasks
@@ -288,9 +323,9 @@ def test_table_priorities_equal_direct_formulas():
                                 == [repr(want[i]) for i in left]), (
                                     rule, c_bar, crew is chained)
                         checked += 1
-            rows = priority_rows(inst, rule, 7, crew_workers)
-            for w, row in zip(crew_workers, rows):
-                assert row == direct_prio(rule, inst, crew_workers, w, 7)
+            everyone = range(inst.n_workers)
+            for w, row in enumerate(priority_rows(inst, rule, 7)):
+                assert row == direct_prio(rule, inst, everyone, w, 7)
     assert checked > 20000 and derived > 500
 
 
@@ -424,10 +459,6 @@ def test_run_all_96_tiny(tiny_a):
     assert [r.config for r in rows] == all_rule_configs()
     assert all(r.cycle == 2 for r in rows)
     assert all(r.elapsed >= 0 for r in rows)
-    assert best_cycle(rows) == 2
-    for wr in WorkerRule:
-        assert best_cycle(rows, wr) == 2
-    assert best_cycle([]) is None
 
 
 # -- properties against the exhaustive oracle ---------------------------------

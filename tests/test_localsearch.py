@@ -16,6 +16,7 @@ from alwabp import (
     solve_lower_bound_search,
     validate_solution,
 )
+from alwabp import localsearch
 from alwabp.instance import Instance
 from alwabp.localsearch import (
     DoubleShift,
@@ -24,7 +25,6 @@ from alwabp.localsearch import (
     WorkerSwap,
     _State,
     _try_swap,
-    critical_count,
     improve,
 )
 
@@ -41,16 +41,6 @@ def test_move_invariants():
         WorkerSwap(0, 0)
     d = DoubleShift(Shift(0, 0, 1), Shift(1, 1, 0))
     assert d.first.task == 0 and d.second.to_station == 0
-
-
-def test_critical_count(tiny_a):
-    sol = Solution.build(tiny_a, [(0, {0}), (1, {1, 2})])
-    assert sol.loads == (2, 2)
-    assert critical_count(sol) == 2
-    uneven = Solution(((0, frozenset({0})), (1, frozenset({1}))), (2, 1), 2)
-    assert critical_count(uneven) == 1
-    single = Solution.build(Instance(1, 1, [[7]], []), [(0, {0})])
-    assert critical_count(single) == 1
 
 
 def test_improve_shifts_overloaded_station(tiny_a):
@@ -88,6 +78,24 @@ def test_improve_leaves_optimum_alone(tiny_a):
 def test_improve_keeps_direction(tiny_a):
     start = Solution.build(tiny_a, [(0, {0, 1}), (1, {2})], "backward")
     assert improve(tiny_a, start).direction == "backward"
+
+
+def test_improve_fails_on_a_move_that_does_not_lower_the_key(tiny_a,
+                                                              monkeypatch):
+    """A pass that accepts a move which does not lower the key makes
+    `improve` raise, naming the pass, instead of descending forever."""
+    def blind_worker_swap(st, key, moves):      # accepts every worker swap
+        st.workers.reverse()
+        st.loads = [sum(st.times[w][i] for i in ts)
+                    for w, ts in zip(st.workers, st.tasks)]
+        return True
+
+    monkeypatch.setattr(localsearch, "_try_swap", blind_worker_swap)
+    best = Solution.build(tiny_a, [(0, {0}), (1, {1, 2})])
+    with pytest.raises(RuntimeError, match=r"^blind_worker_swap accepted "
+                       r"a move that does not lower the key: "
+                       r"\(2, 2\) -> \(7, 1\)$"):
+        improve(tiny_a, best)
 
 
 def test_double_shift_escapes_local_optimum():
@@ -128,8 +136,8 @@ def test_improve_never_worsens_and_is_idempotent():
         except Exception:
             continue
         out = improve(inst, sol)
-        assert (out.cycle, critical_count(out)) <= (sol.cycle,
-                                                    critical_count(sol))
+        assert ((out.cycle, out.loads.count(out.cycle))
+                <= (sol.cycle, sol.loads.count(sol.cycle)))
         ok, violations = validate_solution(inst, out)
         assert ok, (inst.name, violations)
         again = improve(inst, out)
