@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import asdict, replace
+from functools import cache
 from itertools import product
 from pathlib import Path
 
@@ -269,6 +270,7 @@ def cmd_export_lp(args) -> int:
 
 # -- parser -------------------------------------------------------------------
 
+@cache     # built on first use, not at import, then reused
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="alwabp",

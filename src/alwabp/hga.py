@@ -59,9 +59,10 @@ class HgaParams:
     stop_at_lower_bound: bool = True
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("population p must hold at least one "
-                             f"individual, got {self.p}")
+        if self.p < 2:
+            raise ValueError("population p must hold at least two "
+                             "individuals (one elite and one offspring), "
+                             f"got {self.p}")
         if self.p_e is None:
             object.__setattr__(self, "p_e", max(1, round(0.2 * self.p)))
         if self.p_r is None:
@@ -150,15 +151,21 @@ def decode(inst, chromosome: Chromosome, c_start=None,
     then backward per tentative cycle, reduction on, then local search.
 
     c_start defaults to the static bound max(LC1, LC2, LC3); pass a
-    larger value to fold in an external relaxation bound.
+    larger value to fold in an external relaxation bound.  `cache`, a
+    `SearchCache` of `inst` (a fresh one by default), is shared by the
+    decodes of a run: besides the searches' set-up it memoises the local
+    search, so a decode that builds a solution an earlier one built
+    reuses its result instead of running `improve` again.
     """
     if c_start is None:
         c_start = compute_bounds(inst).best
+    if cache is None:
+        cache = SearchCache(inst)
     matrix = chromosome.p
     sol = solve_lower_bound_search(inst, matrix, WorkerRule.MIN_RLB, "both",
                                    c_start=c_start, use_preprocess=True,
                                    cache=cache)
-    sol = improve(inst, sol)
+    sol = cache.improved(sol, improve)
     executed = sum(sol.loads)
     fit = Fitness(sol.cycle, executed / (inst.n_workers * sol.cycle))
     return sol, fit

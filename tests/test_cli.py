@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import csv
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -475,6 +478,49 @@ def test_bad_input_gives_one_error_line(tmp_path, capsys, monkeypatch, case):
         assert not rep.exists()     # not even the report directory
     written = sorted(p.name for p in rep.iterdir()) if rep.exists() else []
     assert written == ([report] if report else [])
+
+
+# -- one process, many invocations --------------------------------------------
+
+def _reports(out):
+    """Every CSV the invocation left in `out`, without timing columns."""
+    return {p.name: drop_timing(read_rows(p)) for p in sorted(out.iterdir())
+            } if out.exists() else {}
+
+
+def test_main_repeats_in_one_process_as_in_separate_ones(tmp_path, capsys):
+    inst = str(write_tiny(tmp_path))
+    calls = [["bounds", inst],
+             ["construct", inst, "--rule", "NoSuchRule"],   # argparse: 2
+             ["hga", inst, "--population", "8", "--seed", "3"],
+             ["hga", inst, "--q", "2"],                     # HgaParams: 2
+             ["construct", inst, "--all-96"],
+             ["bounds", inst]]
+    argvs = [[*argv, "--out", str(tmp_path / f"call{k}")]
+             for k, argv in enumerate(calls)]
+
+    in_process = []
+    for argv in argvs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        in_process.append((code, out, err, _reports(Path(argv[-1]))))
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    separate = []
+    for argv in argvs:
+        done = subprocess.run([sys.executable, "-m", "alwabp.cli", *argv],
+                              capture_output=True, text=True, env=env)
+        separate.append((done.returncode, done.stdout, done.stderr,
+                         _reports(Path(argv[-1]))))
+
+    assert [r[0] for r in in_process] == [0, 2, 0, 2, 0, 0]
+    assert "invalid choice: 'NoSuchRule'" in in_process[1][2]
+    assert in_process == separate
 
 
 # -- report schemas -----------------------------------------------------------

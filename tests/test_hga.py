@@ -4,13 +4,14 @@ import random
 
 import pytest
 
-from alwabp import hga
+from alwabp import constructive, hga
 from alwabp import (
     Chromosome,
     Fitness,
     HgaParams,
     Instance,
     NoFeasibleAssignmentError,
+    SearchCache,
     TaskRule,
     WorkerRule,
     assemble,
@@ -27,6 +28,7 @@ from alwabp import (
 
 from bruteforce import brute_force_optimum
 from conftest import random_instance
+from test_constructive import dense_tie_instance
 
 
 def test_chromosome_bounds_checked():
@@ -57,8 +59,11 @@ def test_params_defaults_and_validation():
         HgaParams(q=0.4)
     with pytest.raises(ValueError):
         HgaParams(q=1.1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="population p"):
         HgaParams(p=0)
+    with pytest.raises(ValueError, match="population p"):
+        HgaParams(p=1)      # no room for one elite and one offspring
+    assert HgaParams(p=2).p_e == 1
     with pytest.raises(ValueError):
         HgaParams(p=10, p_e=0)
     with pytest.raises(ValueError):
@@ -167,6 +172,64 @@ def test_decode_never_worse_than_raw_search():
         assert opt is not None and fit.cycle >= opt
         checked += 1
     assert checked >= 25
+
+
+def _decode_cases(rng):
+    """Random and tie-heavy instances, each with chromosomes that repeat:
+    the rule encodings and random ones, every one of them twice."""
+    for make in (random_instance,) * 4 + (dense_tie_instance,) * 4:
+        inst = make(rng)
+        chroms = [encode_rule(inst, rule) for rule in TaskRule]
+        chroms += [random_chromosome(inst, rng) for _ in range(6)]
+        yield inst, chroms + chroms[::-1]
+
+
+@pytest.mark.parametrize("cap", [constructive.IMPROVED_CAP, 3])
+def test_memoised_decode_equals_fresh_decode(monkeypatch, cap):
+    # a cap of 3 clears the memo several times per instance
+    monkeypatch.setattr(constructive, "IMPROVED_CAP", cap)
+    cleared = checked = 0
+    for inst, chroms in _decode_cases(random.Random(0x3E3)):
+        cache = SearchCache(inst)
+        c0 = compute_bounds(inst).best
+        for chrom in chroms:
+            try:
+                fresh, fresh_fit = decode(inst, chrom, c0, SearchCache(inst))
+            except NoFeasibleAssignmentError:
+                with pytest.raises(NoFeasibleAssignmentError):
+                    decode(inst, chrom, c0, cache)
+                continue
+            size = len(cache._improved)
+            sol, fit = decode(inst, chrom, c0, cache)
+            assert vars(sol) == vars(fresh), inst.name
+            assert vars(fit) == vars(fresh_fit), inst.name
+            assert len(cache._improved) <= cap
+            cleared += len(cache._improved) < size
+            checked += 1
+        assert cache.improve_hits > 0, inst.name
+    assert checked >= 150
+    assert (cleared > 0) == (cap == 3)
+
+
+def test_second_decode_of_a_chromosome_skips_improve(monkeypatch):
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return improve(*args, **kwargs)
+
+    improve = hga.improve
+    monkeypatch.setattr(hga, "improve", counted)
+    rng = random.Random(0x3E4)
+    inst = random_instance(rng)
+    chroms = [random_chromosome(inst, rng) for _ in range(20)]
+    cache = SearchCache(inst)
+    first = [decode(inst, chrom, cache=cache) for chrom in chroms]
+    assert calls[0] + cache.improve_hits == len(chroms)
+    calls[0], hits = 0, cache.improve_hits
+    assert [decode(inst, chrom, cache=cache) for chrom in chroms] == first
+    assert calls[0] == 0
+    assert cache.improve_hits == hits + len(chroms)
 
 
 def test_seed_population_tiny(tiny_a):
