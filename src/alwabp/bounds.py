@@ -5,7 +5,7 @@ workers that can execute it.  LC1 combines the largest single time with
 the perfectly balanced load; LC2 sums the smallest k+1 entries among the
 k*m+1 largest times (some station must take k+1 of them); LC3 searches
 for the smallest cycle whose earliest/latest station windows are
-consistent for every task.
+consistent for every task.  `preprocess` proves cycles infeasible.
 """
 
 from __future__ import annotations
@@ -143,6 +143,50 @@ def relax_sidecar(path) -> float | None:
     return value
 
 
+def _stations_fall_short(times, c) -> bool:
+    """Whether a station bound proves cycle c infeasible over `times`.
+
+    Whichever worker w staffs a station takes tasks of load at most c,
+    and the other m - 1 stations, each at most c, must hold the rest,
+    every task at no less than its fastest time among the other workers.
+    A fractional knapsack, with the tasks only w can execute forced in,
+    bounds what w's station can take off that rest; when it falls short
+    for every w, c is infeasible.
+    """
+    m = len(times)
+    if m == 1:
+        return False
+    # per task: (fastest time, first such worker), (next time, its worker)
+    cols = [sorted(zip(col, range(m)))[:2] for col in zip(*times)]
+    for w, row in enumerate(times):
+        rest = forced = 0
+        items = []
+        for ((t1, fastest), (t2, _)), t in zip(cols, row):
+            need = t2 if fastest == w else t1
+            if need == INFEASIBLE:
+                forced += t
+            else:
+                rest += need
+                if t <= c:
+                    items.append((need / t, need, t))
+        room = c - forced
+        if room < 0:
+            continue
+        excess = rest - (m - 1) * c     # what w's station must take off
+        for _, need, t in sorted(items, reverse=True):
+            if excess <= 0 or room <= 0:
+                break
+            if t > room:
+                if excess * t <= need * room:
+                    excess = 0
+                break
+            excess -= need
+            room -= t
+        if excess <= 0:
+            return False
+    return True
+
+
 def preprocess(inst: Instance, c: int) -> tuple[Instance, int]:
     """Propagate cycle-time c into extra INFEASIBLE cells.
 
@@ -150,8 +194,9 @@ def preprocess(inst: Instance, c: int) -> tuple[Instance, int]:
     as well, then i, k and every task between them would share w's
     station; when those times sum beyond c (an INFEASIBLE time counts as
     beyond), k cannot go to w, so t_wk becomes INFEASIBLE.  Applied to a
-    fixed point; raises CycleInfeasibleError when some task would lose
-    its last capable worker.  Returns (reduced instance, cells removed).
+    fixed point.  Raises CycleInfeasibleError when some task would lose
+    its last capable worker, and when the station bound on the reduced
+    times rules c out.  Returns (reduced instance, cells removed).
     """
     n, m = inst.n_tasks, inst.n_workers
     clo = inst.closure()
@@ -205,6 +250,9 @@ def preprocess(inst: Instance, c: int) -> tuple[Instance, int]:
                         sole_worker[k] = next(
                             v for v in range(m) if times[v][k] != INFEASIBLE)
 
+    if _stations_fall_short(times, c):
+        raise CycleInfeasibleError(f"cycle time {c} proven infeasible by "
+                                   "the station bound")
     if removed == 0:
         return inst, 0
     return Instance(n, m, times, inst.edges, name=inst.name), removed

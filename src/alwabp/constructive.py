@@ -567,53 +567,6 @@ def cycle_ceiling(inst) -> int:
     return total
 
 
-def _cycle_blocked(times, c) -> bool:
-    """Whether a station bound proves that no assignment over `times`
-    has cycle <= c.
-
-    Whichever worker w staffs a station takes tasks of load at most c,
-    and the other m - 1 stations, each at most c, must hold the rest,
-    every task at no less than its fastest time among the other workers.
-    A fractional knapsack, with the tasks only w can execute forced in,
-    bounds what w's station can take off that rest; when it falls short
-    for every w, c is infeasible and every assembly at c fails.
-    """
-    n, m = len(times[0]), len(times)
-    if m == 1:
-        return False
-    crew = _Crew(times, range(m), n, None, None)
-    min1, amin, min2 = crew.min1, crew.amin, crew.min2
-    if INFEASIBLE in min1:
-        return True
-    for w, row in enumerate(times):
-        rest = forced = 0
-        items = []
-        for i in range(n):
-            need = min2[i] if amin[i] == w else min1[i]
-            if need == INFEASIBLE:
-                forced += row[i]
-            else:
-                rest += need
-                if row[i] <= c:
-                    items.append((need / row[i], need, row[i]))
-        room = c - forced
-        if room < 0:
-            continue
-        excess = rest - (m - 1) * c     # what w's station must take off
-        for _, need, t in sorted(items, reverse=True):
-            if excess <= 0 or room <= 0:
-                break
-            if t > room:
-                if excess * t <= need * room:
-                    excess = 0
-                break
-            excess -= need
-            room -= t
-        if excess <= 0:
-            return False
-    return True
-
-
 # Solutions a SearchCache's local-search memo holds before it is cleared.
 # An entry takes about 15 KB on 70x10 and 75x19 lines, where a GA run
 # gets almost no hits, so the cap bounds the memo to about 15 MB there.
@@ -647,15 +600,13 @@ class SearchCache:
 
     def times(self, c, use_preprocess):
         """The times assemblies at tentative cycle c run on, or None when
-        `preprocess` or `_cycle_blocked` proves c infeasible."""
+        `preprocess` proves c infeasible."""
         if not use_preprocess:
             return self.inst.times
         if c not in self._reduced:
             try:
                 times = preprocess(self.inst, c)[0].times
             except CycleInfeasibleError:
-                times = None
-            if times is not None and _cycle_blocked(times, c):
                 times = None
             self._reduced[c] = times
         return self._reduced[c]
@@ -682,9 +633,9 @@ def solve_lower_bound_search(inst, source, worker_rule, direction="forward",
 
     Starts at LC1 unless c_start is given.  direction 'both' tries
     forward then backward at every tentative cycle.  With use_preprocess
-    the instance is reduced at each tentative cycle first; a cycle the
-    reduction or a station bound (`_cycle_blocked`) proves infeasible is
-    skipped, as no assembly can succeed there.
+    the instance is reduced at each tentative cycle first; a cycle that
+    `preprocess` proves infeasible is skipped, as no assembly can succeed
+    there.
     `cache`, a `SearchCache` of `inst`, may be shared between calls on
     the same instance to reuse the precedence of each direction, the
     reductions and the search ceiling.

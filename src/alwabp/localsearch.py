@@ -75,24 +75,21 @@ def _key(loads):
     return cycle, loads.count(cycle)
 
 
-def _beats(key, over, at, loads, a, la, b, lb):
+def _beats(key, at, loads, a, la, b, lb):
     """Whether loading stations a != b with la and lb instead gives a
-    smaller key than `key` = (cycle, count); the test of the shift,
-    double-shift and worker-swap passes.
+    smaller key than `key` = (cycle, count); the test of the double-shift
+    and worker-swap passes.
 
-    `over` and `at` count the stations of `loads` above and at that
-    cycle.  The other stations keep their loads, so none of them may be
-    above the cycle, and the stations at it must end up fewer than
-    `count`: with none left the cycle itself drops.  This is O(1), where
-    computing the new key would scan every station.
+    `at` counts the stations of `loads` at that cycle, and every station
+    above it must be a or b, as the others keep their loads.  The
+    stations at the cycle must end up fewer than `count`: with none left
+    the cycle itself drops.  This is O(1), where computing the new key
+    would scan every station.
     """
     cycle, count = key
     if la > cycle or lb > cycle:
         return False
-    old_a, old_b = loads[a], loads[b]
-    if over - (old_a > cycle) - (old_b > cycle):
-        return False
-    return (at - (old_a == cycle) - (old_b == cycle)
+    return (at - (loads[a] == cycle) - (loads[b] == cycle)
             + (la == cycle) + (lb == cycle)) < count
 
 
@@ -222,11 +219,12 @@ class _State:
 # improving swap is the one a full scan would accept.
 
 def _try_shift(st, key, moves):
-    cycle, count = key
+    # the source, at the cycle, loses time: the key drops iff lb < cycle
+    cycle = key[0]
     loads = st.loads
     critical = [s for s in range(st.m) if loads[s] == cycle]
     for i, a, b, la, lb in st.iter_shifts(critical):
-        if _beats(key, 0, count, loads, a, la, b, lb):
+        if lb < cycle:
             st.do_shift(i, a, b)
             if moves is not None:
                 moves.append(Shift(i, a, b))
@@ -292,7 +290,7 @@ def _try_double_shift(st, key, moves):
       cycle (below it unless both were) by giving away one of its own
       tasks.
     """
-    cycle, count = key
+    cycle = key[0]
     loads = st.loads
     times, workers = st.times, st.workers
     most = [max((times[workers[s]][j] for j in st.tasks[s]), default=0)
@@ -305,12 +303,11 @@ def _try_double_shift(st, key, moves):
         elif (lb == cycle) != (loads[a] == cycle):
             continue        # more stations at the cycle, or a plain shift
         st.do_shift(i, a, b)
-        over = sum(1 for load in loads if load > cycle)
         at = loads.count(cycle)
         top = max(loads)
         sources = [s for s in range(st.m) if loads[s] == top]
         for j, c, d, lc, ld in st.iter_shifts(sources):
-            if _beats(key, over, at, loads, c, lc, d, ld):
+            if _beats(key, at, loads, c, lc, d, ld):
                 st.do_shift(j, c, d)
                 if moves is not None:
                     moves.append(DoubleShift(Shift(i, a, b), Shift(j, c, d)))
@@ -327,7 +324,7 @@ def _try_worker_swap(st, key, moves):
             if loads[a] != cycle and loads[b] != cycle:
                 continue
             la, lb = st.worker_swap_loads(a, b)
-            if _beats(key, 0, count, loads, a, la, b, lb):
+            if _beats(key, count, loads, a, la, b, lb):
                 st.do_worker_swap(a, b)
                 if moves is not None:
                     moves.append(WorkerSwap(a, b))

@@ -58,8 +58,11 @@ def load_bkv(path) -> dict[str, int]:
             raise BkvError(f"{path}:{lineno}: expected 2 columns, "
                            f"got {len(row)}")
         name, value = row[0].strip(), row[1].strip()
-        if lineno == 1 and not value.lstrip("-").isdigit():
-            continue    # header
+        if lineno == 1:
+            try:
+                float(value)
+            except ValueError:
+                continue    # header
         try:
             cycle = int(value)
         except ValueError:

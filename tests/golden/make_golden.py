@@ -1,6 +1,6 @@
 """Frozen outputs of the deterministic solver layers.
 
-    PYTHONPATH=src:tests python3 tests/golden/make_golden.py
+    python3 tests/golden/make_golden.py
 
 rewrites `golden.json` next to this file: 20 seeded instances (their
 text is stored, so the snapshot does not depend on the generator) and,
@@ -32,6 +32,12 @@ import json
 import random
 import sys
 from pathlib import Path
+
+if __name__ == "__main__":
+    # run from a checkout: find the package and the test helpers, as a
+    # pytest run does
+    ROOT = Path(__file__).resolve().parents[2]
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from alwabp import (BaseInstance, GeneratorConfig, HgaParams,
                     NoFeasibleAssignmentError, TaskRule, WorkerRule, assemble,

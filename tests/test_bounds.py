@@ -181,3 +181,32 @@ def test_preprocess_preserves_optimum():
         assert brute_force_optimum(reduced) == opt
         checked += 1
     assert checked >= 35
+
+
+def test_preprocess_station_bound_proves_infeasible_cycle():
+    # four independent tasks of time 3 for both workers: at c = 5 each
+    # station holds one task, so no sole-worker step fires, but the
+    # station bound rules 5 out; at c = 6 two tasks fit per station
+    inst = Instance(4, 2, [[3] * 4, [3] * 4], [])
+    with pytest.raises(CycleInfeasibleError, match="station"):
+        preprocess(inst, 5)
+    assert preprocess(inst, 6) == (inst, 0)
+
+
+def test_preprocess_never_rejects_a_feasible_cycle():
+    """The proofs that let the search skip a cycle fire only on cycles
+    below the optimum, and the station bound fires on some of them."""
+    rng = random.Random(0xB10C)
+    by_station = 0
+    for _ in range(150):
+        inst = random_instance(rng)
+        opt = brute_force_optimum(inst)
+        if opt is None:
+            continue
+        for c in range(max(1, opt - 4), opt + 3):
+            try:
+                preprocess(inst, c)
+            except CycleInfeasibleError as exc:
+                assert c < opt, (inst.name, c, opt)
+                by_station += "station" in str(exc)
+    assert by_station > 0

@@ -187,6 +187,23 @@ def test_construct_summary_aggregates_recompute(tmp_path):
     assert float(last[5]) == pytest.approx(sum(times) / len(times), rel=1e-9)
 
 
+@pytest.mark.parametrize("text,want", [
+    ("instance,cycle\ntiny-A,2\n", {"tiny-A": 2}),
+    ("tiny-A,2\n", {"tiny-A": 2}),
+    ("tiny-A,12.5\n", "bkv.csv:1: bad cycle '12.5'"),
+    ("instance,cycle\ntiny-A,12.5\n", "bkv.csv:2: bad cycle '12.5'"),
+], ids=["header", "no-header", "fraction-row-1", "fraction-row-2"])
+def test_load_bkv_skips_only_a_first_row_without_a_number(tmp_path, text,
+                                                          want):
+    path = tmp_path / "bkv.csv"
+    path.write_text(text)
+    if isinstance(want, dict):
+        assert reports.load_bkv(path) == want
+    else:
+        with pytest.raises(reports.BkvError, match=re.escape(want)):
+            reports.load_bkv(path)
+
+
 def test_construct_missing_bkv_entry_is_flagged_not_fatal(tmp_path, capsys):
     inst = write_tiny(tmp_path)
     bkv = write_bkv(tmp_path, {"someone-else": 5})
@@ -409,6 +426,9 @@ BAD_INPUTS = {
                                 None),
     "hga-bkv-malformed": (["hga", "{inst}", "--bkv", "{tmp}/bad.csv"], 1,
                           "bad.csv:2", None),
+    "construct-bkv-fraction-on-row-1": (["construct", "{inst}", "--rule",
+                                         "MaxF", "--bkv", "{tmp}/frac.csv"],
+                                        1, "frac.csv:1", None),
     "hga-population": (["hga", "{inst}", "--population", "0"], 2,
                        "population", None),
     "hga-q": (["hga", "{inst}", "--q", "2"], 2, "crossover probability q",
@@ -454,6 +474,7 @@ def test_bad_input_gives_one_error_line(tmp_path, capsys, monkeypatch, case):
     paths["file"].write_text("")
     paths["binary"].write_bytes(b"\xff\xfe\x00\x01")
     (tmp_path / "bad.csv").write_text("instance,cycle\ntiny-A,2,3\n")
+    (tmp_path / "frac.csv").write_text("tiny-A,12.5\n")
     (tmp_path / "line.base").write_text("3\n1 2 3\n0\n")
     (tmp_path / "edge.base").write_text("3\n1 2 3\n1\n5 9\n")
     # no case may run a search; bad arguments (exit status 2) and a report

@@ -22,9 +22,10 @@ from alwabp import (
     validate_solution,
 )
 
-from alwabp.constructive import (_bwa_without, _Crew, _cycle_blocked, _Line,
-                                 _rest_bound, _station_prio, _station_start,
-                                 priority_rows)
+from alwabp import constructive
+from alwabp.bounds import CycleInfeasibleError
+from alwabp.constructive import (_bwa_without, _Crew, _Line, _rest_bound,
+                                 _station_prio, _station_start, priority_rows)
 from bruteforce import brute_force_optimum, bwa_cycle, rest_bound
 from conftest import TINY_A, random_instance
 from stations import score_worker, station_load_tasks
@@ -506,21 +507,59 @@ def test_search_deterministic():
             assert a == b
 
 
-def test_cycle_blocked_never_rejects_a_feasible_cycle():
-    """The station bound that lets the search skip a cycle proves only
-    cycles below the optimum infeasible."""
-    rng = random.Random(0xB10C)
-    blocked = 0
-    for _ in range(150):
+def test_search_skips_exactly_the_cycles_preprocess_proves(monkeypatch):
+    """With reduction, a search assembles in each of its directions at
+    every tentative cycle from its start up to the assembly that
+    succeeds, except at the cycles `preprocess` proves infeasible: no
+    other check skips a cycle."""
+    real_assemble, real_preprocess = (constructive._assemble,
+                                      constructive.preprocess)
+    assembled, proved = [], set()
+
+    def recording_assemble(times, c, source, worker_rule, line, memo):
+        sol = real_assemble(times, c, source, worker_rule, line, memo)
+        assembled.append((c, line.direction, sol is not None))
+        return sol
+
+    def recording_preprocess(inst, c):
+        try:
+            return real_preprocess(inst, c)
+        except CycleInfeasibleError:
+            proved.add(c)
+            raise
+
+    monkeypatch.setattr(constructive, "_assemble", recording_assemble)
+    monkeypatch.setattr(constructive, "preprocess", recording_preprocess)
+    rng = random.Random(0x5C1B)
+    searches = skipped = 0
+    for _ in range(60):
         inst = random_instance(rng)
-        opt = brute_force_optimum(inst)
-        if opt is None:
-            continue
-        for c in range(max(1, opt - 4), opt + 3):
-            if _cycle_blocked(inst.times, c):
-                assert c < opt, (inst.name, c, opt)
-                blocked += 1
-    assert blocked > 0
+        matrix = [[rng.random() for _ in range(inst.n_tasks)]
+                  for _ in range(inst.n_workers)]
+        best = compute_bounds(inst).best
+        runs = [(matrix, WorkerRule.MIN_RLB, "both", best)]
+        runs += [(t_rule, w_rule, direction, lc1(inst))
+                 for t_rule, w_rule, direction in SAMPLED_CONFIGS[:3]]
+        for source, w_rule, direction, start in runs:
+            assembled.clear()
+            proved.clear()
+            try:
+                solve_lower_bound_search(inst, source, w_rule, direction,
+                                         c_start=start, use_preprocess=True)
+            except NoFeasibleAssignmentError:
+                continue
+            *failed, (last, won, ok) = assembled
+            assert ok and not any(done for _, _, done in failed)
+            directions = (("forward", "backward") if direction == "both"
+                          else (direction,))
+            want = [(c, d) for c in range(start, last + 1) if c not in proved
+                    for d in directions]
+            want = want[:want.index((last, won)) + 1]
+            assert [(c, d) for c, d, _ in assembled] == want, inst
+            searches += 1
+            skipped += len(proved)
+    assert searches >= 200
+    assert skipped > 0
 
 
 def test_search_with_preprocess_stays_valid():
