@@ -14,27 +14,29 @@ its stations in original line order.
 
 An assembly reads only the worker times and the precedence of its
 direction, both read off the instance's one closure.  The searches on
-one instance share a `SearchCache`: the search ceiling, the precedence
-of each direction and, per tentative cycle, the reduced times, or the
-proof that the cycle is infeasible.  The GA's decodes also share through
-it the local search of each solution they build.
+one instance share a `SearchCache`: the search's start and ceiling, the
+precedence of each direction, per tentative cycle the reduced times, or
+the proof that the cycle is infeasible, and the crews (below) of each
+set of times.  The GA's decodes also share through it the local search
+of each solution they build.
 
 Priorities come either from a named task rule or from an externally
 supplied worker x task matrix of values in [0, 1] (larger = earlier).
 Worker-dependent statistics (fastest/slowest/average times, positional
 weights, ranks, MinBWA's fastest workers) are taken over the workers
 still available, with INFEASIBLE times replaced by the tentative cycle
-time where an aggregate needs a finite stand-in.  One search caches them
-per set of available workers (`_Crew`), built the first time it meets
-the set, so later stations with the same workers available read them
-instead of rescanning the times.  A new set is the previous station's
-minus its committed worker, so its crew is derived from that station's
-crew: it rescans only the tasks where the departed worker's time is at
-most the second fastest, as on every other task the departure changes
-no fastest or second fastest time and no worker at either.  The
-aggregates that depend on the tentative cycle are derived per station,
-for the unassigned tasks, and so are the rows that read the precedence,
-which differs between the two directions one crew serves.
+time where an aggregate needs a finite stand-in.  The searches' cache
+keeps them per set of times and of available workers (`_Crew`), built
+the first time a search meets the pair, so later stations of any search
+with the same times and workers read them instead of rescanning the
+times.  A new set is the previous station's minus its committed worker,
+so its crew is derived from that station's crew: it rescans only the
+tasks where the departed worker's time is at most the second fastest,
+as on every other task the departure changes no fastest or second
+fastest time and no worker at either.  The aggregates that depend on
+the tentative cycle are derived per station, for the unassigned tasks,
+and so are the rows that read the precedence, which differs between the
+two directions one crew serves.
 
 Tie-breaking is fixed everywhere so runs are reproducible: tasks by more
 immediate followers, then smaller time for the candidate worker, then
@@ -130,8 +132,9 @@ class _Crew:
     smallest-index worker at that time (-1 if none) and the second
     fastest time (equal to `min1` when two workers tie).  The fields
     only some rules read (`ties`, `spread`, MinRank rows) are built on
-    first use.  A search builds one crew per set of workers it meets and
-    reads it at every later station with the same workers available.
+    first use.  A crew is a pure function of the times and its workers,
+    so the searches sharing a `SearchCache` build one per pair they meet
+    and read it at every later station with the same pair.
 
     A station's crew is derived from `parent`, the previous station's
     crew, without `gone`, the worker committed there; a crew with no
@@ -560,11 +563,8 @@ def assemble(inst, c_bar, source, worker_rule,
 def cycle_ceiling(inst) -> int:
     """Cycle no heuristic needs to exceed: the whole line done serially,
     each task at its slowest capable worker."""
-    total = 0
-    for i in range(inst.n_tasks):
-        total += max(inst.times[w][i] for w in range(inst.n_workers)
-                     if inst.times[w][i] != INFEASIBLE)
-    return total
+    return sum(max(t for t in col if t != INFEASIBLE)
+               for col in zip(*inst.times))
 
 
 # Solutions a SearchCache's local-search memo holds before it is cleared.
@@ -575,24 +575,47 @@ def cycle_ceiling(inst) -> int:
 # of its local searches, against 65% with no cap.
 IMPROVED_CAP = 1024
 
+# Table cells (crews x tasks x workers) a SearchCache's crews may hold as
+# a search starts before they are cleared: all of them on small lines,
+# about 187 crews at 70x10 and 92 at 75x19, where peak RSS stays within 1%
+# of one memo per search (unbounded, a 75x19 `run_all_96` took 144 MB).
+CREW_CELLS = 1 << 17
+
+
+def _clear_at(memo, size, cap):
+    """Empties `memo` once `size`, its measure, reaches `cap`; its entries
+    are pure functions of their keys, so this costs hits, never results."""
+    if size >= cap:
+        memo.clear()
+
 
 class SearchCache:
-    """What the lower-bound searches on one instance share: the search
-    ceiling, the precedence of each direction (`lines`) and per tentative
-    cycle the times its assemblies run on when the instance is reduced.
-    The GA's decodes also share the local search of each solution they
-    build (`improved`), counting in `improve_hits` the calls it saved.
+    """What the lower-bound searches on one instance share: the search's
+    start (LC1) and ceiling, the precedence of each direction (`lines`),
+    per tentative cycle the times its assemblies run on, and per set of
+    times a table from worker mask to `_Crew`, so a search reads the
+    crews any earlier one met.  The GA's decodes also share the local
+    search of each solution they build (`improved`), counting in
+    `improve_hits` the calls it saved.
 
-    Pass one as the `cache` of every `solve_lower_bound_search` call on
-    `inst`; each search still keeps its own per-crew statistics.
+    One rule (`_clear_at`) bounds two memos: the local-search memo is
+    cleared at `IMPROVED_CAP` solutions, the crews as a search starts
+    with `CREW_CELLS` table cells or more, so no search builds more
+    crews than on a fresh cache.  Pass one as the `cache` of every
+    `solve_lower_bound_search` call on `inst`.
     """
 
     def __init__(self, inst):
         self.inst = inst
         self.lines = {d: _Line(inst, d) for d in DIRECTIONS}
         self._reduced = {}      # cycle -> reduced times, None if infeasible
+        self._crews = {}        # id of a set of times -> {mask: _Crew}
         self._improved = {}     # solution -> its local-search result
         self.improve_hits = 0
+
+    @cached_property
+    def start(self) -> int:
+        return lc1(self.inst)
 
     @cached_property
     def ceiling(self) -> int:
@@ -600,26 +623,38 @@ class SearchCache:
 
     def times(self, c, use_preprocess):
         """The times assemblies at tentative cycle c run on, or None when
-        `preprocess` proves c infeasible."""
+        `preprocess` proves c infeasible; the instance's own times when
+        it removes no cell."""
         if not use_preprocess:
             return self.inst.times
         if c not in self._reduced:
             try:
-                times = preprocess(self.inst, c)[0].times
+                reduced, removed = preprocess(self.inst, c)
+                times = reduced.times if removed else self.inst.times
             except CycleInfeasibleError:
                 times = None
             self._reduced[c] = times
         return self._reduced[c]
 
+    def crews(self, times):
+        """The crew table of `times`, which this cache returned and keeps
+        alive, so its id is unique."""
+        return self._crews.setdefault(id(times), {})
+
+    def open_search(self):
+        """Applies the crews' bound; called as a search starts."""
+        held = sum(map(len, self._crews.values()))
+        _clear_at(self._crews, held * self.inst.n_tasks * self.inst.n_workers,
+                  CREW_CELLS)
+
     def improved(self, sol, improve):
         """`improve(inst, sol)`, called once per distinct `sol` while the
         memo holds it.  `improve` must be a pure function of (instance,
         solution).  The memo is cleared when it holds `IMPROVED_CAP`
-        solutions, which costs only hits, never a different result."""
+        solutions."""
         out = self._improved.get(sol)
         if out is None:
-            if len(self._improved) >= IMPROVED_CAP:
-                self._improved.clear()
+            _clear_at(self._improved, len(self._improved), IMPROVED_CAP)
             out = self._improved[sol] = improve(self.inst, sol)
         else:
             self.improve_hits += 1
@@ -637,8 +672,8 @@ def solve_lower_bound_search(inst, source, worker_rule, direction="forward",
     `preprocess` proves infeasible is skipped, as no assembly can succeed
     there.
     `cache`, a `SearchCache` of `inst`, may be shared between calls on
-    the same instance to reuse the precedence of each direction, the
-    reductions and the search ceiling.
+    the same instance to reuse the search's start and ceiling, the
+    precedence of each direction, the reductions and the crews.
     """
     if direction != "both" and direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
@@ -647,14 +682,13 @@ def solve_lower_bound_search(inst, source, worker_rule, direction="forward",
         cache = SearchCache(inst)
     elif cache.inst is not inst:
         raise ValueError("the search cache belongs to another instance")
-    c = c_start if c_start is not None else lc1(inst)
+    cache.open_search()
+    c = c_start if c_start is not None else cache.start
     ceiling = max(cache.ceiling, c)     # an explicit start is always tried
-    memo, memo_of = {}, None            # the crews met on one set of times
     while c <= ceiling:
         times = cache.times(c, use_preprocess)
         if times is not None:
-            if times is not memo_of:
-                memo, memo_of = {}, times
+            memo = cache.crews(times)
             for d in directions:
                 sol = _assemble(times, c, source, worker_rule, cache.lines[d],
                                 memo)

@@ -23,7 +23,7 @@ from alwabp import (
 )
 
 from alwabp import constructive
-from alwabp.bounds import CycleInfeasibleError
+from alwabp.bounds import CycleInfeasibleError, preprocess
 from alwabp.constructive import (_bwa_without, _Crew, _Line, _rest_bound,
                                  _station_prio, _station_start, priority_rows)
 from bruteforce import brute_force_optimum, bwa_cycle, rest_bound
@@ -579,19 +579,10 @@ def test_search_with_preprocess_stays_valid():
     assert cases >= 40
 
 
-def test_shared_search_cache_matches_fresh_searches(monkeypatch):
-    """One SearchCache serves every configuration, with and without
-    reduction, and a 'both' search with a matrix source: the solutions
-    equal those of fresh searches and the instance is never reversed."""
-    rng = random.Random(0x5CA)
-    reverse = Instance.reverse
-    reversals = []
-
-    def counted_reverse(inst):
-        reversals.append(inst)
-        return reverse(inst)
-
-    for _ in range(6):
+def _cache_cases(rng, count):
+    """Random instances, each with every configuration, with and without
+    reduction, and a 'both' search with a matrix source."""
+    for _ in range(count):
         inst = random_instance(rng)
         matrix = [[rng.random() for _ in range(inst.n_tasks)]
                   for _ in range(inst.n_workers)]
@@ -599,22 +590,38 @@ def test_shared_search_cache_matches_fresh_searches(monkeypatch):
                     for cfg in all_rule_configs() for reduce in (False, True)]
         searches += [(matrix, WorkerRule.MIN_RLB, "both", reduce)
                      for reduce in (False, True)]
+        yield inst, searches
 
-        def run(cache):
-            out = []
-            for source, w_rule, direction, reduce in searches:
-                try:
-                    out.append(solve_lower_bound_search(
-                        inst, source, w_rule, direction,
-                        use_preprocess=reduce, cache=cache))
-                except NoFeasibleAssignmentError:
-                    out.append(None)
-            return out
 
-        fresh = run(None)
+def _run_searches(inst, searches, cache):
+    """Each search's solution, None where it finds none."""
+    out = []
+    for source, w_rule, direction, reduce in searches:
+        try:
+            out.append(solve_lower_bound_search(
+                inst, source, w_rule, direction, use_preprocess=reduce,
+                cache=cache))
+        except NoFeasibleAssignmentError:
+            out.append(None)
+    return out
+
+
+def test_shared_search_cache_matches_fresh_searches(monkeypatch):
+    """One SearchCache serves every configuration, with and without
+    reduction, and a 'both' search with a matrix source: the solutions
+    equal those of fresh searches and the instance is never reversed."""
+    reverse = Instance.reverse
+    reversals = []
+
+    def counted_reverse(inst):
+        reversals.append(inst)
+        return reverse(inst)
+
+    for inst, searches in _cache_cases(random.Random(0x5CA), 6):
+        fresh = _run_searches(inst, searches, None)
         reversals.clear()
         monkeypatch.setattr(Instance, "reverse", counted_reverse)
-        shared = run(SearchCache(inst))
+        shared = _run_searches(inst, searches, SearchCache(inst))
         monkeypatch.undo()
         assert shared == fresh, inst
         assert reversals == []
@@ -622,6 +629,67 @@ def test_shared_search_cache_matches_fresh_searches(monkeypatch):
     with pytest.raises(ValueError):
         solve_lower_bound_search(TINY_A, TaskRule.MAX_F, WorkerRule.MIN_RLB,
                                  cache=SearchCache(inst))
+
+
+def test_cleared_crews_match_fresh_searches(monkeypatch):
+    """With a crew bound of one cell the crews are cleared as every
+    search but the first starts, as each one builds a crew; every search
+    still equals a fresh one."""
+    monkeypatch.setattr(constructive, "CREW_CELLS", 1)
+    clear_at = constructive._clear_at
+    clears = []
+
+    def counted_clear_at(memo, size, cap):
+        clears.append(size >= cap and bool(memo))
+        clear_at(memo, size, cap)
+
+    monkeypatch.setattr(constructive, "_clear_at", counted_clear_at)
+    for inst, searches in _cache_cases(random.Random(0x5CB), 6):
+        fresh = _run_searches(inst, searches, None)
+        clears.clear()
+        assert _run_searches(inst, searches, SearchCache(inst)) == fresh, inst
+        assert sum(clears) == len(searches) - 1, inst
+
+
+def test_run_all_96_builds_each_crew_once(monkeypatch):
+    """Within one `run_all_96`, with and without reduction, no two crews
+    are built over the same times and workers."""
+    init = _Crew.__init__
+    built = []
+
+    def counted_init(self, times, workers, n, parent, gone):
+        built.append((id(times), tuple(workers)))
+        init(self, times, workers, n, parent, gone)
+
+    monkeypatch.setattr(_Crew, "__init__", counted_init)
+    rng = random.Random(0x5CC)
+    for _ in range(8):
+        inst = random_instance(rng)
+        for reduce in (False, True):
+            built.clear()
+            run_all_96(inst, use_preprocess=reduce)
+            assert len(built) == len(set(built)), inst
+            assert built, inst
+
+
+def test_unreduced_cycle_reads_the_instance_times():
+    """`SearchCache.times` hands out the instance's own times exactly at
+    the cycles where `preprocess` removes no cell, so those cycles share
+    one crew table."""
+    rng = random.Random(0x5CD)
+    seen = set()
+    for _ in range(30):
+        inst = random_instance(rng)
+        cache = SearchCache(inst)
+        for c in range(lc1(inst), cycle_ceiling(inst) + 1):
+            try:
+                removed = preprocess(inst, c)[1]
+            except CycleInfeasibleError:
+                assert cache.times(c, True) is None
+                continue
+            assert (cache.times(c, True) is inst.times) == (removed == 0)
+            seen.add(removed == 0)
+    assert seen == {False, True}
 
 
 def test_matrix_source_end_to_end(tiny_a):
