@@ -5,7 +5,15 @@ workers that can execute it.  LC1 combines the largest single time with
 the perfectly balanced load; LC2 sums the smallest k+1 entries among the
 k*m+1 largest times (some station must take k+1 of them); LC3 searches
 for the smallest cycle whose earliest/latest station windows are
-consistent for every task.  `preprocess` proves cycles infeasible.
+consistent for every task.
+
+`preprocess` reduces the instance at a tentative cycle and holds three
+proofs that the cycle is infeasible, each on the times reduced so far:
+a task loses its last capable worker, no worker's station can take
+enough load off the other stations (the station bound), or a budgeted
+exhaustive search over the stations finds no assignment.  All three are
+sound, so a search that skips the cycles they rule out finds the same
+solutions.
 """
 
 from __future__ import annotations
@@ -187,6 +195,107 @@ def _stations_fall_short(times, c) -> bool:
     return True
 
 
+# Task scans (see `_no_assignment`) an exhaustive search makes before it
+# gives up without a proof.  Over 5,030 proofs on random lines of at most
+# 8 tasks and 4 workers the largest took 1,760; on 70x10 and 75x19 lines
+# an attempt gives up without one in under a millisecond.
+SEARCH_SCANS = 4000
+
+
+class _OutOfScans(Exception):
+    """The exhaustive search used up `SEARCH_SCANS`."""
+
+
+def _no_assignment(times, pred, succ, c) -> bool:
+    """Whether an exhaustive search proves that no assignment keeps every
+    station at or below c; False when it finds one or runs out of scans.
+
+    Stations are filled in line order, each by an unused worker with a
+    maximal precedence-closed set of open tasks it can execute within c:
+    no other open task whose predecessors are all assigned still fits.
+    Maximal sets suffice, because moving a task to an earlier station
+    never breaks a completion: its predecessors are already assigned,
+    its followers stay at or after it, and the later station only gets
+    lighter.  Failed states (open tasks, used workers) are remembered.
+    A state is cut when some open task has no unused worker that
+    executes it within c, or when the open tasks' fastest times over the
+    unused workers sum beyond c per unused worker.  The search gives up
+    after `SEARCH_SCANS` task scans: a state scans every task, and its
+    open tasks once more per worker offered its station; a new set of
+    unused workers scans its fastest-time table; a station step scans
+    the tasks it reads.
+    """
+    n, m = len(times[0]), len(times)
+    bits = [1 << i for i in range(n)]
+    pred_masks = [0] * n
+    for i, ps in enumerate(pred):
+        for p in ps:
+            pred_masks[i] |= bits[p]
+    fastest = {}            # used-worker mask -> fastest time per task
+    failed = set()
+    left = SEARCH_SCANS
+
+    def scan(k):
+        nonlocal left
+        left -= k
+        if left < 0:
+            raise _OutOfScans
+
+    def fits(rest, used):
+        """Whether the tasks of the mask `rest` fit on the workers not in
+        the mask `used`."""
+        if not rest:
+            return True
+        free = [w for w in range(m) if not used >> w & 1]
+        if not free or (rest, used) in failed:
+            return False
+        mins = fastest.get(used)
+        if mins is None:
+            scan(n * len(free))
+            mins = fastest[used] = list(map(min, zip(*(times[w]
+                                                       for w in free))))
+        scan(n)
+        open_ = [i for i, b in enumerate(bits) if rest & b]
+        need = [mins[i] for i in open_]
+        if max(need) <= c and sum(need) <= len(free) * c:
+            if len(free) == 1:
+                return True
+            for w in free:
+                scan(len(open_))
+                row = times[w]
+                ready = [i for i in open_
+                         if row[i] <= c and not pred_masks[i] & rest]
+                if grow(row, 1 << w, rest, used, 0, ready, INFEASIBLE):
+                    return True
+        failed.add((rest, used))
+        return False
+
+    def grow(row, bit, rest, used, load, cands, least):
+        """Whether a maximal station of `row` that takes some of `cands`,
+        the tasks of `rest` that can join it, leads to an assignment;
+        `least` is the smallest time of the tasks it skipped, which must
+        not fit in the end."""
+        if not cands:
+            scan(1)
+            return load + least > c and fits(rest, used | bit)
+        for k, i in enumerate(cands):
+            scan(len(cands) - k + len(succ[i]))
+            after = rest ^ bits[i]
+            load_i = load + row[i]
+            nxt = [j for j in cands[k + 1:] if load_i + row[j] <= c]
+            nxt += [s for s in succ[i] if load_i + row[s] <= c
+                    and not pred_masks[s] & after]
+            if grow(row, bit, after, used, load_i, nxt, least):
+                return True
+            least = min(least, row[i])
+        return False            # no task taken: not maximal
+
+    try:
+        return not fits((1 << n) - 1, 0)
+    except _OutOfScans:
+        return False
+
+
 def preprocess(inst: Instance, c: int) -> tuple[Instance, int]:
     """Propagate cycle-time c into extra INFEASIBLE cells.
 
@@ -194,9 +303,14 @@ def preprocess(inst: Instance, c: int) -> tuple[Instance, int]:
     as well, then i, k and every task between them would share w's
     station; when those times sum beyond c (an INFEASIBLE time counts as
     beyond), k cannot go to w, so t_wk becomes INFEASIBLE.  Applied to a
-    fixed point.  Raises CycleInfeasibleError when some task would lose
-    its last capable worker, and when the station bound on the reduced
-    times rules c out.  Returns (reduced instance, cells removed).
+    fixed point.  Returns (reduced instance, cells removed).
+
+    Raises CycleInfeasibleError when some task would lose its last
+    capable worker, when the station bound (`_stations_fall_short`) on
+    the reduced times rules c out, and when the exhaustive search
+    (`_no_assignment`) on them proves, within `SEARCH_SCANS` task scans,
+    that no assignment exists; a search that runs out of scans proves
+    nothing.
     """
     n, m = inst.n_tasks, inst.n_workers
     clo = inst.closure()
@@ -253,6 +367,9 @@ def preprocess(inst: Instance, c: int) -> tuple[Instance, int]:
     if _stations_fall_short(times, c):
         raise CycleInfeasibleError(f"cycle time {c} proven infeasible by "
                                    "the station bound")
+    if _no_assignment(times, clo.pred, clo.succ, c):
+        raise CycleInfeasibleError(f"cycle time {c} proven infeasible by "
+                                   "exhaustive search")
     if removed == 0:
         return inst, 0
     return Instance(n, m, times, inst.edges, name=inst.name), removed

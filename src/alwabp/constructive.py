@@ -567,13 +567,15 @@ def cycle_ceiling(inst) -> int:
                for col in zip(*inst.times))
 
 
-# Solutions a SearchCache's local-search memo holds before it is cleared.
-# An entry takes about 15 KB on 70x10 and 75x19 lines, where a GA run
-# gets almost no hits, so the cap bounds the memo to about 15 MB there.
-# It holds every distinct solution of a run on the small lines (a few
-# dozen at most), and a 40-generation run on a 28x7 line still skips 62%
-# of its local searches, against 65% with no cap.
-IMPROVED_CAP = 1024
+# Table cells (solutions x tasks x workers) a SearchCache's local-search
+# memo holds before it is cleared.  An entry takes about 15 KB on 70x10
+# and 75x19 lines, where a GA run gets almost no hits; the bound keeps
+# 375 and 184 solutions there.  It holds every distinct solution of a run
+# on the small lines (a few dozen at most), and 1,337 on 28x7 lines, where
+# two 40-generation runs still skipped 64.0% and 32.8% of their local
+# searches (64.0% and 37.2% with no bound, 58.9% and 31.0% at a cap of
+# 1,024 solutions).
+IMPROVED_CELLS = 1 << 18
 
 # Table cells (crews x tasks x workers) a SearchCache's crews may hold as
 # a search starts before they are cleared: all of them on small lines,
@@ -598,10 +600,11 @@ class SearchCache:
     search of each solution they build (`improved`), counting in
     `improve_hits` the calls it saved.
 
-    One rule (`_clear_at`) bounds two memos: the local-search memo is
-    cleared at `IMPROVED_CAP` solutions, the crews as a search starts
-    with `CREW_CELLS` table cells or more, so no search builds more
-    crews than on a fresh cache.  Pass one as the `cache` of every
+    One rule (`_clear_at`) bounds two memos by their table cells: the
+    local-search memo is cleared at `IMPROVED_CELLS` (solutions x tasks
+    x workers), the crews as a search starts with `CREW_CELLS` (crews x
+    tasks x workers) or more, so no search builds more crews than on a
+    fresh cache.  Pass one as the `cache` of every
     `solve_lower_bound_search` call on `inst`.
     """
 
@@ -612,6 +615,7 @@ class SearchCache:
         self._crews = {}        # id of a set of times -> {mask: _Crew}
         self._improved = {}     # solution -> its local-search result
         self.improve_hits = 0
+        self._cells = inst.n_tasks * inst.n_workers     # per crew or solution
 
     @cached_property
     def start(self) -> int:
@@ -644,17 +648,17 @@ class SearchCache:
     def open_search(self):
         """Applies the crews' bound; called as a search starts."""
         held = sum(map(len, self._crews.values()))
-        _clear_at(self._crews, held * self.inst.n_tasks * self.inst.n_workers,
-                  CREW_CELLS)
+        _clear_at(self._crews, held * self._cells, CREW_CELLS)
 
     def improved(self, sol, improve):
         """`improve(inst, sol)`, called once per distinct `sol` while the
         memo holds it.  `improve` must be a pure function of (instance,
-        solution).  The memo is cleared when it holds `IMPROVED_CAP`
-        solutions."""
+        solution).  The memo is cleared when it holds `IMPROVED_CELLS`
+        table cells."""
         out = self._improved.get(sol)
         if out is None:
-            _clear_at(self._improved, len(self._improved), IMPROVED_CAP)
+            _clear_at(self._improved, len(self._improved) * self._cells,
+                      IMPROVED_CELLS)
             out = self._improved[sol] = improve(self.inst, sol)
         else:
             self.improve_hits += 1

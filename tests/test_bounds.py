@@ -4,9 +4,14 @@ import random
 
 import pytest
 
-from alwabp import (INFEASIBLE, CycleInfeasibleError, Instance,
-                    compute_bounds, lc1, lc2, lc3, min_times, preprocess,
-                    relax_sidecar, station_windows, validate_solution)
+from alwabp import bounds
+from alwabp import (INFEASIBLE, BaseInstance, CycleInfeasibleError,
+                    GeneratorConfig, Instance, NoFeasibleAssignmentError,
+                    TaskRule, WorkerRule, compute_bounds, decode,
+                    generate, lc1, lc2, lc3, min_times, preprocess,
+                    random_chromosome, relax_sidecar, run_all_96,
+                    solve_lower_bound_search, station_windows,
+                    validate_solution)
 from bruteforce import brute_force_optimum, enumerate_min_times
 from conftest import random_instance
 
@@ -195,9 +200,10 @@ def test_preprocess_station_bound_proves_infeasible_cycle():
 
 def test_preprocess_never_rejects_a_feasible_cycle():
     """The proofs that let the search skip a cycle fire only on cycles
-    below the optimum, and the station bound fires on some of them."""
+    below the optimum; the station bound fires on some of them, and the
+    exhaustive search on some that the other two proofs leave open."""
     rng = random.Random(0xB10C)
-    by_station = 0
+    by_station = by_search = 0
     for _ in range(150):
         inst = random_instance(rng)
         opt = brute_force_optimum(inst)
@@ -209,4 +215,85 @@ def test_preprocess_never_rejects_a_feasible_cycle():
             except CycleInfeasibleError as exc:
                 assert c < opt, (inst.name, c, opt)
                 by_station += "station" in str(exc)
+                by_search += "exhaustive search" in str(exc)
     assert by_station > 0
+    assert by_search > 0
+
+
+def test_preprocess_raises_exactly_below_the_optimum():
+    """On lines of at most 8 tasks and 4 workers the three proofs, the
+    exhaustive search within its budget among them, rule out every cycle
+    below the optimum and no other."""
+    rng = random.Random(0xE8A)
+    checked = 0
+    for k in range(200):
+        inst = random_instance(rng, name=f"e{k}")
+        opt = brute_force_optimum(inst)
+        if opt is None:
+            continue
+        for c in range(1, opt + 3):
+            try:
+                preprocess(inst, c)
+                raised = False
+            except CycleInfeasibleError:
+                raised = True
+            assert raised == (c < opt), (inst.name, c, opt)
+            checked += 1
+    assert checked >= 2000
+
+
+def test_exhaustive_search_gives_up_on_a_70x10_line():
+    """At and just above the static bound of a 70x10 line, far below any
+    cycle the heuristics reach, the exhaustive search ends without a
+    proof."""
+    rng = random.Random(70)
+    times = tuple(rng.randint(1, 10) for _ in range(70))
+    edges = tuple((i, j) for j in range(1, 70)
+                  for i in range(max(0, j - 6), j) if rng.random() < 0.25)
+    inst = generate(BaseInstance("line70", times, edges),
+                    GeneratorConfig(n_workers=10, variability="low",
+                                    infeasibility_density=0.1, rng_seed=7))
+    best = compute_bounds(inst).best
+    cycle = solve_lower_bound_search(inst, TaskRule.MAX_PW_MIN,
+                                     WorkerRule.MIN_RLB, "both").cycle
+    assert cycle > best + 3
+    for c in range(best, best + 3):
+        try:
+            preprocess(inst, c)
+        except CycleInfeasibleError as exc:
+            assert "exhaustive search" not in str(exc), c
+
+
+def test_no_exhaustive_proof_without_budget(monkeypatch):
+    """With no scans to spend the exhaustive search proves nothing, and
+    the searches and decodes find what they find at the real budget:
+    the proof only skips cycles where no assembly can succeed."""
+    rng = random.Random(0xB0D)
+    cases = []
+    for k in range(25):
+        inst = random_instance(rng, name=f"z{k}")
+        chroms = [random_chromosome(inst, rng) for _ in range(3)]
+        cases.append((inst, chroms))
+
+    def outcomes():
+        out, proofs = [], 0
+        for inst, chroms in cases:
+            for c in range(1, compute_bounds(inst).best + 6):
+                try:
+                    preprocess(inst, c)
+                except CycleInfeasibleError as exc:
+                    proofs += "exhaustive search" in str(exc)
+            out.append([(r.config, r.cycle) for r in run_all_96(inst, True)])
+            for chrom in chroms:
+                try:
+                    sol, fit = decode(inst, chrom)
+                    out.append((vars(sol), vars(fit)))
+                except NoFeasibleAssignmentError:
+                    out.append(None)
+        return out, proofs
+
+    real, real_proofs = outcomes()
+    monkeypatch.setattr(bounds, "SEARCH_SCANS", 0)
+    starved, starved_proofs = outcomes()
+    assert real_proofs > 0 and starved_proofs == 0
+    assert starved == real

@@ -184,14 +184,16 @@ def _decode_cases(rng):
         yield inst, chroms + chroms[::-1]
 
 
-@pytest.mark.parametrize("cap", [constructive.IMPROVED_CAP, 3])
-def test_memoised_decode_equals_fresh_decode(monkeypatch, cap):
-    # a cap of 3 clears the memo several times per instance
-    monkeypatch.setattr(constructive, "IMPROVED_CAP", cap)
+@pytest.mark.parametrize("cells", [constructive.IMPROVED_CELLS, 64])
+def test_memoised_decode_equals_fresh_decode(monkeypatch, cells):
+    # 64 cells hold at most a few solutions of these lines, so the memo
+    # clears several times per instance
+    monkeypatch.setattr(constructive, "IMPROVED_CELLS", cells)
     cleared = checked = 0
     for inst, chroms in _decode_cases(random.Random(0x3E3)):
         cache = SearchCache(inst)
         c0 = compute_bounds(inst).best
+        cap = -(-cells // (inst.n_tasks * inst.n_workers))
         for chrom in chroms:
             try:
                 fresh, fresh_fit = decode(inst, chrom, c0, SearchCache(inst))
@@ -208,7 +210,31 @@ def test_memoised_decode_equals_fresh_decode(monkeypatch, cap):
             checked += 1
         assert cache.improve_hits > 0, inst.name
     assert checked >= 150
-    assert (cleared > 0) == (cap == 3)
+    assert (cleared > 0) == (cells == 64)
+
+
+def test_evolve_assembles_no_cycle_below_the_optimum(monkeypatch):
+    """Every cycle below the optimum of a small line is proven infeasible
+    once per run, so no decode assembles there."""
+    real_assemble = constructive._assemble
+    cycles = []
+
+    def recording_assemble(times, c, *args):
+        cycles.append(c)
+        return real_assemble(times, c, *args)
+
+    monkeypatch.setattr(constructive, "_assemble", recording_assemble)
+    rng = random.Random(0xA55)
+    below = 0
+    for k in range(12):
+        inst = random_instance(rng, name=f"w{k}")
+        opt = brute_force_optimum(inst)
+        below += compute_bounds(inst).best < opt
+        cycles.clear()
+        evolve(inst, HgaParams(p=20, max_iters=3, rng_seed=k,
+                               stop_at_lower_bound=False))
+        assert cycles and min(cycles) >= opt, (inst.name, opt)
+    assert below > 0
 
 
 def test_second_decode_of_a_chromosome_skips_improve(monkeypatch):
