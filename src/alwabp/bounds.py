@@ -7,13 +7,11 @@ k*m+1 largest times (some station must take k+1 of them); LC3 searches
 for the smallest cycle whose earliest/latest station windows are
 consistent for every task.
 
-`preprocess` reduces the instance at a tentative cycle and holds three
-proofs that the cycle is infeasible, each on the times reduced so far:
-a task loses its last capable worker, no worker's station can take
-enough load off the other stations (the station bound), or a budgeted
-exhaustive search over the stations finds no assignment.  All three are
-sound, so a search that skips the cycles they rule out finds the same
-solutions.
+`preprocess` reduces the instance at a tentative cycle and holds two
+proofs that the cycle is infeasible: a task loses its last capable
+worker, or a budgeted exhaustive search over the stations finds no
+assignment on the reduced times.  Both are sound, so a search that
+skips the cycles they rule out finds the same solutions.
 """
 
 from __future__ import annotations
@@ -151,54 +149,11 @@ def relax_sidecar(path) -> float | None:
     return value
 
 
-def _stations_fall_short(times, c) -> bool:
-    """Whether a station bound proves cycle c infeasible over `times`.
-
-    Whichever worker w staffs a station takes tasks of load at most c,
-    and the other m - 1 stations, each at most c, must hold the rest,
-    every task at no less than its fastest time among the other workers.
-    A fractional knapsack, with the tasks only w can execute forced in,
-    bounds what w's station can take off that rest; when it falls short
-    for every w, c is infeasible.
-    """
-    m = len(times)
-    if m == 1:
-        return False
-    # per task: (fastest time, first such worker), (next time, its worker)
-    cols = [sorted(zip(col, range(m)))[:2] for col in zip(*times)]
-    for w, row in enumerate(times):
-        rest = forced = 0
-        items = []
-        for ((t1, fastest), (t2, _)), t in zip(cols, row):
-            need = t2 if fastest == w else t1
-            if need == INFEASIBLE:
-                forced += t
-            else:
-                rest += need
-                if t <= c:
-                    items.append((need / t, need, t))
-        room = c - forced
-        if room < 0:
-            continue
-        excess = rest - (m - 1) * c     # what w's station must take off
-        for _, need, t in sorted(items, reverse=True):
-            if excess <= 0 or room <= 0:
-                break
-            if t > room:
-                if excess * t <= need * room:
-                    excess = 0
-                break
-            excess -= need
-            room -= t
-        if excess <= 0:
-            return False
-    return True
-
-
 # Task scans (see `_no_assignment`) an exhaustive search makes before it
-# gives up without a proof.  Over 5,030 proofs on random lines of at most
-# 8 tasks and 4 workers the largest took 1,760; on 70x10 and 75x19 lines
-# an attempt gives up without one in under a millisecond.
+# gives up without a proof.  On 600 random lines of at most 8 tasks and 4
+# workers it proved the 3,753 of the 5,112 cycles below the optimum that
+# the sole-worker step leaves open, the largest in 1,640 scans; on 70x10
+# and 75x19 lines an attempt gives up without one in under a millisecond.
 SEARCH_SCANS = 4000
 
 
@@ -306,11 +261,9 @@ def preprocess(inst: Instance, c: int) -> tuple[Instance, int]:
     fixed point.  Returns (reduced instance, cells removed).
 
     Raises CycleInfeasibleError when some task would lose its last
-    capable worker, when the station bound (`_stations_fall_short`) on
-    the reduced times rules c out, and when the exhaustive search
-    (`_no_assignment`) on them proves, within `SEARCH_SCANS` task scans,
-    that no assignment exists; a search that runs out of scans proves
-    nothing.
+    capable worker, and when the exhaustive search (`_no_assignment`) on
+    the reduced times proves, within `SEARCH_SCANS` task scans, that no
+    assignment exists; a search that runs out of scans proves nothing.
     """
     n, m = inst.n_tasks, inst.n_workers
     clo = inst.closure()
@@ -364,9 +317,6 @@ def preprocess(inst: Instance, c: int) -> tuple[Instance, int]:
                         sole_worker[k] = next(
                             v for v in range(m) if times[v][k] != INFEASIBLE)
 
-    if _stations_fall_short(times, c):
-        raise CycleInfeasibleError(f"cycle time {c} proven infeasible by "
-                                   "the station bound")
     if _no_assignment(times, clo.pred, clo.succ, c):
         raise CycleInfeasibleError(f"cycle time {c} proven infeasible by "
                                    "exhaustive search")

@@ -120,7 +120,6 @@ def all_rule_configs() -> list[RuleConfig]:
 
 _BY_MIN = (TaskRule.MAX_TIME_MIN, TaskRule.MIN_TIME_MIN, TaskRule.MAX_PW_MIN)
 _BY_MAX = (TaskRule.MAX_TIME_MAX, TaskRule.MIN_TIME_MAX, TaskRule.MAX_PW_MAX)
-_BY_AVG = (TaskRule.MAX_TIME_AVG, TaskRule.MIN_TIME_AVG, TaskRule.MAX_PW_AVG)
 _MAX_TIME = (TaskRule.MAX_TIME_MIN, TaskRule.MAX_TIME_MAX, TaskRule.MAX_TIME_AVG)
 _MIN_TIME = (TaskRule.MIN_TIME_MIN, TaskRule.MIN_TIME_MAX, TaskRule.MIN_TIME_AVG)
 

@@ -188,22 +188,22 @@ def test_preprocess_preserves_optimum():
     assert checked >= 35
 
 
-def test_preprocess_station_bound_proves_infeasible_cycle():
+def test_preprocess_exhaustive_search_proves_infeasible_cycle():
     # four independent tasks of time 3 for both workers: at c = 5 each
     # station holds one task, so no sole-worker step fires, but the
-    # station bound rules 5 out; at c = 6 two tasks fit per station
+    # exhaustive search rules 5 out; at c = 6 two tasks fit per station
     inst = Instance(4, 2, [[3] * 4, [3] * 4], [])
-    with pytest.raises(CycleInfeasibleError, match="station"):
+    with pytest.raises(CycleInfeasibleError, match="exhaustive search"):
         preprocess(inst, 5)
     assert preprocess(inst, 6) == (inst, 0)
 
 
 def test_preprocess_never_rejects_a_feasible_cycle():
     """The proofs that let the search skip a cycle fire only on cycles
-    below the optimum; the station bound fires on some of them, and the
-    exhaustive search on some that the other two proofs leave open."""
+    below the optimum; the exhaustive search fires on some of them that
+    the sole-worker step leaves open."""
     rng = random.Random(0xB10C)
-    by_station = by_search = 0
+    by_search = 0
     for _ in range(150):
         inst = random_instance(rng)
         opt = brute_force_optimum(inst)
@@ -214,14 +214,12 @@ def test_preprocess_never_rejects_a_feasible_cycle():
                 preprocess(inst, c)
             except CycleInfeasibleError as exc:
                 assert c < opt, (inst.name, c, opt)
-                by_station += "station" in str(exc)
                 by_search += "exhaustive search" in str(exc)
-    assert by_station > 0
     assert by_search > 0
 
 
 def test_preprocess_raises_exactly_below_the_optimum():
-    """On lines of at most 8 tasks and 4 workers the three proofs, the
+    """On lines of at most 8 tasks and 4 workers the two proofs, the
     exhaustive search within its budget among them, rule out every cycle
     below the optimum and no other."""
     rng = random.Random(0xE8A)

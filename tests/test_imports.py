@@ -43,3 +43,27 @@ def test_every_export_is_used_in_the_package_or_documented():
     assert "SearchCache" in documented and "improve" in used
     assert [name for name in alwabp.__all__
             if name not in used and name not in documented] == []
+
+
+def test_every_private_module_name_is_read_in_the_package():
+    """Each module-level function, class or constant whose name starts
+    with `_` is read somewhere in the package: a private name nothing
+    reads is dead code."""
+    defined, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined += [(path.name, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        read.update(node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name)
+                    and isinstance(node.ctx, ast.Load))
+    assert ("constructive.py", "_Crew") in defined
+    assert [(module, name) for module, name in defined
+            if name not in read] == []

@@ -97,6 +97,21 @@ def test_improve_fails_on_a_move_that_does_not_lower_the_key(tiny_a,
                        r"\(2, 2\) -> \(7, 1\)$"):
         improve(tiny_a, best)
 
+    calls = []
+
+    def idle_swap(st, key, moves):      # accepts one move that keeps the key
+        calls.append(key)
+        return len(calls) == 1
+
+    # a guard that let an equal key pass would end the descent on the
+    # second call instead of raising
+    monkeypatch.setattr(localsearch, "_try_swap", idle_swap)
+    with pytest.raises(RuntimeError, match=r"^idle_swap accepted a move "
+                       r"that does not lower the key: "
+                       r"\(2, 2\) -> \(2, 2\)$"):
+        improve(tiny_a, best)
+    assert calls == [(2, 2)]
+
 
 def test_double_shift_escapes_local_optimum():
     # everything starts on one station; after two plain shifts the
