@@ -7,6 +7,7 @@ text is stored, so the snapshot does not depend on the generator) and,
 for each, what the solver makes of them:
 
 - `sweep`: the cycle of all 96 rule configurations (`run_all_96`);
+- `sweep_reduced`: the same with reduction (`run_all_96(inst, True)`);
 - `assemble`: for a few named rules and two priority matrices, forward
   and backward, the `assemble` result at every cycle from LC1 up to the
   first one that succeeds;
@@ -110,6 +111,7 @@ def _source(inst, name):
 def outputs_of(inst):
     """Every section of the snapshot for one instance."""
     sweep = [row.cycle for row in run_all_96(inst)]
+    sweep_reduced = [row.cycle for row in run_all_96(inst, True)]
 
     assembled, improved = {}, {}
     for name, wname in ASSEMBLE_SOURCES:
@@ -183,7 +185,8 @@ def outputs_of(inst):
         wrapped.append([repr(score_worker(inst, left, crew, w, mine, rule))
                         for rule in WorkerRule])
 
-    return {"sweep": sweep, "assemble": assembled, "search": searched,
+    return {"sweep": sweep, "sweep_reduced": sweep_reduced,
+            "assemble": assembled, "search": searched,
             "improve": improved, "evolve": runs, "wrappers": wrapped}
 
 
