@@ -61,6 +61,14 @@ def _load_all(paths, errors, with_relax=False):
     return loaded
 
 
+def _best_known(bkv, name):
+    """`name`'s value in the `--bkv` table `bkv` (None without a table);
+    warns on stderr when the table lacks it."""
+    if bkv is not None and name not in bkv:
+        print(f"warning: no best known value for {name}", file=sys.stderr)
+    return None if bkv is None else bkv.get(name)
+
+
 # -- bounds -------------------------------------------------------------------
 
 def cmd_bounds(args) -> int:
@@ -101,17 +109,14 @@ def cmd_construct(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out_dir = _report_dir(args.out)
-    bkv = load_bkv(args.bkv) if args.bkv else {}
+    bkv = load_bkv(args.bkv) if args.bkv else None
     errors = []
 
     records = []
     by_config = {cfg: [] for cfg in configs}    # solved run records
     bests = []                                  # solved best records
     for inst, _ in _load_all(args.instances, errors):
-        known = bkv.get(inst.name)
-        if args.bkv and known is None:
-            print(f"warning: no best known value for {inst.name}",
-                  file=sys.stderr)
+        known = _best_known(bkv, inst.name)
         best, total = None, 0.0
         # the search is looked up in this module at each call, so a wrapper
         # installed on `cli.solve_lower_bound_search` (a tracer, say) sees
@@ -170,15 +175,12 @@ def cmd_hga(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out_dir = _report_dir(args.out)
-    bkv = load_bkv(args.bkv) if args.bkv else {}
+    bkv = load_bkv(args.bkv) if args.bkv else None
     errors = []
 
     records, summary = [], []
     for inst, relax in _load_all(args.instances, errors, with_relax=True):
-        known = bkv.get(inst.name)
-        if args.bkv and known is None:
-            print(f"warning: no best known value for {inst.name}",
-                  file=sys.stderr)
+        known = _best_known(bkv, inst.name)
         solved = []
         for seed in range(args.seed, args.seed + args.seeds):
             try:

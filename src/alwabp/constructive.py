@@ -17,8 +17,9 @@ direction, both read off the instance's one closure.  The searches on
 one instance share a `SearchCache`: the search's start and ceiling, the
 precedence of each direction, per tentative cycle the reduced times, or
 the proof that the cycle is infeasible, and the crews (below) of each
-set of times.  The GA's decodes also share through it the local search
-of each solution they build.
+value of the times, which cycles with equal reduced times share.  The
+GA's decodes also share through it the local search of each solution
+they build.
 
 Priorities come either from a named task rule or from an externally
 supplied worker x task matrix of values in [0, 1] (larger = earlier).
@@ -183,8 +184,7 @@ class _Crew:
     @cached_property
     def cols(self):
         """Per task: its times over the workers."""
-        n = len(self.min1)
-        return list(zip(*(self.times[w] for w in self.workers))) or [()] * n
+        return list(zip(*(self.times[w] for w in self.workers)))
 
     @cached_property
     def ranked(self):
@@ -593,11 +593,11 @@ def _clear_at(memo, size, cap):
 class SearchCache:
     """What the lower-bound searches on one instance share: the search's
     start (LC1) and ceiling, the precedence of each direction (`lines`),
-    per tentative cycle the times its assemblies run on, and per set of
-    times a table from worker mask to `_Crew`, so a search reads the
-    crews any earlier one met.  The GA's decodes also share the local
-    search of each solution they build (`improved`), counting in
-    `improve_hits` the calls it saved.
+    per tentative cycle the times its assemblies run on, and per value
+    of those times a table from worker mask to `_Crew`, so a search reads
+    the crews any earlier one met at a cycle with equal times.  The GA's
+    decodes also share the local search of each solution they build
+    (`improved`), counting in `improve_hits` the calls it saved.
 
     One rule (`_clear_at`) bounds two memos by their table cells: the
     local-search memo is cleared at `IMPROVED_CELLS` (solutions x tasks
@@ -611,7 +611,7 @@ class SearchCache:
         self.inst = inst
         self.lines = {d: _Line(inst, d) for d in DIRECTIONS}
         self._reduced = {}      # cycle -> reduced times, None if infeasible
-        self._crews = {}        # id of a set of times -> {mask: _Crew}
+        self._crews = {}        # times -> {mask: _Crew}
         self._improved = {}     # solution -> its local-search result
         self.improve_hits = 0
         self._cells = inst.n_tasks * inst.n_workers     # per crew or solution
@@ -626,23 +626,19 @@ class SearchCache:
 
     def times(self, c, use_preprocess):
         """The times assemblies at tentative cycle c run on, or None when
-        `preprocess` proves c infeasible; the instance's own times when
-        it removes no cell."""
+        `preprocess` proves c infeasible."""
         if not use_preprocess:
             return self.inst.times
         if c not in self._reduced:
             try:
-                reduced, removed = preprocess(self.inst, c)
-                times = reduced.times if removed else self.inst.times
+                self._reduced[c] = preprocess(self.inst, c)[0].times
             except CycleInfeasibleError:
-                times = None
-            self._reduced[c] = times
+                self._reduced[c] = None
         return self._reduced[c]
 
     def crews(self, times):
-        """The crew table of `times`, which this cache returned and keeps
-        alive, so its id is unique."""
-        return self._crews.setdefault(id(times), {})
+        """The crew table of `times`, shared by every set of equal times."""
+        return self._crews.setdefault(times, {})
 
     def open_search(self):
         """Applies the crews' bound; called as a search starts."""

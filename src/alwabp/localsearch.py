@@ -273,22 +273,24 @@ def _try_swap(st, key, moves):
 def _try_double_shift(st, key, moves):
     """The first shift may stall or even hurt, as long as the pair wins.
 
-    Runs after the shift pass found nothing in this state, so no first
-    shift improves, and moving its task on again would be a single shift
-    too.  After a first shift i: a -> b, either b is the only station
-    above the cycle, or the stations at the cycle are at least as many
-    as before (the mid state).  The second shift must leave a station at
-    the mid state's largest load, since no other shift can lower a key.
-    First shifts after which no second one can beat `key` are skipped
-    without a scan:
+    Runs after the shift and swap passes found nothing in this state, so
+    no first shift improves, and moving its task on again would be a
+    single shift too.  After a first shift i: a -> b, either b is the
+    only station above the cycle, or the stations at the cycle are at
+    least as many as before (the mid state).  The second shift must
+    leave a station at the mid state's largest load, since no other
+    shift can lower a key.  First shifts after which no second one can
+    beat `key` are skipped without a scan:
 
     - With b at most at the cycle, the second shift drains one station
       at it while the others keep their loads, so the mid state must
       not hold more of them than `key` counts.
-    - With b above it, the other stations at the cycle keep their loads,
-      so a or b must have been one of them, and b must get back to the
-      cycle (below it unless both were) by giving away one of its own
-      tasks.
+    - With b above it, a must have been at the cycle and b must end
+      below it.  Any other winning pair moves a task j from b to a
+      station d ending below the cycle, with a below it (b at it) or b
+      ending exactly at it (a and b at it).  Then shifting j alone (d
+      not a) or swapping i and j (d = a) improves too, and is feasible,
+      as moving i into b never widens j's precedence window.
     """
     cycle = key[0]
     loads = st.loads
@@ -297,8 +299,7 @@ def _try_double_shift(st, key, moves):
             for s in range(st.m)]
     for i, a, b, la, lb in st.iter_shifts(range(st.m)):
         if lb > cycle:
-            relieved = (loads[a] == cycle) + (loads[b] == cycle)
-            if not relieved or most[b] < lb - cycle + (relieved == 1):
+            if loads[a] != cycle or most[b] <= lb - cycle:
                 continue
         elif (lb == cycle) != (loads[a] == cycle):
             continue        # more stations at the cycle, or a plain shift

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from alwabp import (
+    HgaParams,
     INFEASIBLE,
     Instance,
     NoFeasibleAssignmentError,
@@ -16,6 +17,7 @@ from alwabp import (
     assemble,
     compute_bounds,
     cycle_ceiling,
+    evolve,
     lc1,
     run_all_96,
     solve_lower_bound_search,
@@ -652,44 +654,66 @@ def test_cleared_crews_match_fresh_searches(monkeypatch):
 
 
 def test_run_all_96_builds_each_crew_once(monkeypatch):
-    """Within one `run_all_96`, with and without reduction, no two crews
-    are built over the same times and workers."""
-    init = _Crew.__init__
-    built = []
+    """Within one `run_all_96`, with and without reduction, and within
+    one `evolve`, no two assemblies build crews over equal times and the
+    same workers (`priority_rows` builds its own crew, outside them)."""
+    init, assemble_ = _Crew.__init__, constructive._assemble
+    built, inside = [], []
 
     def counted_init(self, times, workers, n, parent, gone):
-        built.append((id(times), tuple(workers)))
+        if inside:
+            built.append((times, tuple(workers)))
         init(self, times, workers, n, parent, gone)
 
+    def marked_assemble(*args):
+        inside.append(True)
+        try:
+            return assemble_(*args)
+        finally:
+            inside.pop()
+
     monkeypatch.setattr(_Crew, "__init__", counted_init)
+    monkeypatch.setattr(constructive, "_assemble", marked_assemble)
     rng = random.Random(0x5CC)
-    for _ in range(8):
+    for k in range(24):     # the last gives equal times at two cycles
         inst = random_instance(rng)
-        for reduce in (False, True):
+        params = HgaParams(p=10, max_iters=3, rng_seed=k,
+                           stop_at_lower_bound=False)
+        for run in (lambda: run_all_96(inst),
+                    lambda: run_all_96(inst, use_preprocess=True),
+                    lambda: evolve(inst, params)):
             built.clear()
-            run_all_96(inst, use_preprocess=reduce)
+            run()
             assert len(built) == len(set(built)), inst
             assert built, inst
 
 
-def test_unreduced_cycle_reads_the_instance_times():
+def test_equal_times_share_one_crew_table():
     """`SearchCache.times` hands out the instance's own times exactly at
-    the cycles where `preprocess` removes no cell, so those cycles share
-    one crew table."""
+    the cycles where `preprocess` removes no cell, and `crews` gives
+    cycles with equal times the same table, also when two reductions
+    built them apart."""
     rng = random.Random(0x5CD)
-    seen = set()
+    seen, repeats = set(), 0
     for _ in range(30):
         inst = random_instance(rng)
         cache = SearchCache(inst)
+        first = {}          # times -> (first cycle's times, their table)
         for c in range(lc1(inst), cycle_ceiling(inst) + 1):
             try:
                 removed = preprocess(inst, c)[1]
             except CycleInfeasibleError:
                 assert cache.times(c, True) is None
                 continue
-            assert (cache.times(c, True) is inst.times) == (removed == 0)
+            times = cache.times(c, True)
+            assert (times is inst.times) == (removed == 0)
             seen.add(removed == 0)
+            earlier, table = first.setdefault(times,
+                                              (times, cache.crews(times)))
+            assert cache.crews(times) is table
+            repeats += earlier is not times
     assert seen == {False, True}
+    assert repeats
 
 
 def test_matrix_source_end_to_end(tiny_a):
