@@ -17,9 +17,9 @@ direction, both read off the instance's one closure.  The searches on
 one instance share a `SearchCache`: the search's start and ceiling, the
 precedence of each direction, per tentative cycle the reduced times, or
 the proof that the cycle is infeasible, and the crews (below) of each
-value of the times, which cycles with equal reduced times share.  The
-GA's decodes also share through it the local search of each solution
-they build.
+value of the times, which cycles with equal reduced times share, with
+the stations' fills under named task rules.  The GA's decodes also
+share through it the local search of each solution they build.
 
 Priorities come either from a named task rule or from an externally
 supplied worker x task matrix of values in [0, 1] (larger = earlier).
@@ -180,6 +180,7 @@ class _Crew:
                 elif t < min2[i]:
                     min2[i] = t
         self.ranks = {}             # worker -> its MinRank row
+        self.fills = None           # station -> fills (see `_assemble`)
 
     @cached_property
     def cols(self):
@@ -318,19 +319,24 @@ def _station_prio(source, crew, line, left, c_bar):
     return lambda w: pw
 
 
-def priority_rows(inst, source, c_bar) -> list[list]:
+def priority_rows(inst, source, c_bar, cache=None) -> list[list]:
     """Priority of every task (larger = earlier) for each worker, in
     index order, when the whole crew is available, under a task rule or
     a priority matrix.
 
     INFEASIBLE times count as c_bar where an aggregate needs a finite
-    stand-in.
+    stand-in.  `cache`, a `SearchCache` of `inst` (a fresh one by
+    default), holds the crew of every worker over the instance's times,
+    so the calls sharing one build it once.
     """
-    workers = range(inst.n_workers)
-    crew = _Crew(inst.times, workers, inst.n_tasks, None, None)
-    prio = _station_prio(source, crew, _Line(inst), range(inst.n_tasks),
-                         c_bar)
-    return [list(prio(w)) for w in workers]
+    cache = _cache_of(inst, cache)
+    memo, full = cache.crews(inst.times), (1 << inst.n_workers) - 1
+    crew = memo.get(full) or cache.build_crew(memo, full, inst.times,
+                                              range(inst.n_workers), None,
+                                              None)
+    prio = _station_prio(source, crew, cache.lines["forward"],
+                         range(inst.n_tasks), c_bar)
+    return [list(prio(w)) for w in crew.workers]
 
 
 class _Line:
@@ -482,14 +488,39 @@ def _rest_bound(totals, others, w, picked, crew):
 
 # -- full assembly ------------------------------------------------------------
 
-def _assemble(times, c_bar, source, worker_rule, line, memo):
+def _station_fills(times, source, crew, line, left, u_mask, c_bar):
+    """Each available worker's (T mask, load, tasks in order, rest
+    bound) at a station, in `crew.workers` order."""
+    ready, totals = _station_start(left, u_mask, line.pred_masks, crew,
+                                   len(times))
+    prio_of = _station_prio(source, crew, line, left, c_bar)
+    others = len(crew.workers) - 1
+    fills = []
+    for w in crew.workers:
+        T, load, picked = _fill(times[w], prio_of(w), ready, u_mask, c_bar,
+                                line)
+        fills.append((T, load, picked,
+                      _rest_bound(totals, others, w, picked, crew)))
+    return fills
+
+
+_TASK_RULES = tuple(TaskRule)
+
+
+def _assemble(times, c_bar, source, worker_rule, line, memo, cache):
     """One pass over `times` in the order of `line`, the `_Line` of its
     direction, at tentative cycle c_bar; None on failure.  The stations
     come back in original line order.
 
-    `memo` maps a set of available workers, as a bitmask, to its `_Crew`
-    over `times`; callers share one memo only between passes with the
-    same times.
+    `memo` is `cache.crews(times)`, the table from a set of available
+    workers, as a bitmask, to its `_Crew` over `times`.  Under a named
+    task rule a station's fills and rest bounds depend only on the
+    times, the workers and tasks left, the rule, the direction and
+    c_bar, so the crew keeps them (`_Crew.fills`): a pass that meets a
+    station an earlier pass met, as the three worker rules of one task
+    rule and direction do, reads them there.  The worker rule still
+    picks the worker, and MinBWA still scores each one.  A priority
+    matrix bypasses the memo, as no two GA decodes share a station.
 
     A failing pass stops at the first station whose committed worker
     leaves a rest lower bound above c_bar.  That is exact: each of the
@@ -499,27 +530,32 @@ def _assemble(times, c_bar, source, worker_rule, line, memo):
     cut changes no decision.
     """
     n, m = len(times[0]), len(times)
-    pred_masks = line.pred_masks
     left = list(range(n))
     u_mask = (1 << n) - 1
     workers = list(range(m))
     w_mask = (1 << m) - 1
     picks = []
     crew = w = None         # the previous station's crew and committed worker
+    key = None              # ints only: an Enum hashes in Python
+    if isinstance(source, TaskRule):
+        key = ((c_bar * len(_TASK_RULES) + _TASK_RULES.index(source)) * 2
+               + DIRECTIONS.index(line.direction))
 
     for _ in range(m):
         parent, crew = crew, memo.get(w_mask)
         if crew is None:
-            crew = memo[w_mask] = _Crew(times, workers, n, parent, w)
-        ready, totals = _station_start(left, u_mask, pred_masks, crew, m)
-        prio_of = _station_prio(source, crew, line, left, c_bar)
-        others = len(workers) - 1
+            crew = cache.build_crew(memo, w_mask, times, workers, parent, w)
+        table = crew.fills
+        fills = table.get((key, u_mask)) if table else None
+        if fills is None:
+            fills = _station_fills(times, source, crew, line, left, u_mask,
+                                   c_bar)
+            if key is not None:
+                cache.keep_fills(crew, (key, u_mask), fills)
         best = None
         best_score = None
-        for w in workers:
-            T, load, picked = _fill(times[w], prio_of(w), ready, u_mask,
-                                    c_bar, line)
-            rlb = _rest_bound(totals, others, w, picked, crew)
+        for w, fill in zip(workers, fills):
+            T, load, picked, rlb = fill
             if worker_rule is WorkerRule.MAX_TASKS:
                 score = (-len(picked), rlb, c_bar - load, w)
             elif worker_rule is WorkerRule.MIN_BWA:
@@ -529,7 +565,7 @@ def _assemble(times, c_bar, source, worker_rule, line, memo):
                 score = (rlb, -len(picked), c_bar - load, w)
             if best_score is None or score < best_score:
                 best_score = score
-                best = (w, T, load, picked, rlb)
+                best = (w, *fill)
         w, T, load, picked, rlb = best
         if rlb > c_bar:
             return None
@@ -555,8 +591,10 @@ def assemble(inst, c_bar, source, worker_rule,
     Backward runs fill the stations from the end of the line and report
     them in original line order.
     """
-    return _assemble(inst.times, c_bar, source, worker_rule,
-                     _Line(inst, direction), {})
+    line = _Line(inst, direction)
+    cache = SearchCache(inst)
+    return _assemble(inst.times, c_bar, source, worker_rule, line,
+                     cache.crews(inst.times), cache)
 
 
 def cycle_ceiling(inst) -> int:
@@ -582,39 +620,59 @@ IMPROVED_CELLS = 1 << 18
 # of one memo per search (unbounded, a 75x19 `run_all_96` took 144 MB).
 CREW_CELLS = 1 << 17
 
+# Table cells (stations x tasks x workers) the stations' fills kept on a
+# SearchCache's crews may hold: every station of a `run_all_96` on small
+# lines (at most 35,392 cells over 280 random lines of up to 8 tasks and
+# 4 workers), the first 94 at 70x10 and 46 at 75x19.  The worker rules
+# rarely share a station on such lines: a `run_all_96` on a 70x10 line
+# (U[1, 50] base times, high variability) evaluates 59,434 station
+# states without fills, 58,747 at this bound and 58,274 at 2^17, while
+# each station kept slows a lone search.
+FILL_CELLS = 1 << 16
+
 
 def _clear_at(memo, size, cap):
-    """Empties `memo` once `size`, its measure, reaches `cap`; its entries
-    are pure functions of their keys, so this costs hits, never results."""
+    """Empties `memo` once `size`, its measure, reaches `cap`, and returns
+    the measure left; its entries are pure functions of their keys, so
+    this costs hits, never results."""
     if size >= cap:
         memo.clear()
+        return 0
+    return size
 
 
 class SearchCache:
     """What the lower-bound searches on one instance share: the search's
     start (LC1) and ceiling, the precedence of each direction (`lines`),
-    per tentative cycle the times its assemblies run on, and per value
-    of those times a table from worker mask to `_Crew`, so a search reads
-    the crews any earlier one met at a cycle with equal times.  The GA's
-    decodes also share the local search of each solution they build
-    (`improved`), counting in `improve_hits` the calls it saved.
+    per tentative cycle the outcome of `preprocess`, and per value of
+    the times assemblies run on a table from worker mask to `_Crew`, so
+    a search reads the crews any earlier one met at a cycle with equal
+    times, and under a named task rule the stations' fills (see
+    `_assemble`).  The GA's decodes also share the local search of each
+    solution they build (`improved`), counting in `improve_hits` the
+    calls it saved.
 
     One rule (`_clear_at`) bounds two memos by their table cells: the
     local-search memo is cleared at `IMPROVED_CELLS` (solutions x tasks
     x workers), the crews as a search starts with `CREW_CELLS` (crews x
     tasks x workers) or more, so no search builds more crews than on a
-    fresh cache.  Pass one as the `cache` of every
-    `solve_lower_bound_search` call on `inst`.
+    fresh cache.  The crews keep fills while those hold fewer than
+    `FILL_CELLS` cells, and drop them when they are cleared.  Pass one
+    as the `cache` of every `solve_lower_bound_search` call on `inst`.
     """
 
     def __init__(self, inst):
         self.inst = inst
         self.lines = {d: _Line(inst, d) for d in DIRECTIONS}
         self._reduced = {}      # cycle -> reduced times, None if infeasible
+        self._reached = set()   # cycles a search reached without `preprocess`
         self._crews = {}        # times -> {mask: _Crew}
+        self._crew_cells = 0    # table cells the crews hold
+        self._fill_cells = 0    # table cells their fills hold
         self._improved = {}     # solution -> its local-search result
         self.improve_hits = 0
-        self._cells = inst.n_tasks * inst.n_workers     # per crew or solution
+        # table cells of one crew, one station's fills or one solution
+        self._cells = inst.n_tasks * inst.n_workers
 
     @cached_property
     def start(self) -> int:
@@ -625,25 +683,58 @@ class SearchCache:
         return cycle_ceiling(self.inst)
 
     def times(self, c, use_preprocess):
-        """The times assemblies at tentative cycle c run on, or None when
-        `preprocess` proves c infeasible."""
-        if not use_preprocess:
-            return self.inst.times
+        """The times assemblies at tentative cycle c run on, the reduced
+        ones with `use_preprocess` and the instance's otherwise, or None
+        when `preprocess` proves c infeasible.
+
+        The outcome of `preprocess` is kept per cycle whatever the flag.
+        Without reduction it is asked for only at a cycle that an earlier
+        search through the cache reached, so a lone search never pays
+        for a proof, and the configurations after the first skip every
+        cycle proved below the optimum."""
         if c not in self._reduced:
+            if not use_preprocess and c not in self._reached:
+                self._reached.add(c)
+                return self.inst.times
             try:
                 self._reduced[c] = preprocess(self.inst, c)[0].times
             except CycleInfeasibleError:
                 self._reduced[c] = None
-        return self._reduced[c]
+        reduced = self._reduced[c]
+        if reduced is None or use_preprocess:
+            return reduced
+        return self.inst.times
 
     def crews(self, times):
         """The crew table of `times`, shared by every set of equal times."""
         return self._crews.setdefault(times, {})
 
+    def build_crew(self, memo, mask, times, workers, parent, gone):
+        """Builds the `_Crew` of the workers `workers` (as a bitmask,
+        `mask`) over `times` from `parent` without `gone` (see `_Crew`),
+        and keeps it in `memo`, the crew table of `times`."""
+        crew = memo[mask] = _Crew(times, workers, len(times[0]), parent,
+                                  gone)
+        self._crew_cells += self._cells
+        return crew
+
+    def keep_fills(self, crew, key, fills):
+        """Keeps a station's `fills` on its crew under `key` while the
+        fills kept hold fewer than `FILL_CELLS` table cells, counting a
+        station as tasks x workers cells, as a crew."""
+        if self._fill_cells < FILL_CELLS:
+            if crew.fills is None:
+                crew.fills = {}
+            crew.fills[key] = fills
+            self._fill_cells += self._cells
+
     def open_search(self):
-        """Applies the crews' bound; called as a search starts."""
-        held = sum(map(len, self._crews.values()))
-        _clear_at(self._crews, held * self._cells, CREW_CELLS)
+        """Applies the crews' bound, which drops their fills with them;
+        called as a search starts."""
+        self._crew_cells = _clear_at(self._crews, self._crew_cells,
+                                     CREW_CELLS)
+        if not self._crews:
+            self._fill_cells = 0
 
     def improved(self, sol, improve):
         """`improve(inst, sol)`, called once per distinct `sol` while the
@@ -660,6 +751,16 @@ class SearchCache:
         return out
 
 
+def _cache_of(inst, cache):
+    """`cache`, or a fresh `SearchCache` of `inst` when it is None; a
+    cache of another instance is refused."""
+    if cache is None:
+        return SearchCache(inst)
+    if cache.inst is not inst:
+        raise ValueError("the search cache belongs to another instance")
+    return cache
+
+
 def solve_lower_bound_search(inst, source, worker_rule, direction="forward",
                              c_start=None, use_preprocess=False,
                              cache=None) -> Solution:
@@ -667,20 +768,19 @@ def solve_lower_bound_search(inst, source, worker_rule, direction="forward",
 
     Starts at LC1 unless c_start is given.  direction 'both' tries
     forward then backward at every tentative cycle.  With use_preprocess
-    the instance is reduced at each tentative cycle first; a cycle that
+    the instance is reduced at each tentative cycle first.  A cycle that
     `preprocess` proves infeasible is skipped, as no assembly can succeed
-    there.
+    there; without reduction only a cycle that an earlier search through
+    `cache` reached is put to `preprocess`.
     `cache`, a `SearchCache` of `inst`, may be shared between calls on
     the same instance to reuse the search's start and ceiling, the
-    precedence of each direction, the reductions and the crews.
+    precedence of each direction, the outcomes of `preprocess`, the
+    crews and the stations' fills.
     """
     if direction != "both" and direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
     directions = DIRECTIONS if direction == "both" else (direction,)
-    if cache is None:
-        cache = SearchCache(inst)
-    elif cache.inst is not inst:
-        raise ValueError("the search cache belongs to another instance")
+    cache = _cache_of(inst, cache)
     cache.open_search()
     c = c_start if c_start is not None else cache.start
     ceiling = max(cache.ceiling, c)     # an explicit start is always tried
@@ -690,7 +790,7 @@ def solve_lower_bound_search(inst, source, worker_rule, direction="forward",
             memo = cache.crews(times)
             for d in directions:
                 sol = _assemble(times, c, source, worker_rule, cache.lines[d],
-                                memo)
+                                memo, cache)
                 if sol is not None:
                     return sol
         c += 1
@@ -709,9 +809,14 @@ class RuleRun:
 def run_configs(inst, configs, use_preprocess=False,
                 _search=None) -> list[RuleRun]:
     """Run the lower-bound search of each configuration on `inst`, in
-    order, timing each; the searches share one cache, so the reductions
-    and the search ceiling are built once, in the time of the first
-    configuration that needs them.
+    order, timing each; the searches share one cache, so the search
+    ceiling, the outcomes of `preprocess` and the crews are built once,
+    in the time of the first configuration that needs them.  Without
+    reduction a configuration puts to `preprocess` only the cycles an
+    earlier one reached, so the first pays for no proof and the later
+    ones skip the cycles proved infeasible; the worker rules after the
+    first of a task rule and direction read the stations' fills it
+    computed.
     """
     # `_search` is a seam for instrumentation only (the CLI passes its own
     # module's name so a wrapper installed there sees every search), not a

@@ -107,19 +107,21 @@ class HgaResult:
     reason: str                 # "bound" | "stale" | "max_iters"
 
 
-def encode_rule(inst, rule: TaskRule, c_bar=None) -> Chromosome:
+def encode_rule(inst, rule: TaskRule, c_bar=None, cache=None) -> Chromosome:
     """Express a named task rule as a static priority matrix.
 
     Per worker, tasks are ranked by the rule over the full crew (ties to
     the smaller index) and the best of n tasks gets key (n-1)/n, the
     worst 0.  Aggregates use max(LC1, LC2, LC3) to stand in for
-    INFEASIBLE entries unless a cycle is given.
+    INFEASIBLE entries unless a cycle is given.  `cache`, a `SearchCache`
+    of `inst`, lets the encodings of a run share the full crew's
+    statistics, as `priority_rows` explains.
     """
     n = inst.n_tasks
     if c_bar is None:
         c_bar = compute_bounds(inst).best
     rows = []
-    for prio in priority_rows(inst, rule, c_bar):
+    for prio in priority_rows(inst, rule, c_bar, cache):
         order = sorted(range(n), key=lambda i: (-prio[i], i))
         keys = [0.0] * n
         for rank, i in enumerate(order):        # rank 0 is the best task
@@ -171,11 +173,11 @@ def decode(inst, chromosome: Chromosome, c_start=None,
     return sol, fit
 
 
-def _seed_chromosomes(inst, params, rng, bounds):
-    """The 16 rule encodings, at max(LC1, LC2, LC3) as in encode_rule's
-    own default, topped up with random chromosomes to p."""
+def _seed_chromosomes(inst, params, rng, bounds, cache):
+    """The 16 rule encodings through `cache`, at max(LC1, LC2, LC3) as in
+    encode_rule's own default, topped up with random chromosomes to p."""
     c_bar = max(bounds.lc1, bounds.lc2, bounds.lc3)
-    chroms = [encode_rule(inst, rule, c_bar) for rule in TaskRule]
+    chroms = [encode_rule(inst, rule, c_bar, cache) for rule in TaskRule]
     return chroms + [random_chromosome(inst, rng)
                      for _ in range(params.p - len(chroms))]
 
@@ -193,9 +195,10 @@ def seed_population(inst, params: HgaParams) -> list[Individual]:
     """Initial population: the 16 rule encodings plus random top-up,
     decoded, sorted by fitness, truncated to the p best."""
     bounds = compute_bounds(inst)
+    cache = SearchCache(inst)
     chroms = _seed_chromosomes(inst, params, random.Random(params.rng_seed),
-                               bounds)
-    return _ranked(inst, params.p, [], chroms, bounds.best, SearchCache(inst))
+                               bounds, cache)
+    return _ranked(inst, params.p, [], chroms, bounds.best, cache)
 
 
 def _stop_reason(params, at_bound, iteration, stale):
@@ -221,7 +224,7 @@ def evolve(inst, params: HgaParams, external_relax=None) -> HgaResult:
     rng = random.Random(params.rng_seed)
     bounds = compute_bounds(inst, external_relax)
     cache = SearchCache(inst)
-    elite, chroms = [], _seed_chromosomes(inst, params, rng, bounds)
+    elite, chroms = [], _seed_chromosomes(inst, params, rng, bounds, cache)
     best, log, iteration, stale = None, [], 0, 0
     while True:
         # decode draws nothing, so decoding after all draws keeps their order

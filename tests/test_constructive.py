@@ -510,20 +510,24 @@ def test_search_deterministic():
 
 
 def test_search_skips_exactly_the_cycles_preprocess_proves(monkeypatch):
-    """With reduction, a search assembles in each of its directions at
-    every tentative cycle from its start up to the assembly that
-    succeeds, except at the cycles `preprocess` proves infeasible: no
-    other check skips a cycle."""
+    """A search assembles in each of its directions at every tentative
+    cycle from its start up to the assembly that succeeds, except at the
+    cycles `preprocess` proves infeasible: no other check skips a cycle.
+    With reduction each search has a cache of its own.  Without it the
+    searches share one cache: the first calls `preprocess` at no cycle,
+    and each later one skips the cycles a proof asked for by any of them
+    ruled out."""
     real_assemble, real_preprocess = (constructive._assemble,
                                       constructive.preprocess)
-    assembled, proved = [], set()
+    assembled, proved, calls = [], set(), []
 
-    def recording_assemble(times, c, source, worker_rule, line, memo):
-        sol = real_assemble(times, c, source, worker_rule, line, memo)
+    def recording_assemble(times, c, source, worker_rule, line, *args):
+        sol = real_assemble(times, c, source, worker_rule, line, *args)
         assembled.append((c, line.direction, sol is not None))
         return sol
 
     def recording_preprocess(inst, c):
+        calls.append(c)
         try:
             return real_preprocess(inst, c)
         except CycleInfeasibleError:
@@ -533,35 +537,49 @@ def test_search_skips_exactly_the_cycles_preprocess_proves(monkeypatch):
     monkeypatch.setattr(constructive, "_assemble", recording_assemble)
     monkeypatch.setattr(constructive, "preprocess", recording_preprocess)
     rng = random.Random(0x5C1B)
-    searches = skipped = 0
+    searches = 0
+    skipped = {False: 0, True: 0}       # by use_preprocess
     for _ in range(60):
         inst = random_instance(rng)
         matrix = [[rng.random() for _ in range(inst.n_tasks)]
                   for _ in range(inst.n_workers)]
         best = compute_bounds(inst).best
-        runs = [(matrix, WorkerRule.MIN_RLB, "both", best)]
-        runs += [(t_rule, w_rule, direction, lc1(inst))
+        rules = [(t_rule, w_rule, direction, lc1(inst), reduce)
+                 for reduce in (True, False)
                  for t_rule, w_rule, direction in SAMPLED_CONFIGS[:3]]
-        for source, w_rule, direction, start in runs:
-            assembled.clear()
+        groups = [[(matrix, WorkerRule.MIN_RLB, "both", best, True)]]
+        groups += [[run] for run in rules[:3]] + [rules[3:]]
+        for group in groups:            # the searches sharing one cache
+            cache = SearchCache(inst)
             proved.clear()
-            try:
-                solve_lower_bound_search(inst, source, w_rule, direction,
-                                         c_start=start, use_preprocess=True)
-            except NoFeasibleAssignmentError:
-                continue
-            *failed, (last, won, ok) = assembled
-            assert ok and not any(done for _, _, done in failed)
-            directions = (("forward", "backward") if direction == "both"
-                          else (direction,))
-            want = [(c, d) for c in range(start, last + 1) if c not in proved
-                    for d in directions]
-            want = want[:want.index((last, won)) + 1]
-            assert [(c, d) for c, d, _ in assembled] == want, inst
-            searches += 1
-            skipped += len(proved)
-    assert searches >= 200
-    assert skipped > 0
+            calls.clear()
+            for k, (source, w_rule, direction, start, reduce) in enumerate(
+                    group):
+                assembled.clear()
+                try:
+                    solve_lower_bound_search(inst, source, w_rule, direction,
+                                             c_start=start,
+                                             use_preprocess=reduce,
+                                             cache=cache)
+                except NoFeasibleAssignmentError:
+                    found = False
+                else:
+                    found = True
+                assert reduce or k or calls == [], inst
+                if not found:
+                    continue
+                *failed, (last, won, ok) = assembled
+                assert ok and not any(done for _, _, done in failed)
+                directions = (("forward", "backward") if direction == "both"
+                              else (direction,))
+                want = [(c, d) for c in range(start, last + 1)
+                        if c not in proved for d in directions]
+                want = want[:want.index((last, won)) + 1]
+                assert [(c, d) for c, d, _ in assembled] == want, inst
+                searches += 1
+                skipped[reduce] += sum(start <= c <= last for c in proved)
+    assert searches >= 300
+    assert skipped[True] > 0 and skipped[False] > 0
 
 
 def test_search_with_preprocess_stays_valid():
@@ -634,46 +652,58 @@ def test_shared_search_cache_matches_fresh_searches(monkeypatch):
 
 
 def test_cleared_crews_match_fresh_searches(monkeypatch):
-    """With a crew bound of one cell the crews are cleared as every
-    search but the first starts, as each one builds a crew; every search
-    still equals a fresh one."""
+    """With a bound of one cell the crews and their stations' fills are
+    cleared as every search but the first starts, as each one builds a
+    crew; every search still equals a fresh one, and each search with
+    reduction evaluates as many station states as a fresh one."""
     monkeypatch.setattr(constructive, "CREW_CELLS", 1)
-    clear_at = constructive._clear_at
-    clears = []
+    clear_at, station_start = (constructive._clear_at,
+                               constructive._station_start)
+    clears, starts = [], []
 
     def counted_clear_at(memo, size, cap):
         clears.append(size >= cap and bool(memo))
-        clear_at(memo, size, cap)
+        return clear_at(memo, size, cap)
+
+    def counted_station_start(*args):
+        starts.append(args)
+        return station_start(*args)
+
+    def run_each(inst, searches, cache):
+        """Each search's solution and count of station states."""
+        out = []
+        for search in searches:
+            starts.clear()
+            sol, = _run_searches(inst, [search], cache)
+            out.append((sol, len(starts)))
+        return out
 
     monkeypatch.setattr(constructive, "_clear_at", counted_clear_at)
+    monkeypatch.setattr(constructive, "_station_start", counted_station_start)
     for inst, searches in _cache_cases(random.Random(0x5CB), 6):
-        fresh = _run_searches(inst, searches, None)
+        fresh = run_each(inst, searches, None)
         clears.clear()
-        assert _run_searches(inst, searches, SearchCache(inst)) == fresh, inst
+        shared = run_each(inst, searches, SearchCache(inst))
+        assert [sol for sol, _ in shared] == [sol for sol, _ in fresh], inst
         assert sum(clears) == len(searches) - 1, inst
+        for (*_, reduce), (_, n_fresh), (_, n_shared) in zip(searches, fresh,
+                                                            shared):
+            # a search without reduction may skip cycles proved earlier
+            assert n_shared == n_fresh if reduce else n_shared <= n_fresh
 
 
 def test_run_all_96_builds_each_crew_once(monkeypatch):
     """Within one `run_all_96`, with and without reduction, and within
-    one `evolve`, no two assemblies build crews over equal times and the
-    same workers (`priority_rows` builds its own crew, outside them)."""
-    init, assemble_ = _Crew.__init__, constructive._assemble
-    built, inside = [], []
+    one `evolve`, its rule encodings included, no two crews are built
+    over equal times and the same workers."""
+    init = _Crew.__init__
+    built = []
 
     def counted_init(self, times, workers, n, parent, gone):
-        if inside:
-            built.append((times, tuple(workers)))
+        built.append((times, tuple(workers)))
         init(self, times, workers, n, parent, gone)
 
-    def marked_assemble(*args):
-        inside.append(True)
-        try:
-            return assemble_(*args)
-        finally:
-            inside.pop()
-
     monkeypatch.setattr(_Crew, "__init__", counted_init)
-    monkeypatch.setattr(constructive, "_assemble", marked_assemble)
     rng = random.Random(0x5CC)
     for k in range(24):     # the last gives equal times at two cycles
         inst = random_instance(rng)
@@ -686,6 +716,70 @@ def test_run_all_96_builds_each_crew_once(monkeypatch):
             run()
             assert len(built) == len(set(built)), inst
             assert built, inst
+
+
+def test_run_all_96_evaluates_each_station_state_once(monkeypatch):
+    """Within one `run_all_96`, with and without reduction, no station
+    state (times, workers and tasks left, task rule, direction and
+    cycle) is evaluated twice: the worker rules of one task rule and
+    direction read the fills an earlier one computed."""
+    assemble_, station_start = (constructive._assemble,
+                                constructive._station_start)
+    context, states = [], []
+
+    def marked_assemble(times, c, source, worker_rule, line, *args):
+        context.append((source, line.direction, c))
+        try:
+            return assemble_(times, c, source, worker_rule, line, *args)
+        finally:
+            context.pop()
+
+    def recording_station_start(left, u_mask, pred_masks, crew, m):
+        states.append((*context[-1], crew.times, crew.workers, u_mask))
+        return station_start(left, u_mask, pred_masks, crew, m)
+
+    monkeypatch.setattr(constructive, "_assemble", marked_assemble)
+    monkeypatch.setattr(constructive, "_station_start",
+                        recording_station_start)
+    rng = random.Random(0x5CE)
+    for _ in range(20):
+        inst = random_instance(rng)
+        for reduce in (False, True):
+            states.clear()
+            run_all_96(inst, reduce)
+            assert len(states) == len(set(states)), inst
+            assert states, inst
+
+
+def test_run_all_96_assembles_below_the_optimum_once(monkeypatch):
+    """`run_all_96` without reduction assembles at each cycle below the
+    optimum in at most one configuration: the later ones skip the
+    cycles an earlier one reached, as `preprocess` proves each of them
+    infeasible on these lines."""
+    assemble_ = constructive._assemble
+    configs = {}            # cycle -> the configurations assembling there
+
+    def recording_assemble(times, c, source, worker_rule, line, *args):
+        configs.setdefault(c, set()).add((source, worker_rule,
+                                          line.direction))
+        return assemble_(times, c, source, worker_rule, line, *args)
+
+    monkeypatch.setattr(constructive, "_assemble", recording_assemble)
+    rng = random.Random(0x5CF)
+    lines = below = 0
+    while lines < 40:
+        inst = random_instance(rng)
+        opt = brute_force_optimum(inst)
+        if opt is None:
+            continue
+        configs.clear()
+        run_all_96(inst)
+        for c, seen in configs.items():
+            if c < opt:
+                assert len(seen) == 1, (inst, c)
+                below += 1
+        lines += 1
+    assert below >= 20
 
 
 def test_equal_times_share_one_crew_table():
