@@ -249,6 +249,8 @@ def _no_assignment(times, pred, succ, c) -> bool:
         return not fits((1 << n) - 1, 0)
     except _OutOfScans:
         return False
+    finally:
+        del fits, grow          # they hold each other: free the tables now
 
 
 def preprocess(inst: Instance, c: int) -> tuple[Instance, int]:
@@ -266,7 +268,6 @@ def preprocess(inst: Instance, c: int) -> tuple[Instance, int]:
     assignment exists; a search that runs out of scans proves nothing.
     """
     n, m = inst.n_tasks, inst.n_workers
-    clo = inst.closure()
     times = [list(row) for row in inst.times]
     finite_count = [0] * n
     sole_worker = [-1] * n
@@ -277,7 +278,9 @@ def preprocess(inst: Instance, c: int) -> tuple[Instance, int]:
                 sole_worker[i] = w
 
     removed = 0
-    changed = True
+    changed = 1 in finite_count     # only a sole worker removes cells
+    if changed:
+        clo = inst.closure()
     while changed:
         changed = False
         for i in range(n):
@@ -317,7 +320,7 @@ def preprocess(inst: Instance, c: int) -> tuple[Instance, int]:
                         sole_worker[k] = next(
                             v for v in range(m) if times[v][k] != INFEASIBLE)
 
-    if _no_assignment(times, clo.pred, clo.succ, c):
+    if _no_assignment(times, inst.pred, inst.succ, c):
         raise CycleInfeasibleError(f"cycle time {c} proven infeasible by "
                                    "exhaustive search")
     if removed == 0:

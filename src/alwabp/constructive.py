@@ -341,15 +341,13 @@ def priority_rows(inst, source, c_bar, cache=None) -> list[list]:
 
 class _Line:
     """Precedence of one direction of an instance, as the hot path reads
-    it; 'backward' reads the instance's closure with every edge flipped,
-    so predecessors and followers swap.  Reductions only turn cells
-    INFEASIBLE, so it serves every reduction of the instance."""
+    it, from `clo`, the instance's closure; 'backward' reads it with
+    every edge flipped, so predecessors and followers swap.  Reductions
+    only turn cells INFEASIBLE, so it serves every reduction of the
+    instance."""
 
-    def __init__(self, inst, direction="forward"):
-        if direction not in DIRECTIONS:
-            raise ValueError(f"unknown direction {direction!r}")
+    def __init__(self, clo, direction="forward"):
         self.direction = direction
-        clo = inst.closure()
         if direction == "forward":
             pred, self.succ, self.succ_star = clo.pred, clo.succ, clo.succ_star
         else:
@@ -591,10 +589,11 @@ def assemble(inst, c_bar, source, worker_rule,
     Backward runs fill the stations from the end of the line and report
     them in original line order.
     """
-    line = _Line(inst, direction)
+    if direction not in DIRECTIONS:
+        raise ValueError(f"unknown direction {direction!r}")
     cache = SearchCache(inst)
-    return _assemble(inst.times, c_bar, source, worker_rule, line,
-                     cache.crews(inst.times), cache)
+    return _assemble(inst.times, c_bar, source, worker_rule,
+                     cache.lines[direction], cache.crews(inst.times), cache)
 
 
 def cycle_ceiling(inst) -> int:
@@ -627,7 +626,9 @@ CREW_CELLS = 1 << 17
 # rarely share a station on such lines: a `run_all_96` on a 70x10 line
 # (U[1, 50] base times, high variability) evaluates 59,434 station
 # states without fills, 58,747 at this bound and 58,274 at 2^17, while
-# each station kept slows a lone search.
+# each station kept slows a lone search.  No fill is kept once the crews
+# hold `CREW_CELLS` cells: the next search clears them, fills and all,
+# before any other search could read it.
 FILL_CELLS = 1 << 16
 
 
@@ -643,7 +644,8 @@ def _clear_at(memo, size, cap):
 
 class SearchCache:
     """What the lower-bound searches on one instance share: the search's
-    start (LC1) and ceiling, the precedence of each direction (`lines`),
+    start (LC1) and ceiling, the precedence of each direction (`lines`,
+    read off the instance's closure, which the cache alone keeps),
     per tentative cycle the outcome of `preprocess`, and per value of
     the times assemblies run on a table from worker mask to `_Crew`, so
     a search reads the crews any earlier one met at a cycle with equal
@@ -657,13 +659,15 @@ class SearchCache:
     x workers), the crews as a search starts with `CREW_CELLS` (crews x
     tasks x workers) or more, so no search builds more crews than on a
     fresh cache.  The crews keep fills while those hold fewer than
-    `FILL_CELLS` cells, and drop them when they are cleared.  Pass one
-    as the `cache` of every `solve_lower_bound_search` call on `inst`.
+    `FILL_CELLS` cells and the crews fewer than `CREW_CELLS`, and drop
+    them when they are cleared.  Pass one as the `cache` of every
+    `solve_lower_bound_search` call on `inst`.
     """
 
     def __init__(self, inst):
         self.inst = inst
-        self.lines = {d: _Line(inst, d) for d in DIRECTIONS}
+        clo = inst.closure()
+        self.lines = {d: _Line(clo, d) for d in DIRECTIONS}
         self._reduced = {}      # cycle -> reduced times, None if infeasible
         self._reached = set()   # cycles a search reached without `preprocess`
         self._crews = {}        # times -> {mask: _Crew}
@@ -721,8 +725,10 @@ class SearchCache:
     def keep_fills(self, crew, key, fills):
         """Keeps a station's `fills` on its crew under `key` while the
         fills kept hold fewer than `FILL_CELLS` table cells, counting a
-        station as tasks x workers cells, as a crew."""
-        if self._fill_cells < FILL_CELLS:
+        station as tasks x workers cells, as a crew, and the crews fewer
+        than `CREW_CELLS`."""
+        if (self._fill_cells < FILL_CELLS
+                and self._crew_cells < CREW_CELLS):
             if crew.fills is None:
                 crew.fills = {}
             crew.fills[key] = fills

@@ -43,8 +43,8 @@ class ValidationError(ValueError):
 class ClosureView:
     """Immediate and transitive precedence sets of one instance."""
 
-    pred: tuple[frozenset[int], ...]        # P_i, immediate predecessors
-    succ: tuple[frozenset[int], ...]        # F_i, immediate successors
+    pred: tuple[tuple[int, ...], ...]       # P_i, immediate predecessors
+    succ: tuple[tuple[int, ...], ...]       # F_i, immediate successors
     pred_star: tuple[frozenset[int], ...]   # all transitive predecessors
     succ_star: tuple[frozenset[int], ...]   # all transitive successors
     order_strength: float                   # 2|E*| / (n(n-1)), 0 for n < 2
@@ -55,7 +55,9 @@ class Instance:
 
     times[w][i] is the integer execution time of task i by worker w, or
     INFEASIBLE.  The number of stations always equals the number of
-    workers.
+    workers.  `pred[i]` and `succ[i]` hold the immediate predecessors and
+    followers of task i as tuples, in the order a frozenset of them
+    iterates, which the closure and every rule summing over it inherit.
     """
 
     def __init__(self, n_tasks, n_workers, times, edges, name="instance"):
@@ -100,8 +102,8 @@ class Instance:
         for i, j in self.edges:
             pred[j].add(i)
             succ[i].add(j)
-        self.pred = tuple(frozenset(p) for p in pred)
-        self.succ = tuple(frozenset(s) for s in succ)
+        self.pred = tuple(tuple(frozenset(p)) for p in pred)
+        self.succ = tuple(tuple(frozenset(s)) for s in succ)
 
         self._topo = _toposort(self.n_tasks, self.succ, [len(p) for p in pred])
 
@@ -109,34 +111,32 @@ class Instance:
             if all(self.times[w][i] == INFEASIBLE for w in range(self.n_workers)):
                 raise ValidationError(f"task {i + 1} has no capable worker")
 
-        self._closure = None
-
     # -- derived views ----------------------------------------------------
 
     def closure(self) -> ClosureView:
-        """Transitive closure of the precedence relation (cached)."""
-        if self._closure is None:
-            n = self.n_tasks
-            pred_star = [set() for _ in range(n)]
-            succ_star = [set() for _ in range(n)]
-            for i in self._topo:
-                for p in self.pred[i]:
-                    pred_star[i].add(p)
-                    pred_star[i] |= pred_star[p]
-            for i in reversed(self._topo):
-                for s in self.succ[i]:
-                    succ_star[i].add(s)
-                    succ_star[i] |= succ_star[s]
-            n_rel = sum(len(s) for s in succ_star)
-            strength = 2.0 * n_rel / (n * (n - 1)) if n > 1 else 0.0
-            self._closure = ClosureView(
-                pred=self.pred,
-                succ=self.succ,
-                pred_star=tuple(frozenset(s) for s in pred_star),
-                succ_star=tuple(frozenset(s) for s in succ_star),
-                order_strength=strength,
-            )
-        return self._closure
+        """Transitive closure of the precedence relation, built afresh on
+        each call: the holder keeps it (a `SearchCache` keeps one for
+        all the searches on the instance)."""
+        n = self.n_tasks
+        pred_star = [set() for _ in range(n)]
+        succ_star = [set() for _ in range(n)]
+        for i in self._topo:
+            for p in self.pred[i]:
+                pred_star[i].add(p)
+                pred_star[i] |= pred_star[p]
+        for i in reversed(self._topo):
+            for s in self.succ[i]:
+                succ_star[i].add(s)
+                succ_star[i] |= succ_star[s]
+        n_rel = sum(len(s) for s in succ_star)
+        strength = 2.0 * n_rel / (n * (n - 1)) if n > 1 else 0.0
+        return ClosureView(
+            pred=self.pred,
+            succ=self.succ,
+            pred_star=tuple(frozenset(s) for s in pred_star),
+            succ_star=tuple(frozenset(s) for s in succ_star),
+            order_strength=strength,
+        )
 
     def reverse(self) -> "Instance":
         """Instance with every precedence edge flipped; times unchanged."""

@@ -34,3 +34,19 @@ def random_instance(rng: random.Random, n_max: int = 8, m_max: int = 4,
                           infeasibility_density=density,
                           rng_seed=rng.randrange(2 ** 32))
     return generate(base, cfg)
+
+
+def random_line(rng: random.Random, n: int = 70, m: int = 10,
+                name: str = "line", span: int = 6,
+                edge_prob: float = 0.25) -> Instance:
+    """Seeded line at the paper's scale: base times U[1, 10], each of the
+    `span` tasks before a task preceding it with probability `edge_prob`,
+    low variability, 10% of the cells INFEASIBLE."""
+    times = tuple(rng.randint(1, 10) for _ in range(n))
+    edges = tuple((i, j) for j in range(1, n)
+                  for i in range(max(0, j - span), j)
+                  if rng.random() < edge_prob)
+    cfg = GeneratorConfig(n_workers=m, variability="low",
+                          infeasibility_density=0.10,
+                          rng_seed=rng.randrange(2 ** 32))
+    return generate(BaseInstance(name, times, edges), cfg)

@@ -26,7 +26,7 @@ def station_load_tasks(inst, unassigned, available_workers, worker, c_bar,
     `unassigned` are the tasks not yet committed to earlier stations;
     everything else counts as already done.
     """
-    line = _Line(inst)
+    line = _Line(inst.closure())
     workers = sorted(available_workers)
     left = sorted(unassigned)
     u_mask = _mask(left)
@@ -34,7 +34,8 @@ def station_load_tasks(inst, unassigned, available_workers, worker, c_bar,
     crew = _Crew(inst.times, workers, inst.n_tasks, None, None)
     prio = _station_prio(source, crew, line, range(inst.n_tasks),
                          c_bar)(worker)
-    line.succ = [s.intersection(left) for s in line.succ]   # not done yet
+    line.succ = [[j for j in s if j in left]                # not done yet
+                 for s in line.succ]
     _, _, picked = _fill(inst.times[worker], prio, ready, u_mask, c_bar,
                          line)
     return set(picked)
@@ -52,6 +53,6 @@ def score_worker(inst, unassigned, available_workers, worker,
         return _bwa_without(crew, sorted(unassigned),
                             _mask(tasks_for_worker), worker, inst.n_workers)
     rest = sorted(set(unassigned) - set(tasks_for_worker))
-    _, totals = _station_start(rest, 0, _Line(inst).pred_masks, crew,
-                               inst.n_workers)
+    pred_masks = _Line(inst.closure()).pred_masks
+    _, totals = _station_start(rest, 0, pred_masks, crew, inst.n_workers)
     return _rest_bound(totals, len(workers) - 1, worker, (), crew)

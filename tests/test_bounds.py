@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import random
 
 import pytest
@@ -13,7 +14,7 @@ from alwabp import (INFEASIBLE, BaseInstance, CycleInfeasibleError,
                     solve_lower_bound_search, station_windows,
                     validate_solution)
 from bruteforce import brute_force_optimum, enumerate_min_times
-from conftest import random_instance
+from conftest import random_base, random_instance
 
 
 def chain(times_by_worker, n=None):
@@ -295,3 +296,38 @@ def test_no_exhaustive_proof_without_budget(monkeypatch):
     starved, starved_proofs = outcomes()
     assert real_proofs > 0 and starved_proofs == 0
     assert starved == real
+
+
+def test_preprocess_leaves_no_cyclic_garbage(monkeypatch):
+    """The exhaustive search's nested functions call each other; the
+    search drops them as it returns, so its tables go at once and
+    `preprocess` leaves nothing for the cyclic collector."""
+    search, searched = bounds._no_assignment, []
+
+    def counted(*args):
+        searched.append(args[3])
+        return search(*args)
+
+    monkeypatch.setattr(bounds, "_no_assignment", counted)
+    rng = random.Random(0x6C)
+    lines = [generate(random_base(rng, 8),
+                      GeneratorConfig(n_workers=3,
+                                      variability=rng.choice(["low", "high"]),
+                                      infeasibility_density=0.1,
+                                      rng_seed=k))
+             for k in range(30)]
+    gc.collect()
+    gc.disable()
+    try:
+        for inst in lines:
+            start = lc1(inst)
+            for c in range(start, start + 3):
+                try:
+                    preprocess(inst, c)
+                except CycleInfeasibleError:
+                    pass
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert len(searched) >= 60
+    assert garbage == 0

@@ -1,6 +1,8 @@
 """Constructive heuristics: frozen small-case traces + oracle properties."""
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 
@@ -29,7 +31,7 @@ from alwabp.bounds import CycleInfeasibleError, preprocess
 from alwabp.constructive import (_bwa_without, _Crew, _Line, _rest_bound,
                                  _station_prio, _station_start, priority_rows)
 from bruteforce import brute_force_optimum, bwa_cycle, rest_bound
-from conftest import TINY_A, random_instance
+from conftest import TINY_A, random_instance, random_line
 from stations import score_worker, station_load_tasks
 
 
@@ -162,7 +164,7 @@ def test_derived_crews_equal_fresh_crews():
     for _ in range(300):
         inst = dense_tie_instance(rng)
         n = inst.n_tasks
-        line = _Line(inst)
+        line = _Line(inst.closure())
         workers = random_crew(rng, inst)
         crew = _Crew(inst.times, workers, n, None, None)
         while True:
@@ -232,7 +234,7 @@ def test_rest_bound_equals_oracle():
         inst = dense_tie_instance(rng)
         n, m = inst.n_tasks, inst.n_workers
         clo = inst.closure()
-        line = _Line(inst)
+        line = _Line(clo)
         crew_workers = random_crew(rng, inst)
         chained, removed = derived_crew(chain_rng, inst, crew_workers)
         derived += removed > 0
@@ -305,7 +307,7 @@ def test_table_priorities_equal_direct_formulas():
         inst = dense_tie_instance(rng)
         n = inst.n_tasks
         clo = inst.closure()
-        line = _Line(inst)
+        line = _Line(clo)
         crew_workers = random_crew(rng, inst)
         left = set(rng.sample(range(n), rng.randint(0, n)))
         for i in list(left):
@@ -330,6 +332,72 @@ def test_table_priorities_equal_direct_formulas():
             for w, row in enumerate(priority_rows(inst, rule, 7)):
                 assert row == direct_prio(rule, inst, everyone, w, 7)
     assert checked > 20000 and derived > 500
+
+
+def reference_stars(inst):
+    """Transitive predecessors and followers of every task, built as the
+    instance has always built them: frozensets of the immediate sets,
+    grown into sets in topological order, then frozen."""
+    n = inst.n_tasks
+    pred = [set() for _ in range(n)]
+    succ = [set() for _ in range(n)]
+    for i, j in inst.edges:
+        pred[j].add(i)
+        succ[i].add(j)
+    pred = [frozenset(p) for p in pred]
+    succ = [frozenset(s) for s in succ]
+    indegree = [len(p) for p in pred]
+    ready = [i for i in range(n) if indegree[i] == 0]
+    order = []
+    while ready:
+        i = ready.pop()
+        order.append(i)
+        for j in succ[i]:
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                ready.append(j)
+    stars = []
+    for imm, seq in ((pred, order), (succ, order[::-1])):
+        star = [set() for _ in range(n)]
+        for i in seq:
+            for k in imm[i]:
+                star[i].add(k)
+                star[i] |= star[k]
+        stars.append([frozenset(s) for s in star])
+    return stars
+
+
+def test_max_pw_avg_sums_in_the_closure_order():
+    """MaxPWAvg's priorities, in both directions, equal float for float
+    those summed over the closure as it has always been built: the
+    order its sets iterate in fixes the rounding, and so the rule's ties
+    and the cycles it reaches, as summing in ascending order shows.  Half
+    the lines take edges from anywhere before a task, where the order in
+    which the immediate sets iterate also moves the closure's."""
+    rng = random.Random(0x0D3)
+    reordered = 0
+    for k in range(60):
+        span, edge_prob = (6, 0.25) if k % 2 else (70, 0.05)
+        inst = random_line(rng, name=f"line{k}", span=span,
+                           edge_prob=edge_prob)
+        n, everyone = inst.n_tasks, range(inst.n_workers)
+        lines = SearchCache(inst).lines
+        crew = _Crew(inst.times, everyone, n, None, None)
+        c_bar = lc1(inst)
+        base = direct_base(TaskRule.MAX_PW_AVG, inst, everyone, c_bar)
+        pred_star, succ_star = reference_stars(inst)
+        for direction, star in (("forward", succ_star),
+                                ("backward", pred_star)):
+            want = [base[i] + sum(base[h] for h in star[i])
+                    for i in range(n)]
+            got = _station_prio(TaskRule.MAX_PW_AVG, crew, lines[direction],
+                                range(n), c_bar)(0)
+            assert [repr(p) for p in got] == [repr(p) for p in want], (
+                inst, direction)
+            reordered += want != [base[i] + sum(base[h]
+                                                for h in sorted(star[i]))
+                                  for i in range(n)]
+    assert reordered >= 20
 
 
 # -- full assembly ------------------------------------------------------------
@@ -387,8 +455,8 @@ def test_backward_is_forward_on_reversed(tiny_a):
 
 
 def test_line_pred_masks(tiny_a):
-    assert _Line(tiny_a).pred_masks == [0, 1, 1]
-    assert _Line(tiny_a, "backward").pred_masks == [6, 0, 0]
+    assert _Line(tiny_a.closure()).pred_masks == [0, 1, 1]
+    assert _Line(tiny_a.closure(), "backward").pred_masks == [6, 0, 0]
 
 
 def test_backward_line_is_forward_line_of_reversed():
@@ -397,8 +465,8 @@ def test_backward_line_is_forward_line_of_reversed():
     rng = random.Random(0xB4C)
     for _ in range(50):
         inst = random_instance(rng, n_max=12)
-        backward = vars(_Line(inst, "backward"))
-        forward_on_rev = vars(_Line(inst.reverse()))
+        backward = vars(_Line(inst.closure(), "backward"))
+        forward_on_rev = vars(_Line(inst.reverse().closure()))
         assert backward.pop("direction") == "backward"
         assert forward_on_rev.pop("direction") == "forward"
         assert backward == forward_on_rev, inst
@@ -651,6 +719,17 @@ def test_shared_search_cache_matches_fresh_searches(monkeypatch):
                                  cache=SearchCache(inst))
 
 
+def _run_counting_states(inst, searches, cache, starts):
+    """Each search's solution and the station states it evaluates, as a
+    wrapper of `_station_start` records them in `starts`."""
+    out = []
+    for search in searches:
+        starts.clear()
+        sol, = _run_searches(inst, [search], cache)
+        out.append((sol, len(starts)))
+    return out
+
+
 def test_cleared_crews_match_fresh_searches(monkeypatch):
     """With a bound of one cell the crews and their stations' fills are
     cleared as every search but the first starts, as each one builds a
@@ -669,27 +748,58 @@ def test_cleared_crews_match_fresh_searches(monkeypatch):
         starts.append(args)
         return station_start(*args)
 
-    def run_each(inst, searches, cache):
-        """Each search's solution and count of station states."""
-        out = []
-        for search in searches:
-            starts.clear()
-            sol, = _run_searches(inst, [search], cache)
-            out.append((sol, len(starts)))
-        return out
-
     monkeypatch.setattr(constructive, "_clear_at", counted_clear_at)
     monkeypatch.setattr(constructive, "_station_start", counted_station_start)
     for inst, searches in _cache_cases(random.Random(0x5CB), 6):
-        fresh = run_each(inst, searches, None)
+        fresh = _run_counting_states(inst, searches, None, starts)
         clears.clear()
-        shared = run_each(inst, searches, SearchCache(inst))
+        shared = _run_counting_states(inst, searches, SearchCache(inst),
+                                      starts)
         assert [sol for sol, _ in shared] == [sol for sol, _ in fresh], inst
         assert sum(clears) == len(searches) - 1, inst
         for (*_, reduce), (_, n_fresh), (_, n_shared) in zip(searches, fresh,
                                                             shared):
             # a search without reduction may skip cycles proved earlier
             assert n_shared == n_fresh if reduce else n_shared <= n_fresh
+
+
+def test_no_fills_kept_once_the_crews_reach_their_bound(monkeypatch):
+    """With a crew bound that searches reach midway, no station's fills
+    are kept from then on, as the next search clears them unread: the
+    searches of a shared cache find the same solutions and evaluate as
+    many station states as when every fill is kept up to `FILL_CELLS`."""
+    monkeypatch.setattr(constructive, "CREW_CELLS", 64)
+    keep_fills = SearchCache.keep_fills
+    kept = []               # per offered fill: (crews at bound, fill kept)
+
+    def watched_keep_fills(self, crew, key, fills):
+        full = self._crew_cells >= constructive.CREW_CELLS
+        keep_fills(self, crew, key, fills)
+        kept.append((full, (crew.fills or {}).get(key) is fills))
+
+    def keep_below_fill_cells(self, crew, key, fills):
+        if self._fill_cells < constructive.FILL_CELLS:
+            if crew.fills is None:
+                crew.fills = {}
+            crew.fills[key] = fills
+            self._fill_cells += self._cells
+
+    station_start, starts = constructive._station_start, []
+
+    def counted_station_start(*args):
+        starts.append(args)
+        return station_start(*args)
+
+    monkeypatch.setattr(constructive, "_station_start", counted_station_start)
+    for inst, searches in _cache_cases(random.Random(0x5CE), 6):
+        monkeypatch.setattr(SearchCache, "keep_fills", watched_keep_fills)
+        got = _run_counting_states(inst, searches, SearchCache(inst), starts)
+        monkeypatch.setattr(SearchCache, "keep_fills", keep_below_fill_cells)
+        want = _run_counting_states(inst, searches, SearchCache(inst),
+                                    starts)
+        assert got == want, inst
+    assert (True, True) not in kept
+    assert (True, False) in kept and (False, True) in kept
 
 
 def test_run_all_96_builds_each_crew_once(monkeypatch):
@@ -818,3 +928,30 @@ def test_matrix_source_end_to_end(tiny_a):
     assert sol.cycle == 2
     ok, _ = validate_solution(tiny_a, sol)
     assert ok
+
+
+def test_instances_and_lone_searches_keep_little_memory():
+    """A 70x10 line keeps its times and immediate precedence alone, and
+    a lone search on it leaves nothing behind: the closure lives in the
+    search's cache and goes with it."""
+    rng = random.Random(0x3E3)
+    lines = [random_line(rng, name=f"line{k}") for k in range(5)]
+    rows = [[list(row) for row in inst.times] for inst in lines]
+    solve_lower_bound_search(lines[0], TaskRule.MAX_F, WorkerRule.MAX_TASKS)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        built = [Instance(inst.n_tasks, inst.n_workers, times, inst.edges,
+                          inst.name) for inst, times in zip(lines, rows)]
+        per_instance = (tracemalloc.get_traced_memory()[0] - before) / 5
+        before = tracemalloc.get_traced_memory()[0]
+        for inst in built:
+            solve_lower_bound_search(inst, TaskRule.MAX_F,
+                                     WorkerRule.MAX_TASKS)
+        gc.collect()
+        per_search = (tracemalloc.get_traced_memory()[0] - before) / 5
+    finally:
+        tracemalloc.stop()
+    assert per_instance < 30 * 1024
+    assert per_search < 4 * 1024
