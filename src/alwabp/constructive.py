@@ -17,9 +17,10 @@ direction, both read off the instance's one closure.  The searches on
 one instance share a `SearchCache`: the search's start and ceiling, the
 precedence of each direction, per tentative cycle the reduced times, or
 the proof that the cycle is infeasible, and the crews (below) of each
-value of the times, which cycles with equal reduced times share, with
-the stations' fills under named task rules.  The GA's decodes also
-share through it the local search of each solution they build.
+value of the times, which cycles with equal reduced times share.  Within
+one `run_configs` call the configurations of one task rule also share
+the stations' fills.  The GA's decodes share through the cache the local
+search of each solution they build.
 
 Priorities come either from a named task rule or from an externally
 supplied worker x task matrix of values in [0, 1] (larger = earlier).
@@ -180,7 +181,6 @@ class _Crew:
                 elif t < min2[i]:
                     min2[i] = t
         self.ranks = {}             # worker -> its MinRank row
-        self.fills = None           # station -> fills (see `_assemble`)
 
     @cached_property
     def cols(self):
@@ -502,23 +502,19 @@ def _station_fills(times, source, crew, line, left, u_mask, c_bar):
     return fills
 
 
-_TASK_RULES = tuple(TaskRule)
-
-
 def _assemble(times, c_bar, source, worker_rule, line, memo, cache):
     """One pass over `times` in the order of `line`, the `_Line` of its
     direction, at tentative cycle c_bar; None on failure.  The stations
     come back in original line order.
 
     `memo` is `cache.crews(times)`, the table from a set of available
-    workers, as a bitmask, to its `_Crew` over `times`.  Under a named
-    task rule a station's fills and rest bounds depend only on the
-    times, the workers and tasks left, the rule, the direction and
-    c_bar, so the crew keeps them (`_Crew.fills`): a pass that meets a
-    station an earlier pass met, as the three worker rules of one task
-    rule and direction do, reads them there.  The worker rule still
-    picks the worker, and MinBWA still scores each one.  A priority
-    matrix bypasses the memo, as no two GA decodes share a station.
+    workers, as a bitmask, to its `_Crew` over `times`.  When
+    `cache.fills` is not None (see `run_configs`), a station's fills and
+    rest bounds are kept there by cycle, direction and the masks of the
+    workers and tasks left: a pass that meets a station an earlier pass
+    met, as the three worker rules of one task rule and direction do,
+    reads them there.  The worker rule still picks the worker, and
+    MinBWA still scores each one.
 
     A failing pass stops at the first station whose committed worker
     leaves a rest lower bound above c_bar.  That is exact: each of the
@@ -534,22 +530,21 @@ def _assemble(times, c_bar, source, worker_rule, line, memo, cache):
     w_mask = (1 << m) - 1
     picks = []
     crew = w = None         # the previous station's crew and committed worker
-    key = None              # ints only: an Enum hashes in Python
-    if isinstance(source, TaskRule):
-        key = ((c_bar * len(_TASK_RULES) + _TASK_RULES.index(source)) * 2
-               + DIRECTIONS.index(line.direction))
+    table = cache.fills
 
     for _ in range(m):
         parent, crew = crew, memo.get(w_mask)
         if crew is None:
             crew = cache.build_crew(memo, w_mask, times, workers, parent, w)
-        table = crew.fills
-        fills = table.get((key, u_mask)) if table else None
-        if fills is None:
+        if table is None:
             fills = _station_fills(times, source, crew, line, left, u_mask,
                                    c_bar)
-            if key is not None:
-                cache.keep_fills(crew, (key, u_mask), fills)
+        else:
+            key = (c_bar, line.direction, w_mask, u_mask)
+            fills = table.get(key)
+            if fills is None:
+                fills = table[key] = _station_fills(times, source, crew,
+                                                    line, left, u_mask, c_bar)
         best = None
         best_score = None
         for w, fill in zip(workers, fills):
@@ -619,18 +614,6 @@ IMPROVED_CELLS = 1 << 18
 # of one memo per search (unbounded, a 75x19 `run_all_96` took 144 MB).
 CREW_CELLS = 1 << 17
 
-# Table cells (stations x tasks x workers) the stations' fills kept on a
-# SearchCache's crews may hold: every station of a `run_all_96` on small
-# lines (at most 35,392 cells over 280 random lines of up to 8 tasks and
-# 4 workers), the first 94 at 70x10 and 46 at 75x19.  The worker rules
-# rarely share a station on such lines: a `run_all_96` on a 70x10 line
-# (U[1, 50] base times, high variability) evaluates 59,434 station
-# states without fills, 58,747 at this bound and 58,274 at 2^17, while
-# each station kept slows a lone search.  No fill is kept once the crews
-# hold `CREW_CELLS` cells: the next search clears them, fills and all,
-# before any other search could read it.
-FILL_CELLS = 1 << 16
-
 
 def _clear_at(memo, size, cap):
     """Empties `memo` once `size`, its measure, reaches `cap`, and returns
@@ -649,19 +632,17 @@ class SearchCache:
     per tentative cycle the outcome of `preprocess`, and per value of
     the times assemblies run on a table from worker mask to `_Crew`, so
     a search reads the crews any earlier one met at a cycle with equal
-    times, and under a named task rule the stations' fills (see
-    `_assemble`).  The GA's decodes also share the local search of each
-    solution they build (`improved`), counting in `improve_hits` the
-    calls it saved.
+    times.  `fills`, None unless `run_configs` sets it, is the table of
+    the stations' fills that `_assemble` keeps.  The GA's decodes also
+    share the local search of each solution they build (`improved`),
+    counting in `improve_hits` the calls it saved.
 
     One rule (`_clear_at`) bounds two memos by their table cells: the
     local-search memo is cleared at `IMPROVED_CELLS` (solutions x tasks
     x workers), the crews as a search starts with `CREW_CELLS` (crews x
     tasks x workers) or more, so no search builds more crews than on a
-    fresh cache.  The crews keep fills while those hold fewer than
-    `FILL_CELLS` cells and the crews fewer than `CREW_CELLS`, and drop
-    them when they are cleared.  Pass one as the `cache` of every
-    `solve_lower_bound_search` call on `inst`.
+    fresh cache.  Pass one as the `cache` of every `solve_lower_bound_search`
+    call on `inst`.
     """
 
     def __init__(self, inst):
@@ -672,10 +653,10 @@ class SearchCache:
         self._reached = set()   # cycles a search reached without `preprocess`
         self._crews = {}        # times -> {mask: _Crew}
         self._crew_cells = 0    # table cells the crews hold
-        self._fill_cells = 0    # table cells their fills hold
+        self.fills = None       # station -> fills (see `_assemble`)
         self._improved = {}     # solution -> its local-search result
         self.improve_hits = 0
-        # table cells of one crew, one station's fills or one solution
+        # table cells of one crew or one solution
         self._cells = inst.n_tasks * inst.n_workers
 
     @cached_property
@@ -722,25 +703,10 @@ class SearchCache:
         self._crew_cells += self._cells
         return crew
 
-    def keep_fills(self, crew, key, fills):
-        """Keeps a station's `fills` on its crew under `key` while the
-        fills kept hold fewer than `FILL_CELLS` table cells, counting a
-        station as tasks x workers cells, as a crew, and the crews fewer
-        than `CREW_CELLS`."""
-        if (self._fill_cells < FILL_CELLS
-                and self._crew_cells < CREW_CELLS):
-            if crew.fills is None:
-                crew.fills = {}
-            crew.fills[key] = fills
-            self._fill_cells += self._cells
-
     def open_search(self):
-        """Applies the crews' bound, which drops their fills with them;
-        called as a search starts."""
+        """Applies the crews' bound; called as a search starts."""
         self._crew_cells = _clear_at(self._crews, self._crew_cells,
                                      CREW_CELLS)
-        if not self._crews:
-            self._fill_cells = 0
 
     def improved(self, sol, improve):
         """`improve(inst, sol)`, called once per distinct `sol` while the
@@ -780,8 +746,8 @@ def solve_lower_bound_search(inst, source, worker_rule, direction="forward",
     `cache` reached is put to `preprocess`.
     `cache`, a `SearchCache` of `inst`, may be shared between calls on
     the same instance to reuse the search's start and ceiling, the
-    precedence of each direction, the outcomes of `preprocess`, the
-    crews and the stations' fills.
+    precedence of each direction, the outcomes of `preprocess` and the
+    crews.
     """
     if direction != "both" and direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
@@ -820,9 +786,12 @@ def run_configs(inst, configs, use_preprocess=False,
     in the time of the first configuration that needs them.  Without
     reduction a configuration puts to `preprocess` only the cycles an
     earlier one reached, so the first pays for no proof and the later
-    ones skip the cycles proved infeasible; the worker rules after the
-    first of a task rule and direction read the stations' fills it
-    computed.
+    ones skip the cycles proved infeasible.  The configurations of one
+    task rule share a table of the stations' fills (`SearchCache.fills`),
+    started afresh at each new task rule, so the worker rules after the
+    first of a direction read the fills it computed.  Within the call
+    `use_preprocess` is fixed, so the times are a function of the cycle,
+    and the table's key is exact.
     """
     # `_search` is a seam for instrumentation only (the CLI passes its own
     # module's name so a wrapper installed there sees every search), not a
@@ -830,7 +799,10 @@ def run_configs(inst, configs, use_preprocess=False,
     search = _search or solve_lower_bound_search
     rows = []
     cache = SearchCache(inst)
+    rule = None
     for cfg in configs:
+        if cfg.task_rule is not rule:
+            rule, cache.fills = cfg.task_rule, {}
         t0 = time.perf_counter()
         try:
             sol = search(inst, cfg.task_rule, cfg.worker_rule, cfg.direction,

@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 
 from alwabp import (
+    DIRECTIONS,
     HgaParams,
     INFEASIBLE,
     Instance,
@@ -19,9 +20,12 @@ from alwabp import (
     assemble,
     compute_bounds,
     cycle_ceiling,
+    decode,
     evolve,
     lc1,
+    random_chromosome,
     run_all_96,
+    run_configs,
     solve_lower_bound_search,
     validate_solution,
 )
@@ -731,10 +735,10 @@ def _run_counting_states(inst, searches, cache, starts):
 
 
 def test_cleared_crews_match_fresh_searches(monkeypatch):
-    """With a bound of one cell the crews and their stations' fills are
-    cleared as every search but the first starts, as each one builds a
-    crew; every search still equals a fresh one, and each search with
-    reduction evaluates as many station states as a fresh one."""
+    """With a bound of one cell the crews are cleared as every search but
+    the first starts, as each one builds a crew; every search still
+    equals a fresh one, and each search with reduction evaluates as many
+    station states as a fresh one."""
     monkeypatch.setattr(constructive, "CREW_CELLS", 1)
     clear_at, station_start = (constructive._clear_at,
                                constructive._station_start)
@@ -763,43 +767,44 @@ def test_cleared_crews_match_fresh_searches(monkeypatch):
             assert n_shared == n_fresh if reduce else n_shared <= n_fresh
 
 
-def test_no_fills_kept_once_the_crews_reach_their_bound(monkeypatch):
-    """With a crew bound that searches reach midway, no station's fills
-    are kept from then on, as the next search clears them unread: the
-    searches of a shared cache find the same solutions and evaluate as
-    many station states as when every fill is kept up to `FILL_CELLS`."""
-    monkeypatch.setattr(constructive, "CREW_CELLS", 64)
-    keep_fills = SearchCache.keep_fills
-    kept = []               # per offered fill: (crews at bound, fill kept)
+def test_fills_are_kept_only_inside_run_configs(monkeypatch):
+    """A lone search and a decode through a shared cache keep no
+    station's fills; within `run_configs` the table of fills starts
+    empty at each new task rule and is shared by its configurations."""
+    rng = random.Random(0x5CE)
+    for _ in range(4):
+        inst = random_instance(rng)
+        cache = SearchCache(inst)
+        _run_searches(inst, [(TaskRule.MAX_PW_AVG, WorkerRule.MIN_BWA,
+                              "backward", False)], cache)
+        assert cache.fills is None
+        decode(inst, random_chromosome(inst, rng), cache=cache)
+        assert cache.fills is None
 
-    def watched_keep_fills(self, crew, key, fills):
-        full = self._crew_cells >= constructive.CREW_CELLS
-        keep_fills(self, crew, key, fills)
-        kept.append((full, (crew.fills or {}).get(key) is fills))
+    assemble_ = constructive._assemble
+    seen = []               # per assembly: (task rule, its table, size)
 
-    def keep_below_fill_cells(self, crew, key, fills):
-        if self._fill_cells < constructive.FILL_CELLS:
-            if crew.fills is None:
-                crew.fills = {}
-            crew.fills[key] = fills
-            self._fill_cells += self._cells
+    def watched_assemble(times, c, source, worker_rule, line, memo, cache):
+        seen.append((source, cache.fills, len(cache.fills)))
+        return assemble_(times, c, source, worker_rule, line, memo, cache)
 
-    station_start, starts = constructive._station_start, []
-
-    def counted_station_start(*args):
-        starts.append(args)
-        return station_start(*args)
-
-    monkeypatch.setattr(constructive, "_station_start", counted_station_start)
-    for inst, searches in _cache_cases(random.Random(0x5CE), 6):
-        monkeypatch.setattr(SearchCache, "keep_fills", watched_keep_fills)
-        got = _run_counting_states(inst, searches, SearchCache(inst), starts)
-        monkeypatch.setattr(SearchCache, "keep_fills", keep_below_fill_cells)
-        want = _run_counting_states(inst, searches, SearchCache(inst),
-                                    starts)
-        assert got == want, inst
-    assert (True, True) not in kept
-    assert (True, False) in kept and (False, True) in kept
+    monkeypatch.setattr(constructive, "_assemble", watched_assemble)
+    configs = [RuleConfig(t, w, d) for t in (TaskRule.MAX_F, TaskRule.MIN_D,
+                                             TaskRule.MAX_F)
+               for w in WorkerRule for d in DIRECTIONS]
+    for _ in range(4):
+        inst = random_instance(rng)
+        seen.clear()
+        run_configs(inst, configs)
+        tables = []
+        for k, (rule, table, size) in enumerate(seen):
+            if k == 0 or rule is not seen[k - 1][0]:
+                assert size == 0, inst
+                assert all(table is not t for t in tables), inst
+                tables.append(table)
+            else:
+                assert table is tables[-1], inst
+        assert len(tables) == 3, inst
 
 
 def test_run_all_96_builds_each_crew_once(monkeypatch):
@@ -852,8 +857,9 @@ def test_run_all_96_evaluates_each_station_state_once(monkeypatch):
     monkeypatch.setattr(constructive, "_station_start",
                         recording_station_start)
     rng = random.Random(0x5CE)
-    for _ in range(20):
-        inst = random_instance(rng)
+    lines = [random_instance(rng) for _ in range(20)]
+    lines += [random_line(random.Random(s), 30, 5) for s in range(3)]
+    for inst in lines:
         for reduce in (False, True):
             states.clear()
             run_all_96(inst, reduce)
