@@ -297,8 +297,8 @@ def _build_parser():
     c.add_argument("--all-96", action="store_true",
                    help="run every rule/worker-rule/direction combination")
     c.add_argument("--preprocess", action="store_true",
-                   help="reduce instances at each tentative cycle and "
-                        "skip the cycles this proves infeasible")
+                   help="run the assemblies on the times reduced at each "
+                        "tentative cycle")
     c.add_argument("--bkv", help="CSV of best known values (instance,cycle)")
     c.add_argument("--out", default=".", help="report directory")
     c.set_defaults(func=cmd_construct)

@@ -330,10 +330,11 @@ def priority_rows(inst, source, c_bar, cache=None) -> list[list]:
     so the calls sharing one build it once.
     """
     cache = _cache_of(inst, cache)
-    memo, full = cache.crews(inst.times), (1 << inst.n_workers) - 1
-    crew = memo.get(full) or cache.build_crew(memo, full, inst.times,
-                                              range(inst.n_workers), None,
-                                              None)
+    crews, full = cache.crews(inst.times), (1 << inst.n_workers) - 1
+    crew = crews.get(full)
+    if crew is None:
+        crew = crews[full] = _Crew(inst.times, range(inst.n_workers),
+                                   inst.n_tasks, None, None)
     prio = _station_prio(source, crew, cache.lines["forward"],
                          range(inst.n_tasks), c_bar)
     return [list(prio(w)) for w in crew.workers]
@@ -502,19 +503,19 @@ def _station_fills(times, source, crew, line, left, u_mask, c_bar):
     return fills
 
 
-def _assemble(times, c_bar, source, worker_rule, line, memo, cache):
+def _assemble(times, c_bar, source, worker_rule, line, crews, fills):
     """One pass over `times` in the order of `line`, the `_Line` of its
     direction, at tentative cycle c_bar; None on failure.  The stations
     come back in original line order.
 
-    `memo` is `cache.crews(times)`, the table from a set of available
-    workers, as a bitmask, to its `_Crew` over `times`.  When
-    `cache.fills` is not None (see `run_configs`), a station's fills and
-    rest bounds are kept there by cycle, direction and the masks of the
-    workers and tasks left: a pass that meets a station an earlier pass
-    met, as the three worker rules of one task rule and direction do,
-    reads them there.  The worker rule still picks the worker, and
-    MinBWA still scores each one.
+    `crews` is the crew table of `times`, from a set of available
+    workers, as a bitmask, to its `_Crew` over `times`: a station reads
+    its crew there, or builds it and stores it there.  `fills`, when not
+    None, is the table of the stations' fills and rest bounds, by cycle,
+    direction and the masks of the workers and tasks left: a pass that
+    meets a station an earlier pass met, as the three worker rules of
+    one task rule and direction do, reads them there.  The worker rule
+    still picks the worker, and MinBWA still scores each one.
 
     A failing pass stops at the first station whose committed worker
     leaves a rest lower bound above c_bar.  That is exact: each of the
@@ -530,24 +531,24 @@ def _assemble(times, c_bar, source, worker_rule, line, memo, cache):
     w_mask = (1 << m) - 1
     picks = []
     crew = w = None         # the previous station's crew and committed worker
-    table = cache.fills
 
     for _ in range(m):
-        parent, crew = crew, memo.get(w_mask)
+        parent, crew = crew, crews.get(w_mask)
         if crew is None:
-            crew = cache.build_crew(memo, w_mask, times, workers, parent, w)
-        if table is None:
-            fills = _station_fills(times, source, crew, line, left, u_mask,
-                                   c_bar)
+            crew = crews[w_mask] = _Crew(times, workers, n, parent, w)
+        if fills is None:
+            station = _station_fills(times, source, crew, line, left, u_mask,
+                                     c_bar)
         else:
             key = (c_bar, line.direction, w_mask, u_mask)
-            fills = table.get(key)
-            if fills is None:
-                fills = table[key] = _station_fills(times, source, crew,
-                                                    line, left, u_mask, c_bar)
+            station = fills.get(key)
+            if station is None:
+                station = fills[key] = _station_fills(times, source, crew,
+                                                      line, left, u_mask,
+                                                      c_bar)
         best = None
         best_score = None
-        for w, fill in zip(workers, fills):
+        for w, fill in zip(workers, station):
             T, load, picked, rlb = fill
             if worker_rule is WorkerRule.MAX_TASKS:
                 score = (-len(picked), rlb, c_bar - load, w)
@@ -582,13 +583,14 @@ def assemble(inst, c_bar, source, worker_rule,
 
     Returns a feasible Solution or None when tasks remain unassigned.
     Backward runs fill the stations from the end of the line and report
-    them in original line order.
+    them in original line order.  A priority matrix `source` must be
+    workers x tasks (else ValueError).
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
-    cache = SearchCache(inst)
+    _check_source(inst, source)
     return _assemble(inst.times, c_bar, source, worker_rule,
-                     cache.lines[direction], cache.crews(inst.times), cache)
+                     _Line(inst.closure(), direction), {}, None)
 
 
 def cycle_ceiling(inst) -> int:
@@ -615,16 +617,6 @@ IMPROVED_CELLS = 1 << 18
 CREW_CELLS = 1 << 17
 
 
-def _clear_at(memo, size, cap):
-    """Empties `memo` once `size`, its measure, reaches `cap`, and returns
-    the measure left; its entries are pure functions of their keys, so
-    this costs hits, never results."""
-    if size >= cap:
-        memo.clear()
-        return 0
-    return size
-
-
 class SearchCache:
     """What the lower-bound searches on one instance share: the search's
     start (LC1) and ceiling, the precedence of each direction (`lines`,
@@ -633,16 +625,20 @@ class SearchCache:
     the times assemblies run on a table from worker mask to `_Crew`, so
     a search reads the crews any earlier one met at a cycle with equal
     times.  `fills`, None unless `run_configs` sets it, is the table of
-    the stations' fills that `_assemble` keeps.  The GA's decodes also
-    share the local search of each solution they build (`improved`),
-    counting in `improve_hits` the calls it saved.
+    the stations' fills.  The GA's decodes also share the local search
+    of each solution they build (`improved`), counting in `improve_hits`
+    the calls it saved.
 
-    One rule (`_clear_at`) bounds two memos by their table cells: the
-    local-search memo is cleared at `IMPROVED_CELLS` (solutions x tasks
-    x workers), the crews as a search starts with `CREW_CELLS` (crews x
-    tasks x workers) or more, so no search builds more crews than on a
-    fresh cache.  Pass one as the `cache` of every `solve_lower_bound_search`
-    call on `inst`.
+    `solve_lower_bound_search` alone reads the fills: it hands
+    `_assemble` the crew table of the times it runs on and the fills,
+    and the assembly reads and extends both.  `priority_rows` reads and
+    extends the crew table of the instance's times.  `open_search`
+    clears the crews as a search starts once all their tables together
+    hold `CREW_CELLS` table cells (crews x tasks x workers), so no
+    search builds more crews than on a fresh cache; the local-search
+    memo is cleared once it holds `IMPROVED_CELLS` (solutions x tasks x
+    workers).  Pass one as the `cache` of every
+    `solve_lower_bound_search` call on `inst`.
     """
 
     def __init__(self, inst):
@@ -652,7 +648,6 @@ class SearchCache:
         self._reduced = {}      # cycle -> reduced times, None if infeasible
         self._reached = set()   # cycles a search reached without `preprocess`
         self._crews = {}        # times -> {mask: _Crew}
-        self._crew_cells = 0    # table cells the crews hold
         self.fills = None       # station -> fills (see `_assemble`)
         self._improved = {}     # solution -> its local-search result
         self.improve_hits = 0
@@ -694,19 +689,12 @@ class SearchCache:
         """The crew table of `times`, shared by every set of equal times."""
         return self._crews.setdefault(times, {})
 
-    def build_crew(self, memo, mask, times, workers, parent, gone):
-        """Builds the `_Crew` of the workers `workers` (as a bitmask,
-        `mask`) over `times` from `parent` without `gone` (see `_Crew`),
-        and keeps it in `memo`, the crew table of `times`."""
-        crew = memo[mask] = _Crew(times, workers, len(times[0]), parent,
-                                  gone)
-        self._crew_cells += self._cells
-        return crew
-
     def open_search(self):
-        """Applies the crews' bound; called as a search starts."""
-        self._crew_cells = _clear_at(self._crews, self._crew_cells,
-                                     CREW_CELLS)
+        """Clears the crews, as a search starts, once their tables
+        together hold `CREW_CELLS` table cells; a crew is a pure function
+        of its times and workers, so this costs hits, never results."""
+        if sum(map(len, self._crews.values())) * self._cells >= CREW_CELLS:
+            self._crews.clear()
 
     def improved(self, sol, improve):
         """`improve(inst, sol)`, called once per distinct `sol` while the
@@ -715,12 +703,21 @@ class SearchCache:
         table cells."""
         out = self._improved.get(sol)
         if out is None:
-            _clear_at(self._improved, len(self._improved) * self._cells,
-                      IMPROVED_CELLS)
+            if len(self._improved) * self._cells >= IMPROVED_CELLS:
+                self._improved.clear()
             out = self._improved[sol] = improve(self.inst, sol)
         else:
             self.improve_hits += 1
         return out
+
+
+def _check_source(inst, source):
+    """Refuses a priority matrix that is not workers x tasks."""
+    if not isinstance(source, TaskRule) and (
+            len(source) != inst.n_workers
+            or any(len(row) != inst.n_tasks for row in source)):
+        raise ValueError(f"{inst.name}: the priority matrix must be "
+                         f"{inst.n_workers} x {inst.n_tasks}")
 
 
 def _cache_of(inst, cache):
@@ -739,11 +736,12 @@ def solve_lower_bound_search(inst, source, worker_rule, direction="forward",
     """Increase the tentative cycle one by one until an assembly succeeds.
 
     Starts at LC1 unless c_start is given.  direction 'both' tries
-    forward then backward at every tentative cycle.  With use_preprocess
-    the instance is reduced at each tentative cycle first.  A cycle that
-    `preprocess` proves infeasible is skipped, as no assembly can succeed
-    there; without reduction only a cycle that an earlier search through
-    `cache` reached is put to `preprocess`.
+    forward then backward at every tentative cycle.  A priority matrix
+    `source` must be workers x tasks (else ValueError).  With
+    use_preprocess the instance is reduced at each tentative cycle
+    first.  A cycle that `preprocess` proves infeasible is skipped, as
+    no assembly can succeed there; without reduction only a cycle that
+    an earlier search through `cache` reached is put to `preprocess`.
     `cache`, a `SearchCache` of `inst`, may be shared between calls on
     the same instance to reuse the search's start and ceiling, the
     precedence of each direction, the outcomes of `preprocess` and the
@@ -753,16 +751,17 @@ def solve_lower_bound_search(inst, source, worker_rule, direction="forward",
         raise ValueError(f"unknown direction {direction!r}")
     directions = DIRECTIONS if direction == "both" else (direction,)
     cache = _cache_of(inst, cache)
+    _check_source(inst, source)
     cache.open_search()
     c = c_start if c_start is not None else cache.start
     ceiling = max(cache.ceiling, c)     # an explicit start is always tried
     while c <= ceiling:
         times = cache.times(c, use_preprocess)
         if times is not None:
-            memo = cache.crews(times)
+            crews = cache.crews(times)
             for d in directions:
                 sol = _assemble(times, c, source, worker_rule, cache.lines[d],
-                                memo, cache)
+                                crews, cache.fills)
                 if sol is not None:
                     return sol
         c += 1

@@ -139,9 +139,12 @@ def random_chromosome(inst, rng) -> Chromosome:
 def crossover(a: Chromosome, b: Chromosome, q: float,
               rng: random.Random) -> Chromosome:
     """Biased uniform crossover: each cell comes from a with probability
-    q (a is meant to be the elite parent), else from b."""
+    q (a is meant to be the elite parent), else from b.  Parents of
+    different shapes are refused."""
     if not 0.5 <= q <= 1.0:
         raise ValueError("crossover probability must be in [0.5, 1]")
+    if list(map(len, a.p)) != list(map(len, b.p)):
+        raise ValueError("crossover parents differ in shape")
     return Chromosome(tuple(
         tuple(x if rng.random() < q else y for x, y in zip(ra, rb))
         for ra, rb in zip(a.p, b.p)))

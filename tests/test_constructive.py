@@ -448,6 +448,19 @@ def test_assemble_rejects_bad_direction(tiny_a):
         assemble(tiny_a, 2, TaskRule.MAX_F, WorkerRule.MIN_RLB, "up")
 
 
+@pytest.mark.parametrize("rows", [[[0.5] * 5] * 3, [[0.5]] * 2, [[0.5] * 3],
+                                  [[0.5] * 3, [0.5] * 2]])
+def test_matrix_of_another_shape_is_refused(tiny_a, rows):
+    """A priority matrix must hold one row per worker and one priority
+    per task: 2 x 3 on tiny-A."""
+    with pytest.raises(ValueError, match="2 x 3"):
+        assemble(tiny_a, 9, rows, WorkerRule.MIN_RLB)
+    for direction in DIRECTIONS + ("both",):
+        with pytest.raises(ValueError, match="2 x 3"):
+            solve_lower_bound_search(tiny_a, rows, WorkerRule.MIN_RLB,
+                                     direction, cache=SearchCache(tiny_a))
+
+
 def test_backward_is_forward_on_reversed(tiny_a):
     rev = tiny_a.reverse()
     fwd_on_rev = assemble(rev, 2, TaskRule.MIN_TIME_MIN, WorkerRule.MAX_TASKS)
@@ -740,19 +753,20 @@ def test_cleared_crews_match_fresh_searches(monkeypatch):
     equals a fresh one, and each search with reduction evaluates as many
     station states as a fresh one."""
     monkeypatch.setattr(constructive, "CREW_CELLS", 1)
-    clear_at, station_start = (constructive._clear_at,
-                               constructive._station_start)
+    open_search, station_start = (SearchCache.open_search,
+                                  constructive._station_start)
     clears, starts = [], []
 
-    def counted_clear_at(memo, size, cap):
-        clears.append(size >= cap and bool(memo))
-        return clear_at(memo, size, cap)
+    def counted_open_search(cache):
+        held = bool(cache._crews)
+        open_search(cache)
+        clears.append(held and not cache._crews)
 
     def counted_station_start(*args):
         starts.append(args)
         return station_start(*args)
 
-    monkeypatch.setattr(constructive, "_clear_at", counted_clear_at)
+    monkeypatch.setattr(SearchCache, "open_search", counted_open_search)
     monkeypatch.setattr(constructive, "_station_start", counted_station_start)
     for inst, searches in _cache_cases(random.Random(0x5CB), 6):
         fresh = _run_counting_states(inst, searches, None, starts)
@@ -765,6 +779,33 @@ def test_cleared_crews_match_fresh_searches(monkeypatch):
                                                             shared):
             # a search without reduction may skip cycles proved earlier
             assert n_shared == n_fresh if reduce else n_shared <= n_fresh
+
+
+def test_crew_bound_counts_every_crew_table(monkeypatch):
+    """With reduction a search reads several crew tables, one per value
+    of the times.  With a bound of k crews, a search starts with the
+    crews cleared exactly when all the tables together held k crews or
+    more, also where no single table held k."""
+    open_search = SearchCache.open_search
+    starts = []             # per search: (crews per table, cleared)
+
+    def watched_open_search(cache):
+        sizes = [len(table) for table in cache._crews.values()]
+        open_search(cache)
+        starts.append((sizes, bool(sizes) and not cache._crews))
+
+    monkeypatch.setattr(SearchCache, "open_search", watched_open_search)
+    split = 0               # starts where only the sum of the tables reached k
+    for inst, searches in _cache_cases(random.Random(0x5CF), 6):
+        for k in (2, 3, 5, 8):
+            monkeypatch.setattr(constructive, "CREW_CELLS",
+                                k * inst.n_tasks * inst.n_workers)
+            starts.clear()
+            _run_searches(inst, searches, SearchCache(inst))
+            for sizes, cleared in starts:
+                assert cleared == (sum(sizes) >= k), (inst, k, sizes)
+                split += max(sizes, default=0) < k <= sum(sizes)
+    assert split >= 20
 
 
 def test_fills_are_kept_only_inside_run_configs(monkeypatch):
@@ -784,9 +825,9 @@ def test_fills_are_kept_only_inside_run_configs(monkeypatch):
     assemble_ = constructive._assemble
     seen = []               # per assembly: (task rule, its table, size)
 
-    def watched_assemble(times, c, source, worker_rule, line, memo, cache):
-        seen.append((source, cache.fills, len(cache.fills)))
-        return assemble_(times, c, source, worker_rule, line, memo, cache)
+    def watched_assemble(times, c, source, worker_rule, line, crews, fills):
+        seen.append((source, fills, len(fills)))
+        return assemble_(times, c, source, worker_rule, line, crews, fills)
 
     monkeypatch.setattr(constructive, "_assemble", watched_assemble)
     configs = [RuleConfig(t, w, d) for t in (TaskRule.MAX_F, TaskRule.MIN_D,

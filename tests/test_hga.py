@@ -105,6 +105,15 @@ def test_crossover_degenerate_cases():
     assert c1 == c2
 
 
+def test_crossover_refuses_parents_of_different_shapes():
+    a = Chromosome(((1.0,) * 3,) * 2)
+    for p in [((0.0,) * 5,) * 3, ((0.0,) * 3,), ((0.0,) * 2,) * 2,
+              ((0.0,) * 3, (0.0,) * 2)]:
+        for pair in [(a, Chromosome(p)), (Chromosome(p), a)]:
+            with pytest.raises(ValueError, match="shape"):
+                crossover(*pair, 0.5, random.Random(4))
+
+
 def test_crossover_bias_statistics():
     n = 100
     a = Chromosome((tuple([1.0] * n),) * n)
@@ -121,6 +130,13 @@ def test_decode_tiny(tiny_a):
     assert fit == Fitness(2, 1.0)       # (2 + 1 + 1) / (2 stations * 2)
     sol, fit = decode(tiny_a, random_chromosome(tiny_a, random.Random(3)))
     assert fit.cycle == 2 and fit.norm_load == 1.0
+
+
+@pytest.mark.parametrize("rows,cols", [(3, 5), (2, 1)])
+def test_decode_refuses_a_chromosome_of_another_shape(tiny_a, rows, cols):
+    """tiny-A has 2 workers and 3 tasks."""
+    with pytest.raises(ValueError, match="2 x 3"):
+        decode(tiny_a, Chromosome(((0.5,) * cols,) * rows))
 
 
 def test_decode_ties_are_deterministic(tiny_a):
