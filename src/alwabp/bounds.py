@@ -73,7 +73,11 @@ def _head_tail(inst: Instance) -> tuple[list, list]:
 
 
 def station_windows(inst: Instance, c: int) -> tuple[list[int], list[int]]:
-    """Earliest and latest station (1-based) each task can occupy at cycle c."""
+    """Earliest and latest station (1-based) each task can occupy at cycle
+    c; a cycle below 1 is refused with ValueError."""
+    if c < 1:
+        raise ValueError(f"station windows need a cycle of at least 1, "
+                         f"got {c}")
     head, tail = _head_tail(inst)
     m = inst.n_workers
     earliest = [_ceil_div(h, c) for h in head]
@@ -114,6 +118,12 @@ class BoundsReport:
 
 def compute_bounds(inst: Instance,
                    external_relax: float | None = None) -> BoundsReport:
+    """LC1, LC2, LC3 and their maximum, raised to an external relaxation
+    bound when one is given; a non-finite one is refused with
+    ValueError."""
+    if external_relax is not None and not math.isfinite(external_relax):
+        raise ValueError("the external relaxation bound must be finite, "
+                         f"got {external_relax!r}")
     a = lc1(inst)
     b = lc2(inst)
     c = lc3(inst, max(a, b))

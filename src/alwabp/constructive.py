@@ -325,10 +325,12 @@ def priority_rows(inst, source, c_bar, cache=None) -> list[list]:
     a priority matrix.
 
     INFEASIBLE times count as c_bar where an aggregate needs a finite
-    stand-in.  `cache`, a `SearchCache` of `inst` (a fresh one by
+    stand-in.  A priority matrix `source` must be workers x tasks (else
+    ValueError).  `cache`, a `SearchCache` of `inst` (a fresh one by
     default), holds the crew of every worker over the instance's times,
     so the calls sharing one build it once.
     """
+    _check_source(inst, source)
     cache = _cache_of(inst, cache)
     crews, full = cache.crews(inst.times), (1 << inst.n_workers) - 1
     crew = crews.get(full)
@@ -487,9 +489,10 @@ def _rest_bound(totals, others, w, picked, crew):
 
 # -- full assembly ------------------------------------------------------------
 
-def _station_fills(times, source, crew, line, left, u_mask, c_bar):
+def _station_fills(source, crew, line, left, u_mask, c_bar):
     """Each available worker's (T mask, load, tasks in order, rest
     bound) at a station, in `crew.workers` order."""
+    times = crew.times
     ready, totals = _station_start(left, u_mask, line.pred_masks, crew,
                                    len(times))
     prio_of = _station_prio(source, crew, line, left, c_bar)
@@ -537,15 +540,13 @@ def _assemble(times, c_bar, source, worker_rule, line, crews, fills):
         if crew is None:
             crew = crews[w_mask] = _Crew(times, workers, n, parent, w)
         if fills is None:
-            station = _station_fills(times, source, crew, line, left, u_mask,
-                                     c_bar)
+            station = _station_fills(source, crew, line, left, u_mask, c_bar)
         else:
             key = (c_bar, line.direction, w_mask, u_mask)
             station = fills.get(key)
             if station is None:
-                station = fills[key] = _station_fills(times, source, crew,
-                                                      line, left, u_mask,
-                                                      c_bar)
+                station = fills[key] = _station_fills(source, crew, line,
+                                                      left, u_mask, c_bar)
         best = None
         best_score = None
         for w, fill in zip(workers, station):
@@ -571,10 +572,9 @@ def _assemble(times, c_bar, source, worker_rule, line, crews, fills):
 
     if line.direction == "backward":
         picks.reverse()
-    stations = tuple((w, frozenset(sorted(picked))) for w, picked, _ in picks)
+    stations = tuple((w, frozenset(picked)) for w, picked, _ in picks)
     loads = tuple(load for _, _, load in picks)
-    return Solution(stations, loads, max(loads) if loads else 0,
-                    line.direction)
+    return Solution(stations, loads, max(loads), line.direction)
 
 
 def assemble(inst, c_bar, source, worker_rule,
@@ -619,15 +619,15 @@ CREW_CELLS = 1 << 17
 
 class SearchCache:
     """What the lower-bound searches on one instance share: the search's
-    start (LC1) and ceiling, the precedence of each direction (`lines`,
-    read off the instance's closure, which the cache alone keeps),
-    per tentative cycle the outcome of `preprocess`, and per value of
-    the times assemblies run on a table from worker mask to `_Crew`, so
-    a search reads the crews any earlier one met at a cycle with equal
-    times.  `fills`, None unless `run_configs` sets it, is the table of
-    the stations' fills.  The GA's decodes also share the local search
-    of each solution they build (`improved`), counting in `improve_hits`
-    the calls it saved.
+    `start` (LC1) and `ceiling`, both set at construction, the precedence
+    of each direction (`lines`, read off the instance's closure, which
+    the cache alone keeps), per tentative cycle the outcome of
+    `preprocess`, and per value of the times assemblies run on a table
+    from worker mask to `_Crew`, so a search reads the crews any earlier
+    one met at a cycle with equal times.  `fills`, None unless
+    `run_configs` sets it, is the table of the stations' fills.  The
+    GA's decodes also share the local search of each solution they build
+    (`improved`), counting in `improve_hits` the calls it saved.
 
     `solve_lower_bound_search` alone reads the fills: it hands
     `_assemble` the crew table of the times it runs on and the fills,
@@ -653,14 +653,8 @@ class SearchCache:
         self.improve_hits = 0
         # table cells of one crew or one solution
         self._cells = inst.n_tasks * inst.n_workers
-
-    @cached_property
-    def start(self) -> int:
-        return lc1(self.inst)
-
-    @cached_property
-    def ceiling(self) -> int:
-        return cycle_ceiling(self.inst)
+        self.start = lc1(inst)
+        self.ceiling = cycle_ceiling(inst)
 
     def times(self, c, use_preprocess):
         """The times assemblies at tentative cycle c run on, the reduced

@@ -59,6 +59,11 @@ class HgaParams:
     stop_at_lower_bound: bool = True
 
     def __post_init__(self):
+        for name in ("p", "p_e", "p_r", "max_iters", "max_stale_iters"):
+            value = getattr(self, name)
+            if not (isinstance(value, int)
+                    or value is None and name in ("p_e", "p_r")):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.p < 2:
             raise ValueError("population p must hold at least two "
                              "individuals (one elite and one offspring), "
@@ -115,8 +120,11 @@ def encode_rule(inst, rule: TaskRule, c_bar=None, cache=None) -> Chromosome:
     worst 0.  Aggregates use max(LC1, LC2, LC3) to stand in for
     INFEASIBLE entries unless a cycle is given.  `cache`, a `SearchCache`
     of `inst`, lets the encodings of a run share the full crew's
-    statistics, as `priority_rows` explains.
+    statistics, as `priority_rows` explains.  Any `rule` but a
+    `TaskRule` is refused with ValueError.
     """
+    if not isinstance(rule, TaskRule):
+        raise ValueError(f"encode_rule needs a TaskRule, got {rule!r}")
     n = inst.n_tasks
     if c_bar is None:
         c_bar = compute_bounds(inst).best

@@ -27,7 +27,7 @@ from bisect import insort
 from dataclasses import dataclass
 
 from .instance import INFEASIBLE
-from .solution import Solution
+from .solution import Solution, validate_solution
 
 
 @dataclass(frozen=True)
@@ -187,12 +187,9 @@ class _State:
         return (sum(row_b[i] for i in self.tasks[a]),
                 sum(row_a[j] for j in self.tasks[b]))
 
-    def do_worker_swap(self, a, b):
+    def do_worker_swap(self, a, b, la, lb):
         self.workers[a], self.workers[b] = self.workers[b], self.workers[a]
-        self.loads[a] = sum(self.times[self.workers[a]][i]
-                            for i in self.tasks[a])
-        self.loads[b] = sum(self.times[self.workers[b]][j]
-                            for j in self.tasks[b])
+        self.loads[a], self.loads[b] = la, lb
 
 
 # Every pass below starts from a state whose key is `key`, with no station
@@ -326,7 +323,7 @@ def _try_worker_swap(st, key, moves):
                 continue
             la, lb = st.worker_swap_loads(a, b)
             if _beats(key, count, loads, a, la, b, lb):
-                st.do_worker_swap(a, b)
+                st.do_worker_swap(a, b, la, lb)
                 if moves is not None:
                     moves.append(WorkerSwap(a, b))
                 return True
@@ -337,7 +334,12 @@ def improve(inst, sol: Solution,
             moves: list[Move] | None = None) -> Solution:
     """Descend until no move is accepted; never worsens, never breaks
     feasibility.  When `moves` is a list, accepted moves are appended.
-    An accepted move that does not lower the key raises RuntimeError."""
+    A solution that `validate_solution` rejects raises ValueError, and
+    an accepted move that does not lower the key RuntimeError."""
+    ok, violations = validate_solution(inst, sol)
+    if not ok:
+        raise ValueError(f"{inst.name}: cannot improve an invalid "
+                         f"solution: {'; '.join(violations)}")
     st = _State(inst, sol)
     key = st.key()
     while True:

@@ -57,6 +57,12 @@ def test_station_windows(tiny_a):
     assert latest == [2, 2, 2]
 
 
+@pytest.mark.parametrize("c", [0, -1])
+def test_station_windows_refuses_cycle_below_one(tiny_a, c):
+    with pytest.raises(ValueError, match="at least 1"):
+        station_windows(tiny_a, c)
+
+
 def test_lc3(tiny_a):
     assert lc3(tiny_a, 1) == 2
     assert lc3(tiny_a) == 2
@@ -76,6 +82,13 @@ def test_compute_bounds(tiny_a):
     assert rep.best == 3
     rep = compute_bounds(tiny_a, external_relax=2.0)
     assert rep.best == 2
+
+
+@pytest.mark.parametrize("relax", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_compute_bounds_refuses_non_finite_relax(tiny_a, relax):
+    with pytest.raises(ValueError, match="must be finite"):
+        compute_bounds(tiny_a, relax)
 
 
 def test_relax_sidecar(tmp_path, tiny_a):

@@ -461,6 +461,15 @@ def test_matrix_of_another_shape_is_refused(tiny_a, rows):
                                      direction, cache=SearchCache(tiny_a))
 
 
+def test_priority_rows_refuses_matrix_of_another_shape(tiny_a):
+    """priority_rows reads a matrix row by worker and entry by task, so
+    it refuses any shape but 2 x 3 on tiny-A, as `assemble` does."""
+    for rows in ([[0.5] * 5] * 3, [[0.5]] * 2, [[0.5] * 3, [0.5] * 2]):
+        with pytest.raises(ValueError, match="2 x 3"):
+            priority_rows(tiny_a, rows, 5)
+    assert priority_rows(tiny_a, [[0.5] * 3] * 2, 5) == [[0.5] * 3] * 2
+
+
 def test_backward_is_forward_on_reversed(tiny_a):
     rev = tiny_a.reverse()
     fwd_on_rev = assemble(rev, 2, TaskRule.MIN_TIME_MIN, WorkerRule.MAX_TASKS)

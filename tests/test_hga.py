@@ -85,6 +85,24 @@ def test_encode_rule_tiny(tiny_a):
         assert all(0.0 <= v <= 1.0 for row in chrom.p for v in row)
 
 
+def test_encode_rule_refuses_anything_but_a_task_rule(tiny_a):
+    """A matrix would come back as a chromosome built from its rows,
+    whatever its shape."""
+    for source in ([[0.5] * 5] * 3, [[0.5] * 3] * 2, "MaxF",
+                   WorkerRule.MIN_RLB):
+        with pytest.raises(ValueError, match="needs a TaskRule"):
+            encode_rule(tiny_a, source)
+
+
+def test_params_refuse_non_integer_counts():
+    for name, value in (("p", 2.5), ("p_e", 1.0), ("p_r", 0.5),
+                        ("max_iters", 1.5), ("max_stale_iters", 2.0),
+                        ("max_iters", "3")):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            HgaParams(**{"p": 10, name: value})
+    assert HgaParams(p=10, p_e=None, p_r=None).p_e == 2
+
+
 def test_random_chromosome_deterministic(tiny_a):
     a = random_chromosome(tiny_a, random.Random(5))
     b = random_chromosome(tiny_a, random.Random(5))

@@ -80,6 +80,22 @@ def test_improve_keeps_direction(tiny_a):
     assert improve(tiny_a, start).direction == "backward"
 
 
+@pytest.mark.parametrize("stations, violation", [
+    ([(0, {0, 1, 2})], "expected 2 stations, got 1"),
+    ([(0, {0}), (1, {1, 2, 6})], "unknown task 7"),
+    ([(0, {1}), (1, {0, 2})], "task 1 must not come after task 2"),
+])
+def test_improve_refuses_an_invalid_solution(tiny_a, stations, violation):
+    """The descent indexes stations by worker and tasks by index, so a
+    solution that `validate_solution` rejects is refused up front with
+    its violations."""
+    sol = Solution(tuple((w, frozenset(ts)) for w, ts in stations),
+                   (9,) * len(stations), 9)
+    with pytest.raises(ValueError, match=f"^tiny-A: cannot improve an "
+                       f"invalid solution: .*{violation}"):
+        improve(tiny_a, sol)
+
+
 def test_improve_fails_on_a_move_that_does_not_lower_the_key(tiny_a,
                                                               monkeypatch):
     """A pass that accepts a move which does not lower the key makes
