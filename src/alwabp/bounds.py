@@ -28,15 +28,7 @@ class CycleInfeasibleError(Exception):
 
 
 def min_times(inst: Instance) -> list:
-    out = []
-    for i in range(inst.n_tasks):
-        best = INFEASIBLE
-        for w in range(inst.n_workers):
-            t = inst.times[w][i]
-            if t < best:
-                best = t
-        out.append(best)
-    return out
+    return [min(col) for col in zip(*inst.times)]
 
 
 def _ceil_div(a, b) -> int:
@@ -52,12 +44,8 @@ def lc2(inst: Instance) -> int:
     # t sorted non-increasingly, 1-based position p -> t[p - 1]
     t = sorted(min_times(inst), reverse=True)
     n, m = inst.n_tasks, inst.n_workers
-    best = 0
-    for k in range(1, (n - 1) // m + 1):
-        s = sum(t[k * m - i] for i in range(k + 1))    # positions km+1-i
-        if s > best:
-            best = s
-    return best
+    return max((sum(t[k * m - i] for i in range(k + 1))  # positions km+1-i
+                for k in range(1, (n - 1) // m + 1)), default=0)
 
 
 def _head_tail(inst: Instance) -> tuple[list, list]:
@@ -96,15 +84,10 @@ def lc3(inst: Instance, c_start: int | None = None) -> int:
     head, tail = _head_tail(inst)
     m = inst.n_workers
     c = max(1, c_start)
-    while True:
-        ok = True
-        for h, t in zip(head, tail):
-            if _ceil_div(h, c) > m + 1 - _ceil_div(t, c):
-                ok = False
-                break
-        if ok:
-            return c
+    while any(_ceil_div(h, c) > m + 1 - _ceil_div(t, c)
+              for h, t in zip(head, tail)):
         c += 1
+    return c
 
 
 @dataclass(frozen=True)
@@ -192,10 +175,7 @@ def _no_assignment(times, pred, succ, c) -> bool:
     """
     n, m = len(times[0]), len(times)
     bits = [1 << i for i in range(n)]
-    pred_masks = [0] * n
-    for i, ps in enumerate(pred):
-        for p in ps:
-            pred_masks[i] |= bits[p]
+    pred_masks = [sum(bits[p] for p in ps) for ps in pred]
     fastest = {}            # used-worker mask -> fastest time per task
     failed = set()
     left = SEARCH_SCANS
@@ -279,45 +259,27 @@ def preprocess(inst: Instance, c: int) -> tuple[Instance, int]:
     """
     n, m = inst.n_tasks, inst.n_workers
     times = [list(row) for row in inst.times]
-    finite_count = [0] * n
-    sole_worker = [-1] * n
-    for i in range(n):
-        for w in range(m):
-            if times[w][i] != INFEASIBLE:
-                finite_count[i] += 1
-                sole_worker[i] = w
+    finite_count = [m - col.count(INFEASIBLE) for col in zip(*times)]
 
     removed = 0
     changed = 1 in finite_count     # only a sole worker removes cells
     if changed:
         clo = inst.closure()
+        succ_star, pred_star = clo.succ_star, clo.pred_star
     while changed:
         changed = False
         for i in range(n):
             if finite_count[i] != 1:
                 continue
-            w = sole_worker[i]
-            t_i = times[w][i]
-            row = times[w]
+            row = next(r for r in times if r[i] != INFEASIBLE)
+            t_i = row[i]
             for k in range(n):
                 if k == i or row[k] == INFEASIBLE:
                     continue
-                if k in clo.succ_star[i]:
-                    between = clo.succ_star[i] & clo.pred_star[k]
-                elif k in clo.pred_star[i]:
-                    between = clo.succ_star[k] & clo.pred_star[i]
-                else:
-                    between = ()
-                total = t_i + row[k]
-                over = total > c
-                if not over:
-                    for j in between:
-                        t = row[j]
-                        if t == INFEASIBLE or total + t > c:
-                            over = True
-                            break
-                        total += t
-                if over:
+                # in an acyclic order at most one side is nonempty
+                between = ((succ_star[i] & pred_star[k])
+                           | (succ_star[k] & pred_star[i]))
+                if t_i + row[k] + sum(row[j] for j in between) > c:
                     row[k] = INFEASIBLE
                     finite_count[k] -= 1
                     removed += 1
@@ -326,9 +288,6 @@ def preprocess(inst: Instance, c: int) -> tuple[Instance, int]:
                         raise CycleInfeasibleError(
                             f"cycle time {c} proven infeasible: task {k + 1} "
                             f"lost its last capable worker")
-                    if finite_count[k] == 1:
-                        sole_worker[k] = next(
-                            v for v in range(m) if times[v][k] != INFEASIBLE)
 
     if _no_assignment(times, inst.pred, inst.succ, c):
         raise CycleInfeasibleError(f"cycle time {c} proven infeasible by "

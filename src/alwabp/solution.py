@@ -19,9 +19,8 @@ class Solution:
     @classmethod
     def build(cls, inst: Instance, stations, direction="forward") -> "Solution":
         norm = tuple((w, frozenset(ts)) for w, ts in stations)
-        loads = tuple(
-            sum(inst.times[w][i] for i in ts) if ts else 0 for w, ts in norm)
-        return cls(norm, loads, max(loads) if loads else 0, direction)
+        loads = tuple(sum(inst.times[w][i] for i in ts) for w, ts in norm)
+        return cls(norm, loads, max(loads, default=0), direction)
 
 
 def validate_solution(inst: Instance, sol: Solution) -> tuple[bool, list[str]]:
@@ -62,9 +61,8 @@ def validate_solution(inst: Instance, sol: Solution) -> tuple[bool, list[str]]:
             v.append(f"task {i + 1} must not come after task {j + 1}")
 
     if not v:
-        loads = tuple(
-            sum(inst.times[w][i] for i in ts) if ts else 0
-            for w, ts in sol.stations)
+        loads = tuple(sum(inst.times[w][i] for i in ts)
+                      for w, ts in sol.stations)
         if tuple(sol.loads) != loads:
             v.append(f"recorded loads {sol.loads} differ from {loads}")
         elif sol.cycle != max(loads):
