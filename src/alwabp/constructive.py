@@ -180,7 +180,6 @@ class _Crew:
                     amin[i] = w
                 elif t < min2[i]:
                     min2[i] = t
-        self.ranks = {}             # worker -> its MinRank row
 
     @cached_property
     def cols(self):
@@ -191,6 +190,14 @@ class _Crew:
     def ranked(self):
         """Per task: its times over the workers, sorted."""
         return list(map(sorted, self.cols))
+
+    @cached_property
+    def ranks(self):
+        """Per worker: its MinRank row, minus the number of workers
+        faster than it on each task."""
+        return {w: [-bisect_left(s, t) for s, t in zip(self.ranked,
+                                                         self.times[w])]
+                for w in self.workers}
 
     @cached_property
     def ties(self):
@@ -271,16 +278,8 @@ def _station_prio(source, crew, line, left, c_bar):
         return lambda w: line.n_star
     if rule is TaskRule.MAX_IF:
         return lambda w: line.n_imm
-    if rule is TaskRule.MIN_RANK:       # minus the number of faster workers
-        ranks = crew.ranks
-
-        def rank_prio(w):
-            row = ranks.get(w)
-            if row is None:
-                row = ranks[w] = [-bisect_left(s, t) for s, t
-                                  in zip(crew.ranked, crew.times[w])]
-            return row
-        return rank_prio
+    if rule is TaskRule.MIN_RANK:
+        return crew.ranks.__getitem__
     times, min1 = crew.times, crew.min1
     n = len(min1)
     if rule is TaskRule.MIN_D:

@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .instance import INFEASIBLE, BaseInstance, Instance, ValidationError
+from .instance import (INFEASIBLE, BaseInstance, Instance, ValidationError,
+                       as_int)
 
 VARIABILITY_FACTOR = {"low": 1, "high": 3}
 
@@ -35,6 +36,8 @@ class GeneratorConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "n_workers",
+                           as_int(self.n_workers, "n_workers"))
         if self.n_workers < 1:
             raise ValidationError("need at least one worker")
         if self.variability not in VARIABILITY_FACTOR:

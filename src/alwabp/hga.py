@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from .bounds import compute_bounds
 from .constructive import (SearchCache, TaskRule, WorkerRule,
                            priority_rows, solve_lower_bound_search)
+from .instance import as_int
 from .localsearch import improve
 from .solution import Solution
 
@@ -61,9 +62,8 @@ class HgaParams:
     def __post_init__(self):
         for name in ("p", "p_e", "p_r", "max_iters", "max_stale_iters"):
             value = getattr(self, name)
-            if not (isinstance(value, int)
-                    or value is None and name in ("p_e", "p_r")):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value is not None or name not in ("p_e", "p_r"):
+                object.__setattr__(self, name, as_int(value, name))
         if self.p < 2:
             raise ValueError("population p must hold at least two "
                              "individuals (one elite and one offspring), "

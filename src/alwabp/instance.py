@@ -25,6 +25,7 @@ format, in the same lexical conventions:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -37,6 +38,17 @@ class ParseError(ValueError):
 
 class ValidationError(ValueError):
     """Structurally broken instance: cycle, uncoverable task, bad time."""
+
+
+def as_int(value, what) -> int:
+    """`value` as an int, when it is int-like (`operator.index`) and not
+    a bool; ValidationError otherwise."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -61,8 +73,8 @@ class Instance:
     """
 
     def __init__(self, n_tasks, n_workers, times, edges, name="instance"):
-        self.n_tasks = int(n_tasks)
-        self.n_workers = int(n_workers)
+        self.n_tasks = as_int(n_tasks, "task count")
+        self.n_workers = as_int(n_workers, "worker count")
         self.name = str(name)
         if self.n_tasks < 1:
             raise ValidationError("need at least one task")
@@ -81,7 +93,7 @@ class Instance:
             for i, t in enumerate(row):
                 if t == INFEASIBLE:
                     continue
-                if not isinstance(t, int) or t < 1:
+                if isinstance(t, bool) or not isinstance(t, int) or t < 1:
                     raise ValidationError(
                         f"time of task {i + 1} for worker {w + 1} must be a "
                         f"positive integer or Inf, got {t!r}")
@@ -90,11 +102,12 @@ class Instance:
 
         seen = set()
         for i, j in edges:
+            i, j = as_int(i, "edge tail"), as_int(j, "edge head")
             if not (0 <= i < self.n_tasks and 0 <= j < self.n_tasks):
                 raise ValidationError(f"edge ({i + 1}, {j + 1}) out of range")
             if i == j:
                 raise ValidationError(f"task {i + 1} precedes itself")
-            seen.add((int(i), int(j)))
+            seen.add((i, j))
         self.edges = tuple(sorted(seen))
 
         pred = [set() for _ in range(self.n_tasks)]

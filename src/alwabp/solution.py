@@ -23,18 +23,33 @@ class Solution:
         return cls(norm, loads, max(loads, default=0), direction)
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def validate_solution(inst: Instance, sol: Solution) -> tuple[bool, list[str]]:
     """Check a solution against the instance; returns (feasible, violations).
 
     Verified: one station per worker (a bijection), tasks partitioned over
     the stations, every worker capable of every task assigned to it,
     precedence respected by station order, and the recorded loads/cycle
-    matching a recomputation.
+    matching a recomputation.  A worker or task that is not an int (a
+    bool is not) is reported before anything is indexed by it.
     """
     v = []
 
     if len(sol.stations) != inst.n_workers:
         v.append(f"expected {inst.n_workers} stations, got {len(sol.stations)}")
+
+    malformed = []
+    for k, (w, tasks) in enumerate(sol.stations):
+        if not _is_int(w):
+            malformed.append(f"station {k + 1}: worker {w!r} is not an "
+                             "integer")
+        malformed += [f"station {k + 1}: task {i!r} is not an integer"
+                      for i in tasks if not _is_int(i)]
+    if malformed:
+        return (False, v + malformed)
 
     workers = [w for w, _ in sol.stations]
     if sorted(workers) != list(range(inst.n_workers)):

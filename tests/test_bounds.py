@@ -171,6 +171,16 @@ def test_preprocess_cascades_to_fixed_point():
     assert reduced.times[1] == (INFEASIBLE, INFEASIBLE, 2)
 
 
+def test_preprocess_overflows_through_tasks_before_the_sole_workers_task():
+    # chain 1 -> 2 -> 3; task 3 only by worker 1, so task 1 on worker 1
+    # would bring task 2, which runs between them: 3+3+3 > 6.  Task 1 is
+    # then sole to worker 2, and 5+5 > 6 takes task 2 off worker 2.
+    inst = chain([[3, 3, 3], [5, 5, INFEASIBLE]])
+    reduced, removed = preprocess(inst, 6)
+    assert removed == 2
+    assert reduced.times == ((INFEASIBLE, 3, 3), (5, INFEASIBLE, INFEASIBLE))
+
+
 def test_preprocess_detects_infeasible_cycle():
     inst = chain([[2, 3, 4], [INFEASIBLE, 1, INFEASIBLE]])
     # tasks 1 and 3 are sole to worker 1 and 2+3+4 > 6

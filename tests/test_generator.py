@@ -108,6 +108,14 @@ def test_config_validation():
         GeneratorConfig(n_workers=1, infeasibility_density=1.0)
 
 
+def test_config_refuses_a_non_integer_worker_count():
+    """2.5 would fail only later, inside `generate`."""
+    for value in (2.5, True):
+        with pytest.raises(ValidationError,
+                           match="n_workers must be an integer"):
+            GeneratorConfig(n_workers=value)
+
+
 def test_marking_is_uniformish():
     """Every cell gets hit sometimes across seeds (no positional bias hole)."""
     base = BaseInstance("b", (5,) * 5, ())

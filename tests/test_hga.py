@@ -97,7 +97,7 @@ def test_encode_rule_refuses_anything_but_a_task_rule(tiny_a):
 def test_params_refuse_non_integer_counts():
     for name, value in (("p", 2.5), ("p_e", 1.0), ("p_r", 0.5),
                         ("max_iters", 1.5), ("max_stale_iters", 2.0),
-                        ("max_iters", "3")):
+                        ("max_iters", "3"), ("max_iters", True)):
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             HgaParams(**{"p": 10, name: value})
     assert HgaParams(p=10, p_e=None, p_r=None).p_e == 2

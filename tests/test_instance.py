@@ -5,7 +5,7 @@ import random
 import pytest
 
 from alwabp import (INFEASIBLE, Instance, ParseError, Solution,
-                    ValidationError, format_instance, load_base,
+                    ValidationError, format_instance, improve, load_base,
                     load_instance, parse_instance, validate_solution)
 from bruteforce import brute_force_feasible
 from conftest import random_instance
@@ -95,6 +95,31 @@ def test_zero_time_is_rejected():
 def test_edge_out_of_range_is_rejected():
     with pytest.raises(ValidationError):
         Instance(2, 1, [[1, 1]], [(0, 5)])
+
+
+@pytest.mark.parametrize("n_tasks, times, edges, what", [
+    (2.5, [[1, 2]], [], "task count must be an integer"),
+    (2, [[1, 2]], [(0.5, 1)], "edge tail must be an integer"),
+    (2, [[True, 2]], [], "positive integer or Inf, got True"),
+])
+def test_non_integer_count_edge_end_or_time_is_rejected(n_tasks, times,
+                                                         edges, what):
+    """Neither truncated nor accepted: a time of True would be written
+    as 'True', which the parser refuses."""
+    with pytest.raises(ValidationError, match=what):
+        Instance(n_tasks, 1, times, edges)
+
+
+def test_int_like_counts_and_edge_ends_are_accepted():
+    class Index:
+        def __init__(self, k):
+            self.k = k
+
+        def __index__(self):
+            return self.k
+
+    inst = Instance(Index(2), Index(1), [[1, 2]], [(Index(0), Index(1))])
+    assert (inst.n_tasks, inst.n_workers, inst.edges) == (2, 1, ((0, 1),))
 
 
 def test_bad_row_length_is_rejected():
@@ -207,6 +232,21 @@ def test_validate_rejects_wrong_bookkeeping(tiny_a):
     bad_loads = Solution(good.stations, (1, 2), 2)
     ok, violations = validate_solution(tiny_a, bad_loads)
     assert not ok and any("differ" in v for v in violations)
+
+
+@pytest.mark.parametrize("stations, violation", [
+    ([(0, {0}), (1.0, {1, 2})], "station 2: worker 1.0 is not an integer"),
+    ([(0, {0, 0.5}), (1, {1, 2})], "station 1: task 0.5 is not an integer"),
+    ([(0, {0}), ("1", {1, 2})], "station 2: worker '1' is not an integer"),
+])
+def test_malformed_station_is_a_violation(tiny_a, stations, violation):
+    """Reported before anything is indexed by it, so `improve` refuses
+    it with ValueError."""
+    sol = Solution(tuple((w, frozenset(ts)) for w, ts in stations),
+                   (2, 2), 2)
+    assert validate_solution(tiny_a, sol) == (False, [violation])
+    with pytest.raises(ValueError, match=f"invalid solution: {violation}$"):
+        improve(tiny_a, sol)
 
 
 def test_validate_agrees_with_bruteforce_walk():
