@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .instance import INFEASIBLE, Instance, ParseError
+from .instance import INFEASIBLE, Instance, ParseError, as_int
 
 
 class CycleInfeasibleError(Exception):
@@ -76,14 +76,15 @@ def station_windows(inst: Instance, c: int) -> tuple[list[int], list[int]]:
 def lc3(inst: Instance, c_start: int | None = None) -> int:
     """Smallest c >= c_start whose station windows are all consistent.
 
-    Defaults to starting at max(LC1, LC2).  Terminates: at c = sum(t-)
+    Defaults to starting at max(LC1, LC2); a c_start that is not an
+    integer is refused with ValidationError.  Terminates: at c = sum(t-)
     every window collapses to [1, m].
     """
     if c_start is None:
         c_start = max(lc1(inst), lc2(inst))
     head, tail = _head_tail(inst)
     m = inst.n_workers
-    c = max(1, c_start)
+    c = max(1, as_int(c_start, "c_start"))
     while any(_ceil_div(h, c) > m + 1 - _ceil_div(t, c)
               for h, t in zip(head, tail)):
         c += 1

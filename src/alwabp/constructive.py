@@ -57,7 +57,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 from .bounds import CycleInfeasibleError, lc1, preprocess
-from .instance import INFEASIBLE
+from .instance import INFEASIBLE, as_int
 from .solution import Solution
 
 
@@ -738,7 +738,8 @@ def solve_lower_bound_search(inst, source, worker_rule, direction="forward",
     `cache`, a `SearchCache` of `inst`, may be shared between calls on
     the same instance to reuse the search's start and ceiling, the
     precedence of each direction, the outcomes of `preprocess` and the
-    crews.
+    crews.  A c_start that is not an integer is refused with
+    ValidationError.
     """
     if direction != "both" and direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
@@ -746,7 +747,7 @@ def solve_lower_bound_search(inst, source, worker_rule, direction="forward",
     cache = _cache_of(inst, cache)
     _check_source(inst, source)
     cache.open_search()
-    c = c_start if c_start is not None else cache.start
+    c = as_int(c_start, "c_start") if c_start is not None else cache.start
     ceiling = max(cache.ceiling, c)     # an explicit start is always tried
     while c <= ceiling:
         times = cache.times(c, use_preprocess)

@@ -79,9 +79,9 @@ class HgaParams:
         if self.p_e + self.p_r >= self.p:
             raise ValueError("elite + immigrants must leave room for "
                              "offspring")
-        if not 0.5 <= self.q <= 1.0:
-            raise ValueError("crossover probability q must be in [0.5, 1], "
-                             f"got {self.q}")
+        if isinstance(self.q, bool) or not 0.5 <= self.q <= 1.0:
+            raise ValueError("crossover probability q must be a number in "
+                             f"[0.5, 1], got {self.q!r}")
         if self.max_iters < 0 or self.max_stale_iters < 1:
             raise ValueError("iteration limits out of range: max_iters="
                              f"{self.max_iters}, max_stale_iters="
@@ -147,10 +147,12 @@ def random_chromosome(inst, rng) -> Chromosome:
 def crossover(a: Chromosome, b: Chromosome, q: float,
               rng: random.Random) -> Chromosome:
     """Biased uniform crossover: each cell comes from a with probability
-    q (a is meant to be the elite parent), else from b.  Parents of
-    different shapes are refused."""
-    if not 0.5 <= q <= 1.0:
-        raise ValueError("crossover probability must be in [0.5, 1]")
+    q (a is meant to be the elite parent), else from b.  A q that is a
+    bool or outside [0.5, 1] and parents of different shapes are
+    refused."""
+    if isinstance(q, bool) or not 0.5 <= q <= 1.0:
+        raise ValueError("crossover probability must be a number in "
+                         f"[0.5, 1], got {q!r}")
     if list(map(len, a.p)) != list(map(len, b.p)):
         raise ValueError("crossover parents differ in shape")
     return Chromosome(tuple(
@@ -164,7 +166,8 @@ def decode(inst, chromosome: Chromosome, c_start=None,
     then backward per tentative cycle, reduction on, then local search.
 
     c_start defaults to the static bound max(LC1, LC2, LC3); pass a
-    larger value to fold in an external relaxation bound.  `cache`, a
+    larger integer to fold in an external relaxation bound (one that is
+    not an integer is refused with ValidationError).  `cache`, a
     `SearchCache` of `inst` (a fresh one by default), is shared by the
     decodes of a run: besides the searches' set-up it memoises the local
     search, so a decode that builds a solution an earlier one built

@@ -272,11 +272,23 @@ def load_instance(path) -> Instance:
 
 @dataclass(frozen=True)
 class BaseInstance:
-    """Single-time base instance (see module docstring)."""
+    """Single-time base instance (see module docstring).  A time that is
+    not an int, or is a bool or below 1, is refused with
+    ValidationError; the edges are checked where an `Instance` is built
+    from them (`parse_base`, `generator.generate`)."""
 
     name: str
     times: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
+
+    def __post_init__(self):
+        for t in self.times:
+            if isinstance(t, bool) or not isinstance(t, int):
+                raise ValidationError(
+                    f"base task times must be integers, got {t!r}")
+            if t < 1:
+                raise ValidationError(
+                    f"base task times must be positive, got {t}")
 
     @property
     def n_tasks(self) -> int:
@@ -287,17 +299,13 @@ def parse_base(text: str, name: str = "base") -> BaseInstance:
     """Parse the base format (see module docstring)."""
     stream = _tokens(text)
     n = _read_count(stream, "task count")
-    times = []
-    for _ in range(n):
-        t = _read_int(stream, "a task time")
-        if t < 1:
-            raise ValidationError(f"base task times must be positive, got {t}")
-        times.append(t)
-    edges = _read_edges(stream)
+    times = tuple(_read_int(stream, "a task time") for _ in range(n))
+    edges = tuple(_read_edges(stream))
     _read_end(stream)
+    base = BaseInstance(name, times, edges)
     # the edges must pass the checks an instance's edges pass
     Instance(n, 1, [times], edges, name=name)
-    return BaseInstance(name, tuple(times), tuple(edges))
+    return base
 
 
 def load_base(path) -> BaseInstance:

@@ -70,11 +70,6 @@ class WorkerSwap:
 Move = Shift | Swap | DoubleShift | WorkerSwap
 
 
-def _key(loads):
-    cycle = max(loads)
-    return cycle, loads.count(cycle)
-
-
 def _beats(key, at, loads, a, la, b, lb):
     """Whether loading stations a != b with la and lb instead gives a
     smaller key than `key` = (cycle, count); the test of the double-shift
@@ -110,7 +105,8 @@ class _State:
         self.loads = list(sol.loads)
 
     def key(self):
-        return _key(self.loads)
+        cycle = max(self.loads)
+        return cycle, self.loads.count(cycle)
 
     def to_solution(self, direction):
         return Solution(tuple((self.workers[s], frozenset(self.tasks[s]))
@@ -174,23 +170,6 @@ class _State:
                 return False
         return True
 
-    def do_swap(self, i, a, j, b):
-        self.do_shift(i, a, b)
-        self.do_shift(j, b, a)
-
-    # -- worker swaps ----------------------------------------------------
-
-    def worker_swap_loads(self, a, b):
-        """New loads of a and b if they trade workers (INFEASIBLE when a
-        worker cannot execute a task it would get)."""
-        row_a, row_b = self.times[self.workers[a]], self.times[self.workers[b]]
-        return (sum(row_b[i] for i in self.tasks[a]),
-                sum(row_a[j] for j in self.tasks[b]))
-
-    def do_worker_swap(self, a, b, la, lb):
-        self.workers[a], self.workers[b] = self.workers[b], self.workers[a]
-        self.loads[a], self.loads[b] = la, lb
-
 
 # Every pass below starts from a state whose key is `key`, with no station
 # above its cycle and `key[1]` stations at it.  A move changes the loads
@@ -215,7 +194,7 @@ class _State:
 # the others reach the precedence check in scan order, so the first
 # improving swap is the one a full scan would accept.
 
-def _try_shift(st, key, moves):
+def _try_shift(st, key):
     # the source, at the cycle, loses time: the key drops iff lb < cycle
     cycle = key[0]
     loads = st.loads
@@ -223,13 +202,11 @@ def _try_shift(st, key, moves):
     for i, a, b, la, lb in st.iter_shifts(critical):
         if lb < cycle:
             st.do_shift(i, a, b)
-            if moves is not None:
-                moves.append(Shift(i, a, b))
-            return True
-    return False
+            return Shift(i, a, b)
+    return None
 
 
-def _try_swap(st, key, moves):
+def _try_swap(st, key):
     cycle = key[0]
     loads, tasks = st.loads, st.tasks
     times, workers = st.times, st.workers
@@ -260,14 +237,13 @@ def _try_swap(st, key, moves):
                     else:
                         wins = da < room_a and db < room_b
                     if wins and st.swap_allowed(i, a, j, b):
-                        st.do_swap(i, a, j, b)
-                        if moves is not None:
-                            moves.append(Swap(i, j))
-                        return True
-    return False
+                        st.do_shift(i, a, b)
+                        st.do_shift(j, b, a)
+                        return Swap(i, j)
+    return None
 
 
-def _try_double_shift(st, key, moves):
+def _try_double_shift(st, key):
     """The first shift may stall or even hurt, as long as the pair wins.
 
     Runs after the shift and swap passes found nothing in this state, so
@@ -307,35 +283,38 @@ def _try_double_shift(st, key, moves):
         for j, c, d, lc, ld in st.iter_shifts(sources):
             if _beats(key, at, loads, c, lc, d, ld):
                 st.do_shift(j, c, d)
-                if moves is not None:
-                    moves.append(DoubleShift(Shift(i, a, b), Shift(j, c, d)))
-                return True
+                return DoubleShift(Shift(i, a, b), Shift(j, c, d))
         st.do_shift(i, b, a)
-    return False
+    return None
 
 
-def _try_worker_swap(st, key, moves):
+def _try_worker_swap(st, key):
     cycle, count = key
-    loads = st.loads
+    loads, tasks = st.loads, st.tasks
+    times, workers = st.times, st.workers
     for a in range(st.m):
         for b in range(a + 1, st.m):
             if loads[a] != cycle and loads[b] != cycle:
                 continue
-            la, lb = st.worker_swap_loads(a, b)
+            # the loads of a and b once they trade workers (INFEASIBLE
+            # when a worker cannot execute a task it would get)
+            row_a, row_b = times[workers[a]], times[workers[b]]
+            la = sum(row_b[i] for i in tasks[a])
+            lb = sum(row_a[j] for j in tasks[b])
             if _beats(key, count, loads, a, la, b, lb):
-                st.do_worker_swap(a, b, la, lb)
-                if moves is not None:
-                    moves.append(WorkerSwap(a, b))
-                return True
-    return False
+                workers[a], workers[b] = workers[b], workers[a]
+                loads[a], loads[b] = la, lb
+                return WorkerSwap(a, b)
+    return None
 
 
 def improve(inst, sol: Solution,
             moves: list[Move] | None = None) -> Solution:
     """Descend until no move is accepted; never worsens, never breaks
-    feasibility.  When `moves` is a list, accepted moves are appended.
-    A solution that `validate_solution` rejects raises ValueError, and
-    an accepted move that does not lower the key RuntimeError."""
+    feasibility.  Each pass returns the move it applied, or None; when
+    `moves` is a list, every accepted move is appended to it.  A
+    solution that `validate_solution` rejects raises ValueError, and an
+    accepted move that does not lower the key RuntimeError."""
     ok, violations = validate_solution(inst, sol)
     if not ok:
         raise ValueError(f"{inst.name}: cannot improve an invalid "
@@ -345,10 +324,13 @@ def improve(inst, sol: Solution,
     while True:
         for step in (_try_shift, _try_swap, _try_double_shift,
                      _try_worker_swap):
-            if step(st, key, moves):
+            move = step(st, key)
+            if move is not None:
                 break
         else:
             return st.to_solution(sol.direction)
+        if moves is not None:
+            moves.append(move)
         last, key = key, st.key()
         if not key < last:
             raise RuntimeError(f"{step.__name__} accepted a move that does "

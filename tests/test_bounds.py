@@ -8,8 +8,8 @@ import pytest
 from alwabp import bounds
 from alwabp import (INFEASIBLE, BaseInstance, CycleInfeasibleError,
                     GeneratorConfig, Instance, NoFeasibleAssignmentError,
-                    TaskRule, WorkerRule, compute_bounds, decode,
-                    generate, lc1, lc2, lc3, min_times, preprocess,
+                    TaskRule, ValidationError, WorkerRule, compute_bounds,
+                    decode, generate, lc1, lc2, lc3, min_times, preprocess,
                     random_chromosome, relax_sidecar, run_all_96,
                     solve_lower_bound_search, station_windows,
                     validate_solution)
@@ -72,6 +72,15 @@ def test_lc3(tiny_a):
 
 def test_lc3_never_below_start(tiny_a):
     assert lc3(tiny_a, 10) == 10
+
+
+@pytest.mark.parametrize("start", [2.5, True])
+def test_lc3_refuses_a_start_that_is_not_an_integer(tiny_a, start):
+    """A float start would step through x.5 cycles and never try the
+    integer ceiling; a bool would be read as 0 or 1."""
+    with pytest.raises(ValidationError,
+                       match=f"^c_start must be an integer, got {start!r}$"):
+        lc3(tiny_a, start)
 
 
 def test_compute_bounds(tiny_a):

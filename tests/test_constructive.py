@@ -15,6 +15,7 @@ from alwabp import (
     RuleConfig,
     SearchCache,
     TaskRule,
+    ValidationError,
     WorkerRule,
     all_rule_configs,
     assemble,
@@ -512,6 +513,16 @@ def test_solve_tiny(tiny_a):
     sol = solve_lower_bound_search(tiny_a, TaskRule.MAX_F,
                                    WorkerRule.MAX_TASKS, c_start=9)
     assert sol.loads == (9, 0)
+
+
+@pytest.mark.parametrize("start", [2.5, True])
+def test_solve_refuses_a_start_that_is_not_an_integer(tiny_a, start):
+    """A float start would step through x.5 cycles and never try the
+    integer ceiling; a bool would be read as 0 or 1."""
+    with pytest.raises(ValidationError,
+                       match=f"^c_start must be an integer, got {start!r}$"):
+        solve_lower_bound_search(tiny_a, TaskRule.MAX_F, WorkerRule.MIN_RLB,
+                                 c_start=start)
 
 
 def test_solve_infeasible_instance():

@@ -22,10 +22,24 @@ def test_parse_base():
     assert base == BaseInstance("chain2", (10, 10), ((0, 1),))
 
 
+@pytest.mark.parametrize("times, message", [
+    ((2.5, 3), "must be integers, got 2.5"),
+    ((True, 2), "must be integers, got True"),
+    ((3, 0), "must be positive, got 0"),
+])
+def test_base_instance_checks_its_times(times, message):
+    """A base built directly is refused as a parsed one is, before
+    `generate` draws from it: 2.5 would fail inside `random`, and True
+    would be drawn as 1."""
+    with pytest.raises(ValidationError, match=f"^base task times {message}$"):
+        BaseInstance("b", times, ())
+
+
 def test_parse_base_errors():
     with pytest.raises(ParseError):
         parse_base("2\n10\n")
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError,
+                       match="^base task times must be positive, got 0$"):
         parse_base("1\n0\n0\n")
     with pytest.raises(ParseError):
         parse_base("0\n0\n")

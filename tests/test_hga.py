@@ -13,6 +13,7 @@ from alwabp import (
     NoFeasibleAssignmentError,
     SearchCache,
     TaskRule,
+    ValidationError,
     WorkerRule,
     assemble,
     compute_bounds,
@@ -70,6 +71,21 @@ def test_params_defaults_and_validation():
         HgaParams(p=10, p_r=-1)
 
 
+def test_params_refuse_a_bool_q():
+    """True is not taken for a probability of 1; a plain 1 or 1.0 is."""
+    assert HgaParams(q=1).q == 1 and HgaParams(q=1.0).q == 1.0
+    with pytest.raises(ValueError, match=r"^crossover probability q must be "
+                       r"a number in \[0\.5, 1\], got True$"):
+        HgaParams(q=True)
+
+
+def test_decode_refuses_a_start_that_is_not_an_integer(tiny_a):
+    chrom = random_chromosome(tiny_a, random.Random(0))
+    with pytest.raises(ValidationError,
+                       match=r"^c_start must be an integer, got 2\.5$"):
+        decode(tiny_a, chrom, 2.5)
+
+
 def test_encode_rule_tiny(tiny_a):
     maxf = encode_rule(tiny_a, TaskRule.MAX_F)
     third = 1 / 3
@@ -121,6 +137,17 @@ def test_crossover_degenerate_cases():
     c1 = crossover(a, b, 0.8, random.Random(9))
     c2 = crossover(a, b, 0.8, random.Random(9))
     assert c1 == c2
+
+
+def test_crossover_refuses_a_bool_q():
+    """True is not taken for a probability of 1; a plain 1 or 1.0 is."""
+    a = Chromosome(((1.0, 1.0), (1.0, 1.0)))
+    b = Chromosome(((0.0, 0.0), (0.0, 0.0)))
+    assert crossover(a, b, 1, random.Random(1)) == a
+    assert crossover(a, b, 1.0, random.Random(1)) == a
+    with pytest.raises(ValueError, match=r"^crossover probability must be "
+                       r"a number in \[0\.5, 1\], got True$"):
+        crossover(a, b, True, random.Random(1))
 
 
 def test_crossover_refuses_parents_of_different_shapes():

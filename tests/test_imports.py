@@ -67,3 +67,23 @@ def test_every_private_module_name_is_read_in_the_package():
     assert ("constructive.py", "_Crew") in defined
     assert [(module, name) for module, name in defined
             if name not in read] == []
+
+
+def test_every_private_class_method_is_read_in_the_package():
+    """Each method of a module-level class whose name starts with `_` is
+    read as an attribute somewhere in the package, dunder methods aside:
+    a helper method nothing reads is dead code."""
+    defined, read = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef) and node.name.startswith("_"):
+                defined += [(path.name, node.name, item.name)
+                            for item in node.body
+                            if isinstance(item, ast.FunctionDef)
+                            and not item.name.startswith("__")]
+        read.update(node.attr for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load))
+    assert ("localsearch.py", "_State", "do_shift") in defined
+    assert [method for method in defined if method[2] not in read] == []

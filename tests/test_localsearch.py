@@ -100,11 +100,11 @@ def test_improve_fails_on_a_move_that_does_not_lower_the_key(tiny_a,
                                                               monkeypatch):
     """A pass that accepts a move which does not lower the key makes
     `improve` raise, naming the pass, instead of descending forever."""
-    def blind_worker_swap(st, key, moves):      # accepts every worker swap
+    def blind_worker_swap(st, key):  # accepts every worker swap
         st.workers.reverse()
         st.loads = [sum(st.times[w][i] for i in ts)
                     for w, ts in zip(st.workers, st.tasks)]
-        return True
+        return WorkerSwap(0, 1)
 
     monkeypatch.setattr(localsearch, "_try_swap", blind_worker_swap)
     best = Solution.build(tiny_a, [(0, {0}), (1, {1, 2})])
@@ -115,9 +115,9 @@ def test_improve_fails_on_a_move_that_does_not_lower_the_key(tiny_a,
 
     calls = []
 
-    def idle_swap(st, key, moves):      # accepts one move that keeps the key
+    def idle_swap(st, key):  # accepts one move that keeps the key
         calls.append(key)
-        return len(calls) == 1
+        return Swap(1, 2) if len(calls) == 1 else None
 
     # a guard that let an equal key pass would end the descent on the
     # second call instead of raising
@@ -291,7 +291,5 @@ def test_swap_pass_boundaries(times, stations, move, loads):
     n = len(times[0])
     inst = Instance(n, len(times), times, [])
     st = _State(inst, Solution.build(inst, stations))
-    moves = []
-    assert _try_swap(st, st.key(), moves) == (move is not None)
-    assert moves == ([move] if move else [])
+    assert _try_swap(st, st.key()) == move
     assert tuple(st.loads) == loads
