@@ -19,7 +19,7 @@ from .constructive import (DIRECTIONS, NoFeasibleAssignmentError, RuleConfig,
 from .localsearch import DoubleShift, Move, Shift, Swap, WorkerSwap, improve
 from .hga import (Chromosome, Fitness, HgaParams, HgaResult, Individual,
                   LogEntry, crossover, decode, encode_rule, evolve,
-                  random_chromosome, seed_population)
+                  random_chromosome)
 
 __all__ = [
     "INFEASIBLE", "ClosureView", "Instance", "ParseError", "ValidationError",
@@ -36,5 +36,5 @@ __all__ = [
     "DoubleShift", "Move", "Shift", "Swap", "WorkerSwap", "improve",
     "Chromosome", "Fitness", "HgaParams", "HgaResult", "Individual",
     "LogEntry", "crossover", "decode", "encode_rule", "evolve",
-    "random_chromosome", "seed_population",
+    "random_chromosome",
 ]

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .instance import INFEASIBLE, Instance, ParseError, as_int
+from .instance import INFEASIBLE, Instance, ParseError, as_cycle, as_int
 
 
 class CycleInfeasibleError(Exception):
@@ -62,10 +62,9 @@ def _head_tail(inst: Instance) -> tuple[list, list]:
 
 def station_windows(inst: Instance, c: int) -> tuple[list[int], list[int]]:
     """Earliest and latest station (1-based) each task can occupy at cycle
-    c; a cycle below 1 is refused with ValueError."""
-    if c < 1:
-        raise ValueError(f"station windows need a cycle of at least 1, "
-                         f"got {c}")
+    c; a cycle that is not an integer of at least 1 is refused with
+    ValidationError."""
+    c = as_cycle(c)
     head, tail = _head_tail(inst)
     m = inst.n_workers
     earliest = [_ceil_div(h, c) for h in head]
@@ -257,7 +256,10 @@ def preprocess(inst: Instance, c: int) -> tuple[Instance, int]:
     capable worker, and when the exhaustive search (`_no_assignment`) on
     the reduced times proves, within `SEARCH_SCANS` task scans, that no
     assignment exists; a search that runs out of scans proves nothing.
+    A cycle that is not an integer of at least 1 is refused with
+    ValidationError.
     """
+    c = as_cycle(c)
     n, m = inst.n_tasks, inst.n_workers
     times = [list(row) for row in inst.times]
     finite_count = [m - col.count(INFEASIBLE) for col in zip(*times)]

@@ -57,7 +57,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 from .bounds import CycleInfeasibleError, lc1, preprocess
-from .instance import INFEASIBLE, as_int
+from .instance import INFEASIBLE, as_cycle, as_int
 from .solution import Solution
 
 
@@ -98,11 +98,16 @@ DIRECTIONS = ("forward", "backward")
 
 @dataclass(frozen=True)
 class RuleConfig:
+    """One configuration of the search: a rule not of its enum and an
+    unknown direction are refused with ValueError."""
+
     task_rule: TaskRule
     worker_rule: WorkerRule
     direction: str = "forward"
 
     def __post_init__(self):
+        _check_rule(self.task_rule, TaskRule)
+        _check_rule(self.worker_rule, WorkerRule)
         if self.direction not in DIRECTIONS:
             raise ValueError(f"unknown direction {self.direction!r}")
 
@@ -147,8 +152,7 @@ class _Crew:
     workers at both times (`ties`) are exactly the parent's.  `spread`
     takes `gone`'s row out of the parent's sums and counts, which is
     exact as times are integers, and rescans the largest finite time
-    only where `gone` held it.  `ranked` and MinRank rows are built
-    afresh.
+    only where `gone` held it.  MinRank rows are built afresh.
     """
 
     def __init__(self, times, workers, n, parent, gone):
@@ -187,16 +191,11 @@ class _Crew:
         return list(zip(*(self.times[w] for w in self.workers)))
 
     @cached_property
-    def ranked(self):
-        """Per task: its times over the workers, sorted."""
-        return list(map(sorted, self.cols))
-
-    @cached_property
     def ranks(self):
         """Per worker: its MinRank row, minus the number of workers
         faster than it on each task."""
-        return {w: [-bisect_left(s, t) for s, t in zip(self.ranked,
-                                                         self.times[w])]
+        ranked = list(map(sorted, self.cols))
+        return {w: [-bisect_left(s, t) for s, t in zip(ranked, self.times[w])]
                 for w in self.workers}
 
     @cached_property
@@ -324,12 +323,15 @@ def priority_rows(inst, source, c_bar, cache=None) -> list[list]:
     a priority matrix.
 
     INFEASIBLE times count as c_bar where an aggregate needs a finite
-    stand-in.  A priority matrix `source` must be workers x tasks (else
-    ValueError).  `cache`, a `SearchCache` of `inst` (a fresh one by
-    default), holds the crew of every worker over the instance's times,
-    so the calls sharing one build it once.
+    stand-in; a c_bar that is not an integer of at least 1 is refused
+    with ValidationError.  A `source` must be a `TaskRule` or a priority
+    matrix of workers x tasks (else ValueError).  `cache`, a
+    `SearchCache` of `inst` (a fresh one by default), holds the crew of
+    every worker over the instance's times, so the calls sharing one
+    build it once.
     """
     _check_source(inst, source)
+    c_bar = as_cycle(c_bar)
     cache = _cache_of(inst, cache)
     crews, full = cache.crews(inst.times), (1 << inst.n_workers) - 1
     crew = crews.get(full)
@@ -582,12 +584,16 @@ def assemble(inst, c_bar, source, worker_rule,
 
     Returns a feasible Solution or None when tasks remain unassigned.
     Backward runs fill the stations from the end of the line and report
-    them in original line order.  A priority matrix `source` must be
-    workers x tasks (else ValueError).
+    them in original line order.  A `source` must be a `TaskRule` or a
+    priority matrix of workers x tasks, and `worker_rule` a `WorkerRule`
+    (else ValueError); a c_bar that is not an integer of at least 1 is
+    refused with ValidationError.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
     _check_source(inst, source)
+    _check_rule(worker_rule, WorkerRule)
+    c_bar = as_cycle(c_bar)
     return _assemble(inst.times, c_bar, source, worker_rule,
                      _Line(inst.closure(), direction), {}, None)
 
@@ -704,11 +710,20 @@ class SearchCache:
         return out
 
 
+def _check_rule(rule, kind):
+    """Refuses a `rule` that is not a member of the enum `kind`."""
+    if not isinstance(rule, kind):
+        raise ValueError(f"unknown {kind.__name__} {rule!r}")
+
+
 def _check_source(inst, source):
-    """Refuses a priority matrix that is not workers x tasks."""
-    if not isinstance(source, TaskRule) and (
-            len(source) != inst.n_workers
-            or any(len(row) != inst.n_tasks for row in source)):
+    """Refuses a priority matrix that is not workers x tasks; a string or
+    an enum member is taken for a task rule, and refused unless it is a
+    `TaskRule`."""
+    if isinstance(source, (str, Enum)):
+        _check_rule(source, TaskRule)
+    elif (len(source) != inst.n_workers
+          or any(len(row) != inst.n_tasks for row in source)):
         raise ValueError(f"{inst.name}: the priority matrix must be "
                          f"{inst.n_workers} x {inst.n_tasks}")
 
@@ -728,7 +743,8 @@ def solve_lower_bound_search(inst, source, worker_rule, direction="forward",
                              cache=None) -> Solution:
     """Increase the tentative cycle one by one until an assembly succeeds.
 
-    Starts at LC1 unless c_start is given.  direction 'both' tries
+    Starts at LC1 unless c_start is given; a start below 1 is raised to
+    1, as no assembly fits below it.  direction 'both' tries
     forward then backward at every tentative cycle.  A priority matrix
     `source` must be workers x tasks (else ValueError).  With
     use_preprocess the instance is reduced at each tentative cycle
@@ -738,7 +754,8 @@ def solve_lower_bound_search(inst, source, worker_rule, direction="forward",
     `cache`, a `SearchCache` of `inst`, may be shared between calls on
     the same instance to reuse the search's start and ceiling, the
     precedence of each direction, the outcomes of `preprocess` and the
-    crews.  A c_start that is not an integer is refused with
+    crews.  A `worker_rule` that is not a `WorkerRule` is refused with
+    ValueError, and a c_start that is not an integer with
     ValidationError.
     """
     if direction != "both" and direction not in DIRECTIONS:
@@ -746,8 +763,11 @@ def solve_lower_bound_search(inst, source, worker_rule, direction="forward",
     directions = DIRECTIONS if direction == "both" else (direction,)
     cache = _cache_of(inst, cache)
     _check_source(inst, source)
+    _check_rule(worker_rule, WorkerRule)
     cache.open_search()
-    c = as_int(c_start, "c_start") if c_start is not None else cache.start
+    c = cache.start
+    if c_start is not None:             # no assembly fits below cycle 1
+        c = max(1, as_int(c_start, "c_start"))
     ceiling = max(cache.ceiling, c)     # an explicit start is always tried
     while c <= ceiling:
         times = cache.times(c, use_preprocess)

@@ -187,34 +187,6 @@ def decode(inst, chromosome: Chromosome, c_start=None,
     return sol, fit
 
 
-def _seed_chromosomes(inst, params, rng, bounds, cache):
-    """The 16 rule encodings through `cache`, at max(LC1, LC2, LC3) as in
-    encode_rule's own default, topped up with random chromosomes to p."""
-    c_bar = max(bounds.lc1, bounds.lc2, bounds.lc3)
-    chroms = [encode_rule(inst, rule, c_bar, cache) for rule in TaskRule]
-    return chroms + [random_chromosome(inst, rng)
-                     for _ in range(params.p - len(chroms))]
-
-
-def _ranked(inst, p, kept, chroms, c_start, cache):
-    """`kept` plus `chroms` decoded from c_start through `cache`, sorted
-    by fitness (ties keep that order) and truncated to the p best."""
-    pop = kept + [Individual(chrom, *decode(inst, chrom, c_start, cache))
-                  for chrom in chroms]
-    pop.sort(key=lambda ind: ind.fitness)
-    return pop[:p]
-
-
-def seed_population(inst, params: HgaParams) -> list[Individual]:
-    """Initial population: the 16 rule encodings plus random top-up,
-    decoded, sorted by fitness, truncated to the p best."""
-    bounds = compute_bounds(inst)
-    cache = SearchCache(inst)
-    chroms = _seed_chromosomes(inst, params, random.Random(params.rng_seed),
-                               bounds, cache)
-    return _ranked(inst, params.p, [], chroms, bounds.best, cache)
-
-
 def _stop_reason(params, at_bound, iteration, stale):
     """Why the run stops after this generation, or None; when several
     limits hold, the bound comes first, then max_iters, then stale."""
@@ -238,11 +210,22 @@ def evolve(inst, params: HgaParams, external_relax=None) -> HgaResult:
     rng = random.Random(params.rng_seed)
     bounds = compute_bounds(inst, external_relax)
     cache = SearchCache(inst)
-    elite, chroms = [], _seed_chromosomes(inst, params, rng, bounds, cache)
-    best, log, iteration, stale = None, [], 0, 0
+    # the 16 rule encodings, at max(LC1, LC2, LC3) as in encode_rule's own
+    # default, topped up with random chromosomes to p
+    c_bar = max(bounds.lc1, bounds.lc2, bounds.lc3)
+    chroms = [encode_rule(inst, rule, c_bar, cache) for rule in TaskRule]
+    chroms += [random_chromosome(inst, rng)
+               for _ in range(params.p - len(chroms))]
+    elite, best, log, iteration, stale = [], None, [], 0, 0
     while True:
-        # decode draws nothing, so decoding after all draws keeps their order
-        population = _ranked(inst, params.p, elite, chroms, bounds.best, cache)
+        # decode draws nothing, so decoding after all draws keeps their
+        # order; the p fittest of the elite and the new individuals form
+        # the population (the sort is stable: ties keep that order)
+        population = elite + [Individual(chrom, *decode(inst, chrom,
+                                                        bounds.best, cache))
+                              for chrom in chroms]
+        population.sort(key=lambda ind: ind.fitness)
+        del population[params.p:]
         if best is None or population[0].fitness < best.fitness:
             best, stale = population[0], 0
         else:

@@ -51,6 +51,15 @@ def as_int(value, what) -> int:
     raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
+def as_cycle(value) -> int:
+    """`value` as a cycle time: an int (see `as_int`) of at least 1;
+    ValidationError otherwise."""
+    c = as_int(value, "cycle")
+    if c < 1:
+        raise ValidationError(f"cycle must be at least 1, got {c}")
+    return c
+
+
 @dataclass(frozen=True)
 class ClosureView:
     """Immediate and transitive precedence sets of one instance."""
@@ -59,7 +68,6 @@ class ClosureView:
     succ: tuple[tuple[int, ...], ...]       # F_i, immediate successors
     pred_star: tuple[frozenset[int], ...]   # all transitive predecessors
     succ_star: tuple[frozenset[int], ...]   # all transitive successors
-    order_strength: float                   # 2|E*| / (n(n-1)), 0 for n < 2
 
 
 class Instance:
@@ -141,14 +149,11 @@ class Instance:
             for s in self.succ[i]:
                 succ_star[i].add(s)
                 succ_star[i] |= succ_star[s]
-        n_rel = sum(len(s) for s in succ_star)
-        strength = 2.0 * n_rel / (n * (n - 1)) if n > 1 else 0.0
         return ClosureView(
             pred=self.pred,
             succ=self.succ,
             pred_star=tuple(frozenset(s) for s in pred_star),
             succ_star=tuple(frozenset(s) for s in succ_star),
-            order_strength=strength,
         )
 
     def reverse(self) -> "Instance":

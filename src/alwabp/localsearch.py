@@ -154,19 +154,17 @@ class _State:
     # -- swaps ----------------------------------------------------------
 
     def swap_allowed(self, i, a, j, b):
-        """Whether tasks i@a and j@b can trade places (a < b)."""
+        """Whether tasks i@a and j@b can trade places (a < b).
+
+        Only i's followers and j's predecessors can refuse: i's
+        predecessors sit at or before a < b and j's followers at or after
+        b > a, and neither holds the other task."""
         where = self.where
-        for p in self.pred[i]:
-            if (a if p == j else where[p]) > b:
-                return False
         for s in self.succ[i]:
             if (a if s == j else where[s]) < b:
                 return False
         for p in self.pred[j]:
             if (b if p == i else where[p]) > a:
-                return False
-        for s in self.succ[j]:
-            if (b if s == i else where[s]) < a:
                 return False
         return True
 

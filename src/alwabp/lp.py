@@ -63,11 +63,9 @@ def export_lp(inst: Instance, relaxed: bool = False) -> str:
     for s in range(m):
         for w in range(m):
             parts = [f"+ {_x(s, w, i)}" for i in range(n) if w in able[i]]
+            parts.append(f"- {n} {_y(s, w)}")
             body = " ".join(parts).lstrip("+ ")
-            if body:
-                lines.append(f" link_s{s + 1}_w{w + 1}: {body} - {n} {_y(s, w)} <= 0")
-            else:
-                lines.append(f" link_s{s + 1}_w{w + 1}: - {n} {_y(s, w)} <= 0")
+            lines.append(f" link_s{s + 1}_w{w + 1}: {body} <= 0")
 
     names = [_x(s, w, i) for s in range(m) for i in range(n) for w in able[i]]
     names += [_y(s, w) for s in range(m) for w in range(m)]

@@ -35,7 +35,6 @@ from alwabp import (
     generate,
     run_all_96,
     save_instance,
-    seed_population,
     solve_lower_bound_search,
 )
 from alwabp.bounds import CycleInfeasibleError, preprocess
@@ -221,29 +220,31 @@ def test_acceptance_06_population_dynamics(corpus, capsys, monkeypatch):
         import alwabp.hga as hga_mod
         inst = corpus[0][0]
         real_decode = hga_mod.decode
-        calls = [0]
+        decoded = []
 
-        def counting(*args, **kwargs):
-            calls[0] += 1
-            return real_decode(*args, **kwargs)
+        def recording(instance, chromosome, *args, **kwargs):
+            decoded.append(chromosome)
+            return real_decode(instance, chromosome, *args, **kwargs)
 
-        monkeypatch.setattr(hga_mod, "decode", counting)
+        monkeypatch.setattr(hga_mod, "decode", recording)
         params = HgaParams(p=30, max_iters=5, max_stale_iters=99,
                            stop_at_lower_bound=False, rng_seed=3)
         res = evolve(inst, params)
-        monkeypatch.undo()
         assert res.iterations == 5
         # 30 seed decodes, then p - p_e fresh individuals per generation
         # on top of the p_e carried elites: the population stays at p.
-        assert calls[0] == 30 + 5 * (params.p - params.p_e)
-        assert len(seed_population(inst, params)) == params.p
+        assert len(decoded) == 30 + 5 * (params.p - params.p_e)
 
-        params10 = HgaParams(p=10, rng_seed=0)
-        pop = seed_population(inst, params10)
-        assert len(pop) == 10
-        rule_fits = sorted(decode(inst, encode_rule(inst, rule))[1]
-                           for rule in TaskRule)
-        assert sorted(ind.fitness for ind in pop) == rule_fits[:10]
+        # fewer slots than rules: generation 0 decodes exactly the 16 rule
+        # encodings, and the incumbent is the best of them
+        decoded.clear()
+        res = evolve(inst, HgaParams(p=10, max_iters=0, rng_seed=0,
+                                     stop_at_lower_bound=False))
+        monkeypatch.undo()
+        encodings = [encode_rule(inst, rule) for rule in TaskRule]
+        assert decoded == encodings
+        rule_fits = sorted(decode(inst, chrom)[1] for chrom in encodings)
+        assert (res.iterations, res.fitness) == (0, rule_fits[0])
 
 
 def test_acceptance_07_single_run_speed(capsys):

@@ -383,6 +383,26 @@ def test_generate_bad_base_file(tmp_path, capsys):
     assert "junk.base" in capsys.readouterr().err
 
 
+def test_generate_reports_each_failing_item(tmp_path, capsys):
+    """With one worker, a density that marks any cell leaves a task
+    with no capable worker: each item fails on its own error line, the
+    others are still attempted, and the exit status is 1."""
+    base = tmp_path / "line.base"
+    base.write_text("10\n" + "3\n" * 10 + "0\n")
+    out = tmp_path / "gen"
+    rc = main(["generate", str(base), "--workers", "1", "--replicates", "2",
+               "--out", str(out)])
+    stdout, err = capsys.readouterr()
+    assert rc == 1
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert sorted(line.split(":")[1].strip() for line in errors) == sorted(
+        f"line_w1_var{var}_inf{pct}_{rep:02d}" for var in ("low", "high")
+        for pct in ("10", "20") for rep in range(2))
+    assert all("uncoverable" in line for line in errors)
+    assert "wrote 0 instances" in stdout
+    assert list(out.iterdir()) == []
+
+
 # -- export-lp ----------------------------------------------------------------
 
 def test_export_lp_default_and_custom_out(tmp_path):

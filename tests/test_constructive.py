@@ -1,6 +1,7 @@
 """Constructive heuristics: frozen small-case traces + oracle properties."""
 
 import gc
+import math
 import random
 import tracemalloc
 
@@ -22,12 +23,14 @@ from alwabp import (
     compute_bounds,
     cycle_ceiling,
     decode,
+    encode_rule,
     evolve,
     lc1,
     random_chromosome,
     run_all_96,
     run_configs,
     solve_lower_bound_search,
+    station_windows,
     validate_solution,
 )
 
@@ -177,7 +180,7 @@ def test_derived_crews_equal_fresh_crews():
             assert crew.workers == fresh.workers
             assert (crew.min1, crew.amin, crew.min2) == (
                 fresh.min1, fresh.amin, fresh.min2)
-            for name in rng.sample(["ties", "spread", "ranked"],
+            for name in rng.sample(["ties", "spread", "ranks"],
                                    rng.randint(0, 3)):
                 cold += (crew.parent is not None
                          and name not in vars(crew.parent))
@@ -449,6 +452,58 @@ def test_assemble_rejects_bad_direction(tiny_a):
         assemble(tiny_a, 2, TaskRule.MAX_F, WorkerRule.MIN_RLB, "up")
 
 
+def test_search_rejects_bad_direction(tiny_a):
+    with pytest.raises(ValueError, match="unknown direction 'sideways'"):
+        solve_lower_bound_search(tiny_a, TaskRule.MAX_F, WorkerRule.MIN_RLB,
+                                 direction="sideways")
+
+
+@pytest.mark.parametrize("rule", ["MinBWA", "nonsense", TaskRule.MAX_F])
+def test_worker_rule_not_of_its_enum_is_refused(tiny_a, rule):
+    """Refused, not scored as MinRLB, which the assembly scores for any
+    worker rule but MaxTasks and MinBWA."""
+    for call in (lambda: assemble(tiny_a, 2, TaskRule.MAX_F, rule),
+                 lambda: solve_lower_bound_search(tiny_a, TaskRule.MAX_F,
+                                                  rule),
+                 lambda: RuleConfig(TaskRule.MAX_F, rule)):
+        with pytest.raises(ValueError, match="unknown WorkerRule"):
+            call()
+
+
+@pytest.mark.parametrize("rule", ["MaxF", "nonsense", WorkerRule.MIN_BWA])
+def test_task_rule_not_of_its_enum_is_refused(tiny_a, rule):
+    """Named as an unknown task rule, not measured as a priority matrix."""
+    for call in (lambda: assemble(tiny_a, 2, rule, WorkerRule.MIN_RLB),
+                 lambda: solve_lower_bound_search(tiny_a, rule,
+                                                  WorkerRule.MIN_RLB),
+                 lambda: priority_rows(tiny_a, rule, 30),
+                 lambda: RuleConfig(rule, WorkerRule.MIN_BWA)):
+        with pytest.raises(ValueError, match="unknown TaskRule"):
+            call()
+
+
+FIXED_CYCLE_CALLS = {
+    "assemble": lambda inst, c: assemble(inst, c, TaskRule.MAX_F,
+                                         WorkerRule.MIN_RLB),
+    "station_windows": station_windows,
+    "preprocess": preprocess,
+    "priority_rows": lambda inst, c: priority_rows(inst, TaskRule.MAX_PW_AVG,
+                                                   c),
+    "encode_rule": lambda inst, c: encode_rule(inst, TaskRule.MAX_PW_AVG, c),
+}
+
+
+@pytest.mark.parametrize("c", [2.5, 0, -3, True, math.nan],
+                         ids=["2.5", "0", "-3", "True", "nan"])
+@pytest.mark.parametrize("entry", list(FIXED_CYCLE_CALLS))
+def test_fixed_cycle_entry_points_refuse_a_cycle_they_cannot_use(tiny_a,
+                                                                 entry, c):
+    """A cycle must be an integer of at least 1: no float windows or
+    priorities, no pass at a fractional cycle, no None for a cycle of 0."""
+    with pytest.raises(ValidationError, match="cycle must be"):
+        FIXED_CYCLE_CALLS[entry](tiny_a, c)
+
+
 @pytest.mark.parametrize("rows", [[[0.5] * 5] * 3, [[0.5]] * 2, [[0.5] * 3],
                                   [[0.5] * 3, [0.5] * 2]])
 def test_matrix_of_another_shape_is_refused(tiny_a, rows):
@@ -513,6 +568,13 @@ def test_solve_tiny(tiny_a):
     sol = solve_lower_bound_search(tiny_a, TaskRule.MAX_F,
                                    WorkerRule.MAX_TASKS, c_start=9)
     assert sol.loads == (9, 0)
+    # a start below 1 is raised to 1, with or without reduction
+    for start in (0, -3):
+        for reduce in (False, True):
+            sol = solve_lower_bound_search(tiny_a, TaskRule.MAX_F,
+                                           WorkerRule.MIN_RLB, c_start=start,
+                                           use_preprocess=reduce)
+            assert sol.cycle == 2
 
 
 @pytest.mark.parametrize("start", [2.5, True])

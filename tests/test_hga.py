@@ -22,7 +22,6 @@ from alwabp import (
     encode_rule,
     evolve,
     random_chromosome,
-    seed_population,
     solve_lower_bound_search,
     validate_solution,
 )
@@ -319,21 +318,6 @@ def test_second_decode_of_a_chromosome_skips_improve(monkeypatch):
     assert cache.improve_hits == hits + len(chroms)
 
 
-def test_seed_population_tiny(tiny_a):
-    pop = seed_population(tiny_a, HgaParams(p=20, rng_seed=1))
-    assert len(pop) == 20
-    fits = [ind.fitness for ind in pop]
-    assert fits == sorted(fits)
-    assert all(ind.fitness.cycle == 2 for ind in pop)
-    # fewer slots than rules: only the best decoded rule encodings stay
-    small = seed_population(tiny_a, HgaParams(p=10, rng_seed=1))
-    assert len(small) == 10
-    rule_chroms = {encode_rule(tiny_a, r).p for r in TaskRule}
-    assert all(ind.chromosome.p in rule_chroms for ind in small)
-    again = seed_population(tiny_a, HgaParams(p=10, rng_seed=1))
-    assert [i.chromosome for i in again] == [i.chromosome for i in small]
-
-
 def test_evolve_tiny_stops_at_bound(tiny_a):
     res = evolve(tiny_a, HgaParams(p=20, rng_seed=7))
     assert res.fitness == Fitness(2, 1.0)
@@ -389,8 +373,7 @@ def test_evolve_stop_reason_precedence(tiny_a, limits, expected):
     lambda inst: evolve(inst, HgaParams(p=8, rng_seed=1, max_iters=2,
                                         stop_at_lower_bound=False),
                         external_relax=1.5),
-    lambda inst: seed_population(inst, HgaParams(p=8, rng_seed=1)),
-], ids=["evolve", "seed_population"])
+], ids=["evolve"])
 def test_ga_computes_bounds_once(tiny_a, monkeypatch, run):
     calls = []
 

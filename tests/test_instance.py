@@ -127,12 +127,25 @@ def test_bad_row_length_is_rejected():
         Instance(2, 1, [[1]], [])
 
 
+@pytest.mark.parametrize("n_tasks, n_workers, times, what", [
+    (0, 1, [[]], "at least one task"),
+    (1, 0, [], "at least one worker"),
+    (2, 2, [[1, 2]], "expected 2 worker rows, got 1"),
+    (2, 1, [[1, 2], [1, 2]], "expected 1 worker rows, got 2"),
+])
+def test_built_instance_checks_its_counts_and_rows(n_tasks, n_workers, times,
+                                                   what):
+    """The checks an `Instance` built directly makes, which the parser
+    never reaches: it refuses such text first."""
+    with pytest.raises(ValidationError, match=what):
+        Instance(n_tasks, n_workers, times, [])
+
+
 def test_closure_tiny_a(tiny_a):
     c = tiny_a.closure()
     assert c.pred_star == (frozenset(), frozenset({0}), frozenset({0}))
     assert c.succ_star[0] == frozenset({1, 2})
     assert [set(s) for s in c.succ] == [{1, 2}, set(), set()]
-    assert abs(c.order_strength - 2 / 3) < 1e-12
 
 
 def test_closure_diamond():
@@ -141,7 +154,6 @@ def test_closure_diamond():
     c = inst.closure()
     assert c.pred_star[3] == frozenset({0, 1, 2})
     assert c.succ_star[0] == frozenset({1, 2, 3})
-    assert abs(c.order_strength - 10 / 12) < 1e-12
 
 
 def test_closure_matches_naive_reachability():
@@ -179,7 +191,6 @@ def test_reverse_flips_closure(tiny_a):
     assert [set(s) for s in rc.succ] == [set(p) for p in c.pred]
     assert rc.pred_star == c.succ_star
     assert rc.succ_star == c.pred_star
-    assert rc.order_strength == c.order_strength
 
 
 # -- solution checker ---------------------------------------------------------

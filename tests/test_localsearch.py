@@ -260,6 +260,67 @@ def test_improve_matches_reference_descent():
     assert kinds["double_shift"] > 15 and kinds["worker_swap"] > 1, kinds
 
 
+def swap_allowed_over_both_tasks(st, i, a, j, b):
+    """The swap check with a loop over the predecessors and the followers
+    of both tasks, read where they sit once i@a and j@b (a < b) trade
+    places: the reference of `_State.swap_allowed`."""
+    where = st.where
+    for p in st.pred[i]:
+        if (a if p == j else where[p]) > b:
+            return False
+    for s in st.succ[i]:
+        if (a if s == j else where[s]) < b:
+            return False
+    for p in st.pred[j]:
+        if (b if p == i else where[p]) > a:
+            return False
+    for s in st.succ[j]:
+        if (b if s == i else where[s]) < a:
+            return False
+    return True
+
+
+def test_swap_check_agrees_with_the_checker():
+    """On random feasible solutions, every swap of a task i@a with a task
+    j@b, a < b, passes `swap_allowed` exactly when it passes the check
+    over both tasks' neighbours and `validate_solution` accepts the
+    swapped solution.  Every worker executes every task, so precedence
+    alone decides."""
+    rng = random.Random(0x5A4)
+    seen = {True: 0, False: 0}
+    for _ in range(80):
+        n, m = rng.randint(3, 10), rng.randint(2, 5)
+        base = random_base(rng, n, edge_prob=rng.choice([0.1, 0.2, 0.4]))
+        inst = generate(base, GeneratorConfig(
+            n_workers=m, rng_seed=rng.randrange(2 ** 32)))
+        order, left = [], set(range(n))
+        while left:         # a random order that respects precedence
+            k = rng.choice(sorted(k for k in left
+                                  if not left.intersection(inst.pred[k])))
+            order.append(k)
+            left.remove(k)
+        cuts = sorted(rng.randint(0, n) for _ in range(m - 1))
+        chunks = [order[x:y] for x, y in zip([0] + cuts, cuts + [n])]
+        workers = rng.sample(range(m), m)
+        sol = Solution.build(inst, zip(workers, chunks))
+        assert validate_solution(inst, sol)[0]
+        st = _State(inst, sol)
+        for a in range(m):
+            for b in range(a + 1, m):
+                for i in chunks[a]:
+                    for j in chunks[b]:
+                        trade = {i: j, j: i}
+                        swapped = Solution.build(inst, [
+                            (w, [trade.get(k, k) for k in ts])
+                            for w, ts in zip(workers, chunks)])
+                        ok = validate_solution(inst, swapped)[0]
+                        assert st.swap_allowed(i, a, j, b) == ok
+                        assert swap_allowed_over_both_tasks(
+                            st, i, a, j, b) == ok
+                        seen[ok] += 1
+    assert seen[True] > 300 and seen[False] > 300, seen
+
+
 X = INFEASIBLE
 
 

@@ -46,6 +46,19 @@ def test_infeasible_pairs_have_no_variable():
     assert "x_s1_w2_i2" in text
 
 
+def test_link_row_of_a_worker_that_executes_no_task():
+    """Its link rows hold only the y term; the model still solves to the
+    optimum, with worker 1 doing both tasks."""
+    from alwabp import INFEASIBLE, Instance
+
+    inst = Instance(2, 2, [[1, 2], [INFEASIBLE, INFEASIBLE]], [(0, 1)])
+    lines = export_lp(inst).splitlines()
+    assert " link_s1_w2: - 2 y_s1_w2 <= 0" in lines
+    assert " link_s2_w2: - 2 y_s2_w2 <= 0" in lines
+    assert " link_s1_w1: x_s1_w1_i1 + x_s1_w1_i2 - 2 y_s1_w1 <= 0" in lines
+    assert solve_lp_text(export_lp(inst)) == brute_force_optimum(inst) == 3
+
+
 def test_senses_and_rhs(tiny_a):
     _, constraints, _, _ = parse_lp(export_lp(tiny_a))
     for name, coefs, sense, rhs in constraints:
