@@ -55,6 +55,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from heapq import heapify, heappop, heappush
+from math import isfinite
 
 from .bounds import CycleInfeasibleError, lc1, preprocess
 from .instance import INFEASIBLE, as_cycle, as_int
@@ -717,22 +718,32 @@ def _check_rule(rule, kind):
 
 
 def _check_source(inst, source):
-    """Refuses a priority matrix that is not workers x tasks; a string or
-    an enum member is taken for a task rule, and refused unless it is a
-    `TaskRule`."""
+    """Refuses a priority matrix that is not workers x tasks of finite
+    numbers; a string or an enum member is taken for a task rule, and
+    refused unless it is a `TaskRule`.  Each row is summed once, so a
+    NaN, an infinity or an entry that is not a number fails its sum."""
     if isinstance(source, (str, Enum)):
         _check_rule(source, TaskRule)
-    elif (len(source) != inst.n_workers
-          or any(len(row) != inst.n_tasks for row in source)):
+        return
+    try:
+        ok = len(source) == inst.n_workers and all(
+            len(row) == inst.n_tasks and isfinite(sum(row))
+            for row in source)
+    except TypeError:
+        ok = False
+    if not ok:
         raise ValueError(f"{inst.name}: the priority matrix must be "
-                         f"{inst.n_workers} x {inst.n_tasks}")
+                         f"{inst.n_workers} x {inst.n_tasks} of finite "
+                         "numbers")
 
 
 def _cache_of(inst, cache):
-    """`cache`, or a fresh `SearchCache` of `inst` when it is None; a
-    cache of another instance is refused."""
+    """`cache`, or a fresh `SearchCache` of `inst` when it is None;
+    anything but a `SearchCache` of `inst` is refused."""
     if cache is None:
         return SearchCache(inst)
+    if not isinstance(cache, SearchCache):
+        raise ValueError(f"not a SearchCache: {cache!r}")
     if cache.inst is not inst:
         raise ValueError("the search cache belongs to another instance")
     return cache
@@ -804,8 +815,13 @@ def run_configs(inst, configs, use_preprocess=False,
     started afresh at each new task rule, so the worker rules after the
     first of a direction read the fills it computed.  Within the call
     `use_preprocess` is fixed, so the times are a function of the cycle,
-    and the table's key is exact.
+    and the table's key is exact.  A configuration that is not a
+    `RuleConfig` is refused with ValueError before any search runs.
     """
+    configs = list(configs)
+    for cfg in configs:
+        if not isinstance(cfg, RuleConfig):
+            raise ValueError(f"not a RuleConfig: {cfg!r}")
     # `_search` is a seam for instrumentation only (the CLI passes its own
     # module's name so a wrapper installed there sees every search), not a
     # supported option

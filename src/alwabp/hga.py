@@ -36,10 +36,13 @@ class Chromosome:
     p: tuple[tuple[float, ...], ...]    # [worker][task] keys in [0, 1]
 
     def __post_init__(self):
-        for row in self.p:
-            for v in row:
-                if not 0.0 <= v <= 1.0:
-                    raise ValueError(f"priority {v!r} outside [0, 1]")
+        try:
+            for row in self.p:
+                for v in row:
+                    if not 0.0 <= v <= 1.0:
+                        raise ValueError(f"priority {v!r} outside [0, 1]")
+        except TypeError:
+            raise ValueError("priorities must be rows of numbers") from None
 
 
 @dataclass(frozen=True, order=True)
@@ -148,8 +151,10 @@ def crossover(a: Chromosome, b: Chromosome, q: float,
               rng: random.Random) -> Chromosome:
     """Biased uniform crossover: each cell comes from a with probability
     q (a is meant to be the elite parent), else from b.  A q that is a
-    bool or outside [0.5, 1] and parents of different shapes are
-    refused."""
+    bool or outside [0.5, 1], parents that are not `Chromosome`s and
+    parents of different shapes are refused."""
+    if not (isinstance(a, Chromosome) and isinstance(b, Chromosome)):
+        raise ValueError("crossover parents must be Chromosomes")
     if isinstance(q, bool) or not 0.5 <= q <= 1.0:
         raise ValueError("crossover probability must be a number in "
                          f"[0.5, 1], got {q!r}")
@@ -204,8 +209,11 @@ def evolve(inst, params: HgaParams, external_relax=None) -> HgaResult:
 
     Stops on max_iters, on max_stale_iters without improvement, or (by
     default) as soon as the incumbent cycle hits the lower bound and no
-    better cycle is possible.
+    better cycle is possible.  `params` must be an `HgaParams` (else
+    ValueError).
     """
+    if not isinstance(params, HgaParams):
+        raise ValueError(f"evolve needs HgaParams, got {params!r}")
     t0 = time.perf_counter()
     rng = random.Random(params.rng_seed)
     bounds = compute_bounds(inst, external_relax)

@@ -14,11 +14,6 @@ accepted move the descent restarts from the first neighborhood, so the
 outcome is deterministic.  Moves that provably cannot improve are
 skipped without evaluating them, which leaves the first improving move
 in scan order, and so the outcome, unchanged.
-
-The swap pass, the one with the most candidates, takes once per station
-pair the room each station has below the cycle, skips a task when no
-partner task could fit in those rooms, and tests the other candidates
-against the rooms inline (see the notes above the passes).
 """
 
 from __future__ import annotations
@@ -72,14 +67,17 @@ Move = Shift | Swap | DoubleShift | WorkerSwap
 
 def _beats(key, at, loads, a, la, b, lb):
     """Whether loading stations a != b with la and lb instead gives a
-    smaller key than `key` = (cycle, count); the test of the double-shift
-    and worker-swap passes.
+    smaller key than `key` = (cycle, count).
 
     `at` counts the stations of `loads` at that cycle, and every station
-    above it must be a or b, as the others keep their loads.  The
-    stations at the cycle must end up fewer than `count`: with none left
-    the cycle itself drops.  This is O(1), where computing the new key
-    would scan every station.
+    above it must be a or b, as the others keep their loads.  The rule
+    of every pass: both new loads are at most the cycle, and fewer
+    stations than `count` end at it (with none left the cycle itself
+    drops).  This is O(1), where computing the new key would scan every
+    station.  The double-shift and worker-swap passes call it.  The shift
+    and swap passes write it inline: with no station above the cycle,
+    `at` is `count`, so fewer of a and b must end at the cycle than are
+    at it.
     """
     cycle, count = key
     if la > cycle or lb > cycle:
@@ -175,22 +173,6 @@ class _State:
 # critical station keeps its load and the key cannot drop, so the passes
 # skip such moves unevaluated.  The scan order of the others is kept, and
 # with it the first improving move.
-#
-# The swap pass tests its candidates inline.  For stations a < b, one of
-# them at the cycle, it takes the rooms room_a = cycle - loads[a] and
-# room_b = cycle - loads[b].  Trading task i of a for task j of b changes
-# a's load by da = row_a[j] - row_a[i] and b's by db = row_b[i] - row_b[j],
-# where row_s holds the times of s's worker.  With one station at the
-# cycle, the key drops exactly when both loads end below it: da < room_a
-# and db < room_b.  With both at it, both loads must stay at most at the
-# cycle and one must fall below it: da <= 0, db <= 0 and da + db < 0.  A
-# worker's INFEASIBLE time is infinite and fails every test.  Per pair,
-# the pass also takes the smallest time of a's worker over b's tasks and
-# the largest of b's worker, which bound from below the da and db that
-# any j gives a task i; when even those bounds fail, no j can pass and i
-# is skipped.  Each skip drops only swaps that cannot lower the key, and
-# the others reach the precedence check in scan order, so the first
-# improving swap is the one a full scan would accept.
 
 def _try_shift(st, key):
     # the source, at the cycle, loses time: the key drops iff lb < cycle
@@ -205,36 +187,24 @@ def _try_shift(st, key):
 
 
 def _try_swap(st, key):
+    # `_beats` inline, as its docstring says
     cycle = key[0]
     loads, tasks = st.loads, st.tasks
     times, workers = st.times, st.workers
     for a in range(st.m):
         row_a = times[workers[a]]
-        room_a = cycle - loads[a]
         for b in range(a + 1, st.m):
-            room_b = cycle - loads[b]
-            if room_a and room_b:
+            at = (loads[a] == cycle) + (loads[b] == cycle)
+            if not at:
                 continue
-            both = not (room_a or room_b)
             row_b = times[workers[b]]
-            tasks_b = tasks[b]
-            fastest_a = min((row_a[j] for j in tasks_b), default=INFEASIBLE)
-            slowest_b = max((row_b[j] for j in tasks_b), default=-INFEASIBLE)
             for i in tasks[a]:
-                ti_a, ti_b = row_a[i], row_b[i]
-                if both:
-                    if fastest_a > ti_a or ti_b > slowest_b:
-                        continue
-                elif fastest_a - ti_a >= room_a or ti_b - slowest_b >= room_b:
-                    continue
-                for j in tasks_b:
-                    da = row_a[j] - ti_a
-                    db = ti_b - row_b[j]
-                    if both:
-                        wins = da <= 0 and db <= 0 and da + db < 0
-                    else:
-                        wins = da < room_a and db < room_b
-                    if wins and st.swap_allowed(i, a, j, b):
+                la_i, lb_i = loads[a] - row_a[i], loads[b] + row_b[i]
+                for j in tasks[b]:
+                    la, lb = la_i + row_a[j], lb_i - row_b[j]
+                    if (la <= cycle and lb <= cycle
+                            and (la == cycle) + (lb == cycle) < at
+                            and st.swap_allowed(i, a, j, b)):
                         st.do_shift(i, a, b)
                         st.do_shift(j, b, a)
                         return Swap(i, j)

@@ -33,9 +33,12 @@ def validate_solution(inst: Instance, sol: Solution) -> tuple[bool, list[str]]:
     Verified: one station per worker (a bijection), tasks partitioned over
     the stations, every worker capable of every task assigned to it,
     precedence respected by station order, and the recorded loads/cycle
-    matching a recomputation.  A worker or task that is not an int (a
-    bool is not) is reported before anything is indexed by it.
+    matching a recomputation.  A `sol` that is not a `Solution`, and a
+    worker or task that is not an int (a bool is not), is reported
+    before anything is indexed by it.
     """
+    if not isinstance(sol, Solution):
+        return (False, [f"{sol!r} is not a Solution"])
     v = []
 
     if len(sol.stations) != inst.n_workers:

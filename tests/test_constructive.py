@@ -9,6 +9,7 @@ import pytest
 
 from alwabp import (
     DIRECTIONS,
+    Chromosome,
     HgaParams,
     INFEASIBLE,
     Instance,
@@ -524,6 +525,33 @@ def test_priority_rows_refuses_matrix_of_another_shape(tiny_a):
         with pytest.raises(ValueError, match="2 x 3"):
             priority_rows(tiny_a, rows, 5)
     assert priority_rows(tiny_a, [[0.5] * 3] * 2, 5) == [[0.5] * 3] * 2
+
+
+NOT_FINITE_MATRICES = {
+    "search of None": lambda inst: solve_lower_bound_search(
+        inst, None, WorkerRule.MIN_RLB),
+    "rows of an int": lambda inst: priority_rows(inst, 5, 3),
+    "string entry": lambda inst: assemble(
+        inst, 9, [[0.5] * 3, [0.5, "a", 0.5]], WorkerRule.MIN_RLB),
+    "NaN entry": lambda inst: assemble(
+        inst, 9, [[0.5] * 3, [0.5, math.nan, 0.5]], WorkerRule.MIN_RLB),
+    "search with a NaN entry": lambda inst: solve_lower_bound_search(
+        inst, [[math.nan] * 3, [0.5] * 3], WorkerRule.MIN_RLB, "both"),
+    "infinite entry": lambda inst: priority_rows(
+        inst, [[0.5] * 3, [0.5, 0.5, -math.inf]], 5),
+    "chromosome of strings": lambda inst: Chromosome((("a",),)),
+}
+
+
+@pytest.mark.parametrize("call", NOT_FINITE_MATRICES.values(),
+                         ids=list(NOT_FINITE_MATRICES))
+def test_priority_source_not_a_matrix_of_finite_numbers_is_refused(tiny_a,
+                                                                   call):
+    """A priority source is a task rule or a workers x tasks matrix of
+    finite numbers; anything else is refused before a station is
+    filled, not run silently or failed inside `_fill`."""
+    with pytest.raises(ValueError):
+        call(tiny_a)
 
 
 def test_backward_is_forward_on_reversed(tiny_a):

@@ -21,7 +21,9 @@ from alwabp import (
     decode,
     encode_rule,
     evolve,
+    improve,
     random_chromosome,
+    run_configs,
     solve_lower_bound_search,
     validate_solution,
 )
@@ -29,6 +31,38 @@ from alwabp import (
 from bruteforce import brute_force_optimum
 from conftest import random_instance
 from test_constructive import dense_tie_instance
+
+
+UNCHECKED_OBJECTS = {
+    "run_configs of a rule name": lambda inst: run_configs(inst, ["MaxF"]),
+    "search with a string cache": lambda inst: solve_lower_bound_search(
+        inst, TaskRule.MAX_F, WorkerRule.MIN_RLB, cache="x"),
+    "decode with a string cache": lambda inst: decode(
+        inst, Chromosome(((0.5,) * 3,) * 2), cache="x"),
+    "encode_rule with a string cache": lambda inst: encode_rule(
+        inst, TaskRule.MAX_F, cache="x"),
+    "priority_rows with a string cache": lambda inst: (
+        constructive.priority_rows(inst, TaskRule.MAX_F, 5, cache="x")),
+    "improve of None": lambda inst: improve(inst, None),
+    "evolve without params": lambda inst: evolve(inst, None),
+    "crossover of lists": lambda inst: crossover(
+        [[0.5] * 3] * 2, [[0.5] * 3] * 2, 0.5, random.Random(0)),
+}
+
+
+@pytest.mark.parametrize("call", UNCHECKED_OBJECTS.values(),
+                         ids=list(UNCHECKED_OBJECTS))
+def test_package_objects_of_another_type_are_refused(tiny_a, call):
+    """Where an entry point takes one of the package's own objects,
+    anything else is refused with ValueError, not read until an
+    attribute is missing."""
+    with pytest.raises(ValueError):
+        call(tiny_a)
+
+
+def test_validate_solution_reports_a_non_solution(tiny_a):
+    assert validate_solution(tiny_a, None) == (
+        False, ["None is not a Solution"])
 
 
 def test_chromosome_bounds_checked():

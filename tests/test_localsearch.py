@@ -331,14 +331,14 @@ X = INFEASIBLE
     # both at the cycle; the swap leaves one of them at it
     ([[5, 5], [3, 5]], [(0, {0}), (1, {1})], Swap(0, 1), (5, 3)),
     ([[5, 3], [5, 5]], [(0, {0}), (1, {1})], Swap(0, 1), (3, 5)),
-    # both at the cycle and both stay at it: da = db = 0
+    # both at the cycle and both stay at it: la = lb = cycle
     ([[5, 5], [5, 5]], [(0, {0}), (1, {1})], None, (5, 5)),
-    # one at the cycle; the winning swap sits on the bounds of the
-    # per-task filter: da = room_a - 1 and db = room_b - 1
+    # one at the cycle; the winning swap leaves both just below it:
+    # la = lb = cycle - 1
     ([[5, 4], [4, 2]], [(0, {0}), (1, {1})], Swap(0, 1), (4, 4)),
     ([[2, 4], [4, 5]], [(0, {0}), (1, {1})], Swap(0, 1), (4, 4)),
-    # one at the cycle; it stays there (da = 0), or the other reaches it
-    # (db = room_b): no swap of task 0, or only the one with task 2
+    # one at the cycle; it stays there (la = cycle), or the other reaches
+    # it (lb = cycle): no swap of task 0, or only the one with task 2
     ([[5, 5], [1, 2]], [(0, {0}), (1, {1})], None, (5, 2)),
     ([[5, 4], [5, 2]], [(0, {0}), (1, {1})], None, (5, 2)),
     ([[5, 5, 4], [1, 1, 1]], [(0, {0}), (1, {1, 2})], Swap(0, 2), (4, 2)),
