@@ -406,6 +406,10 @@ def _fill(row, prio, ready, u_mask, c_bar, line):
     smaller index.  A task that does not fit now never will, as the load
     only grows, so the heap drops it; a follower joins the heap when its
     last predecessor is taken.
+
+    The heap holds that order's key as a tuple per task; a matrix search
+    past its first cycle fills by `_fill_ranked` instead (see
+    `_rank_rows`).
     """
     neg_imm, pred_masks, succ = line.neg_imm, line.pred_masks, line.succ
     heap = [(-prio[i], neg_imm[i], row[i], i) for i in ready
@@ -429,6 +433,73 @@ def _fill(row, prio, ready, u_mask, c_bar, line):
             if not pred_masks[s] & todo and load + row[s] <= c_bar:
                 heappush(heap, (-prio[s], neg_imm[s], row[s], s))
     return T, load, picked
+
+
+def _fill_ranked(row, ranked, ready, u_mask, c_bar, line):
+    """`_fill` on a worker's tasks ranked once in its order: `ranked` is
+    the worker's (rank, order) from `_rank_rows`, so the heap holds each
+    task's rank, an int, and maps a popped rank back through `order`."""
+    rank, order = ranked
+    pred_masks, succ = line.pred_masks, line.succ
+    heap = [rank[i] for i in ready if row[i] <= c_bar]
+    heapify(heap)
+    T = 0
+    load = 0
+    todo = u_mask
+    picked = []
+    while heap:
+        i = order[heappop(heap)]
+        t = row[i]
+        if load + t > c_bar:
+            continue
+        bit = 1 << i
+        T |= bit
+        todo ^= bit
+        load += t
+        picked.append(i)
+        for s in succ[i]:
+            if not pred_masks[s] & todo and load + row[s] <= c_bar:
+                heappush(heap, rank[s])
+    return T, load, picked
+
+
+class _Ranks(list):
+    """Per worker, its (rank, order) in one direction of a search (see
+    `_rank_rows`): the source `_assemble` fills by `_fill_ranked`."""
+
+
+def _rank_rows(matrix, times, lines):
+    """The `_Ranks` of a priority matrix per direction of `lines`
+    (direction -> `_Line`): per worker, `rank[i]` is task i's position
+    under `_fill`'s key, (-prio[i], neg_imm[i], times[w][i], i), and
+    `order[k]` the task at position k.
+
+    A named rule's priorities move with the crew and the cycle, so
+    `_fill` builds its key tuples afresh at every call.  A matrix orders
+    each worker's tasks the same way at every cycle and station, so a
+    search that has assembled at one cycle and failed in every direction
+    ranks them here once and fills by `_fill_ranked`, which heaps plain
+    int ranks, for the rest of the call; a search that succeeds at its
+    first cycle sorts nothing.  `times` are the instance's own.  They
+    rank every reduction of the instance exactly: `preprocess` only
+    turns cells INFEASIBLE, and a fill drops such a task before it reads
+    its rank."""
+    tasks = range(len(times[0]))
+    out = {d: _Ranks() for d in lines}
+    for prio, row in zip(matrix, times):
+        neg_prio = [-p for p in prio]
+        for d, line in lines.items():
+            keys = sorted(zip(neg_prio, line.neg_imm, row, tasks))
+            out[d].append(_ranked([key[3] for key in keys]))
+    return out
+
+
+def _ranked(order):
+    """(rank, order) of an order of the tasks, rank its inverse."""
+    rank = [0] * len(order)
+    for k, i in enumerate(order):
+        rank[i] = k
+    return rank, order
 
 
 # -- worker scoring -----------------------------------------------------------
@@ -493,16 +564,20 @@ def _rest_bound(totals, others, w, picked, crew):
 
 def _station_fills(source, crew, line, left, u_mask, c_bar):
     """Each available worker's (T mask, load, tasks in order, rest
-    bound) at a station, in `crew.workers` order."""
+    bound) at a station, in `crew.workers` order; a `_Ranks` source
+    fills by `_fill_ranked`."""
     times = crew.times
     ready, totals = _station_start(left, u_mask, line.pred_masks, crew,
                                    len(times))
-    prio_of = _station_prio(source, crew, line, left, c_bar)
+    if isinstance(source, _Ranks):
+        fill, prio_of = _fill_ranked, source.__getitem__
+    else:
+        fill, prio_of = _fill, _station_prio(source, crew, line, left, c_bar)
     others = len(crew.workers) - 1
     fills = []
     for w in crew.workers:
-        T, load, picked = _fill(times[w], prio_of(w), ready, u_mask, c_bar,
-                                line)
+        T, load, picked = fill(times[w], prio_of(w), ready, u_mask, c_bar,
+                               line)
         fills.append((T, load, picked,
                       _rest_bound(totals, others, w, picked, crew)))
     return fills
@@ -768,6 +843,9 @@ def solve_lower_bound_search(inst, source, worker_rule, direction="forward",
     crews.  A `worker_rule` that is not a `WorkerRule` is refused with
     ValueError, and a c_start that is not an integer with
     ValidationError.
+
+    A priority matrix search fills by rank heaps once it has passed its
+    first cycle (see `_rank_rows`).
     """
     if direction != "both" and direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
@@ -780,15 +858,20 @@ def solve_lower_bound_search(inst, source, worker_rule, direction="forward",
     if c_start is not None:             # no assembly fits below cycle 1
         c = max(1, as_int(c_start, "c_start"))
     ceiling = max(cache.ceiling, c)     # an explicit start is always tried
+    ranks = None            # a matrix's, once the search has passed a cycle
     while c <= ceiling:
         times = cache.times(c, use_preprocess)
         if times is not None:
             crews = cache.crews(times)
             for d in directions:
-                sol = _assemble(times, c, source, worker_rule, cache.lines[d],
-                                crews, cache.fills)
+                sol = _assemble(times, c, ranks[d] if ranks else source,
+                                worker_rule, cache.lines[d], crews,
+                                cache.fills)
                 if sol is not None:
                     return sol
+            if ranks is None and not isinstance(source, TaskRule):
+                ranks = _rank_rows(source, inst.times,
+                                   {d: cache.lines[d] for d in directions})
         c += 1
     raise NoFeasibleAssignmentError(
         f"{inst.name}: no feasible assignment up to cycle {ceiling}")

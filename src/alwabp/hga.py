@@ -51,6 +51,15 @@ class Fitness:
     norm_load: float    # executed time / (m * cycle), in (0, 1]
 
 
+def _is_q(q) -> bool:
+    """Whether q is a crossover probability: a number in [0.5, 1] that is
+    not a bool (None, a string or NaN is not)."""
+    try:
+        return not isinstance(q, bool) and 0.5 <= q <= 1.0
+    except TypeError:
+        return False
+
+
 @dataclass(frozen=True)
 class HgaParams:
     p: int = 100
@@ -82,7 +91,7 @@ class HgaParams:
         if self.p_e + self.p_r >= self.p:
             raise ValueError("elite + immigrants must leave room for "
                              "offspring")
-        if isinstance(self.q, bool) or not 0.5 <= self.q <= 1.0:
+        if not _is_q(self.q):
             raise ValueError("crossover probability q must be a number in "
                              f"[0.5, 1], got {self.q!r}")
         if self.max_iters < 0 or self.max_stale_iters < 1:
@@ -150,12 +159,12 @@ def random_chromosome(inst, rng) -> Chromosome:
 def crossover(a: Chromosome, b: Chromosome, q: float,
               rng: random.Random) -> Chromosome:
     """Biased uniform crossover: each cell comes from a with probability
-    q (a is meant to be the elite parent), else from b.  A q that is a
-    bool or outside [0.5, 1], parents that are not `Chromosome`s and
-    parents of different shapes are refused."""
+    q (a is meant to be the elite parent), else from b.  A q that is
+    not a number in [0.5, 1] (a bool is not), parents that are not
+    `Chromosome`s and parents of different shapes are refused."""
     if not (isinstance(a, Chromosome) and isinstance(b, Chromosome)):
         raise ValueError("crossover parents must be Chromosomes")
-    if isinstance(q, bool) or not 0.5 <= q <= 1.0:
+    if not _is_q(q):
         raise ValueError("crossover probability must be a number in "
                          f"[0.5, 1], got {q!r}")
     if list(map(len, a.p)) != list(map(len, b.p)):
@@ -176,8 +185,11 @@ def decode(inst, chromosome: Chromosome, c_start=None,
     `SearchCache` of `inst` (a fresh one by default), is shared by the
     decodes of a run: besides the searches' set-up it memoises the local
     search, so a decode that builds a solution an earlier one built
-    reuses its result instead of running `improve` again.
+    reuses its result instead of running `improve` again.  A
+    `chromosome` that is not a `Chromosome` is refused with ValueError.
     """
+    if not isinstance(chromosome, Chromosome):
+        raise ValueError(f"decode needs a Chromosome, got {chromosome!r}")
     if c_start is None:
         c_start = compute_bounds(inst).best
     if cache is None:

@@ -33,19 +33,25 @@ def validate_solution(inst: Instance, sol: Solution) -> tuple[bool, list[str]]:
     Verified: one station per worker (a bijection), tasks partitioned over
     the stations, every worker capable of every task assigned to it,
     precedence respected by station order, and the recorded loads/cycle
-    matching a recomputation.  A `sol` that is not a `Solution`, and a
-    worker or task that is not an int (a bool is not), is reported
-    before anything is indexed by it.
+    matching a recomputation.  A `sol` that is not a `Solution`,
+    stations that are not (worker, tasks) pairs, and a worker or task
+    that is not an int (a bool is not), are reported before anything is
+    indexed by them.
     """
     if not isinstance(sol, Solution):
         return (False, [f"{sol!r} is not a Solution"])
+    try:
+        stations = [(w, tuple(tasks)) for w, tasks in sol.stations]
+    except (TypeError, ValueError):
+        return (False, [f"stations {sol.stations!r} are not (worker, tasks) "
+                        "pairs"])
     v = []
 
-    if len(sol.stations) != inst.n_workers:
-        v.append(f"expected {inst.n_workers} stations, got {len(sol.stations)}")
+    if len(stations) != inst.n_workers:
+        v.append(f"expected {inst.n_workers} stations, got {len(stations)}")
 
     malformed = []
-    for k, (w, tasks) in enumerate(sol.stations):
+    for k, (w, tasks) in enumerate(stations):
         if not _is_int(w):
             malformed.append(f"station {k + 1}: worker {w!r} is not an "
                              "integer")
@@ -54,12 +60,12 @@ def validate_solution(inst: Instance, sol: Solution) -> tuple[bool, list[str]]:
     if malformed:
         return (False, v + malformed)
 
-    workers = [w for w, _ in sol.stations]
+    workers = [w for w, _ in stations]
     if sorted(workers) != list(range(inst.n_workers)):
         v.append("workers and stations are not in bijection")
 
     where = {}
-    for k, (w, tasks) in enumerate(sol.stations):
+    for k, (w, tasks) in enumerate(stations):
         for i in tasks:
             if not (0 <= i < inst.n_tasks):
                 v.append(f"unknown task {i + 1}")
@@ -80,8 +86,9 @@ def validate_solution(inst: Instance, sol: Solution) -> tuple[bool, list[str]]:
 
     if not v:
         loads = tuple(sum(inst.times[w][i] for i in ts)
-                      for w, ts in sol.stations)
-        if tuple(sol.loads) != loads:
+                      for w, ts in stations)
+        if (not isinstance(sol.loads, (tuple, list))
+                or tuple(sol.loads) != loads):
             v.append(f"recorded loads {sol.loads} differ from {loads}")
         elif sol.cycle != max(loads):
             v.append(f"recorded cycle {sol.cycle} is not the maximum load")

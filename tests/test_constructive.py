@@ -22,6 +22,7 @@ from alwabp import (
     all_rule_configs,
     assemble,
     compute_bounds,
+    crossover,
     cycle_ceiling,
     decode,
     encode_rule,
@@ -792,6 +793,110 @@ def test_search_with_preprocess_stays_valid():
             assert ok, (inst.name, violations)
             cases += 1
     assert cases >= 40
+
+
+def _reference_matrix_search(inst, matrix, c_start):
+    """`solve_lower_bound_search(inst, matrix, MinRLB, 'both', c_start,
+    use_preprocess=True)` by the public API: at each cycle from c_start,
+    `preprocess`, then `assemble` on the reduced instance, forward then
+    backward.  Returns the solution and the cycles assembled at, or None
+    and those cycles when the ceiling is exhausted."""
+    tried = []
+    for c in range(c_start, max(cycle_ceiling(inst), c_start) + 1):
+        try:
+            reduced = preprocess(inst, c)[0]
+        except CycleInfeasibleError:
+            continue
+        tried.append(c)
+        for direction in DIRECTIONS:
+            sol = assemble(reduced, c, matrix, WorkerRule.MIN_RLB, direction)
+            if sol is not None:
+                return sol, tried
+    return None, tried
+
+
+def _matrices(inst, rng):
+    """Priority matrices of every kind a GA decodes: random ones, rule
+    encodings, crossovers of two encodings (tied keys within a row) and
+    one of all-equal keys."""
+    rules = rng.sample(list(TaskRule), 4)
+    encodings = [encode_rule(inst, rule) for rule in rules]
+    chroms = [random_chromosome(inst, rng) for _ in range(2)]
+    chroms += encodings[:2]
+    chroms += [crossover(a, b, 0.5, rng)
+               for a, b in (encodings[:2], encodings[2:])]
+    out = [chrom.p for chrom in chroms]
+    out.append([[0.5] * inst.n_tasks for _ in range(inst.n_workers)])
+    return out
+
+
+def test_ranked_fills_equal_the_reference_search():
+    """Once a matrix search has failed at one cycle it fills by ranks;
+    its solutions equal those of per-cycle `preprocess` and `assemble`
+    calls, on random lines of 3-12 tasks and on two 70x10 lines, for
+    random, encoded, crossed and flat matrices."""
+    rng = random.Random(0x4A4C)
+    insts = [random_instance(rng, n_max=12, m_max=5) for _ in range(120)]
+    insts += [random_line(rng, name=f"line{k}") for k in range(2)]
+    searches = ranked = tied = 0
+    for inst in insts:
+        start = compute_bounds(inst).best
+        for matrix in _matrices(inst, rng):
+            want, tried = _reference_matrix_search(inst, matrix, start)
+            if want is None:
+                with pytest.raises(NoFeasibleAssignmentError):
+                    solve_lower_bound_search(inst, matrix, WorkerRule.MIN_RLB,
+                                             "both", start,
+                                             use_preprocess=True)
+                continue
+            got = solve_lower_bound_search(inst, matrix, WorkerRule.MIN_RLB,
+                                           "both", start, use_preprocess=True)
+            assert (got.stations, got.loads, got.cycle, got.direction) == (
+                want.stations, want.loads, want.cycle, want.direction), (
+                inst.name, matrix)
+            searches += 1
+            if len(tried) > 1:
+                ranked += 1
+                tied += any(len(set(row)) < inst.n_tasks for row in matrix)
+    assert searches >= 800 and ranked >= 140 and tied >= 60
+
+
+def test_ranks_are_built_once_a_search_passes_its_first_cycle(monkeypatch):
+    """A decode whose search succeeds at the first cycle it assembles at
+    builds no ranks; one that passes that cycle builds them once, however
+    many cycles follow.  A named task rule never builds them."""
+    real_rank_rows, real_assemble = (constructive._rank_rows,
+                                     constructive._assemble)
+    builds, cycles = [], []
+
+    def counted_rank_rows(*args):
+        builds.append(args)
+        return real_rank_rows(*args)
+
+    def recording_assemble(times, c, *args):
+        cycles.append(c)
+        return real_assemble(times, c, *args)
+
+    monkeypatch.setattr(constructive, "_rank_rows", counted_rank_rows)
+    monkeypatch.setattr(constructive, "_assemble", recording_assemble)
+    rng = random.Random(0xB1D)
+    passes = {False: 0, True: 0}     # by whether the search passed a cycle
+    insts = [random_instance(rng) for _ in range(20)] + [random_line(rng)]
+    for inst in insts:
+        for chrom in [random_chromosome(inst, rng) for _ in range(3)]:
+            builds.clear()
+            cycles.clear()
+            decode(inst, chrom)
+            passed = cycles[-1] > cycles[0]
+            assert len(builds) == passed, inst.name
+            passes[passed] += 1
+    assert passes[False] >= 10 and passes[True] >= 5
+    assert max(cycles) - min(cycles) >= 2       # the 70x10 line: many cycles
+    builds.clear()
+    cycles.clear()
+    solve_lower_bound_search(insts[-1], TaskRule.MAX_F, WorkerRule.MIN_RLB,
+                             "both", use_preprocess=True)
+    assert cycles[-1] > cycles[0] and builds == []
 
 
 def _cache_cases(rng, count):

@@ -1,5 +1,6 @@
 """Genetic algorithm: seeding, crossover, decode path, evolution loop."""
 
+import math
 import random
 
 import pytest
@@ -110,6 +111,29 @@ def test_params_refuse_a_bool_q():
     with pytest.raises(ValueError, match=r"^crossover probability q must be "
                        r"a number in \[0\.5, 1\], got True$"):
         HgaParams(q=True)
+
+
+@pytest.mark.parametrize("q", ["0.7", None, math.nan])
+def test_params_refuse_a_q_that_is_not_a_number(q):
+    with pytest.raises(ValueError, match=r"^crossover probability q must be "
+                       r"a number in \[0\.5, 1\], got "):
+        HgaParams(q=q)
+
+
+@pytest.mark.parametrize("q", ["0.7", None, math.nan])
+def test_crossover_refuses_a_q_that_is_not_a_number(q):
+    a = Chromosome(((1.0, 1.0), (1.0, 1.0)))
+    with pytest.raises(ValueError, match=r"^crossover probability must be "
+                       r"a number in \[0\.5, 1\], got "):
+        crossover(a, a, q, random.Random(1))
+
+
+@pytest.mark.parametrize("matrix", [[[0.5] * 3] * 2, ((0.5,) * 3,) * 2, None])
+def test_decode_refuses_anything_but_a_chromosome(tiny_a, matrix):
+    """Even a matrix of the right shape: only a `Chromosome` has checked
+    its keys."""
+    with pytest.raises(ValueError, match="^decode needs a Chromosome, got "):
+        decode(tiny_a, matrix)
 
 
 def test_decode_refuses_a_start_that_is_not_an_integer(tiny_a):

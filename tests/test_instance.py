@@ -260,6 +260,25 @@ def test_malformed_station_is_a_violation(tiny_a, stations, violation):
         improve(tiny_a, sol)
 
 
+@pytest.mark.parametrize("sol, violation", [
+    (Solution(None, (), 0), "stations None are not (worker, tasks) pairs"),
+    (Solution(((0, 5),), (1,), 1),
+     "stations ((0, 5),) are not (worker, tasks) pairs"),
+    (Solution(((0,), (1,)), (1,), 1),
+     "stations ((0,), (1,)) are not (worker, tasks) pairs"),
+    (Solution(((0, frozenset({0})), (1, frozenset({1, 2}))), None, 2),
+     "recorded loads None differ from (2, 2)"),
+])
+def test_malformed_station_list_is_a_violation(tiny_a, sol, violation):
+    """Stations that are not (worker, tasks) pairs, and loads that are not
+    a sequence, are reported rather than raised on, so `improve` refuses
+    them with ValueError."""
+    assert validate_solution(tiny_a, sol) == (False, [violation])
+    with pytest.raises(ValueError) as info:
+        improve(tiny_a, sol)
+    assert str(info.value).endswith(f"invalid solution: {violation}")
+
+
 def test_validate_agrees_with_bruteforce_walk():
     """Random assignments, valid or not, judged identically by the
     independent constraint walk and by validate_solution."""
