@@ -102,11 +102,17 @@ class BoundsReport:
 def compute_bounds(inst: Instance,
                    external_relax: float | None = None) -> BoundsReport:
     """LC1, LC2, LC3 and their maximum, raised to an external relaxation
-    bound when one is given; a non-finite one is refused with
-    ValueError."""
-    if external_relax is not None and not math.isfinite(external_relax):
-        raise ValueError("the external relaxation bound must be finite, "
-                         f"got {external_relax!r}")
+    bound when one is given; one that is not a finite number (a bool is
+    not) is refused with ValueError."""
+    try:
+        finite = external_relax is None or (
+            not isinstance(external_relax, bool)
+            and math.isfinite(external_relax))
+    except TypeError:
+        finite = False
+    if not finite:
+        raise ValueError("the external relaxation bound must be finite (a "
+                         f"number, not a bool), got {external_relax!r}")
     a = lc1(inst)
     b = lc2(inst)
     c = lc3(inst, max(a, b))

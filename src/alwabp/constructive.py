@@ -58,7 +58,7 @@ from heapq import heapify, heappop, heappush
 from math import isfinite
 
 from .bounds import CycleInfeasibleError, lc1, preprocess
-from .instance import INFEASIBLE, as_cycle, as_int
+from .instance import INFEASIBLE, Instance, as_cycle, as_flag, as_int
 from .solution import Solution
 
 
@@ -138,10 +138,15 @@ class _Crew:
     `min1`, `amin` and `min2` hold each task's fastest time, the
     smallest-index worker at that time (-1 if none) and the second
     fastest time (equal to `min1` when two workers tie).  The fields
-    only some rules read (`ties`, `spread`, MinRank rows) are built on
-    first use.  A crew is a pure function of the times and its workers,
-    so the searches sharing a `SearchCache` build one per pair they meet
-    and read it at every later station with the same pair.
+    only some rules read (`cols`, `ranks`, `ties`, `spread`) and the
+    first station's `totals` are built on first use.  A crew is a pure
+    function of the times and its workers, so the searches sharing a
+    `SearchCache` build one per pair they meet and read it at every
+    later station with the same pair.  `cells` counts the table cells
+    the crew holds: 3n for `min1`, `amin` and `min2`, plus what each
+    table built so far holds (n x k for `cols` and for `ranks`, k the
+    crew's workers, 6n for `ties`, 3n for `spread`, 2m + 3 for
+    `totals`, m the instance's workers).
 
     A station's crew is derived from `parent`, the previous station's
     crew, without `gone`, the worker committed there; a crew with no
@@ -160,6 +165,7 @@ class _Crew:
         self.times = times
         self.workers = tuple(workers)
         self.parent, self.gone = parent, gone
+        self.cells = 3 * n
         if parent is None:
             self.redo = redo = range(n)
             self.min1 = min1 = [INFEASIBLE] * n
@@ -187,8 +193,18 @@ class _Crew:
                     min2[i] = t
 
     @cached_property
+    def totals(self):
+        """`_station_start`'s rest-bound totals when every task is
+        unassigned, as at the first station of a pass."""
+        n, m = len(self.min1), len(self.times)
+        self.cells += 2 * m + 3
+        # the masks only pick the ready tasks, which are not kept here
+        return _station_start(range(n), 0, [0] * n, self, m)[1]
+
+    @cached_property
     def cols(self):
         """Per task: its times over the workers."""
+        self.cells += len(self.min1) * len(self.workers)
         return list(zip(*(self.times[w] for w in self.workers)))
 
     @cached_property
@@ -196,6 +212,7 @@ class _Crew:
         """Per worker: its MinRank row, minus the number of workers
         faster than it on each task."""
         ranked = list(map(sorted, self.cols))
+        self.cells += len(self.min1) * len(self.workers)
         return {w: [-bisect_left(s, t) for s, t in zip(ranked, self.times[w])]
                 for w in self.workers}
 
@@ -211,6 +228,7 @@ class _Crew:
             out = self.parent.ties.copy()
         workers, cols = self.workers, self.cols
         min1, min2 = self.min1, self.min2
+        self.cells += 6 * len(min1)
         for i in self.redo:
             col, t1, t2 = cols[i], min1[i], min2[i]
             solo, at1, at2 = -1, (), ()
@@ -242,6 +260,7 @@ class _Crew:
                     if t == fmax[i]:
                         redo.append(i)
         k, cols = len(self.workers), self.cols
+        self.cells += 3 * len(fmax)
         for i in redo:
             finite = [t for t in cols[i] if t != INFEASIBLE]
             fmax[i] = max(finite, default=0)
@@ -358,6 +377,8 @@ class _Line:
         else:
             pred, self.succ, self.succ_star = clo.succ, clo.pred, clo.pred_star
         self.pred_masks = [sum(1 << p for p in ps) for ps in pred]
+        self.roots = [i for i, mask in enumerate(self.pred_masks)
+                      if not mask]
         self.n_imm = [len(s) for s in self.succ]
         self.n_star = [len(s) for s in self.succ_star]
         self.neg_imm = [-k for k in self.n_imm]
@@ -468,29 +489,29 @@ class _Ranks(list):
     `_rank_rows`): the source `_assemble` fills by `_fill_ranked`."""
 
 
-def _rank_rows(matrix, times, lines):
-    """The `_Ranks` of a priority matrix per direction of `lines`
-    (direction -> `_Line`): per worker, `rank[i]` is task i's position
-    under `_fill`'s key, (-prio[i], neg_imm[i], times[w][i], i), and
-    `order[k]` the task at position k.
+def _rank_rows(matrix, times, line):
+    """The `_Ranks` of a priority matrix in the direction of `line`: per
+    worker, `rank[i]` is task i's position under `_fill`'s key,
+    (-prio[i], neg_imm[i], times[w][i], i), and `order[k]` the task at
+    position k.
 
     A named rule's priorities move with the crew and the cycle, so
     `_fill` builds its key tuples afresh at every call.  A matrix orders
     each worker's tasks the same way at every cycle and station, so a
     search that has assembled at one cycle and failed in every direction
-    ranks them here once and fills by `_fill_ranked`, which heaps plain
-    int ranks, for the rest of the call; a search that succeeds at its
-    first cycle sorts nothing.  `times` are the instance's own.  They
-    rank every reduction of the instance exactly: `preprocess` only
-    turns cells INFEASIBLE, and a fill drops such a task before it reads
-    its rank."""
+    ranks them here, for each direction at its first assembly after that
+    cycle, and fills by `_fill_ranked`, which heaps plain int ranks, for
+    the rest of the call; a search that succeeds at its first cycle
+    sorts nothing, and one that succeeds forward at its second sorts for
+    forward only.  `times` are the instance's own.  They rank every
+    reduction of the instance exactly: `preprocess` only turns cells
+    INFEASIBLE, and a fill drops such a task before it reads its
+    rank."""
     tasks = range(len(times[0]))
-    out = {d: _Ranks() for d in lines}
+    out = _Ranks()
     for prio, row in zip(matrix, times):
-        neg_prio = [-p for p in prio]
-        for d, line in lines.items():
-            keys = sorted(zip(neg_prio, line.neg_imm, row, tasks))
-            out[d].append(_ranked([key[3] for key in keys]))
+        keys = sorted(zip([-p for p in prio], line.neg_imm, row, tasks))
+        out.append(_ranked([key[3] for key in keys]))
     return out
 
 
@@ -565,10 +586,15 @@ def _rest_bound(totals, others, w, picked, crew):
 def _station_fills(source, crew, line, left, u_mask, c_bar):
     """Each available worker's (T mask, load, tasks in order, rest
     bound) at a station, in `crew.workers` order; a `_Ranks` source
-    fills by `_fill_ranked`."""
+    fills by `_fill_ranked`.  While no task is assigned, as at a pass's
+    first station, the ready tasks are the line's roots and the totals
+    the crew's own, read instead of rescanning the tasks."""
     times = crew.times
-    ready, totals = _station_start(left, u_mask, line.pred_masks, crew,
-                                   len(times))
+    if len(left) == len(times[0]):
+        ready, totals = line.roots, crew.totals
+    else:
+        ready, totals = _station_start(left, u_mask, line.pred_masks, crew,
+                                       len(times))
     if isinstance(source, _Ranks):
         fill, prio_of = _fill_ranked, source.__getitem__
     else:
@@ -691,11 +717,16 @@ def cycle_ceiling(inst) -> int:
 # 1,024 solutions).
 IMPROVED_CELLS = 1 << 18
 
-# Table cells (crews x tasks x workers) a SearchCache's crews may hold as
-# a search starts before they are cleared: all of them on small lines,
-# about 187 crews at 70x10 and 92 at 75x19, where peak RSS stays within 1%
-# of one memo per search (unbounded, a 75x19 `run_all_96` took 144 MB).
-CREW_CELLS = 1 << 17
+# Table cells the crews of a SearchCache may hold as a search starts
+# before they are cleared, each crew counting the cells it holds (see
+# `_Crew`): 3n for a GA decode's crew, from 3n to 32n (about 10n on
+# average) for those of a `run_all_96` at 70x10.  A GA run on a 70x10
+# line keeps every crew it builds, some 400 per run, and so does every
+# search on the small lines.  `run_all_96` on 70x10 and 75x19 lines
+# builds fewer crews than when each crew counted n x m cells against a
+# bound of 2^17, and peaks at the same RSS within 1 MB; at 2^17 cells it
+# built more crews on a 70x10 line, and unbounded it took 144 MB.
+CREW_CELLS = 3 << 16
 
 
 class SearchCache:
@@ -715,14 +746,17 @@ class SearchCache:
     and the assembly reads and extends both.  `priority_rows` reads and
     extends the crew table of the instance's times.  `open_search`
     clears the crews as a search starts once all their tables together
-    hold `CREW_CELLS` table cells (crews x tasks x workers), so no
-    search builds more crews than on a fresh cache; the local-search
-    memo is cleared once it holds `IMPROVED_CELLS` (solutions x tasks x
-    workers).  Pass one as the `cache` of every
-    `solve_lower_bound_search` call on `inst`.
+    hold `CREW_CELLS` table cells, each crew counting the cells it holds
+    (`_Crew.cells`), so no search builds more crews than on a fresh
+    cache; the local-search memo is cleared once it holds
+    `IMPROVED_CELLS` (solutions x tasks x workers).  Pass one as the
+    `cache` of every `solve_lower_bound_search` call on `inst`; anything
+    but an `Instance` is refused with ValueError.
     """
 
     def __init__(self, inst):
+        if not isinstance(inst, Instance):
+            raise ValueError(f"not an Instance: {inst!r}")
         self.inst = inst
         clo = inst.closure()
         self.lines = {d: _Line(clo, d) for d in DIRECTIONS}
@@ -732,7 +766,7 @@ class SearchCache:
         self.fills = None       # station -> fills (see `_assemble`)
         self._improved = {}     # solution -> its local-search result
         self.improve_hits = 0
-        # table cells of one crew or one solution
+        # table cells of one solution
         self._cells = inst.n_tasks * inst.n_workers
         self.start = lc1(inst)
         self.ceiling = cycle_ceiling(inst)
@@ -768,7 +802,8 @@ class SearchCache:
         """Clears the crews, as a search starts, once their tables
         together hold `CREW_CELLS` table cells; a crew is a pure function
         of its times and workers, so this costs hits, never results."""
-        if sum(map(len, self._crews.values())) * self._cells >= CREW_CELLS:
+        if sum(crew.cells for crews in self._crews.values()
+               for crew in crews.values()) >= CREW_CELLS:
             self._crews.clear()
 
     def improved(self, sol, improve):
@@ -841,8 +876,8 @@ def solve_lower_bound_search(inst, source, worker_rule, direction="forward",
     the same instance to reuse the search's start and ceiling, the
     precedence of each direction, the outcomes of `preprocess` and the
     crews.  A `worker_rule` that is not a `WorkerRule` is refused with
-    ValueError, and a c_start that is not an integer with
-    ValidationError.
+    ValueError, and a c_start that is not an integer or a
+    `use_preprocess` that is not a bool with ValidationError.
 
     A priority matrix search fills by rank heaps once it has passed its
     first cycle (see `_rank_rows`).
@@ -853,25 +888,29 @@ def solve_lower_bound_search(inst, source, worker_rule, direction="forward",
     cache = _cache_of(inst, cache)
     _check_source(inst, source)
     _check_rule(worker_rule, WorkerRule)
+    as_flag(use_preprocess, "use_preprocess")
     cache.open_search()
     c = cache.start
     if c_start is not None:             # no assembly fits below cycle 1
         c = max(1, as_int(c_start, "c_start"))
     ceiling = max(cache.ceiling, c)     # an explicit start is always tried
-    ranks = None            # a matrix's, once the search has passed a cycle
+    ranks = None            # a matrix's per direction, once past a cycle
     while c <= ceiling:
         times = cache.times(c, use_preprocess)
         if times is not None:
             crews = cache.crews(times)
             for d in directions:
-                sol = _assemble(times, c, ranks[d] if ranks else source,
-                                worker_rule, cache.lines[d], crews,
+                line, by = cache.lines[d], source
+                if ranks is not None:
+                    by = ranks.get(d)
+                    if by is None:
+                        by = ranks[d] = _rank_rows(source, inst.times, line)
+                sol = _assemble(times, c, by, worker_rule, line, crews,
                                 cache.fills)
                 if sol is not None:
                     return sol
             if ranks is None and not isinstance(source, TaskRule):
-                ranks = _rank_rows(source, inst.times,
-                                   {d: cache.lines[d] for d in directions})
+                ranks = {}
         c += 1
     raise NoFeasibleAssignmentError(
         f"{inst.name}: no feasible assignment up to cycle {ceiling}")
@@ -899,8 +938,10 @@ def run_configs(inst, configs, use_preprocess=False,
     first of a direction read the fills it computed.  Within the call
     `use_preprocess` is fixed, so the times are a function of the cycle,
     and the table's key is exact.  A configuration that is not a
-    `RuleConfig` is refused with ValueError before any search runs.
+    `RuleConfig`, or a `use_preprocess` that is not a bool, is refused
+    with ValueError before any search runs.
     """
+    as_flag(use_preprocess, "use_preprocess")
     configs = list(configs)
     for cfg in configs:
         if not isinstance(cfg, RuleConfig):

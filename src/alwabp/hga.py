@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .bounds import compute_bounds
 from .constructive import (SearchCache, TaskRule, WorkerRule,
                            priority_rows, solve_lower_bound_search)
-from .instance import as_int
+from .instance import as_flag, as_int
 from .localsearch import improve
 from .solution import Solution
 
@@ -72,10 +72,12 @@ class HgaParams:
     stop_at_lower_bound: bool = True
 
     def __post_init__(self):
-        for name in ("p", "p_e", "p_r", "max_iters", "max_stale_iters"):
+        for name in ("p", "p_e", "p_r", "max_iters", "max_stale_iters",
+                     "rng_seed"):
             value = getattr(self, name)
             if value is not None or name not in ("p_e", "p_r"):
                 object.__setattr__(self, name, as_int(value, name))
+        as_flag(self.stop_at_lower_bound, "stop_at_lower_bound")
         if self.p < 2:
             raise ValueError("population p must hold at least two "
                              "individuals (one elite and one offspring), "

@@ -51,6 +51,14 @@ def as_int(value, what) -> int:
     raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
+def as_flag(value, what) -> bool:
+    """`value` when it is a bool; ValidationError otherwise, as a string
+    such as "no" or a number would be read as its truth value."""
+    if not isinstance(value, bool):
+        raise ValidationError(f"{what} must be a bool, got {value!r}")
+    return value
+
+
 def as_cycle(value) -> int:
     """`value` as a cycle time: an int (see `as_int`) of at least 1;
     ValidationError otherwise."""

@@ -100,6 +100,15 @@ def test_compute_bounds_refuses_non_finite_relax(tiny_a, relax):
         compute_bounds(tiny_a, relax)
 
 
+@pytest.mark.parametrize("relax", [True, False, "x", "3", [2.5]])
+def test_compute_bounds_refuses_a_relax_that_is_not_a_number(tiny_a, relax):
+    """True would be reported as a relaxation of 1; a string or a list
+    would fail as a TypeError deep in the check."""
+    with pytest.raises(ValueError, match="must be finite"):
+        compute_bounds(tiny_a, relax)
+    assert compute_bounds(tiny_a, 3).best == 3
+
+
 def test_relax_sidecar(tmp_path, tiny_a):
     from alwabp import save_instance
 

@@ -38,8 +38,9 @@ from alwabp import (
 
 from alwabp import constructive
 from alwabp.bounds import CycleInfeasibleError, preprocess
-from alwabp.constructive import (_bwa_without, _Crew, _Line, _rest_bound,
-                                 _station_prio, _station_start, priority_rows)
+from alwabp.constructive import (_bwa_without, _Crew, _Line, _Ranks,
+                                 _rest_bound, _station_prio, _station_start,
+                                 priority_rows)
 from bruteforce import brute_force_optimum, bwa_cycle, rest_bound
 from conftest import TINY_A, random_instance, random_line
 from stations import score_worker, station_load_tasks
@@ -268,6 +269,27 @@ def test_rest_bound_equals_oracle():
                 picking += len(picked) > 0
                 finite += want != INFEASIBLE
     assert checked > 1200 and picking > 700 and finite > 900 and derived > 100
+
+
+def test_unassigned_line_reads_roots_and_crew_totals():
+    """While no task is assigned, a station's ready tasks are its line's
+    roots and its rest-bound totals the crew's own, fresh or derived, in
+    both directions, as `_station_start` computes them from scratch."""
+    rng = random.Random(0x70A)
+    chain_rng = random.Random(0x70B)
+    derived = 0
+    for _ in range(200):
+        inst = dense_tie_instance(rng)
+        n, m = inst.n_tasks, inst.n_workers
+        crew_workers = random_crew(rng, inst)
+        chained, removed = derived_crew(chain_rng, inst, crew_workers)
+        derived += removed > 0
+        for crew in (_Crew(inst.times, crew_workers, n, None, None), chained):
+            for d in DIRECTIONS:
+                line = _Line(inst.closure(), d)
+                assert (line.roots, crew.totals) == _station_start(
+                    range(n), (1 << n) - 1, line.pred_masks, crew, m)
+    assert derived > 50
 
 
 def direct_base(rule, inst, crew_workers, c_bar):
@@ -616,6 +638,21 @@ def test_solve_refuses_a_start_that_is_not_an_integer(tiny_a, start):
                                  c_start=start)
 
 
+@pytest.mark.parametrize("flag", ["no", "", 0, 1, None])
+@pytest.mark.parametrize("entry", ["search", "run_configs", "run_all_96"])
+def test_reduction_flag_that_is_not_a_bool_is_refused(tiny_a, entry, flag):
+    """A string such as "no" would read as true and run with reduction."""
+    call = {"search": lambda: solve_lower_bound_search(
+                tiny_a, TaskRule.MAX_F, WorkerRule.MIN_RLB,
+                use_preprocess=flag),
+            "run_configs": lambda: run_configs(
+                tiny_a, all_rule_configs()[:2], flag),
+            "run_all_96": lambda: run_all_96(tiny_a, flag)}[entry]
+    with pytest.raises(ValidationError, match="^use_preprocess must be a "
+                       f"bool, got {flag!r}$"):
+        call()
+
+
 def test_solve_infeasible_instance():
     # chain 0 -> 1 -> 2; worker 0 only does task 1, worker 1 only 0 and 2.
     # No split of the chain into two stations works, so the search must
@@ -863,40 +900,47 @@ def test_ranked_fills_equal_the_reference_search():
 
 def test_ranks_are_built_once_a_search_passes_its_first_cycle(monkeypatch):
     """A decode whose search succeeds at the first cycle it assembles at
-    builds no ranks; one that passes that cycle builds them once, however
-    many cycles follow.  A named task rule never builds them."""
+    builds no ranks; one that passes that cycle builds a direction's
+    ranks once, at that direction's first assembly after the cycle,
+    however many cycles follow, and fills by them from there on.  A
+    decode that succeeds forward at its second cycle never ranks
+    backward.  A named task rule never builds ranks."""
     real_rank_rows, real_assemble = (constructive._rank_rows,
                                      constructive._assemble)
-    builds, cycles = [], []
+    builds, runs = [], []       # directions ranked; (cycle, dir, ranked)
 
-    def counted_rank_rows(*args):
-        builds.append(args)
-        return real_rank_rows(*args)
+    def counted_rank_rows(matrix, times, line):
+        builds.append(line.direction)
+        return real_rank_rows(matrix, times, line)
 
-    def recording_assemble(times, c, *args):
-        cycles.append(c)
-        return real_assemble(times, c, *args)
+    def recording_assemble(times, c, source, worker_rule, line, *args):
+        runs.append((c, line.direction, isinstance(source, _Ranks)))
+        return real_assemble(times, c, source, worker_rule, line, *args)
 
     monkeypatch.setattr(constructive, "_rank_rows", counted_rank_rows)
     monkeypatch.setattr(constructive, "_assemble", recording_assemble)
     rng = random.Random(0xB1D)
     passes = {False: 0, True: 0}     # by whether the search passed a cycle
+    forward_only = 0
     insts = [random_instance(rng) for _ in range(20)] + [random_line(rng)]
     for inst in insts:
         for chrom in [random_chromosome(inst, rng) for _ in range(3)]:
             builds.clear()
-            cycles.clear()
+            runs.clear()
             decode(inst, chrom)
-            passed = cycles[-1] > cycles[0]
-            assert len(builds) == passed, inst.name
-            passes[passed] += 1
-    assert passes[False] >= 10 and passes[True] >= 5
-    assert max(cycles) - min(cycles) >= 2       # the 70x10 line: many cycles
+            first = runs[0][0]
+            later = [d for c, d, _ in runs if c > first]
+            assert builds == list(dict.fromkeys(later)), inst.name
+            assert all(ranked == (c > first) for c, _, ranked in runs)
+            passes[bool(later)] += 1
+            forward_only += builds == ["forward"]
+    assert passes[False] >= 10 and passes[True] >= 5 and forward_only >= 3
+    assert runs[-1][0] - runs[0][0] >= 2        # the 70x10 line: many cycles
     builds.clear()
-    cycles.clear()
+    runs.clear()
     solve_lower_bound_search(insts[-1], TaskRule.MAX_F, WorkerRule.MIN_RLB,
                              "both", use_preprocess=True)
-    assert cycles[-1] > cycles[0] and builds == []
+    assert runs[-1][0] > runs[0][0] and builds == []
 
 
 def _cache_cases(rng, count):
@@ -996,31 +1040,55 @@ def test_cleared_crews_match_fresh_searches(monkeypatch):
             assert n_shared == n_fresh if reduce else n_shared <= n_fresh
 
 
+def _held_cells(crew):
+    """The table cells `crew` holds, counted off the tables it has built:
+    its three per-task lists, then `cols`, `ranks`, `ties`, `spread` and
+    `totals` where built, each entry of a task's tuple, of a worker's
+    row and of the totals one cell."""
+    built = vars(crew)
+    cells = len(crew.min1) + len(crew.amin) + len(crew.min2)
+    for name in ("cols", "ties", "spread"):
+        cells += sum(map(len, built.get(name, ())))
+    if "totals" in built:
+        count, total, short, extra, lost = crew.totals
+        cells += 3 + len(extra) + len(lost)
+    return cells + sum(map(len, built.get("ranks", {}).values()))
+
+
 def test_crew_bound_counts_every_crew_table(monkeypatch):
     """With reduction a search reads several crew tables, one per value
-    of the times.  With a bound of k crews, a search starts with the
-    crews cleared exactly when all the tables together held k crews or
-    more, also where no single table held k."""
+    of the times, and a crew holds more cells once a rule has built the
+    tables it reads lazily.  With a bound of k cells, a search starts
+    with the crews cleared exactly when the cells all the crews of all
+    the tables held reached k: also where no single table held k, and
+    where the crews' own per-task lists alone, or a fixed count per
+    crew, would have decided otherwise."""
     open_search = SearchCache.open_search
-    starts = []             # per search: (crews per table, cleared)
+    starts = []     # per search: (cells per table, crews, cleared)
 
     def watched_open_search(cache):
-        sizes = [len(table) for table in cache._crews.values()]
+        tables = cache._crews.values()
+        cells = [sum(map(_held_cells, t.values())) for t in tables]
+        crews = sum(map(len, tables))
         open_search(cache)
-        starts.append((sizes, bool(sizes) and not cache._crews))
+        starts.append((cells, crews, bool(cells) and not cache._crews))
 
     monkeypatch.setattr(SearchCache, "open_search", watched_open_search)
-    split = 0               # starts where only the sum of the tables reached k
+    split = lazy = per_crew = 0
     for inst, searches in _cache_cases(random.Random(0x5CF), 6):
-        for k in (2, 3, 5, 8):
-            monkeypatch.setattr(constructive, "CREW_CELLS",
-                                k * inst.n_tasks * inst.n_workers)
+        n, m = inst.n_tasks, inst.n_workers
+        for k in (8, 13, 21, 34, 55):
+            bound = k * n
+            monkeypatch.setattr(constructive, "CREW_CELLS", bound)
             starts.clear()
             _run_searches(inst, searches, SearchCache(inst))
-            for sizes, cleared in starts:
-                assert cleared == (sum(sizes) >= k), (inst, k, sizes)
-                split += max(sizes, default=0) < k <= sum(sizes)
-    assert split >= 20
+            for cells, crews, cleared in starts:
+                held = sum(cells)
+                assert cleared == (held >= bound), (inst, k, cells)
+                split += max(cells, default=0) < bound <= held
+                lazy += 3 * n * crews < bound <= held
+                per_crew += (n * m * crews >= bound) != (held >= bound)
+    assert split >= 100 and lazy >= 100 and per_crew >= 100
 
 
 def test_fills_are_kept_only_inside_run_configs(monkeypatch):
@@ -1089,13 +1157,38 @@ def test_run_all_96_builds_each_crew_once(monkeypatch):
             assert built, inst
 
 
+def test_ga_run_on_a_70x10_line_builds_each_crew_once(monkeypatch):
+    """A GA run at the paper's scale keeps every crew its decodes build:
+    no two crews are built over equal times and the same workers, and
+    the crews are never cleared."""
+    init, open_search = _Crew.__init__, SearchCache.open_search
+    built, clears = [], []
+
+    def counted_init(self, times, workers, n, parent, gone):
+        built.append((times, tuple(workers)))
+        init(self, times, workers, n, parent, gone)
+
+    def counted_open_search(cache):
+        held = bool(cache._crews)
+        open_search(cache)
+        clears.append(held and not cache._crews)
+
+    monkeypatch.setattr(_Crew, "__init__", counted_init)
+    monkeypatch.setattr(SearchCache, "open_search", counted_open_search)
+    inst = random_line(random.Random(0x6A))
+    evolve(inst, HgaParams(p=16, max_iters=1, max_stale_iters=99,
+                           stop_at_lower_bound=False, rng_seed=1))
+    assert len(clears) == 29 and not any(clears)
+    assert len(built) == len(set(built)) >= 300
+
+
 def test_run_all_96_evaluates_each_station_state_once(monkeypatch):
     """Within one `run_all_96`, with and without reduction, no station
     state (times, workers and tasks left, task rule, direction and
     cycle) is evaluated twice: the worker rules of one task rule and
     direction read the fills an earlier one computed."""
-    assemble_, station_start = (constructive._assemble,
-                                constructive._station_start)
+    assemble_, station_fills = (constructive._assemble,
+                                constructive._station_fills)
     context, states = [], []
 
     def marked_assemble(times, c, source, worker_rule, line, *args):
@@ -1105,13 +1198,13 @@ def test_run_all_96_evaluates_each_station_state_once(monkeypatch):
         finally:
             context.pop()
 
-    def recording_station_start(left, u_mask, pred_masks, crew, m):
+    def recording_station_fills(source, crew, line, left, u_mask, c_bar):
         states.append((*context[-1], crew.times, crew.workers, u_mask))
-        return station_start(left, u_mask, pred_masks, crew, m)
+        return station_fills(source, crew, line, left, u_mask, c_bar)
 
     monkeypatch.setattr(constructive, "_assemble", marked_assemble)
-    monkeypatch.setattr(constructive, "_station_start",
-                        recording_station_start)
+    monkeypatch.setattr(constructive, "_station_fills",
+                        recording_station_fills)
     rng = random.Random(0x5CE)
     lines = [random_instance(rng) for _ in range(20)]
     lines += [random_line(random.Random(s), 30, 5) for s in range(3)]

@@ -48,6 +48,8 @@ UNCHECKED_OBJECTS = {
     "evolve without params": lambda inst: evolve(inst, None),
     "crossover of lists": lambda inst: crossover(
         [[0.5] * 3] * 2, [[0.5] * 3] * 2, 0.5, random.Random(0)),
+    "SearchCache of a string": lambda inst: SearchCache("x"),
+    "SearchCache of None": lambda inst: SearchCache(None),
 }
 
 
@@ -174,6 +176,24 @@ def test_params_refuse_non_integer_counts():
         with pytest.raises(ValueError, match=f"^{name} must be an integer"):
             HgaParams(**{"p": 10, name: value})
     assert HgaParams(p=10, p_e=None, p_r=None).p_e == 2
+
+
+@pytest.mark.parametrize("seed", [None, 2.5, True, "7"])
+def test_params_refuse_a_seed_that_is_not_an_integer(seed):
+    """None would seed from OS entropy and make a run irreproducible; 2.5
+    and True would seed as hashes of other values."""
+    with pytest.raises(ValueError, match=f"^rng_seed must be an integer, "
+                       f"got {seed!r}$"):
+        HgaParams(rng_seed=seed)
+    assert HgaParams(rng_seed=7).rng_seed == 7
+
+
+@pytest.mark.parametrize("flag", ["no", "", 0, 1, None])
+def test_params_refuse_a_bound_stop_that_is_not_a_bool(flag):
+    """A string such as "no" would read as true and stop at the bound."""
+    with pytest.raises(ValueError, match="^stop_at_lower_bound must be a "
+                       f"bool, got {flag!r}$"):
+        HgaParams(stop_at_lower_bound=flag)
 
 
 def test_random_chromosome_deterministic(tiny_a):
