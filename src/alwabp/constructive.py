@@ -276,6 +276,29 @@ def _workers_at(workers, col, t):
     return tuple(w for w, x in zip(workers, col) if x == t)
 
 
+def _fixed(source):
+    """Whether `source`'s priorities are fixed for a search: a priority
+    matrix, or a named rule that reads only the direction's line and the
+    worker's own times, never the crew or the cycle."""
+    return not isinstance(source, TaskRule) or source in (
+        TaskRule.MAX_F, TaskRule.MAX_IF, TaskRule.MAX_F_TIME,
+        TaskRule.MAX_IF_TIME)
+
+
+def _fixed_prio(source, times, line):
+    """`_station_prio` of a `_fixed` source, from `times` and `line`
+    alone."""
+    if not isinstance(source, TaskRule):          # priority matrix
+        return source.__getitem__
+    if source is TaskRule.MAX_F:
+        return lambda w: line.n_star
+    if source is TaskRule.MAX_IF:
+        return lambda w: line.n_imm
+    # MaxFTime divides the immediate followers, MaxIFTime the transitive
+    counts = line.n_imm if source is TaskRule.MAX_F_TIME else line.n_star
+    return lambda w: [k / t for k, t in zip(counts, times[w])]
+
+
 def _station_prio(source, crew, line, left, c_bar):
     """Returns prio(w) -> per-task priority list (larger = earlier) at a
     station where `crew` is available and the tasks `left` are not yet
@@ -289,14 +312,10 @@ def _station_prio(source, crew, line, left, c_bar):
     that read the precedence are built per station.  Entries for tasks
     the worker cannot execute are never read.
     """
-    if not isinstance(source, TaskRule):          # priority matrix
-        return source.__getitem__
+    if _fixed(source):
+        return _fixed_prio(source, crew.times, line)
 
     rule = source
-    if rule is TaskRule.MAX_F:
-        return lambda w: line.n_star
-    if rule is TaskRule.MAX_IF:
-        return lambda w: line.n_imm
     if rule is TaskRule.MIN_RANK:
         return crew.ranks.__getitem__
     times, min1 = crew.times, crew.min1
@@ -306,12 +325,6 @@ def _station_prio(source, crew, line, left, c_bar):
     if rule is TaskRule.MIN_R:
         return lambda w: [-(times[w][i] / min1[i]) if min1[i] != INFEASIBLE
                           else 0.0 for i in range(n)]
-    if rule is TaskRule.MAX_F_TIME:
-        n_imm = line.n_imm
-        return lambda w: [n_imm[i] / times[w][i] for i in range(n)]
-    if rule is TaskRule.MAX_IF_TIME:
-        n_star = line.n_star
-        return lambda w: [n_star[i] / times[w][i] for i in range(n)]
 
     if rule in _BY_MIN:
         base = [t if t != INFEASIBLE else c_bar for t in crew.min1]
@@ -426,17 +439,17 @@ def _fill(row, prio, ready, u_mask, c_bar, line):
     order: higher priority, more immediate followers, smaller time,
     smaller index.  A task that does not fit now never will, as the load
     only grows, so the heap drops it; a follower joins the heap when its
-    last predecessor is taken.
+    last predecessor is taken.  Times are at least 1, so nothing fits
+    once the load reaches c_bar, and the fill stops there.
 
-    The heap holds that order's key as a tuple per task; a matrix search
-    past its first cycle fills by `_fill_ranked` instead (see
-    `_rank_rows`).
+    The heap holds that order's key as a tuple per task; a search whose
+    priorities are fixed fills by `_fill_ranked` once past its first
+    cycle (see `_rank_rows`).
     """
     neg_imm, pred_masks, succ = line.neg_imm, line.pred_masks, line.succ
     heap = [(-prio[i], neg_imm[i], row[i], i) for i in ready
             if row[i] <= c_bar]
     heapify(heap)
-    T = 0
     load = 0
     todo = u_mask
     picked = []
@@ -445,15 +458,15 @@ def _fill(row, prio, ready, u_mask, c_bar, line):
         t = row[i]
         if load + t > c_bar:
             continue
-        bit = 1 << i
-        T |= bit
-        todo ^= bit
+        todo ^= 1 << i
         load += t
         picked.append(i)
+        if load == c_bar:
+            break
         for s in succ[i]:
             if not pred_masks[s] & todo and load + row[s] <= c_bar:
                 heappush(heap, (-prio[s], neg_imm[s], row[s], s))
-    return T, load, picked
+    return u_mask ^ todo, load, picked
 
 
 def _fill_ranked(row, ranked, ready, u_mask, c_bar, line):
@@ -464,7 +477,6 @@ def _fill_ranked(row, ranked, ready, u_mask, c_bar, line):
     pred_masks, succ = line.pred_masks, line.succ
     heap = [rank[i] for i in ready if row[i] <= c_bar]
     heapify(heap)
-    T = 0
     load = 0
     todo = u_mask
     picked = []
@@ -473,15 +485,15 @@ def _fill_ranked(row, ranked, ready, u_mask, c_bar, line):
         t = row[i]
         if load + t > c_bar:
             continue
-        bit = 1 << i
-        T |= bit
-        todo ^= bit
+        todo ^= 1 << i
         load += t
         picked.append(i)
+        if load == c_bar:
+            break
         for s in succ[i]:
             if not pred_masks[s] & todo and load + row[s] <= c_bar:
                 heappush(heap, rank[s])
-    return T, load, picked
+    return u_mask ^ todo, load, picked
 
 
 class _Ranks(list):
@@ -489,27 +501,30 @@ class _Ranks(list):
     `_rank_rows`): the source `_assemble` fills by `_fill_ranked`."""
 
 
-def _rank_rows(matrix, times, line):
-    """The `_Ranks` of a priority matrix in the direction of `line`: per
-    worker, `rank[i]` is task i's position under `_fill`'s key,
-    (-prio[i], neg_imm[i], times[w][i], i), and `order[k]` the task at
-    position k.
+def _rank_rows(rows, times, line):
+    """The `_Ranks` of per-worker priority rows in the direction of
+    `line`: per worker, `rank[i]` is task i's position under `_fill`'s
+    key, (-prio[i], neg_imm[i], times[w][i], i), and `order[k]` the task
+    at position k.
 
-    A named rule's priorities move with the crew and the cycle, so
-    `_fill` builds its key tuples afresh at every call.  A matrix orders
-    each worker's tasks the same way at every cycle and station, so a
-    search that has assembled at one cycle and failed in every direction
-    ranks them here, for each direction at its first assembly after that
-    cycle, and fills by `_fill_ranked`, which heaps plain int ranks, for
-    the rest of the call; a search that succeeds at its first cycle
-    sorts nothing, and one that succeeds forward at its second sorts for
-    forward only.  `times` are the instance's own.  They rank every
+    Most named rules' priorities move with the crew and the cycle, so
+    `_fill` builds their key tuples afresh at every call.  A `_fixed`
+    source (a priority matrix, or MaxF, MaxIF, MaxFTime or MaxIFTime,
+    which read only the line and the worker's own times) orders each
+    worker's tasks the same way at every cycle and station.  So a search
+    with such a source that has assembled at one cycle and failed in
+    every direction ranks its rows here, for each direction at its first
+    assembly after that cycle, and fills by `_fill_ranked`, which heaps
+    plain int ranks, for the rest of the call; a search that succeeds at
+    its first cycle sorts nothing, and one that succeeds forward at its
+    second sorts for forward only.  `times`, and the times the named
+    rules' rows divide by, are the instance's own.  They rank every
     reduction of the instance exactly: `preprocess` only turns cells
     INFEASIBLE, and a fill drops such a task before it reads its
     rank."""
     tasks = range(len(times[0]))
     out = _Ranks()
-    for prio, row in zip(matrix, times):
+    for prio, row in zip(rows, times):
         keys = sorted(zip([-p for p in prio], line.neg_imm, row, tasks))
         out.append(_ranked([key[3] for key in keys]))
     return out
@@ -628,7 +643,9 @@ def _assemble(times, c_bar, source, worker_rule, line, crews, fills):
     other workers' stations holds at most c_bar, so together they cannot
     take the remaining work, and the pass would end with tasks left
     over.  Every worker rule computes that bound for its scores, so the
-    cut changes no decision.
+    cut changes no decision.  When every worker's bound is above c_bar,
+    so is the committed worker's, and the pass stops before it scores
+    any worker, which spares MinBWA's scores there.
     """
     n, m = len(times[0]), len(times)
     left = list(range(n))
@@ -650,6 +667,8 @@ def _assemble(times, c_bar, source, worker_rule, line, crews, fills):
             if station is None:
                 station = fills[key] = _station_fills(source, crew, line,
                                                       left, u_mask, c_bar)
+        if min(fill[3] for fill in station) > c_bar:
+            return None
         best = None
         best_score = None
         for w, fill in zip(workers, station):
@@ -879,7 +898,8 @@ def solve_lower_bound_search(inst, source, worker_rule, direction="forward",
     ValueError, and a c_start that is not an integer or a
     `use_preprocess` that is not a bool with ValidationError.
 
-    A priority matrix search fills by rank heaps once it has passed its
+    A search with a priority matrix or a named rule whose priorities are
+    fixed for the search fills by rank heaps once it has passed its
     first cycle (see `_rank_rows`).
     """
     if direction != "both" and direction not in DIRECTIONS:
@@ -894,7 +914,7 @@ def solve_lower_bound_search(inst, source, worker_rule, direction="forward",
     if c_start is not None:             # no assembly fits below cycle 1
         c = max(1, as_int(c_start, "c_start"))
     ceiling = max(cache.ceiling, c)     # an explicit start is always tried
-    ranks = None            # a matrix's per direction, once past a cycle
+    ranks = None            # per direction, once a fixed source passed a cycle
     while c <= ceiling:
         times = cache.times(c, use_preprocess)
         if times is not None:
@@ -904,12 +924,15 @@ def solve_lower_bound_search(inst, source, worker_rule, direction="forward",
                 if ranks is not None:
                     by = ranks.get(d)
                     if by is None:
-                        by = ranks[d] = _rank_rows(source, inst.times, line)
+                        prio = _fixed_prio(source, inst.times, line)
+                        by = ranks[d] = _rank_rows(
+                            [prio(w) for w in range(inst.n_workers)],
+                            inst.times, line)
                 sol = _assemble(times, c, by, worker_rule, line, crews,
                                 cache.fills)
                 if sol is not None:
                     return sol
-            if ranks is None and not isinstance(source, TaskRule):
+            if ranks is None and _fixed(source):
                 ranks = {}
         c += 1
     raise NoFeasibleAssignmentError(

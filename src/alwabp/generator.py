@@ -28,6 +28,9 @@ class GeneratorConfig:
     infeasibility_density: fraction of worker x task cells set INFEASIBLE
     (benchmark levels are 0.10 and 0.20); the exact cell count is
     round(density * n_workers * n_tasks).
+    rng_seed: an integer; anything else (None, which would seed from OS
+    entropy, a bool, 2.5, "7") is refused with ValidationError, so
+    `generate` stays deterministic.
     """
 
     n_workers: int
@@ -36,8 +39,8 @@ class GeneratorConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "n_workers",
-                           as_int(self.n_workers, "n_workers"))
+        for name in ("n_workers", "rng_seed"):
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
         if self.n_workers < 1:
             raise ValidationError("need at least one worker")
         if self.variability not in VARIABILITY_FACTOR:

@@ -280,9 +280,12 @@ def improve(inst, sol: Solution,
             moves: list[Move] | None = None) -> Solution:
     """Descend until no move is accepted; never worsens, never breaks
     feasibility.  Each pass returns the move it applied, or None; when
-    `moves` is a list, every accepted move is appended to it.  A
-    solution that `validate_solution` rejects raises ValueError, and an
-    accepted move that does not lower the key RuntimeError."""
+    `moves` is a list, every accepted move is appended to it.  A `moves`
+    that is neither None nor a list, and a solution that
+    `validate_solution` rejects, raise ValueError, and an accepted move
+    that does not lower the key RuntimeError."""
+    if moves is not None and not isinstance(moves, list):
+        raise ValueError(f"moves must be None or a list, got {moves!r}")
     ok, violations = validate_solution(inst, sol)
     if not ok:
         raise ValueError(f"{inst.name}: cannot improve an invalid "

@@ -1,6 +1,7 @@
 """Constructive heuristics: frozen small-case traces + oracle properties."""
 
 import gc
+import itertools
 import math
 import random
 import tracemalloc
@@ -38,8 +39,9 @@ from alwabp import (
 
 from alwabp import constructive
 from alwabp.bounds import CycleInfeasibleError, preprocess
-from alwabp.constructive import (_bwa_without, _Crew, _Line, _Ranks,
-                                 _rest_bound, _station_prio, _station_start,
+from alwabp.constructive import (_bwa_without, _Crew, _fill, _fill_ranked,
+                                 _Line, _rank_rows, _Ranks, _rest_bound,
+                                 _station_prio, _station_start,
                                  priority_rows)
 from bruteforce import brute_force_optimum, bwa_cycle, rest_bound
 from conftest import TINY_A, random_instance, random_line
@@ -832,21 +834,119 @@ def test_search_with_preprocess_stays_valid():
     assert cases >= 40
 
 
-def _reference_matrix_search(inst, matrix, c_start):
-    """`solve_lower_bound_search(inst, matrix, MinRLB, 'both', c_start,
-    use_preprocess=True)` by the public API: at each cycle from c_start,
-    `preprocess`, then `assemble` on the reduced instance, forward then
-    backward.  Returns the solution and the cycles assembled at, or None
-    and those cycles when the ceiling is exhausted."""
+def reference_fill(row, prio, u_mask, c_bar, line):
+    """A worker's fill by its definition: while some ready task fits,
+    take the first of them in the order higher priority, more immediate
+    followers, smaller time, smaller index.  It rescans every task at
+    each step, so it runs until no task fits, as a heap popped until it
+    is empty would.  Returns the T mask, the load and the tasks in
+    order."""
+    todo, load, picked = u_mask, 0, []
+    while True:
+        fits = [i for i in range(len(row)) if todo >> i & 1
+                and not line.pred_masks[i] & todo and load + row[i] <= c_bar]
+        if not fits:
+            return u_mask ^ todo, load, picked
+        i = min(fits, key=lambda i: (-prio[i], line.neg_imm[i], row[i], i))
+        todo ^= 1 << i
+        load += row[i]
+        picked.append(i)
+
+
+def test_fills_equal_the_reference_fill():
+    """`_fill` on every task rule's and on tied matrices' priorities, and
+    `_fill_ranked` on the ranks of the same rows, equal the fill by its
+    definition, in both directions, on random lines of short times where
+    stations often end full with ready tasks left over."""
+    rng = random.Random(0xF111)
+    insts = [dense_tie_instance(rng) for _ in range(150)]
+    insts += [random_line(rng, 30, 5, name=f"line{k}") for k in range(4)]
+    checked = full = 0
+    for inst, d in itertools.product(insts, DIRECTIONS):
+        n, m = inst.n_tasks, inst.n_workers
+        line = _Line(inst.closure(), d)
+        left = set(rng.sample(range(n), rng.randint(1, n)))
+        for i in list(left):        # closed under followers, as in a pass
+            left |= line.succ_star[i]
+        left = sorted(left)
+        u_mask = sum(1 << i for i in left)
+        ready = [i for i in left if not line.pred_masks[i] & u_mask]
+        crew = _Crew(inst.times, range(m), n, None, None)
+        c_bar = rng.randint(1, 10)
+        matrix = [[rng.choice((0.25, 0.5)) for _ in range(n)]
+                  for _ in range(m)]
+        for source in [*TaskRule, matrix]:
+            prio = _station_prio(source, crew, line, left, c_bar)
+            rows = [prio(w) for w in range(m)]
+            ranks = _rank_rows(rows, inst.times, line)
+            for w, row in enumerate(inst.times):
+                want = reference_fill(row, rows[w], u_mask, c_bar, line)
+                assert _fill(row, rows[w], ready, u_mask, c_bar,
+                             line) == want, (inst, source, d, w)
+                assert _fill_ranked(row, ranks[w], ready, u_mask, c_bar,
+                                    line) == want, (inst, source, d, w)
+                checked += 1
+                todo = u_mask ^ want[0]
+                full += want[1] == c_bar and any(
+                    todo >> i & 1 and not line.pred_masks[i] & todo
+                    for i in range(n))
+    assert checked >= 15000 and full >= 3000
+
+
+def test_min_bwa_scores_no_station_that_every_rest_bound_cuts(monkeypatch):
+    """A MinBWA pass stops at a station where every worker's rest bound
+    exceeds c_bar before it scores any worker: `_bwa_without` is never
+    called there, and such stations occur, in lone searches of both
+    directions, with and without reduction."""
+    station_fills, bwa_without = (constructive._station_fills,
+                                  constructive._bwa_without)
+    last = []               # the latest station's rest bounds and c_bar
+    cut = scored = 0
+
+    def recording_station_fills(source, crew, line, left, u_mask, c_bar):
+        nonlocal cut
+        fills = station_fills(source, crew, line, left, u_mask, c_bar)
+        last[:] = [fill[3] for fill in fills], c_bar
+        cut += min(last[0]) > c_bar
+        return fills
+
+    def checked_bwa_without(*args):
+        nonlocal scored
+        bounds, c_bar = last
+        assert min(bounds) <= c_bar, (bounds, c_bar)
+        scored += 1
+        return bwa_without(*args)
+
+    monkeypatch.setattr(constructive, "_station_fills",
+                        recording_station_fills)
+    monkeypatch.setattr(constructive, "_bwa_without", checked_bwa_without)
+    rng = random.Random(0xB7A)
+    for _ in range(30):
+        inst = random_instance(rng)
+        for rule, reduce in itertools.product(TaskRule, (False, True)):
+            solve_lower_bound_search(inst, rule, WorkerRule.MIN_BWA, "both",
+                                     use_preprocess=reduce)
+    assert cut >= 1000 and scored >= 5000, (cut, scored)
+
+
+def _reference_search(inst, source, c_start, reduce):
+    """`solve_lower_bound_search(inst, source, MinRLB, 'both', c_start,
+    use_preprocess=reduce)` by the public API: at each cycle from
+    c_start, `preprocess` when `reduce`, then `assemble` on the reduced
+    instance (or `inst`), forward then backward.  Returns the solution
+    and the cycles assembled at, or None and those cycles when the
+    ceiling is exhausted."""
     tried = []
     for c in range(c_start, max(cycle_ceiling(inst), c_start) + 1):
-        try:
-            reduced = preprocess(inst, c)[0]
-        except CycleInfeasibleError:
-            continue
+        reduced = inst
+        if reduce:
+            try:
+                reduced = preprocess(inst, c)[0]
+            except CycleInfeasibleError:
+                continue
         tried.append(c)
         for direction in DIRECTIONS:
-            sol = assemble(reduced, c, matrix, WorkerRule.MIN_RLB, direction)
+            sol = assemble(reduced, c, source, WorkerRule.MIN_RLB, direction)
             if sol is not None:
                 return sol, tried
     return None, tried
@@ -867,35 +967,48 @@ def _matrices(inst, rng):
     return out
 
 
+FIXED_RULES = [TaskRule.MAX_F, TaskRule.MAX_IF, TaskRule.MAX_F_TIME,
+               TaskRule.MAX_IF_TIME]
+
+
 def test_ranked_fills_equal_the_reference_search():
-    """Once a matrix search has failed at one cycle it fills by ranks;
-    its solutions equal those of per-cycle `preprocess` and `assemble`
-    calls, on random lines of 3-12 tasks and on two 70x10 lines, for
-    random, encoded, crossed and flat matrices."""
+    """Once a search with fixed priorities (a matrix, or one of the four
+    named rules that read only the line and the worker's own times) has
+    failed at one cycle it fills by ranks; its solutions equal those of
+    per-cycle `assemble` calls, with and without `preprocess` first, on
+    random lines of 3-12 tasks and on two 70x10 lines, for random,
+    encoded, crossed and flat matrices and the four rules."""
     rng = random.Random(0x4A4C)
     insts = [random_instance(rng, n_max=12, m_max=5) for _ in range(120)]
     insts += [random_line(rng, name=f"line{k}") for k in range(2)]
-    searches = ranked = tied = 0
+    searches = tied = 0
+    ranked = {}             # (kind of source, reduce) -> ranked searches
     for inst in insts:
         start = compute_bounds(inst).best
-        for matrix in _matrices(inst, rng):
-            want, tried = _reference_matrix_search(inst, matrix, start)
+        sources = [(s, "matrix") for s in _matrices(inst, rng)]
+        sources += [(rule, rule) for rule in FIXED_RULES]
+        for (source, kind), reduce in itertools.product(sources,
+                                                        (False, True)):
+            want, tried = _reference_search(inst, source, start, reduce)
             if want is None:
                 with pytest.raises(NoFeasibleAssignmentError):
-                    solve_lower_bound_search(inst, matrix, WorkerRule.MIN_RLB,
+                    solve_lower_bound_search(inst, source, WorkerRule.MIN_RLB,
                                              "both", start,
-                                             use_preprocess=True)
+                                             use_preprocess=reduce)
                 continue
-            got = solve_lower_bound_search(inst, matrix, WorkerRule.MIN_RLB,
-                                           "both", start, use_preprocess=True)
+            got = solve_lower_bound_search(inst, source, WorkerRule.MIN_RLB,
+                                           "both", start,
+                                           use_preprocess=reduce)
             assert (got.stations, got.loads, got.cycle, got.direction) == (
                 want.stations, want.loads, want.cycle, want.direction), (
-                inst.name, matrix)
+                inst.name, source, reduce)
             searches += 1
             if len(tried) > 1:
-                ranked += 1
-                tied += any(len(set(row)) < inst.n_tasks for row in matrix)
-    assert searches >= 800 and ranked >= 140 and tied >= 60
+                ranked[kind, reduce] = ranked.get((kind, reduce), 0) + 1
+                tied += kind == "matrix" and any(
+                    len(set(row)) < inst.n_tasks for row in source)
+    assert searches >= 2500 and tied >= 120
+    assert len(ranked) == 10 and min(ranked.values()) >= 20, ranked
 
 
 def test_ranks_are_built_once_a_search_passes_its_first_cycle(monkeypatch):
@@ -904,7 +1017,9 @@ def test_ranks_are_built_once_a_search_passes_its_first_cycle(monkeypatch):
     ranks once, at that direction's first assembly after the cycle,
     however many cycles follow, and fills by them from there on.  A
     decode that succeeds forward at its second cycle never ranks
-    backward.  A named task rule never builds ranks."""
+    backward.  The four named rules whose priorities are fixed for a
+    search rank as a matrix does; a rule that reads the crew, such as
+    MinD, never builds ranks."""
     real_rank_rows, real_assemble = (constructive._rank_rows,
                                      constructive._assemble)
     builds, runs = [], []       # directions ranked; (cycle, dir, ranked)
@@ -936,11 +1051,17 @@ def test_ranks_are_built_once_a_search_passes_its_first_cycle(monkeypatch):
             forward_only += builds == ["forward"]
     assert passes[False] >= 10 and passes[True] >= 5 and forward_only >= 3
     assert runs[-1][0] - runs[0][0] >= 2        # the 70x10 line: many cycles
-    builds.clear()
-    runs.clear()
-    solve_lower_bound_search(insts[-1], TaskRule.MAX_F, WorkerRule.MIN_RLB,
-                             "both", use_preprocess=True)
-    assert runs[-1][0] > runs[0][0] and builds == []
+    for rule in FIXED_RULES + [TaskRule.MIN_D]:
+        builds.clear()
+        runs.clear()
+        solve_lower_bound_search(insts[-1], rule, WorkerRule.MIN_RLB, "both",
+                                 use_preprocess=True)
+        first = runs[0][0]
+        assert runs[-1][0] > first, rule
+        fixed = rule is not TaskRule.MIN_D
+        assert builds == (list(DIRECTIONS) if fixed else []), rule
+        assert all(ranked == (fixed and c > first)
+                   for c, _, ranked in runs), rule
 
 
 def _cache_cases(rng, count):
@@ -1091,6 +1212,21 @@ def test_crew_bound_counts_every_crew_table(monkeypatch):
     assert split >= 100 and lazy >= 100 and per_crew >= 100
 
 
+def _track_task_rules(monkeypatch):
+    """Wraps the search that `run_configs` calls; the list returned ends
+    with the task rule of the search running, which an assembly's
+    `source` no longer names once the search fills by ranks."""
+    search, rules = constructive.solve_lower_bound_search, []
+
+    def tracked_search(inst, source, *args, **kwargs):
+        rules.append(source)
+        return search(inst, source, *args, **kwargs)
+
+    monkeypatch.setattr(constructive, "solve_lower_bound_search",
+                        tracked_search)
+    return rules
+
+
 def test_fills_are_kept_only_inside_run_configs(monkeypatch):
     """A lone search and a decode through a shared cache keep no
     station's fills; within `run_configs` the table of fills starts
@@ -1109,9 +1245,10 @@ def test_fills_are_kept_only_inside_run_configs(monkeypatch):
     seen = []               # per assembly: (task rule, its table, size)
 
     def watched_assemble(times, c, source, worker_rule, line, crews, fills):
-        seen.append((source, fills, len(fills)))
+        seen.append((rules[-1], fills, len(fills)))
         return assemble_(times, c, source, worker_rule, line, crews, fills)
 
+    rules = _track_task_rules(monkeypatch)
     monkeypatch.setattr(constructive, "_assemble", watched_assemble)
     configs = [RuleConfig(t, w, d) for t in (TaskRule.MAX_F, TaskRule.MIN_D,
                                              TaskRule.MAX_F)
@@ -1192,7 +1329,7 @@ def test_run_all_96_evaluates_each_station_state_once(monkeypatch):
     context, states = [], []
 
     def marked_assemble(times, c, source, worker_rule, line, *args):
-        context.append((source, line.direction, c))
+        context.append((rules[-1], line.direction, c))
         try:
             return assemble_(times, c, source, worker_rule, line, *args)
         finally:
@@ -1202,6 +1339,7 @@ def test_run_all_96_evaluates_each_station_state_once(monkeypatch):
         states.append((*context[-1], crew.times, crew.workers, u_mask))
         return station_fills(source, crew, line, left, u_mask, c_bar)
 
+    rules = _track_task_rules(monkeypatch)
     monkeypatch.setattr(constructive, "_assemble", marked_assemble)
     monkeypatch.setattr(constructive, "_station_fills",
                         recording_station_fills)
@@ -1225,10 +1363,11 @@ def test_run_all_96_assembles_below_the_optimum_once(monkeypatch):
     configs = {}            # cycle -> the configurations assembling there
 
     def recording_assemble(times, c, source, worker_rule, line, *args):
-        configs.setdefault(c, set()).add((source, worker_rule,
+        configs.setdefault(c, set()).add((rules[-1], worker_rule,
                                           line.direction))
         return assemble_(times, c, source, worker_rule, line, *args)
 
+    rules = _track_task_rules(monkeypatch)
     monkeypatch.setattr(constructive, "_assemble", recording_assemble)
     rng = random.Random(0x5CF)
     lines = below = 0

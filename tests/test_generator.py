@@ -130,6 +130,15 @@ def test_config_refuses_a_non_integer_worker_count():
             GeneratorConfig(n_workers=value)
 
 
+def test_config_refuses_a_seed_that_is_not_an_integer():
+    """None would seed from OS entropy, so two `generate` calls would
+    differ; a bool, 2.5 or "7" would reach the instance's name."""
+    for value in (None, True, 2.5, "7"):
+        with pytest.raises(ValidationError,
+                           match="rng_seed must be an integer"):
+            GeneratorConfig(n_workers=2, rng_seed=value)
+
+
 def test_marking_is_uniformish():
     """Every cell gets hit sometimes across seeds (no positional bias hole)."""
     base = BaseInstance("b", (5,) * 5, ())

@@ -75,6 +75,16 @@ def test_improve_leaves_optimum_alone(tiny_a):
     assert out == best
 
 
+@pytest.mark.parametrize("moves", [(), "x", {}, 0])
+def test_improve_refuses_moves_that_are_not_a_list(tiny_a, moves):
+    """Refused up front, also where no move is accepted; a tuple or a
+    string used to fail with AttributeError after the first one."""
+    for stations in ([(0, {0, 1}), (1, {2})], [(0, {0}), (1, {1, 2})]):
+        start = Solution.build(tiny_a, stations)
+        with pytest.raises(ValueError, match="moves must be None or a list"):
+            improve(tiny_a, start, moves)
+
+
 def test_improve_keeps_direction(tiny_a):
     start = Solution.build(tiny_a, [(0, {0, 1}), (1, {2})], "backward")
     assert improve(tiny_a, start).direction == "backward"
