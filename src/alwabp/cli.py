@@ -1,4 +1,4 @@
-"""Command-line front end and benchmark harness.
+"""Command-line front end of the solver kit.
 
 Subcommands: `bounds` (lower-bound report with an argmax tally),
 `construct` (priority-rule runs with deviation statistics against best
@@ -50,14 +50,23 @@ def _load_all(paths, errors, with_relax=False):
     """Instances that load, as (instance, relaxation bound) pairs; the
     bound comes from the sidecar with `with_relax`, else it is None.
     Each file that does not load, or whose sidecar does not parse, fails
-    its item through `_fail`."""
-    loaded = []
+    its item through `_fail`, and so does a file whose instance name (its
+    stem) an earlier file of the batch took, as the reports, the GA logs
+    and the `--bkv` table key every row by that name."""
+    loaded, seen = [], {}       # seen: instance name -> its file
     for path in paths:
         try:
-            loaded.append((load_instance(path),
-                           relax_sidecar(path) if with_relax else None))
+            inst = load_instance(path)
+            relax = relax_sidecar(path) if with_relax else None
         except Exception as exc:
             _fail(errors, f"{path}: {exc}")
+            continue
+        if inst.name in seen:
+            _fail(errors, f"{path}: instance name {inst.name!r} is also "
+                          f"that of {seen[inst.name]}")
+            continue
+        seen[inst.name] = path
+        loaded.append((inst, relax))
     return loaded
 
 

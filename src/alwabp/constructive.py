@@ -14,31 +14,19 @@ its stations in original line order.
 
 An assembly reads only the worker times and the precedence of its
 direction, both read off the instance's one closure.  The searches on
-one instance share a `SearchCache`: the search's start and ceiling, the
-precedence of each direction, per tentative cycle the reduced times, or
-the proof that the cycle is infeasible, and the crews (below) of each
-value of the times, which cycles with equal reduced times share.  Within
-one `run_configs` call the configurations of one task rule also share
-the stations' fills.  The GA's decodes share through the cache the local
-search of each solution they build.
+one instance share work through a `SearchCache`, whose docstring points
+to each rule of that sharing.
 
 Priorities come either from a named task rule or from an externally
 supplied worker x task matrix of values in [0, 1] (larger = earlier).
 Worker-dependent statistics (fastest/slowest/average times, positional
 weights, ranks, MinBWA's fastest workers) are taken over the workers
 still available, with INFEASIBLE times replaced by the tentative cycle
-time where an aggregate needs a finite stand-in.  The searches' cache
-keeps them per set of times and of available workers (`_Crew`), built
-the first time a search meets the pair, so later stations of any search
-with the same times and workers read them instead of rescanning the
-times.  A new set is the previous station's minus its committed worker,
-so its crew is derived from that station's crew: it rescans only the
-tasks where the departed worker's time is at most the second fastest,
-as on every other task the departure changes no fastest or second
-fastest time and no worker at either.  The aggregates that depend on
-the tentative cycle are derived per station, for the unassigned tasks,
-and so are the rows that read the precedence, which differs between the
-two directions one crew serves.
+time where an aggregate needs a finite stand-in; `_Crew` keeps them per
+set of available workers.  The aggregates that depend on the tentative
+cycle are derived per station, for the unassigned tasks, and so are the
+rows that read the precedence, which differs between the two directions
+one crew serves.
 
 Tie-breaking is fixed everywhere so runs are reproducible: tasks by more
 immediate followers, then smaller time for the candidate worker, then
@@ -142,7 +130,11 @@ class _Crew:
     first station's `totals` are built on first use.  A crew is a pure
     function of the times and its workers, so the searches sharing a
     `SearchCache` build one per pair they meet and read it at every
-    later station with the same pair.  `cells` counts the table cells
+    later station with the same pair, in either direction.  The cache
+    keeps one table of crews per value of the times, which the cycles
+    with equal reduced times share, and clears them all as a search
+    starts once they together hold `CREW_CELLS` table cells; that costs
+    hits, never results.  `cells` counts the table cells
     the crew holds: 3n for `min1`, `amin` and `min2`, plus what each
     table built so far holds (n x k for `cols` and for `ranks`, k the
     crew's workers, 6n for `ties`, 3n for `spread`, 2m + 3 for
@@ -276,24 +268,20 @@ def _workers_at(workers, col, t):
     return tuple(w for w, x in zip(workers, col) if x == t)
 
 
-def _fixed(source):
-    """Whether `source`'s priorities are fixed for a search: a priority
-    matrix, or a named rule that reads only the direction's line and the
-    worker's own times, never the crew or the cycle."""
-    return not isinstance(source, TaskRule) or source in (
-        TaskRule.MAX_F, TaskRule.MAX_IF, TaskRule.MAX_F_TIME,
-        TaskRule.MAX_IF_TIME)
-
-
 def _fixed_prio(source, times, line):
-    """`_station_prio` of a `_fixed` source, from `times` and `line`
-    alone."""
+    """`_station_prio` of a source whose priorities are fixed for a
+    search, from `times` and `line` alone: a priority matrix, or a named
+    rule that reads only the direction's line and the worker's own times
+    (MaxF, MaxIF, MaxFTime, MaxIFTime).  None for a rule that reads the
+    crew or the cycle."""
     if not isinstance(source, TaskRule):          # priority matrix
         return source.__getitem__
     if source is TaskRule.MAX_F:
         return lambda w: line.n_star
     if source is TaskRule.MAX_IF:
         return lambda w: line.n_imm
+    if source not in (TaskRule.MAX_F_TIME, TaskRule.MAX_IF_TIME):
+        return None
     # MaxFTime divides the immediate followers, MaxIFTime the transitive
     counts = line.n_imm if source is TaskRule.MAX_F_TIME else line.n_star
     return lambda w: [k / t for k, t in zip(counts, times[w])]
@@ -312,8 +300,9 @@ def _station_prio(source, crew, line, left, c_bar):
     that read the precedence are built per station.  Entries for tasks
     the worker cannot execute are never read.
     """
-    if _fixed(source):
-        return _fixed_prio(source, crew.times, line)
+    prio = _fixed_prio(source, crew.times, line)
+    if prio is not None:
+        return prio
 
     rule = source
     if rule is TaskRule.MIN_RANK:
@@ -442,9 +431,9 @@ def _fill(row, prio, ready, u_mask, c_bar, line):
     last predecessor is taken.  Times are at least 1, so nothing fits
     once the load reaches c_bar, and the fill stops there.
 
-    The heap holds that order's key as a tuple per task; a search whose
-    priorities are fixed fills by `_fill_ranked` once past its first
-    cycle (see `_rank_rows`).
+    The heap holds that order's key as a tuple per task;
+    `solve_lower_bound_search` says when a search fills by
+    `_fill_ranked` instead.
     """
     neg_imm, pred_masks, succ = line.neg_imm, line.pred_masks, line.succ
     heap = [(-prio[i], neg_imm[i], row[i], i) for i in ready
@@ -501,41 +490,23 @@ class _Ranks(list):
     `_rank_rows`): the source `_assemble` fills by `_fill_ranked`."""
 
 
-def _rank_rows(rows, times, line):
-    """The `_Ranks` of per-worker priority rows in the direction of
-    `line`: per worker, `rank[i]` is task i's position under `_fill`'s
-    key, (-prio[i], neg_imm[i], times[w][i], i), and `order[k]` the task
-    at position k.
-
-    Most named rules' priorities move with the crew and the cycle, so
-    `_fill` builds their key tuples afresh at every call.  A `_fixed`
-    source (a priority matrix, or MaxF, MaxIF, MaxFTime or MaxIFTime,
-    which read only the line and the worker's own times) orders each
-    worker's tasks the same way at every cycle and station.  So a search
-    with such a source that has assembled at one cycle and failed in
-    every direction ranks its rows here, for each direction at its first
-    assembly after that cycle, and fills by `_fill_ranked`, which heaps
-    plain int ranks, for the rest of the call; a search that succeeds at
-    its first cycle sorts nothing, and one that succeeds forward at its
-    second sorts for forward only.  `times`, and the times the named
-    rules' rows divide by, are the instance's own.  They rank every
-    reduction of the instance exactly: `preprocess` only turns cells
-    INFEASIBLE, and a fill drops such a task before it reads its
-    rank."""
+def _rank_rows(source, times, line):
+    """The `_Ranks` of a source whose priorities are fixed for a search
+    (see `_fixed_prio`), over `times`, in the direction of `line`: per
+    worker, `rank[i]` is task i's position under `_fill`'s key,
+    (-prio[i], neg_imm[i], times[w][i], i), and `order[k]` the task at
+    position k.  `solve_lower_bound_search` says when a search ranks."""
+    prio = _fixed_prio(source, times, line)
     tasks = range(len(times[0]))
     out = _Ranks()
-    for prio, row in zip(rows, times):
-        keys = sorted(zip([-p for p in prio], line.neg_imm, row, tasks))
-        out.append(_ranked([key[3] for key in keys]))
+    for w, row in enumerate(times):
+        keys = sorted(zip([-p for p in prio(w)], line.neg_imm, row, tasks))
+        order = [key[3] for key in keys]
+        rank = [0] * len(order)
+        for k, i in enumerate(order):
+            rank[i] = k
+        out.append((rank, order))
     return out
-
-
-def _ranked(order):
-    """(rank, order) of an order of the tasks, rank its inverse."""
-    rank = [0] * len(order)
-    for k, i in enumerate(order):
-        rank[i] = k
-    return rank, order
 
 
 # -- worker scoring -----------------------------------------------------------
@@ -632,11 +603,8 @@ def _assemble(times, c_bar, source, worker_rule, line, crews, fills):
     `crews` is the crew table of `times`, from a set of available
     workers, as a bitmask, to its `_Crew` over `times`: a station reads
     its crew there, or builds it and stores it there.  `fills`, when not
-    None, is the table of the stations' fills and rest bounds, by cycle,
-    direction and the masks of the workers and tasks left: a pass that
-    meets a station an earlier pass met, as the three worker rules of
-    one task rule and direction do, reads them there.  The worker rule
-    still picks the worker, and MinBWA still scores each one.
+    None, is the table of the stations' fills that `run_configs`
+    describes, which a station reads or extends the same way.
 
     A failing pass stops at the first station whose committed worker
     leaves a rest lower bound above c_bar.  That is exact: each of the
@@ -650,7 +618,6 @@ def _assemble(times, c_bar, source, worker_rule, line, crews, fills):
     n, m = len(times[0]), len(times)
     left = list(range(n))
     u_mask = (1 << n) - 1
-    workers = list(range(m))
     w_mask = (1 << m) - 1
     picks = []
     crew = w = None         # the previous station's crew and committed worker
@@ -658,7 +625,8 @@ def _assemble(times, c_bar, source, worker_rule, line, crews, fills):
     for _ in range(m):
         parent, crew = crew, crews.get(w_mask)
         if crew is None:
-            crew = crews[w_mask] = _Crew(times, workers, n, parent, w)
+            crew = crews[w_mask] = _Crew(
+                times, [v for v in range(m) if w_mask >> v & 1], n, parent, w)
         if fills is None:
             station = _station_fills(source, crew, line, left, u_mask, c_bar)
         else:
@@ -671,7 +639,7 @@ def _assemble(times, c_bar, source, worker_rule, line, crews, fills):
             return None
         best = None
         best_score = None
-        for w, fill in zip(workers, station):
+        for w, fill in zip(crew.workers, station):
             T, load, picked, rlb = fill
             if worker_rule is WorkerRule.MAX_TASKS:
                 score = (-len(picked), rlb, c_bar - load, w)
@@ -689,7 +657,6 @@ def _assemble(times, c_bar, source, worker_rule, line, crews, fills):
         picks.append((w, picked, load))
         u_mask ^= T
         left = [i for i in left if not T >> i & 1]
-        workers.remove(w)
         w_mask ^= 1 << w
 
     if line.direction == "backward":
@@ -749,28 +716,16 @@ CREW_CELLS = 3 << 16
 
 
 class SearchCache:
-    """What the lower-bound searches on one instance share: the search's
-    `start` (LC1) and `ceiling`, both set at construction, the precedence
-    of each direction (`lines`, read off the instance's closure, which
-    the cache alone keeps), per tentative cycle the outcome of
-    `preprocess`, and per value of the times assemblies run on a table
-    from worker mask to `_Crew`, so a search reads the crews any earlier
-    one met at a cycle with equal times.  `fills`, None unless
-    `run_configs` sets it, is the table of the stations' fills.  The
-    GA's decodes also share the local search of each solution they build
-    (`improved`), counting in `improve_hits` the calls it saved.
-
-    `solve_lower_bound_search` alone reads the fills: it hands
-    `_assemble` the crew table of the times it runs on and the fills,
-    and the assembly reads and extends both.  `priority_rows` reads and
-    extends the crew table of the instance's times.  `open_search`
-    clears the crews as a search starts once all their tables together
-    hold `CREW_CELLS` table cells, each crew counting the cells it holds
-    (`_Crew.cells`), so no search builds more crews than on a fresh
-    cache; the local-search memo is cleared once it holds
-    `IMPROVED_CELLS` (solutions x tasks x workers).  Pass one as the
-    `cache` of every `solve_lower_bound_search` call on `inst`; anything
-    but an `Instance` is refused with ValueError.
+    """What the lower-bound searches on one instance share, each rule
+    stated where it lives: the search's `start` (LC1) and `ceiling`,
+    both set at construction; the precedence of each direction (`lines`,
+    read off the instance's closure, which the cache alone keeps); per
+    tentative cycle the outcome of `preprocess` (`times`); per value of
+    the times a table of crews (`crews`, see `_Crew`); the stations'
+    fills (`fills`, None unless `run_configs` sets it); and the GA's
+    local-search memo (`improved`).  Pass one as the `cache` of every
+    `solve_lower_bound_search` call on `inst`; anything but an
+    `Instance` is refused with ValueError.
     """
 
     def __init__(self, inst):
@@ -782,7 +737,7 @@ class SearchCache:
         self._reduced = {}      # cycle -> reduced times, None if infeasible
         self._reached = set()   # cycles a search reached without `preprocess`
         self._crews = {}        # times -> {mask: _Crew}
-        self.fills = None       # station -> fills (see `_assemble`)
+        self.fills = None       # station -> fills (see `run_configs`)
         self._improved = {}     # solution -> its local-search result
         self.improve_hits = 0
         # table cells of one solution
@@ -793,13 +748,15 @@ class SearchCache:
     def times(self, c, use_preprocess):
         """The times assemblies at tentative cycle c run on, the reduced
         ones with `use_preprocess` and the instance's otherwise, or None
-        when `preprocess` proves c infeasible.
+        when `preprocess` proves c infeasible, so that the search skips
+        c, where no assembly can succeed.
 
-        The outcome of `preprocess` is kept per cycle whatever the flag.
-        Without reduction it is asked for only at a cycle that an earlier
-        search through the cache reached, so a lone search never pays
-        for a proof, and the configurations after the first skip every
-        cycle proved below the optimum."""
+        The outcome of `preprocess` is kept per cycle whatever the flag,
+        so the searches through the cache pay for a proof once.  Without
+        reduction it is asked for only at a cycle that an earlier search
+        through the cache reached, so a lone search never pays for a
+        proof, and in `run_configs` the configurations after the first
+        skip every cycle proved below the optimum."""
         if c not in self._reduced:
             if not use_preprocess and c not in self._reached:
                 self._reached.add(c)
@@ -818,18 +775,22 @@ class SearchCache:
         return self._crews.setdefault(times, {})
 
     def open_search(self):
-        """Clears the crews, as a search starts, once their tables
-        together hold `CREW_CELLS` table cells; a crew is a pure function
-        of its times and workers, so this costs hits, never results."""
+        """Clears the crews as a search starts, by the bound `_Crew`
+        states."""
         if sum(crew.cells for crews in self._crews.values()
                for crew in crews.values()) >= CREW_CELLS:
             self._crews.clear()
 
     def improved(self, sol, improve):
         """`improve(inst, sol)`, called once per distinct `sol` while the
-        memo holds it.  `improve` must be a pure function of (instance,
-        solution).  The memo is cleared when it holds `IMPROVED_CELLS`
-        table cells."""
+        memo holds it, counting in `improve_hits` the calls it saved.
+
+        The GA's decodes through one cache share it, so a decode that
+        builds a solution an earlier one built reuses its result.
+        `improve` must be a pure function of (instance, solution), so a
+        hit returns what a fresh call would.  The memo is cleared when it
+        holds `IMPROVED_CELLS` table cells (solutions x tasks x workers),
+        which costs hits, never results."""
         out = self._improved.get(sol)
         if out is None:
             if len(self._improved) * self._cells >= IMPROVED_CELLS:
@@ -888,19 +849,28 @@ def solve_lower_bound_search(inst, source, worker_rule, direction="forward",
     forward then backward at every tentative cycle.  A priority matrix
     `source` must be workers x tasks (else ValueError).  With
     use_preprocess the instance is reduced at each tentative cycle
-    first.  A cycle that `preprocess` proves infeasible is skipped, as
-    no assembly can succeed there; without reduction only a cycle that
-    an earlier search through `cache` reached is put to `preprocess`.
-    `cache`, a `SearchCache` of `inst`, may be shared between calls on
-    the same instance to reuse the search's start and ceiling, the
-    precedence of each direction, the outcomes of `preprocess` and the
-    crews.  A `worker_rule` that is not a `WorkerRule` is refused with
-    ValueError, and a c_start that is not an integer or a
-    `use_preprocess` that is not a bool with ValidationError.
+    first.  A cycle that `preprocess` proves infeasible is skipped (see
+    `SearchCache.times` for when it is asked).  `cache`, a `SearchCache`
+    of `inst`, may be shared between calls on the same instance.  A
+    `worker_rule` that is not a `WorkerRule` is refused with ValueError,
+    and a c_start that is not an integer or a `use_preprocess` that is
+    not a bool with ValidationError.
 
-    A search with a priority matrix or a named rule whose priorities are
-    fixed for the search fills by rank heaps once it has passed its
-    first cycle (see `_rank_rows`).
+    Most named rules' priorities move with the crew and the cycle, so
+    `_fill` builds their key tuples afresh at every call.  A source
+    whose priorities are fixed for the search (`_fixed_prio`: a priority
+    matrix, or MaxF, MaxIF, MaxFTime or MaxIFTime) orders each worker's
+    tasks the same way at every cycle and station.  So once such a
+    search has assembled at one cycle and failed in every direction, it
+    ranks the rows (`_rank_rows`) of each direction at its first
+    assembly after that cycle, and fills by `_fill_ranked`, which heaps
+    plain int ranks, for the rest of the call; a search that succeeds at
+    its first cycle sorts nothing, and one that succeeds forward at its
+    second sorts for forward only.  The ranks are built on the
+    instance's own times, which the named rules' rows divide by, and
+    rank every reduction of the instance exactly: `preprocess` only
+    turns cells INFEASIBLE, and a fill drops such a task before it reads
+    its rank.
     """
     if direction != "both" and direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
@@ -922,17 +892,14 @@ def solve_lower_bound_search(inst, source, worker_rule, direction="forward",
             for d in directions:
                 line, by = cache.lines[d], source
                 if ranks is not None:
-                    by = ranks.get(d)
-                    if by is None:
-                        prio = _fixed_prio(source, inst.times, line)
-                        by = ranks[d] = _rank_rows(
-                            [prio(w) for w in range(inst.n_workers)],
-                            inst.times, line)
+                    if d not in ranks:
+                        ranks[d] = _rank_rows(source, inst.times, line)
+                    by = ranks[d]
                 sol = _assemble(times, c, by, worker_rule, line, crews,
                                 cache.fills)
                 if sol is not None:
                     return sol
-            if ranks is None and _fixed(source):
+            if ranks is None and _fixed_prio(source, inst.times, line):
                 ranks = {}
         c += 1
     raise NoFeasibleAssignmentError(
@@ -950,19 +917,23 @@ class RuleRun:
 def run_configs(inst, configs, use_preprocess=False,
                 _search=None) -> list[RuleRun]:
     """Run the lower-bound search of each configuration on `inst`, in
-    order, timing each; the searches share one cache, so the search
-    ceiling, the outcomes of `preprocess` and the crews are built once,
-    in the time of the first configuration that needs them.  Without
-    reduction a configuration puts to `preprocess` only the cycles an
-    earlier one reached, so the first pays for no proof and the later
-    ones skip the cycles proved infeasible.  The configurations of one
-    task rule share a table of the stations' fills (`SearchCache.fills`),
-    started afresh at each new task rule, so the worker rules after the
-    first of a direction read the fills it computed.  Within the call
-    `use_preprocess` is fixed, so the times are a function of the cycle,
-    and the table's key is exact.  A configuration that is not a
-    `RuleConfig`, or a `use_preprocess` that is not a bool, is refused
-    with ValueError before any search runs.
+    order, timing each; the searches share one `SearchCache`, so each
+    part of its set-up is built in the time of the first configuration
+    that needs it.  A configuration that is not a `RuleConfig`, or a
+    `use_preprocess` that is not a bool, is refused with ValueError
+    before any search runs.
+
+    The configurations of one task rule also share a table of the
+    stations' fills and rest bounds (`SearchCache.fills`), keyed by
+    cycle, direction and the masks of the workers and tasks left.  A
+    pass that meets a station an earlier pass met, as the three worker
+    rules of one task rule and direction do until they commit different
+    workers, reads them there; the worker rule still picks the worker,
+    and MinBWA still scores each one.  Within the call `use_preprocess`
+    is fixed, so the times are a function of the cycle, and the key is
+    exact.  The table is started afresh at each new task rule and freed
+    when the call returns; a lone search and a GA decode keep none, as
+    nothing else would read it.
     """
     as_flag(use_preprocess, "use_preprocess")
     configs = list(configs)

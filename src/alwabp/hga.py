@@ -186,9 +186,8 @@ def decode(inst, chromosome: Chromosome, c_start=None,
     not an integer is refused with ValidationError).  `cache`, a
     `SearchCache` of `inst` (a fresh one by default), is shared by the
     decodes of a run: besides the searches' set-up it memoises the local
-    search, so a decode that builds a solution an earlier one built
-    reuses its result instead of running `improve` again.  A
-    `chromosome` that is not a `Chromosome` is refused with ValueError.
+    search (`SearchCache.improved`).  A `chromosome` that is not a
+    `Chromosome` is refused with ValueError.
     """
     if not isinstance(chromosome, Chromosome):
         raise ValueError(f"decode needs a Chromosome, got {chromosome!r}")

@@ -9,9 +9,12 @@ comments):
     t_1 ... t_n     one line per worker: execution time of every task,
     ...             'Inf' marks a task the worker cannot execute
 
-Times are positive integers.  Zero entries are rejected on load so that
-ratio based priority rules never divide by zero.  Internally tasks and
-workers are 0-based; only the file format is 1-based.
+Times are positive integers.  Every integer token is ASCII decimal
+digits with an optional leading minus, so negative values get their own
+range errors and `1_0`, `+3` or non-ASCII digits are refused.  Zero
+entries are rejected on load so that ratio based priority rules never
+divide by zero.  Internally tasks and workers are 0-based; only the
+file format is 1-based.
 
 A base instance is SALBP-like: one integer time per task plus the
 precedence edges (`generator` derives worker times from it).  Base text
@@ -216,17 +219,20 @@ def _next(stream, what):
         raise ParseError(f"unexpected end of file, expected {what}") from None
 
 
-def _read_int(stream, what):
-    lineno, tok = _next(stream, what)
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(f"line {lineno}: expected {what}, got {tok!r}") from None
+def _read_int(token, what):
+    """The int of a (line number, token) pair from `_tokens`: ASCII decimal
+    digits with an optional leading minus, so `1_0`, `+3` and non-ASCII
+    digits, which `int` would take, are refused."""
+    lineno, tok = token
+    digits = tok[1:] if tok.startswith("-") else tok
+    if not (digits.isascii() and digits.isdigit()):
+        raise ParseError(f"line {lineno}: expected {what}, got {tok!r}")
+    return int(tok)
 
 
 def _read_count(stream, what, least=1):
     """A count of at least `least`, checked before it sizes any loop."""
-    n = _read_int(stream, what)
+    n = _read_int(_next(stream, what), what)
     if n < least:
         raise ParseError(f"{what} must be at least {least}, got {n}")
     return n
@@ -234,8 +240,8 @@ def _read_count(stream, what, least=1):
 
 def _read_edges(stream):
     """An edge count, then that many 1-based `i j` lines, as 0-based pairs."""
-    return [(_read_int(stream, "edge tail") - 1,
-             _read_int(stream, "edge head") - 1)
+    return [(_read_int(_next(stream, "edge tail"), "edge tail") - 1,
+             _read_int(_next(stream, "edge head"), "edge head") - 1)
             for _ in range(_read_count(stream, "edge count", 0))]
 
 
@@ -264,15 +270,9 @@ def parse_instance(text: str, name: str = "instance") -> Instance:
     for _ in range(n_workers):
         row = []
         for _ in range(n_tasks):
-            lineno, tok = _next(stream, "a task time")
-            if tok.lower() == "inf":
-                row.append(INFEASIBLE)
-            else:
-                try:
-                    row.append(int(tok))
-                except ValueError:
-                    raise ParseError(
-                        f"line {lineno}: bad time entry {tok!r}") from None
+            token = _next(stream, "a task time")
+            row.append(INFEASIBLE if token[1].lower() == "inf"
+                       else _read_int(token, "a task time"))
         times.append(row)
     _read_end(stream)
     return Instance(n_tasks, n_workers, times, edges, name=name)
@@ -312,7 +312,8 @@ def parse_base(text: str, name: str = "base") -> BaseInstance:
     """Parse the base format (see module docstring)."""
     stream = _tokens(text)
     n = _read_count(stream, "task count")
-    times = tuple(_read_int(stream, "a task time") for _ in range(n))
+    times = tuple(_read_int(_next(stream, "a task time"), "a task time")
+                  for _ in range(n))
     edges = tuple(_read_edges(stream))
     _read_end(stream)
     base = BaseInstance(name, times, edges)

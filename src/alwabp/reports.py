@@ -43,8 +43,10 @@ class BkvError(Exception):
 
 
 def load_bkv(path) -> dict[str, int]:
-    """Two-column CSV `instance,cycle`; a header row is optional.  Raises
-    BkvError when the file cannot be read or decoded, or a row is bad."""
+    """Two-column CSV `instance,cycle`; a header row is optional.  A cycle
+    is a positive integer in ASCII decimal digits (`int` would also take
+    1_0, +3 and non-ASCII digits).  Raises BkvError when the file cannot
+    be read or decoded, or a row is bad."""
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -63,10 +65,10 @@ def load_bkv(path) -> dict[str, int]:
                 float(value)
             except ValueError:
                 continue    # header
-        try:
-            cycle = int(value)
-        except ValueError:
+        digits = value[1:] if value.startswith("-") else value
+        if not (digits.isascii() and digits.isdigit()):
             raise BkvError(f"{path}:{lineno}: bad cycle {value!r}")
+        cycle = int(value)
         if cycle <= 0:
             raise BkvError(f"{path}:{lineno}: cycle must be positive")
         table[name] = cycle

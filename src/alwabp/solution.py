@@ -16,12 +16,6 @@ class Solution:
     cycle: int
     direction: str = "forward"
 
-    @classmethod
-    def build(cls, inst: Instance, stations, direction="forward") -> "Solution":
-        norm = tuple((w, frozenset(ts)) for w, ts in stations)
-        loads = tuple(sum(inst.times[w][i] for i in ts) for w, ts in norm)
-        return cls(norm, loads, max(loads, default=0), direction)
-
 
 def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)

@@ -4,7 +4,8 @@ import random
 
 import pytest
 
-from alwabp import BaseInstance, GeneratorConfig, Instance, generate
+from alwabp import (BaseInstance, GeneratorConfig, Instance, Solution,
+                    generate)
 
 # 3 tasks, 2 workers, task 1 before tasks 2 and 3 (0-based: 0 -> 1, 0 -> 2).
 TINY_A = Instance(3, 2, [[2, 3, 4], [5, 1, 1]], [(0, 1), (0, 2)], name="tiny-A")
@@ -13,6 +14,14 @@ TINY_A = Instance(3, 2, [[2, 3, 4], [5, 1, 1]], [(0, 1), (0, 2)], name="tiny-A")
 @pytest.fixture
 def tiny_a() -> Instance:
     return TINY_A
+
+
+def build_solution(inst: Instance, stations, direction="forward") -> Solution:
+    """The solution of (worker, tasks) `stations` in line order, with the
+    loads and cycle recomputed from `inst`'s times."""
+    norm = tuple((w, frozenset(ts)) for w, ts in stations)
+    loads = tuple(sum(inst.times[w][i] for i in ts) for w, ts in norm)
+    return Solution(norm, loads, max(loads, default=0), direction)
 
 
 def random_base(rng: random.Random, n: int, t_max: int = 9,

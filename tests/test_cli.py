@@ -192,7 +192,12 @@ def test_construct_summary_aggregates_recompute(tmp_path):
     ("tiny-A,2\n", {"tiny-A": 2}),
     ("tiny-A,12.5\n", "bkv.csv:1: bad cycle '12.5'"),
     ("instance,cycle\ntiny-A,12.5\n", "bkv.csv:2: bad cycle '12.5'"),
-], ids=["header", "no-header", "fraction-row-1", "fraction-row-2"])
+    ("tiny-A,1_0\n", "bkv.csv:1: bad cycle '1_0'"),
+    ("instance,cycle\ntiny-A,+3\n", "bkv.csv:2: bad cycle '+3'"),
+    ("instance,cycle\ntiny-A,\u0664\n", "bkv.csv:2: bad cycle '\u0664'"),
+    ("instance,cycle\ntiny-A,-3\n", "bkv.csv:2: cycle must be positive"),
+], ids=["header", "no-header", "fraction-row-1", "fraction-row-2",
+        "separator", "plus", "non-ascii", "negative"])
 def test_load_bkv_skips_only_a_first_row_without_a_number(tmp_path, text,
                                                           want):
     path = tmp_path / "bkv.csv"
@@ -468,6 +473,9 @@ BAD_INPUTS = {
                       1, "{tmp}/missing/x.lp", None),
     "binary-instance": (["bounds", "{binary}", "{inst}"], 1, "{binary}",
                         "bounds.csv"),
+    "duplicate-name": (["bounds", "{inst}", "{tmp}/copy/tiny-A.alwabp"], 1,
+                       "{tmp}/copy/tiny-A.alwabp: instance name 'tiny-A' is "
+                       "also that of {inst}", "bounds.csv"),
     "generate-workers": (["generate", "{tmp}/line.base", "--workers", "0"], 2,
                          "at least one worker", None),
     "generate-replicates": (["generate", "{tmp}/line.base", "--workers", "2",
@@ -493,6 +501,8 @@ def test_bad_input_gives_one_error_line(tmp_path, capsys, monkeypatch, case):
              "file": tmp_path / "afile", "binary": tmp_path / "bin.alwabp"}
     paths["file"].write_text("")
     paths["binary"].write_bytes(b"\xff\xfe\x00\x01")
+    (tmp_path / "copy").mkdir()
+    write_tiny(tmp_path / "copy")       # tiny-A again, in another directory
     (tmp_path / "bad.csv").write_text("instance,cycle\ntiny-A,2,3\n")
     (tmp_path / "frac.csv").write_text("tiny-A,12.5\n")
     (tmp_path / "line.base").write_text("3\n1 2 3\n0\n")

@@ -1,6 +1,7 @@
 """Module boundaries inside the package."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
 
@@ -23,11 +24,16 @@ def test_no_module_imports_another_modules_private_names():
 
 
 def test_every_export_is_used_in_the_package_or_documented():
-    """Each name in `alwabp.__all__` is read or imported by a module of
-    the package other than `__init__.py`, or named in backticks in the
-    README's Library section: an entry point that only tests call
-    belongs with the tests.  Docstrings do not count as uses."""
-    used = set()
+    """Each name in `alwabp.__all__`, and each public method or property
+    of an exported class, is used by a module of the package other than
+    `__init__.py`, or named in backticks in the README's Library section
+    (a method as `Class.method`): an entry point that only tests call
+    belongs with the tests.  A name counts as used where it is read or
+    imported; a method where a call reads its name as an attribute, a
+    property where any read does.  A method or property that a builtin
+    type also has (`reverse`, say) counts only when documented, as such
+    a read may be the builtin's.  Docstrings do not count as uses."""
+    used, read, called = set(), set(), set()
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
             continue
@@ -36,13 +42,43 @@ def test_every_export_is_used_in_the_package_or_documented():
                 used.add(node.id)
             elif isinstance(node, ast.ImportFrom):
                 used.update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read.add(node.attr)
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)):
+                called.add(node.func.attr)
+    builtin = {name for kind in (list, dict, set, frozenset, tuple, str, int,
+                                 float) for name in dir(kind)}
     text = README.read_text()
     start = text.index("\n## Library\n")
     library = text[start:text.index("\n## ", start + 1)]
-    documented = set(re.findall(r"`(\w+)", library))
+    documented = {*re.findall(r"`(\w+)", library),
+                  *re.findall(r"`(\w+\.\w+)", library)}
+    unused = [name for name in alwabp.__all__
+              if name not in used and name not in documented]
+    methods = 0
+    for name in alwabp.__all__:
+        cls = getattr(alwabp, name)
+        if not isinstance(cls, type):
+            continue
+        for attr, value in vars(cls).items():
+            if attr.startswith("_"):
+                continue
+            if isinstance(value, property):
+                seen = read
+            elif inspect.isfunction(value) or isinstance(
+                    value, (classmethod, staticmethod)):
+                seen = called
+            else:
+                continue
+            methods += 1
+            if (attr in builtin or attr not in seen) and \
+                    f"{name}.{attr}" not in documented:
+                unused.append(f"{name}.{attr}")
     assert "SearchCache" in documented and "improve" in used
-    assert [name for name in alwabp.__all__
-            if name not in used and name not in documented] == []
+    assert methods >= 8 and "improved" in called
+    assert unused == []
 
 
 def test_every_private_module_name_is_read_in_the_package():

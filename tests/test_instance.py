@@ -8,7 +8,7 @@ from alwabp import (INFEASIBLE, Instance, ParseError, Solution,
                     ValidationError, format_instance, improve, load_base,
                     load_instance, parse_instance, validate_solution)
 from bruteforce import brute_force_feasible
-from conftest import random_instance
+from conftest import build_solution, random_instance
 
 TINY_A_TEXT = """\
 # three tasks, two workers
@@ -58,6 +58,11 @@ def test_load_names_instance_after_file(tmp_path, tiny_a):
     "0 99999999 0",          # no tasks: must fail before 10^8 empty rows
     "1 0\n0\n",              # no workers
     "1 1\n-1\n4\n",          # negative edge count
+    "2 1\n0\n1_0 2\n",       # digit separator in a time
+    "2 1\n0\n+3 2\n",        # plus sign on a time
+    "2 1\n0\n\u0664 2\n",    # non-ASCII digit as a time
+    "+2 1\n0\n1 2\n",        # plus sign on a count
+    "2 1\n1\n1 \uff12\n1 2\n",  # non-ASCII digit as an edge head
 ])
 def test_parse_errors(text):
     with pytest.raises(ParseError):
@@ -196,7 +201,7 @@ def test_reverse_flips_closure(tiny_a):
 # -- solution checker ---------------------------------------------------------
 
 def test_validate_accepts_feasible(tiny_a):
-    sol = Solution.build(tiny_a, [(0, {0}), (1, {1, 2})])
+    sol = build_solution(tiny_a, [(0, {0}), (1, {1, 2})])
     ok, violations = validate_solution(tiny_a, sol)
     assert ok and violations == []
     assert sol.cycle == 2
@@ -205,14 +210,14 @@ def test_validate_accepts_feasible(tiny_a):
 
 def test_validate_rejects_precedence_violation(tiny_a):
     # task 2 is placed before its predecessor task 1
-    sol = Solution.build(tiny_a, [(1, {1}), (0, {0, 2})])
+    sol = build_solution(tiny_a, [(1, {1}), (0, {0, 2})])
     ok, violations = validate_solution(tiny_a, sol)
     assert not ok
     assert any("must not come after" in v for v in violations)
 
 
 def test_validate_rejects_duplicate_worker(tiny_a):
-    sol = Solution.build(tiny_a, [(0, {0}), (0, {1, 2})])
+    sol = build_solution(tiny_a, [(0, {0}), (0, {1, 2})])
     ok, violations = validate_solution(tiny_a, sol)
     assert not ok
     assert any("bijection" in v for v in violations)
@@ -220,7 +225,7 @@ def test_validate_rejects_duplicate_worker(tiny_a):
 
 def test_validate_rejects_incapable_worker():
     inst = Instance(2, 2, [[1, INFEASIBLE], [1, 1]], [])
-    sol = Solution.build(inst, [(0, {0, 1}), (1, set())])
+    sol = build_solution(inst, [(0, {0, 1}), (1, set())])
     ok, violations = validate_solution(inst, sol)
     assert not ok
     assert any("infeasible for worker" in v for v in violations)
@@ -228,15 +233,15 @@ def test_validate_rejects_incapable_worker():
 
 def test_validate_rejects_missing_and_duplicate_tasks(tiny_a):
     ok, violations = validate_solution(
-        tiny_a, Solution.build(tiny_a, [(0, {0}), (1, {1})]))
+        tiny_a, build_solution(tiny_a, [(0, {0}), (1, {1})]))
     assert not ok and any("unassigned" in v for v in violations)
     ok, violations = validate_solution(
-        tiny_a, Solution.build(tiny_a, [(0, {0, 1}), (1, {1, 2})]))
+        tiny_a, build_solution(tiny_a, [(0, {0, 1}), (1, {1, 2})]))
     assert not ok and any("more than once" in v for v in violations)
 
 
 def test_validate_rejects_wrong_bookkeeping(tiny_a):
-    good = Solution.build(tiny_a, [(0, {0}), (1, {1, 2})])
+    good = build_solution(tiny_a, [(0, {0}), (1, {1, 2})])
     bad_cycle = Solution(good.stations, good.loads, good.cycle + 1)
     ok, violations = validate_solution(tiny_a, bad_cycle)
     assert not ok and any("maximum load" in v for v in violations)
@@ -296,7 +301,7 @@ def test_validate_agrees_with_bruteforce_walk():
             stations[rng.randrange(m)][1].add(i)
         if rng.random() < 0.1 and m >= 2:
             stations[0] = (stations[1][0], stations[0][1])   # break bijection
-        sol = Solution.build(inst, stations)
+        sol = build_solution(inst, stations)
         ok, _ = validate_solution(inst, sol)
         assert ok == brute_force_feasible(inst, stations)
         agree += 1

@@ -29,7 +29,7 @@ from alwabp.localsearch import (
 )
 
 from bruteforce import brute_force_optimum, reference_improve
-from conftest import random_base, random_instance
+from conftest import build_solution, random_base, random_instance
 
 
 def test_move_invariants():
@@ -45,7 +45,7 @@ def test_move_invariants():
 
 def test_improve_shifts_overloaded_station(tiny_a):
     # everything on worker 0 except the last task: one shift balances it
-    start = Solution.build(tiny_a, [(0, {0, 1}), (1, {2})])
+    start = build_solution(tiny_a, [(0, {0, 1}), (1, {2})])
     assert start.loads == (5, 1)
     moves = []
     out = improve(tiny_a, start, moves)
@@ -60,7 +60,7 @@ def test_improve_shifts_overloaded_station(tiny_a):
 def test_improve_reaches_worker_swap(tiny_a):
     # workers start on the wrong stations; the descent first rebalances
     # tasks, then swaps the workers, then rebalances again
-    start = Solution.build(tiny_a, [(1, {0}), (0, {1, 2})])
+    start = build_solution(tiny_a, [(1, {0}), (0, {1, 2})])
     assert start.loads == (5, 7)
     moves = []
     out = improve(tiny_a, start, moves)
@@ -70,7 +70,7 @@ def test_improve_reaches_worker_swap(tiny_a):
 
 
 def test_improve_leaves_optimum_alone(tiny_a):
-    best = Solution.build(tiny_a, [(0, {0}), (1, {1, 2})])
+    best = build_solution(tiny_a, [(0, {0}), (1, {1, 2})])
     out = improve(tiny_a, best)
     assert out == best
 
@@ -80,13 +80,13 @@ def test_improve_refuses_moves_that_are_not_a_list(tiny_a, moves):
     """Refused up front, also where no move is accepted; a tuple or a
     string used to fail with AttributeError after the first one."""
     for stations in ([(0, {0, 1}), (1, {2})], [(0, {0}), (1, {1, 2})]):
-        start = Solution.build(tiny_a, stations)
+        start = build_solution(tiny_a, stations)
         with pytest.raises(ValueError, match="moves must be None or a list"):
             improve(tiny_a, start, moves)
 
 
 def test_improve_keeps_direction(tiny_a):
-    start = Solution.build(tiny_a, [(0, {0, 1}), (1, {2})], "backward")
+    start = build_solution(tiny_a, [(0, {0, 1}), (1, {2})], "backward")
     assert improve(tiny_a, start).direction == "backward"
 
 
@@ -117,7 +117,7 @@ def test_improve_fails_on_a_move_that_does_not_lower_the_key(tiny_a,
         return WorkerSwap(0, 1)
 
     monkeypatch.setattr(localsearch, "_try_swap", blind_worker_swap)
-    best = Solution.build(tiny_a, [(0, {0}), (1, {1, 2})])
+    best = build_solution(tiny_a, [(0, {0}), (1, {1, 2})])
     with pytest.raises(RuntimeError, match=r"^blind_worker_swap accepted "
                        r"a move that does not lower the key: "
                        r"\(2, 2\) -> \(7, 1\)$"):
@@ -147,7 +147,7 @@ def test_double_shift_escapes_local_optimum():
     inst = Instance(5, 3,
                     [[3, 1, 6, 1, 1], [2, 1, 1, 1, 1], [8, 1, 1, 1, 1]],
                     [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    start = Solution.build(inst, [(1, {0, 1, 2, 3, 4}), (0, set()),
+    start = build_solution(inst, [(1, {0, 1, 2, 3, 4}), (0, set()),
                                   (2, set())])
     assert start.loads == (6, 0, 0)
     moves = []
@@ -312,7 +312,7 @@ def test_swap_check_agrees_with_the_checker():
         cuts = sorted(rng.randint(0, n) for _ in range(m - 1))
         chunks = [order[x:y] for x, y in zip([0] + cuts, cuts + [n])]
         workers = rng.sample(range(m), m)
-        sol = Solution.build(inst, zip(workers, chunks))
+        sol = build_solution(inst, zip(workers, chunks))
         assert validate_solution(inst, sol)[0]
         st = _State(inst, sol)
         for a in range(m):
@@ -320,7 +320,7 @@ def test_swap_check_agrees_with_the_checker():
                 for i in chunks[a]:
                     for j in chunks[b]:
                         trade = {i: j, j: i}
-                        swapped = Solution.build(inst, [
+                        swapped = build_solution(inst, [
                             (w, [trade.get(k, k) for k in ts])
                             for w, ts in zip(workers, chunks)])
                         ok = validate_solution(inst, swapped)[0]
@@ -361,6 +361,6 @@ X = INFEASIBLE
 def test_swap_pass_boundaries(times, stations, move, loads):
     n = len(times[0])
     inst = Instance(n, len(times), times, [])
-    st = _State(inst, Solution.build(inst, stations))
+    st = _State(inst, build_solution(inst, stations))
     assert _try_swap(st, st.key()) == move
     assert tuple(st.loads) == loads
