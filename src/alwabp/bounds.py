@@ -20,7 +20,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .instance import INFEASIBLE, Instance, ParseError, as_cycle, as_int
+from .instance import (INFEASIBLE, Instance, ParseError, as_int, as_number,
+                       read_decimal)
 
 
 class CycleInfeasibleError(Exception):
@@ -64,7 +65,7 @@ def station_windows(inst: Instance, c: int) -> tuple[list[int], list[int]]:
     """Earliest and latest station (1-based) each task can occupy at cycle
     c; a cycle that is not an integer of at least 1 is refused with
     ValidationError."""
-    c = as_cycle(c)
+    c = as_int(c, "cycle", 1)
     head, tail = _head_tail(inst)
     m = inst.n_workers
     earliest = [_ceil_div(h, c) for h in head]
@@ -104,15 +105,8 @@ def compute_bounds(inst: Instance,
     """LC1, LC2, LC3 and their maximum, raised to an external relaxation
     bound when one is given; one that is not a finite number (a bool is
     not) is refused with ValueError."""
-    try:
-        finite = external_relax is None or (
-            not isinstance(external_relax, bool)
-            and math.isfinite(external_relax))
-    except TypeError:
-        finite = False
-    if not finite:
-        raise ValueError("the external relaxation bound must be finite (a "
-                         f"number, not a bool), got {external_relax!r}")
+    if external_relax is not None:
+        as_number(external_relax, "the external relaxation bound")
     a = lc1(inst)
     b = lc2(inst)
     c = lc3(inst, max(a, b))
@@ -128,8 +122,9 @@ def relax_sidecar(path) -> float | None:
     """Read an externally computed relaxation bound for an instance file.
 
     The side file sits next to the instance with '.relax' appended to the
-    full file name and holds a single finite number.  Raises ParseError
-    when it cannot be read or holds anything else.
+    full file name and holds a single finite number, written by the
+    ASCII decimal rule (`instance.read_decimal`).  Raises ParseError when
+    it cannot be read or holds anything else.
     """
     p = Path(str(path) + ".relax")
     if not p.exists():
@@ -138,11 +133,8 @@ def relax_sidecar(path) -> float | None:
         text = p.read_text().strip()
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {p}: {exc}") from exc
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not math.isfinite(value):
+    value = read_decimal(text, float)
+    if value is None or not math.isfinite(value):
         raise ParseError(f"{p}: expected a single finite number, "
                          f"got {text!r}")
     return value
@@ -265,7 +257,7 @@ def preprocess(inst: Instance, c: int) -> tuple[Instance, int]:
     A cycle that is not an integer of at least 1 is refused with
     ValidationError.
     """
-    c = as_cycle(c)
+    c = as_int(c, "cycle", 1)
     n, m = inst.n_tasks, inst.n_workers
     times = [list(row) for row in inst.times]
     finite_count = [m - col.count(INFEASIBLE) for col in zip(*times)]

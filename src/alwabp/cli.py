@@ -9,7 +9,9 @@ logs), `generate` (factorial instance generation from a base), and
 All reports are plain CSV with a header row.  Exit status is 0 only
 when every requested item succeeded; partial results are still written
 and each failed item gets one `error:` line on stderr.  Bad arguments
-give exit status 2 before any input is read or any output is made.
+give exit status 2, after the usage and one `error:` line, before any
+input is read or any output is made.  Numeric options are read by the
+ASCII decimal rule of the instance files (`instance.read_decimal`).
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .constructive import (NoFeasibleAssignmentError, RuleConfig, TaskRule,
                            solve_lower_bound_search)
 from .generator import DENSITY_LEVELS, GeneratorConfig, generate
 from .hga import HgaParams, evolve
-from .instance import load_base, load_instance, save_instance
+from .instance import load_base, load_instance, read_decimal, save_instance
 from .lp import write_lp
 from .reports import (BOUNDS, CONSTRUCT_RUNS, CONSTRUCT_SUMMARY, HGA_LOG,
                       HGA_RUNS, HGA_SUMMARY, BkvError, deviation_pct,
@@ -178,8 +180,6 @@ def cmd_hga(args) -> int:
                            max_iters=args.max_iters,
                            max_stale_iters=args.max_stale,
                            stop_at_lower_bound=not args.no_bound_stop)
-        if args.seeds < 1:
-            raise ValueError(f"--seeds must be at least 1, got {args.seeds}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -237,9 +237,6 @@ def cmd_generate(args) -> int:
     levels = {"low": ["low"], "high": ["high"], "both": ["low", "high"]}
     items = []      # (name suffix, config), seeded in this order
     try:
-        if args.replicates < 1:
-            raise ValueError(
-                f"--replicates must be at least 1, got {args.replicates}")
         for var, dens, rep in product(levels[args.variability],
                                       levels[args.density],
                                       range(args.replicates)):
@@ -281,9 +278,37 @@ def cmd_export_lp(args) -> int:
 
 # -- parser -------------------------------------------------------------------
 
+class _BadArguments(Exception):
+    """What argparse would exit on; `main` reports it and returns 2."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that reports a bad argument as the commands
+    report theirs: the usage, then one `error:` line, and status 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise _BadArguments(message)
+
+
+def _decimal(kind=int, least=None):
+    """An option type: the option's text as a `kind` (int or float) by
+    the ASCII decimal rule, of at least `least` when that is given."""
+    def read(text):
+        value = read_decimal(text, kind)
+        if value is None or (least is not None and value < least):
+            want = "an integer" if kind is int else "a number"
+            floor = "" if least is None else f", at least {least}"
+            raise argparse.ArgumentTypeError(
+                f"expected {want} in ASCII decimal digits{floor}, got "
+                f"{text!r}")
+        return value
+    return read
+
+
 @cache     # built on first use, not at import, then reused
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="alwabp",
         description="Heuristics, bounds and reports for assembly line "
                     "worker assignment and balancing (type 2).")
@@ -314,16 +339,16 @@ def _build_parser():
 
     h = sub.add_parser("hga", help="hybrid genetic algorithm runs")
     h.add_argument("instances", nargs="+")
-    h.add_argument("--seeds", type=int, default=1,
+    h.add_argument("--seeds", type=_decimal(least=1), default=1,
                    help="number of differently seeded runs per instance")
-    h.add_argument("--seed", type=int, default=0, help="first seed")
-    h.add_argument("--population", type=int, default=100)
-    h.add_argument("--elite", type=int, default=None)
-    h.add_argument("--immigrants", type=int, default=None)
-    h.add_argument("--q", type=float, default=0.5,
+    h.add_argument("--seed", type=_decimal(), default=0, help="first seed")
+    h.add_argument("--population", type=_decimal(), default=100)
+    h.add_argument("--elite", type=_decimal(), default=None)
+    h.add_argument("--immigrants", type=_decimal(), default=None)
+    h.add_argument("--q", type=_decimal(float), default=0.5,
                    help="crossover probability")
-    h.add_argument("--max-iters", type=int, default=200)
-    h.add_argument("--max-stale", type=int, default=100)
+    h.add_argument("--max-iters", type=_decimal(), default=200)
+    h.add_argument("--max-stale", type=_decimal(), default=100)
     h.add_argument("--no-bound-stop", action="store_true",
                    help="keep evolving even at the lower bound")
     h.add_argument("--bkv", help="CSV of best known values (instance,cycle)")
@@ -333,13 +358,13 @@ def _build_parser():
     g = sub.add_parser("generate", help="derive worker-time instances "
                                         "from a base instance")
     g.add_argument("base", help="base file: times and precedence")
-    g.add_argument("--workers", type=int, required=True)
+    g.add_argument("--workers", type=_decimal(), required=True)
     g.add_argument("--variability", choices=["low", "high", "both"],
                    default="both")
     g.add_argument("--density", choices=["low", "high", "both"],
                    default="both", help="infeasible-pair density level")
-    g.add_argument("--replicates", type=int, default=10)
-    g.add_argument("--seed", type=int, default=0)
+    g.add_argument("--replicates", type=_decimal(least=1), default=10)
+    g.add_argument("--seed", type=_decimal(), default=0)
     g.add_argument("--out", default=".", help="output directory")
     g.set_defaults(func=cmd_generate)
 
@@ -353,9 +378,12 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
+    except _BadArguments as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except BkvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -46,7 +46,7 @@ from heapq import heapify, heappop, heappush
 from math import isfinite
 
 from .bounds import CycleInfeasibleError, lc1, preprocess
-from .instance import INFEASIBLE, Instance, as_cycle, as_flag, as_int
+from .instance import INFEASIBLE, Instance, as_int, as_member
 from .solution import Solution
 
 
@@ -95,10 +95,9 @@ class RuleConfig:
     direction: str = "forward"
 
     def __post_init__(self):
-        _check_rule(self.task_rule, TaskRule)
-        _check_rule(self.worker_rule, WorkerRule)
-        if self.direction not in DIRECTIONS:
-            raise ValueError(f"unknown direction {self.direction!r}")
+        as_member(self.task_rule, TaskRule, "task_rule")
+        as_member(self.worker_rule, WorkerRule, "worker_rule")
+        as_member(self.direction, DIRECTIONS, "direction")
 
     @property
     def label(self) -> str:
@@ -352,9 +351,9 @@ def priority_rows(inst, source, c_bar, cache=None) -> list[list]:
     every worker over the instance's times, so the calls sharing one
     build it once.
     """
-    _check_source(inst, source)
-    c_bar = as_cycle(c_bar)
     cache = _cache_of(inst, cache)
+    _check_source(inst, source)
+    c_bar = as_int(c_bar, "cycle", 1)
     crews, full = cache.crews(inst.times), (1 << inst.n_workers) - 1
     crew = crews.get(full)
     if crew is None:
@@ -677,11 +676,10 @@ def assemble(inst, c_bar, source, worker_rule,
     (else ValueError); a c_bar that is not an integer of at least 1 is
     refused with ValidationError.
     """
-    if direction not in DIRECTIONS:
-        raise ValueError(f"unknown direction {direction!r}")
+    as_member(direction, DIRECTIONS, "direction")
     _check_source(inst, source)
-    _check_rule(worker_rule, WorkerRule)
-    c_bar = as_cycle(c_bar)
+    as_member(worker_rule, WorkerRule, "worker_rule")
+    c_bar = as_int(c_bar, "cycle", 1)
     return _assemble(inst.times, c_bar, source, worker_rule,
                      _Line(inst.closure(), direction), {}, None)
 
@@ -729,9 +727,7 @@ class SearchCache:
     """
 
     def __init__(self, inst):
-        if not isinstance(inst, Instance):
-            raise ValueError(f"not an Instance: {inst!r}")
-        self.inst = inst
+        self.inst = as_member(inst, Instance, "inst")
         clo = inst.closure()
         self.lines = {d: _Line(clo, d) for d in DIRECTIONS}
         self._reduced = {}      # cycle -> reduced times, None if infeasible
@@ -801,19 +797,13 @@ class SearchCache:
         return out
 
 
-def _check_rule(rule, kind):
-    """Refuses a `rule` that is not a member of the enum `kind`."""
-    if not isinstance(rule, kind):
-        raise ValueError(f"unknown {kind.__name__} {rule!r}")
-
-
 def _check_source(inst, source):
     """Refuses a priority matrix that is not workers x tasks of finite
     numbers; a string or an enum member is taken for a task rule, and
     refused unless it is a `TaskRule`.  Each row is summed once, so a
     NaN, an infinity or an entry that is not a number fails its sum."""
     if isinstance(source, (str, Enum)):
-        _check_rule(source, TaskRule)
+        as_member(source, TaskRule, "source")
         return
     try:
         ok = len(source) == inst.n_workers and all(
@@ -832,9 +822,7 @@ def _cache_of(inst, cache):
     anything but a `SearchCache` of `inst` is refused."""
     if cache is None:
         return SearchCache(inst)
-    if not isinstance(cache, SearchCache):
-        raise ValueError(f"not a SearchCache: {cache!r}")
-    if cache.inst is not inst:
+    if as_member(cache, SearchCache, "cache").inst is not inst:
         raise ValueError("the search cache belongs to another instance")
     return cache
 
@@ -872,13 +860,12 @@ def solve_lower_bound_search(inst, source, worker_rule, direction="forward",
     turns cells INFEASIBLE, and a fill drops such a task before it reads
     its rank.
     """
-    if direction != "both" and direction not in DIRECTIONS:
-        raise ValueError(f"unknown direction {direction!r}")
+    as_member(direction, DIRECTIONS + ("both",), "direction")
     directions = DIRECTIONS if direction == "both" else (direction,)
     cache = _cache_of(inst, cache)
     _check_source(inst, source)
-    _check_rule(worker_rule, WorkerRule)
-    as_flag(use_preprocess, "use_preprocess")
+    as_member(worker_rule, WorkerRule, "worker_rule")
+    as_member(use_preprocess, bool, "use_preprocess")
     cache.open_search()
     c = cache.start
     if c_start is not None:             # no assembly fits below cycle 1
@@ -935,11 +922,8 @@ def run_configs(inst, configs, use_preprocess=False,
     when the call returns; a lone search and a GA decode keep none, as
     nothing else would read it.
     """
-    as_flag(use_preprocess, "use_preprocess")
-    configs = list(configs)
-    for cfg in configs:
-        if not isinstance(cfg, RuleConfig):
-            raise ValueError(f"not a RuleConfig: {cfg!r}")
+    as_member(use_preprocess, bool, "use_preprocess")
+    configs = [as_member(cfg, RuleConfig, "config") for cfg in configs]
     # `_search` is a seam for instrumentation only (the CLI passes its own
     # module's name so a wrapper installed there sees every search), not a
     # supported option

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass
 
 from .instance import (INFEASIBLE, BaseInstance, Instance, ValidationError,
-                       as_int)
+                       as_int, as_member, as_number)
 
 VARIABILITY_FACTOR = {"low": 1, "high": 3}
 
@@ -39,14 +39,13 @@ class GeneratorConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_workers", "rng_seed"):
-            object.__setattr__(self, name, as_int(getattr(self, name), name))
-        if self.n_workers < 1:
-            raise ValidationError("need at least one worker")
-        if self.variability not in VARIABILITY_FACTOR:
-            raise ValidationError(f"unknown variability {self.variability!r}")
-        if not 0.0 <= self.infeasibility_density < 1.0:
-            raise ValidationError("infeasibility density must be in [0, 1)")
+        for name, least in (("n_workers", 1), ("rng_seed", None)):
+            object.__setattr__(self, name,
+                               as_int(getattr(self, name), name, least))
+        as_member(self.variability, tuple(VARIABILITY_FACTOR), "variability")
+        if as_number(self.infeasibility_density, "infeasibility density",
+                     0, 1) == 1:
+            raise ValidationError("infeasibility density must be below 1")
 
 
 def generate(base: BaseInstance, cfg: GeneratorConfig) -> Instance:

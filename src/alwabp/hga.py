@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .bounds import compute_bounds
 from .constructive import (SearchCache, TaskRule, WorkerRule,
                            priority_rows, solve_lower_bound_search)
-from .instance import as_flag, as_int
+from .instance import as_int, as_member, as_number
 from .localsearch import improve
 from .solution import Solution
 
@@ -51,15 +51,6 @@ class Fitness:
     norm_load: float    # executed time / (m * cycle), in (0, 1]
 
 
-def _is_q(q) -> bool:
-    """Whether q is a crossover probability: a number in [0.5, 1] that is
-    not a bool (None, a string or NaN is not)."""
-    try:
-        return not isinstance(q, bool) and 0.5 <= q <= 1.0
-    except TypeError:
-        return False
-
-
 @dataclass(frozen=True)
 class HgaParams:
     p: int = 100
@@ -72,34 +63,22 @@ class HgaParams:
     stop_at_lower_bound: bool = True
 
     def __post_init__(self):
-        for name in ("p", "p_e", "p_r", "max_iters", "max_stale_iters",
-                     "rng_seed"):
+        # p holds one elite and one offspring at least
+        for name, least in (("p", 2), ("p_e", 1), ("p_r", 0),
+                            ("max_iters", 0), ("max_stale_iters", 1),
+                            ("rng_seed", None)):
             value = getattr(self, name)
             if value is not None or name not in ("p_e", "p_r"):
-                object.__setattr__(self, name, as_int(value, name))
-        as_flag(self.stop_at_lower_bound, "stop_at_lower_bound")
-        if self.p < 2:
-            raise ValueError("population p must hold at least two "
-                             "individuals (one elite and one offspring), "
-                             f"got {self.p}")
+                object.__setattr__(self, name, as_int(value, name, least))
+        as_member(self.stop_at_lower_bound, bool, "stop_at_lower_bound")
+        as_number(self.q, "crossover probability q", 0.5, 1)
         if self.p_e is None:
             object.__setattr__(self, "p_e", max(1, round(0.2 * self.p)))
         if self.p_r is None:
             object.__setattr__(self, "p_r", round(0.1 * self.p))
-        if self.p_e < 1:
-            raise ValueError("need at least one elite individual")
-        if self.p_r < 0:
-            raise ValueError("immigrant count cannot be negative")
         if self.p_e + self.p_r >= self.p:
             raise ValueError("elite + immigrants must leave room for "
                              "offspring")
-        if not _is_q(self.q):
-            raise ValueError("crossover probability q must be a number in "
-                             f"[0.5, 1], got {self.q!r}")
-        if self.max_iters < 0 or self.max_stale_iters < 1:
-            raise ValueError("iteration limits out of range: max_iters="
-                             f"{self.max_iters}, max_stale_iters="
-                             f"{self.max_stale_iters}")
 
 
 @dataclass(frozen=True)
@@ -137,8 +116,7 @@ def encode_rule(inst, rule: TaskRule, c_bar=None, cache=None) -> Chromosome:
     statistics, as `priority_rows` explains.  Any `rule` but a
     `TaskRule` is refused with ValueError.
     """
-    if not isinstance(rule, TaskRule):
-        raise ValueError(f"encode_rule needs a TaskRule, got {rule!r}")
+    as_member(rule, TaskRule, "rule")
     n = inst.n_tasks
     if c_bar is None:
         c_bar = compute_bounds(inst).best
@@ -164,11 +142,9 @@ def crossover(a: Chromosome, b: Chromosome, q: float,
     q (a is meant to be the elite parent), else from b.  A q that is
     not a number in [0.5, 1] (a bool is not), parents that are not
     `Chromosome`s and parents of different shapes are refused."""
-    if not (isinstance(a, Chromosome) and isinstance(b, Chromosome)):
-        raise ValueError("crossover parents must be Chromosomes")
-    if not _is_q(q):
-        raise ValueError("crossover probability must be a number in "
-                         f"[0.5, 1], got {q!r}")
+    as_member(a, Chromosome, "parent a")
+    as_member(b, Chromosome, "parent b")
+    as_number(q, "crossover probability", 0.5, 1)
     if list(map(len, a.p)) != list(map(len, b.p)):
         raise ValueError("crossover parents differ in shape")
     return Chromosome(tuple(
@@ -189,12 +165,11 @@ def decode(inst, chromosome: Chromosome, c_start=None,
     search (`SearchCache.improved`).  A `chromosome` that is not a
     `Chromosome` is refused with ValueError.
     """
-    if not isinstance(chromosome, Chromosome):
-        raise ValueError(f"decode needs a Chromosome, got {chromosome!r}")
-    if c_start is None:
-        c_start = compute_bounds(inst).best
+    as_member(chromosome, Chromosome, "chromosome")
     if cache is None:
         cache = SearchCache(inst)
+    if c_start is None:
+        c_start = compute_bounds(inst).best
     matrix = chromosome.p
     sol = solve_lower_bound_search(inst, matrix, WorkerRule.MIN_RLB, "both",
                                    c_start=c_start, use_preprocess=True,
@@ -225,12 +200,11 @@ def evolve(inst, params: HgaParams, external_relax=None) -> HgaResult:
     better cycle is possible.  `params` must be an `HgaParams` (else
     ValueError).
     """
-    if not isinstance(params, HgaParams):
-        raise ValueError(f"evolve needs HgaParams, got {params!r}")
+    as_member(params, HgaParams, "params")
     t0 = time.perf_counter()
     rng = random.Random(params.rng_seed)
-    bounds = compute_bounds(inst, external_relax)
     cache = SearchCache(inst)
+    bounds = compute_bounds(inst, external_relax)
     # the 16 rule encodings, at max(LC1, LC2, LC3) as in encode_rule's own
     # default, topped up with random chromosomes to p
     c_bar = max(bounds.lc1, bounds.lc2, bounds.lc3)

@@ -10,11 +10,11 @@ comments):
     ...             'Inf' marks a task the worker cannot execute
 
 Times are positive integers.  Every integer token is ASCII decimal
-digits with an optional leading minus, so negative values get their own
-range errors and `1_0`, `+3` or non-ASCII digits are refused.  Zero
-entries are rejected on load so that ratio based priority rules never
-divide by zero.  Internally tasks and workers are 0-based; only the
-file format is 1-based.
+digits with an optional leading minus (`read_decimal`), so negative
+values get their own range errors and `1_0`, `+3` or non-ASCII digits
+are refused.  Zero entries are rejected on load so that ratio based
+priority rules never divide by zero.  Internally tasks and workers are
+0-based; only the file format is 1-based.
 
 A base instance is SALBP-like: one integer time per task plus the
 precedence edges (`generator` derives worker times from it).  Base text
@@ -28,7 +28,9 @@ format, in the same lexical conventions:
 
 from __future__ import annotations
 
+import math
 import operator
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,32 +45,67 @@ class ValidationError(ValueError):
     """Structurally broken instance: cycle, uncoverable task, bad time."""
 
 
-def as_int(value, what) -> int:
+def as_int(value, what, least=None) -> int:
     """`value` as an int, when it is int-like (`operator.index`) and not
-    a bool; ValidationError otherwise."""
+    a bool, and at least `least` when that is given; ValidationError
+    otherwise."""
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            n = operator.index(value)
         except TypeError:
             pass
+        else:
+            if least is None or n >= least:
+                return n
+            raise ValidationError(f"{what} must be at least {least}, got {n}")
     raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
-def as_flag(value, what) -> bool:
-    """`value` when it is a bool; ValidationError otherwise, as a string
-    such as "no" or a number would be read as its truth value."""
-    if not isinstance(value, bool):
-        raise ValidationError(f"{what} must be a bool, got {value!r}")
+def as_number(value, what, low=-math.inf, high=math.inf):
+    """`value` when it is a finite real number, not a bool, in [low,
+    high]; ValidationError otherwise (None, a string or NaN is not)."""
+    try:
+        ok = (not isinstance(value, bool) and math.isfinite(value)
+              and low <= value <= high)
+    except TypeError:
+        ok = False
+    if not ok:
+        span = ("a finite number" if (low, high) == (-math.inf, math.inf)
+                else f"a number in [{low:g}, {high:g}]")
+        raise ValidationError(f"{what} must be {span}, got {value!r}")
     return value
 
 
-def as_cycle(value) -> int:
-    """`value` as a cycle time: an int (see `as_int`) of at least 1;
-    ValidationError otherwise."""
-    c = as_int(value, "cycle")
-    if c < 1:
-        raise ValidationError(f"cycle must be at least 1, got {c}")
-    return c
+def as_member(value, kind, what):
+    """`value` when it is an instance of the class `kind` (a member, for
+    an enum; a bool, for `bool`) or one of the items of the tuple `kind`;
+    ValidationError otherwise, as a rule's name is not its member and a
+    string such as "no" is not a bool."""
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        want = "one of " + ", ".join(map(repr, kind))
+    elif isinstance(value, kind):
+        return value
+    else:
+        name = kind.__name__
+        want = ("an " if name[0] in "AEIOU" else "a ") + name
+    raise ValidationError(f"{what} must be {want}, got {value!r}")
+
+
+# The ASCII decimal rule of every number the package reads from text: an
+# optional leading minus and ASCII digits; a real number may go on with a
+# point and digits, then an exponent (`2.75`, `1.5e+02`).  `int` and
+# `float` would also take `1_0`, `+3`, non-ASCII digits, surrounding
+# blanks, `inf` and `nan`.
+_DECIMAL = {int: re.compile(r"-?[0-9]+"),
+            float: re.compile(r"-?[0-9]+(\.[0-9]+)?([eE][-+]?[0-9]+)?")}
+
+
+def read_decimal(text, kind=int):
+    """`text` as a `kind` (int or float) when it follows the ASCII decimal
+    rule above; None otherwise."""
+    return kind(text) if _DECIMAL[kind].fullmatch(text) else None
 
 
 @dataclass(frozen=True)
@@ -92,13 +129,9 @@ class Instance:
     """
 
     def __init__(self, n_tasks, n_workers, times, edges, name="instance"):
-        self.n_tasks = as_int(n_tasks, "task count")
-        self.n_workers = as_int(n_workers, "worker count")
+        self.n_tasks = as_int(n_tasks, "task count", 1)
+        self.n_workers = as_int(n_workers, "worker count", 1)
         self.name = str(name)
-        if self.n_tasks < 1:
-            raise ValidationError("need at least one task")
-        if self.n_workers < 1:
-            raise ValidationError("need at least one worker")
 
         if len(times) != self.n_workers:
             raise ValidationError(
@@ -220,14 +253,13 @@ def _next(stream, what):
 
 
 def _read_int(token, what):
-    """The int of a (line number, token) pair from `_tokens`: ASCII decimal
-    digits with an optional leading minus, so `1_0`, `+3` and non-ASCII
-    digits, which `int` would take, are refused."""
+    """The int of a (line number, token) pair from `_tokens`, by the ASCII
+    decimal rule (`read_decimal`)."""
     lineno, tok = token
-    digits = tok[1:] if tok.startswith("-") else tok
-    if not (digits.isascii() and digits.isdigit()):
+    n = read_decimal(tok)
+    if n is None:
         raise ParseError(f"line {lineno}: expected {what}, got {tok!r}")
-    return int(tok)
+    return n
 
 
 def _read_count(stream, what, least=1):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .instance import INFEASIBLE, Instance, as_flag
+from .instance import INFEASIBLE, Instance, as_member
 
 
 def _x(s, w, i) -> str:
@@ -26,7 +26,7 @@ def export_lp(inst: Instance, relaxed: bool = False) -> str:
     relaxation.  A `relaxed` that is not a bool is refused with
     ValidationError, as a string such as "no" would write the
     relaxation."""
-    as_flag(relaxed, "relaxed")
+    as_member(relaxed, bool, "relaxed")
     n, m = inst.n_tasks, inst.n_workers
     able = [[w for w in range(m) if inst.times[w][i] != INFEASIBLE]
             for i in range(n)]

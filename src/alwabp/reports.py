@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import csv
 
+from .instance import read_decimal
+
 BOUNDS = ("instance", "lc1", "lc2", "lc3", "relax", "best",
           "lc1_max", "lc2_max", "lc3_max")
 CONSTRUCT_RUNS = ("kind", "instance", "task_rule", "worker_rule",
@@ -44,9 +46,9 @@ class BkvError(Exception):
 
 def load_bkv(path) -> dict[str, int]:
     """Two-column CSV `instance,cycle`; a header row is optional.  A cycle
-    is a positive integer in ASCII decimal digits (`int` would also take
-    1_0, +3 and non-ASCII digits).  Raises BkvError when the file cannot
-    be read or decoded, or a row is bad."""
+    is a positive integer by the ASCII decimal rule
+    (`instance.read_decimal`).  Raises BkvError when the file cannot be
+    read or decoded, or a row is bad."""
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -65,10 +67,9 @@ def load_bkv(path) -> dict[str, int]:
                 float(value)
             except ValueError:
                 continue    # header
-        digits = value[1:] if value.startswith("-") else value
-        if not (digits.isascii() and digits.isdigit()):
+        cycle = read_decimal(value)
+        if cycle is None:
             raise BkvError(f"{path}:{lineno}: bad cycle {value!r}")
-        cycle = int(value)
         if cycle <= 0:
             raise BkvError(f"{path}:{lineno}: cycle must be positive")
         table[name] = cycle

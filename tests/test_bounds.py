@@ -96,7 +96,7 @@ def test_compute_bounds(tiny_a):
 @pytest.mark.parametrize("relax", [float("nan"), float("inf"),
                                    float("-inf")])
 def test_compute_bounds_refuses_non_finite_relax(tiny_a, relax):
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(ValueError, match="must be a finite number"):
         compute_bounds(tiny_a, relax)
 
 
@@ -104,7 +104,7 @@ def test_compute_bounds_refuses_non_finite_relax(tiny_a, relax):
 def test_compute_bounds_refuses_a_relax_that_is_not_a_number(tiny_a, relax):
     """True would be reported as a relaxation of 1; a string or a list
     would fail as a TypeError deep in the check."""
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(ValueError, match="must be a finite number"):
         compute_bounds(tiny_a, relax)
     assert compute_bounds(tiny_a, 3).best == 3
 
@@ -119,7 +119,8 @@ def test_relax_sidecar(tmp_path, tiny_a):
     assert relax_sidecar(p) == 2.75
 
 
-@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "abc", ""])
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf", "abc", "", "1_0",
+                                  "\u0664", "1e999"])
 def test_relax_sidecar_rejects_non_finite(tmp_path, tiny_a, text):
     from alwabp import ParseError, save_instance
 

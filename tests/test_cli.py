@@ -455,12 +455,22 @@ BAD_INPUTS = {
                                          "MaxF", "--bkv", "{tmp}/frac.csv"],
                                         1, "frac.csv:1", None),
     "hga-population": (["hga", "{inst}", "--population", "0"], 2,
-                       "population", None),
+                       "p must be at least 2", None),
     "hga-q": (["hga", "{inst}", "--q", "2"], 2, "crossover probability q",
               None),
     "hga-max-iters": (["hga", "{inst}", "--max-iters", "-1"], 2,
-                      "max_iters=-1", None),
+                      "max_iters must be at least 0, got -1", None),
     "hga-seeds": (["hga", "{inst}", "--seeds", "0"], 2, "--seeds", None),
+    # numeric options follow the ASCII decimal rule of the instance files
+    "hga-seeds-separator": (["hga", "{inst}", "--seeds", "1_0"], 2,
+                            "--seeds", None),
+    "hga-population-non-ascii": (["hga", "{inst}", "--population",
+                                  "\u0662\u0660"], 2, "--population", None),
+    "hga-q-non-ascii": (["hga", "{inst}", "--q", "\u0660.7"], 2, "--q",
+                        None),
+    "generate-replicates-plus": (["generate", "{tmp}/line.base", "--workers",
+                                  "2", "--replicates", "+3"], 2,
+                                 "--replicates", None),
     "bounds-out": (["bounds", "{inst}", "--out", "{file}/sub"], 1,
                    "{file}/sub", None),
     "construct-out": (["construct", "{inst}", "--all-96", "--out",
@@ -477,7 +487,7 @@ BAD_INPUTS = {
                        "{tmp}/copy/tiny-A.alwabp: instance name 'tiny-A' is "
                        "also that of {inst}", "bounds.csv"),
     "generate-workers": (["generate", "{tmp}/line.base", "--workers", "0"], 2,
-                         "at least one worker", None),
+                         "n_workers must be at least 1, got 0", None),
     "generate-replicates": (["generate", "{tmp}/line.base", "--workers", "2",
                              "--replicates", "-1"], 2, "--replicates", None),
     "generate-base-edge": (["generate", "{tmp}/edge.base", "--workers", "2"],
@@ -533,6 +543,23 @@ def test_bad_input_gives_one_error_line(tmp_path, capsys, monkeypatch, case):
 
 # -- one process, many invocations --------------------------------------------
 
+def _run_module(argv):
+    """`python -m alwabp.cli argv` in a child process on this checkout."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "alwabp.cli", *argv],
+                          capture_output=True, text=True, env=env)
+
+
+def test_module_runs_as_a_script():
+    """`python -m alwabp.cli` reaches `main` through its `__main__`
+    guard."""
+    done = _run_module(["--help"])
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: alwabp")
+
+
 def _reports(out):
     """Every CSV the invocation left in `out`, without timing columns."""
     return {p.name: drop_timing(read_rows(p)) for p in sorted(out.iterdir())
@@ -559,13 +586,9 @@ def test_main_repeats_in_one_process_as_in_separate_ones(tmp_path, capsys):
         out, err = capsys.readouterr()
         in_process.append((code, out, err, _reports(Path(argv[-1]))))
 
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     separate = []
     for argv in argvs:
-        done = subprocess.run([sys.executable, "-m", "alwabp.cli", *argv],
-                              capture_output=True, text=True, env=env)
+        done = _run_module(argv)
         separate.append((done.returncode, done.stdout, done.stderr,
                          _reports(Path(argv[-1]))))
 

@@ -479,7 +479,8 @@ def test_assemble_rejects_bad_direction(tiny_a):
 
 
 def test_search_rejects_bad_direction(tiny_a):
-    with pytest.raises(ValueError, match="unknown direction 'sideways'"):
+    with pytest.raises(ValueError, match="direction must be one of "
+                       "'forward', 'backward', 'both', got 'sideways'"):
         solve_lower_bound_search(tiny_a, TaskRule.MAX_F, WorkerRule.MIN_RLB,
                                  direction="sideways")
 
@@ -492,7 +493,8 @@ def test_worker_rule_not_of_its_enum_is_refused(tiny_a, rule):
                  lambda: solve_lower_bound_search(tiny_a, TaskRule.MAX_F,
                                                   rule),
                  lambda: RuleConfig(TaskRule.MAX_F, rule)):
-        with pytest.raises(ValueError, match="unknown WorkerRule"):
+        with pytest.raises(ValueError,
+                           match="worker_rule must be a WorkerRule, got "):
             call()
 
 
@@ -504,7 +506,7 @@ def test_task_rule_not_of_its_enum_is_refused(tiny_a, rule):
                                                   WorkerRule.MIN_RLB),
                  lambda: priority_rows(tiny_a, rule, 30),
                  lambda: RuleConfig(rule, WorkerRule.MIN_BWA)):
-        with pytest.raises(ValueError, match="unknown TaskRule"):
+        with pytest.raises(ValueError, match="must be a TaskRule, got "):
             call()
 
 

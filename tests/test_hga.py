@@ -96,9 +96,9 @@ def test_params_defaults_and_validation():
         HgaParams(q=0.4)
     with pytest.raises(ValueError):
         HgaParams(q=1.1)
-    with pytest.raises(ValueError, match="population p"):
+    with pytest.raises(ValueError, match="p must be at least 2, got 0"):
         HgaParams(p=0)
-    with pytest.raises(ValueError, match="population p"):
+    with pytest.raises(ValueError, match="p must be at least 2, got 1"):
         HgaParams(p=1)      # no room for one elite and one offspring
     assert HgaParams(p=2).p_e == 1
     with pytest.raises(ValueError):
@@ -134,7 +134,8 @@ def test_crossover_refuses_a_q_that_is_not_a_number(q):
 def test_decode_refuses_anything_but_a_chromosome(tiny_a, matrix):
     """Even a matrix of the right shape: only a `Chromosome` has checked
     its keys."""
-    with pytest.raises(ValueError, match="^decode needs a Chromosome, got "):
+    with pytest.raises(ValueError,
+                       match="^chromosome must be a Chromosome, got "):
         decode(tiny_a, matrix)
 
 
@@ -165,7 +166,7 @@ def test_encode_rule_refuses_anything_but_a_task_rule(tiny_a):
     whatever its shape."""
     for source in ([[0.5] * 5] * 3, [[0.5] * 3] * 2, "MaxF",
                    WorkerRule.MIN_RLB):
-        with pytest.raises(ValueError, match="needs a TaskRule"):
+        with pytest.raises(ValueError, match="rule must be a TaskRule"):
             encode_rule(tiny_a, source)
 
 

@@ -133,8 +133,10 @@ def test_bad_row_length_is_rejected():
 
 
 @pytest.mark.parametrize("n_tasks, n_workers, times, what", [
-    (0, 1, [[]], "at least one task"),
-    (1, 0, [], "at least one worker"),
+    pytest.param(0, 1, [[]], "task count must be at least 1, got 0",
+                 id="0-1-times0-at least one task"),
+    pytest.param(1, 0, [], "worker count must be at least 1, got 0",
+                 id="1-0-times1-at least one worker"),
     (2, 2, [[1, 2]], "expected 2 worker rows, got 1"),
     (2, 1, [[1, 2], [1, 2]], "expected 1 worker rows, got 2"),
 ])
@@ -144,6 +146,17 @@ def test_built_instance_checks_its_counts_and_rows(n_tasks, n_workers, times,
     never reaches: it refuses such text first."""
     with pytest.raises(ValidationError, match=what):
         Instance(n_tasks, n_workers, times, [])
+
+
+def test_equal_instances_hash_equal(tiny_a):
+    again = parse_instance(TINY_A_TEXT, name="tiny-A")
+    assert again is not tiny_a and hash(again) == hash(tiny_a)
+    assert len({tiny_a, again}) == 1
+
+
+def test_an_instance_is_never_equal_to_another_type(tiny_a):
+    assert tiny_a.__eq__("tiny-A") is NotImplemented
+    assert (tiny_a == "tiny-A") is False
 
 
 def test_closure_tiny_a(tiny_a):
