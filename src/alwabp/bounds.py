@@ -20,8 +20,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .instance import (INFEASIBLE, Instance, ParseError, as_int, as_number,
-                       read_decimal)
+from .instance import (INFEASIBLE, Instance, ParseError, as_int, as_member,
+                       as_number, read_decimal)
 
 
 class CycleInfeasibleError(Exception):
@@ -29,6 +29,7 @@ class CycleInfeasibleError(Exception):
 
 
 def min_times(inst: Instance) -> list:
+    as_member(inst, Instance, "inst")
     return [min(col) for col in zip(*inst.times)]
 
 
@@ -37,11 +38,13 @@ def _ceil_div(a, b) -> int:
 
 
 def lc1(inst: Instance) -> int:
+    as_member(inst, Instance, "inst")
     t = min_times(inst)
     return max(max(t), _ceil_div(sum(t), inst.n_workers))
 
 
 def lc2(inst: Instance) -> int:
+    as_member(inst, Instance, "inst")
     # t sorted non-increasingly, 1-based position p -> t[p - 1]
     t = sorted(min_times(inst), reverse=True)
     n, m = inst.n_tasks, inst.n_workers
@@ -65,6 +68,7 @@ def station_windows(inst: Instance, c: int) -> tuple[list[int], list[int]]:
     """Earliest and latest station (1-based) each task can occupy at cycle
     c; a cycle that is not an integer of at least 1 is refused with
     ValidationError."""
+    as_member(inst, Instance, "inst")
     c = as_int(c, "cycle", 1)
     head, tail = _head_tail(inst)
     m = inst.n_workers
@@ -80,6 +84,7 @@ def lc3(inst: Instance, c_start: int | None = None) -> int:
     integer is refused with ValidationError.  Terminates: at c = sum(t-)
     every window collapses to [1, m].
     """
+    as_member(inst, Instance, "inst")
     if c_start is None:
         c_start = max(lc1(inst), lc2(inst))
     head, tail = _head_tail(inst)
@@ -105,6 +110,7 @@ def compute_bounds(inst: Instance,
     """LC1, LC2, LC3 and their maximum, raised to an external relaxation
     bound when one is given; one that is not a finite number (a bool is
     not) is refused with ValueError."""
+    as_member(inst, Instance, "inst")
     if external_relax is not None:
         as_number(external_relax, "the external relaxation bound")
     a = lc1(inst)
@@ -257,6 +263,7 @@ def preprocess(inst: Instance, c: int) -> tuple[Instance, int]:
     A cycle that is not an integer of at least 1 is refused with
     ValidationError.
     """
+    as_member(inst, Instance, "inst")
     c = as_int(c, "cycle", 1)
     n, m = inst.n_tasks, inst.n_workers
     times = [list(row) for row in inst.times]

@@ -24,10 +24,11 @@ from itertools import product
 from pathlib import Path
 
 from .bounds import compute_bounds, relax_sidecar
-from .constructive import (NoFeasibleAssignmentError, RuleConfig, TaskRule,
-                           WorkerRule, all_rule_configs, run_configs,
-                           solve_lower_bound_search)
-from .generator import DENSITY_LEVELS, GeneratorConfig, generate
+from .constructive import (DIRECTIONS, NoFeasibleAssignmentError, RuleConfig,
+                           TaskRule, WorkerRule, all_rule_configs,
+                           run_configs, solve_lower_bound_search)
+from .generator import (DENSITY_LEVELS, VARIABILITY_FACTOR, GeneratorConfig,
+                        generate)
 from .hga import HgaParams, evolve
 from .instance import load_base, load_instance, read_decimal, save_instance
 from .lp import write_lp
@@ -106,19 +107,15 @@ def cmd_bounds(args) -> int:
 # -- construct ----------------------------------------------------------------
 
 def cmd_construct(args) -> int:
-    try:
-        if args.all_96 == (args.rule is not None):
-            raise ValueError("exactly one of --rule or --all-96 is required")
-        if args.all_96 and (args.worker_rule or args.direction):
-            raise ValueError("--worker-rule and --direction go with --rule, "
-                             "not with --all-96")
-        configs = all_rule_configs() if args.all_96 else [RuleConfig(
-            TaskRule(args.rule),
-            WorkerRule(args.worker_rule or WorkerRule.MIN_RLB),
-            args.direction or "forward")]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.all_96 == (args.rule is not None):
+        args.parser.error("exactly one of --rule or --all-96 is required")
+    if args.all_96 and (args.worker_rule or args.direction):
+        args.parser.error("--worker-rule and --direction go with --rule, "
+                          "not with --all-96")
+    configs = all_rule_configs() if args.all_96 else [RuleConfig(
+        TaskRule(args.rule),
+        WorkerRule(args.worker_rule or WorkerRule.MIN_RLB),
+        args.direction or "forward")]
     out_dir = _report_dir(args.out)
     bkv = load_bkv(args.bkv) if args.bkv else None
     errors = []
@@ -181,8 +178,7 @@ def cmd_hga(args) -> int:
                            max_stale_iters=args.max_stale,
                            stop_at_lower_bound=not args.no_bound_stop)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        args.parser.error(str(exc))
     out_dir = _report_dir(args.out)
     bkv = load_bkv(args.bkv) if args.bkv else None
     errors = []
@@ -234,11 +230,13 @@ def cmd_hga(args) -> int:
 # -- generate -----------------------------------------------------------------
 
 def cmd_generate(args) -> int:
-    levels = {"low": ["low"], "high": ["high"], "both": ["low", "high"]}
+    # "both" stands for every level the generator defines, in its order
+    variabilities = (VARIABILITY_FACTOR if args.variability == "both"
+                     else [args.variability])
+    densities = DENSITY_LEVELS if args.density == "both" else [args.density]
     items = []      # (name suffix, config), seeded in this order
     try:
-        for var, dens, rep in product(levels[args.variability],
-                                      levels[args.density],
+        for var, dens, rep in product(variabilities, densities,
                                       range(args.replicates)):
             pct = round(DENSITY_LEVELS[dens] * 100)
             items.append((f"_w{args.workers}_var{var}_inf{pct:02d}_{rep:02d}",
@@ -246,8 +244,7 @@ def cmd_generate(args) -> int:
                                           DENSITY_LEVELS[dens],
                                           args.seed + len(items))))
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        args.parser.error(str(exc))
     out_dir = _report_dir(args.out)
     errors = []
     try:
@@ -283,8 +280,11 @@ class _BadArguments(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser that reports a bad argument as the commands
-    report theirs: the usage, then one `error:` line, and status 2."""
+    """An argument parser whose `error` prints the usage and raises
+    `_BadArguments`, which `main` reports as one `error:` line and status
+    2.  Each subcommand's parser is `args.parser`, so a command refuses
+    the arguments the library refuses (an `HgaParams`, say) the same
+    way, before any input is read."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -317,7 +317,7 @@ def _build_parser():
     b = sub.add_parser("bounds", help="lower-bound report for instances")
     b.add_argument("instances", nargs="+")
     b.add_argument("--out", default=".", help="report directory")
-    b.set_defaults(func=cmd_bounds)
+    b.set_defaults(func=cmd_bounds, parser=b)
 
     c = sub.add_parser("construct", help="priority-rule constructive runs")
     c.add_argument("instances", nargs="+")
@@ -326,7 +326,7 @@ def _build_parser():
     c.add_argument("--worker-rule", choices=[r.value for r in WorkerRule],
                    help="worker rule, with --rule only (default: "
                         f"{WorkerRule.MIN_RLB.value})")
-    c.add_argument("--direction", choices=["forward", "backward"],
+    c.add_argument("--direction", choices=DIRECTIONS,
                    help="with --rule only (default: forward)")
     c.add_argument("--all-96", action="store_true",
                    help="run every rule/worker-rule/direction combination")
@@ -335,7 +335,7 @@ def _build_parser():
                         "tentative cycle")
     c.add_argument("--bkv", help="CSV of best known values (instance,cycle)")
     c.add_argument("--out", default=".", help="report directory")
-    c.set_defaults(func=cmd_construct)
+    c.set_defaults(func=cmd_construct, parser=c)
 
     h = sub.add_parser("hga", help="hybrid genetic algorithm runs")
     h.add_argument("instances", nargs="+")
@@ -353,27 +353,27 @@ def _build_parser():
                    help="keep evolving even at the lower bound")
     h.add_argument("--bkv", help="CSV of best known values (instance,cycle)")
     h.add_argument("--out", default=".", help="report directory")
-    h.set_defaults(func=cmd_hga)
+    h.set_defaults(func=cmd_hga, parser=h)
 
     g = sub.add_parser("generate", help="derive worker-time instances "
                                         "from a base instance")
     g.add_argument("base", help="base file: times and precedence")
     g.add_argument("--workers", type=_decimal(), required=True)
-    g.add_argument("--variability", choices=["low", "high", "both"],
+    g.add_argument("--variability", choices=[*VARIABILITY_FACTOR, "both"],
                    default="both")
-    g.add_argument("--density", choices=["low", "high", "both"],
+    g.add_argument("--density", choices=[*DENSITY_LEVELS, "both"],
                    default="both", help="infeasible-pair density level")
     g.add_argument("--replicates", type=_decimal(least=1), default=10)
     g.add_argument("--seed", type=_decimal(), default=0)
     g.add_argument("--out", default=".", help="output directory")
-    g.set_defaults(func=cmd_generate)
+    g.set_defaults(func=cmd_generate, parser=g)
 
     e = sub.add_parser("export-lp", help="write the MILP in LP format")
     e.add_argument("instance")
     e.add_argument("--out", help="output file (default: <instance>.lp)")
     e.add_argument("--relaxed", action="store_true",
                    help="continuous relaxation instead of binaries")
-    e.set_defaults(func=cmd_export_lp)
+    e.set_defaults(func=cmd_export_lp, parser=e)
     return parser
 
 

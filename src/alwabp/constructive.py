@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
+from collections.abc import Iterable
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -676,6 +677,7 @@ def assemble(inst, c_bar, source, worker_rule,
     (else ValueError); a c_bar that is not an integer of at least 1 is
     refused with ValidationError.
     """
+    as_member(inst, Instance, "inst")
     as_member(direction, DIRECTIONS, "direction")
     _check_source(inst, source)
     as_member(worker_rule, WorkerRule, "worker_rule")
@@ -687,6 +689,7 @@ def assemble(inst, c_bar, source, worker_rule,
 def cycle_ceiling(inst) -> int:
     """Cycle no heuristic needs to exceed: the whole line done serially,
     each task at its slowest capable worker."""
+    as_member(inst, Instance, "inst")
     return sum(max(t for t in col if t != INFEASIBLE)
                for col in zip(*inst.times))
 
@@ -923,7 +926,8 @@ def run_configs(inst, configs, use_preprocess=False,
     nothing else would read it.
     """
     as_member(use_preprocess, bool, "use_preprocess")
-    configs = [as_member(cfg, RuleConfig, "config") for cfg in configs]
+    configs = [as_member(cfg, RuleConfig, "config")
+               for cfg in as_member(configs, Iterable, "configs")]
     # `_search` is a seam for instrumentation only (the CLI passes its own
     # module's name so a wrapper installed there sees every search), not a
     # supported option

@@ -52,8 +52,12 @@ def generate(base: BaseInstance, cfg: GeneratorConfig) -> Instance:
     """Deterministically generate one instance from a base and a config.
 
     The same (base, config) pair always yields the same instance: times
-    are drawn row by row (worker-major), then the infeasible cells.
+    are drawn row by row (worker-major), then the infeasible cells.  A
+    `base` that is not a `BaseInstance`, or a `cfg` that is not a
+    `GeneratorConfig`, is refused with ValidationError.
     """
+    as_member(base, BaseInstance, "base")
+    as_member(cfg, GeneratorConfig, "cfg")
     rng = random.Random(cfg.rng_seed)
     n, m = base.n_tasks, cfg.n_workers
     factor = VARIABILITY_FACTOR[cfg.variability]

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .bounds import compute_bounds
 from .constructive import (SearchCache, TaskRule, WorkerRule,
                            priority_rows, solve_lower_bound_search)
-from .instance import as_int, as_member, as_number
+from .instance import Instance, as_int, as_member, as_number
 from .localsearch import improve
 from .solution import Solution
 
@@ -39,8 +39,10 @@ class Chromosome:
         try:
             for row in self.p:
                 for v in row:
-                    if not 0.0 <= v <= 1.0:
-                        raise ValueError(f"priority {v!r} outside [0, 1]")
+                    # a bool compares as 0 or 1 but is not a key
+                    if not 0.0 <= v <= 1.0 or v is True or v is False:
+                        raise ValueError(f"priority {v!r} is not a number "
+                                         "in [0, 1]")
         except TypeError:
             raise ValueError("priorities must be rows of numbers") from None
 
@@ -116,6 +118,7 @@ def encode_rule(inst, rule: TaskRule, c_bar=None, cache=None) -> Chromosome:
     statistics, as `priority_rows` explains.  Any `rule` but a
     `TaskRule` is refused with ValueError.
     """
+    as_member(inst, Instance, "inst")
     as_member(rule, TaskRule, "rule")
     n = inst.n_tasks
     if c_bar is None:
@@ -131,6 +134,7 @@ def encode_rule(inst, rule: TaskRule, c_bar=None, cache=None) -> Chromosome:
 
 
 def random_chromosome(inst, rng) -> Chromosome:
+    as_member(inst, Instance, "inst")
     return Chromosome(tuple(
         tuple(rng.random() for _ in range(inst.n_tasks))
         for _ in range(inst.n_workers)))

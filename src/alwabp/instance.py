@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import operator
 import re
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -133,12 +134,12 @@ class Instance:
         self.n_workers = as_int(n_workers, "worker count", 1)
         self.name = str(name)
 
-        if len(times) != self.n_workers:
+        rows = tuple(tuple(as_member(row, Iterable, "a worker's times"))
+                     for row in as_member(times, Iterable, "times"))
+        if len(rows) != self.n_workers:
             raise ValidationError(
-                f"expected {self.n_workers} worker rows, got {len(times)}")
-        rows = []
-        for w, row in enumerate(times):
-            row = tuple(row)
+                f"expected {self.n_workers} worker rows, got {len(rows)}")
+        for w, row in enumerate(rows):
             if len(row) != self.n_tasks:
                 raise ValidationError(
                     f"worker {w + 1}: expected {self.n_tasks} times, got {len(row)}")
@@ -149,11 +150,11 @@ class Instance:
                     raise ValidationError(
                         f"time of task {i + 1} for worker {w + 1} must be a "
                         f"positive integer or Inf, got {t!r}")
-            rows.append(row)
-        self.times = tuple(rows)
+        self.times = rows
 
         seen = set()
-        for i, j in edges:
+        for edge in as_member(edges, Iterable, "edges"):
+            i, j = as_member(edge, Iterable, "an edge")
             i, j = as_int(i, "edge tail"), as_int(j, "edge head")
             if not (0 <= i < self.n_tasks and 0 <= j < self.n_tasks):
                 raise ValidationError(f"edge ({i + 1}, {j + 1}) out of range")
@@ -317,9 +318,9 @@ def load_instance(path) -> Instance:
 
 @dataclass(frozen=True)
 class BaseInstance:
-    """Single-time base instance (see module docstring).  A time that is
-    not an int, or is a bool or below 1, is refused with
-    ValidationError; the edges are checked where an `Instance` is built
+    """Single-time base instance (see module docstring).  `times` that
+    are not a sequence, and a time that is not an int, or is a bool or
+    below 1, are refused with ValidationError; the edges are checked where an `Instance` is built
     from them (`parse_base`, `generator.generate`)."""
 
     name: str
@@ -327,7 +328,7 @@ class BaseInstance:
     edges: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        for t in self.times:
+        for t in as_member(self.times, Sequence, "base task times"):
             if isinstance(t, bool) or not isinstance(t, int):
                 raise ValidationError(
                     f"base task times must be integers, got {t!r}")
@@ -361,6 +362,7 @@ def load_base(path) -> BaseInstance:
 
 def format_instance(inst: Instance) -> str:
     """Serialize back to the canonical text format."""
+    as_member(inst, Instance, "inst")
     out = [f"# {inst.name}"]
     out.append(f"{inst.n_tasks} {inst.n_workers}")
     out.append(str(len(inst.edges)))
@@ -373,4 +375,5 @@ def format_instance(inst: Instance) -> str:
 
 
 def save_instance(inst: Instance, path) -> None:
+    as_member(inst, Instance, "inst")
     Path(path).write_text(format_instance(inst))

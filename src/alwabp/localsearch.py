@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 
-from .instance import INFEASIBLE
+from .instance import INFEASIBLE, Instance, as_member
 from .solution import Solution, validate_solution
 
 
@@ -284,6 +284,7 @@ def improve(inst, sol: Solution,
     that is neither None nor a list, and a solution that
     `validate_solution` rejects, raise ValueError, and an accepted move
     that does not lower the key RuntimeError."""
+    as_member(inst, Instance, "inst")
     if moves is not None and not isinstance(moves, list):
         raise ValueError(f"moves must be None or a list, got {moves!r}")
     ok, violations = validate_solution(inst, sol)

@@ -26,6 +26,7 @@ def export_lp(inst: Instance, relaxed: bool = False) -> str:
     relaxation.  A `relaxed` that is not a bool is refused with
     ValidationError, as a string such as "no" would write the
     relaxation."""
+    as_member(inst, Instance, "inst")
     as_member(relaxed, bool, "relaxed")
     n, m = inst.n_tasks, inst.n_workers
     able = [[w for w in range(m) if inst.times[w][i] != INFEASIBLE]
@@ -89,4 +90,5 @@ def export_lp(inst: Instance, relaxed: bool = False) -> str:
 
 
 def write_lp(inst: Instance, path, relaxed: bool = False) -> None:
+    as_member(inst, Instance, "inst")
     Path(path).write_text(export_lp(inst, relaxed=relaxed))

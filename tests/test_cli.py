@@ -497,6 +497,23 @@ BAD_INPUTS = {
     "construct-worker-rule-with-all": (["construct", "{inst}", "--all-96",
                                         "--worker-rule", "MaxTasks"], 2,
                                        "--worker-rule", None),
+    "construct-direction-with-all": (["construct", "{inst}", "--all-96",
+                                      "--direction", "backward"], 2,
+                                     "--direction", None),
+    "construct-neither-rule-nor-all": (["construct", "{inst}"], 2,
+                                       "--rule or --all-96", None),
+    "construct-rule-unknown": (["construct", "{inst}", "--rule", "Foo"], 2,
+                               "invalid choice: 'Foo'", None),
+    "hga-elite": (["hga", "{inst}", "--elite", "0"], 2,
+                  "p_e must be at least 1, got 0", None),
+    "hga-immigrants": (["hga", "{inst}", "--immigrants", "-1"], 2,
+                       "p_r must be at least 0, got -1", None),
+    "hga-max-stale": (["hga", "{inst}", "--max-stale", "0"], 2,
+                      "max_stale_iters must be at least 1, got 0", None),
+    # elite + immigrants leave no offspring
+    "hga-no-offspring": (["hga", "{inst}", "--population", "10", "--elite",
+                          "6", "--immigrants", "4"], 2,
+                         "elite + immigrants must leave room", None),
 }
 
 
@@ -536,6 +553,8 @@ def test_bad_input_gives_one_error_line(tmp_path, capsys, monkeypatch, case):
     assert named.format(**paths) in errors[0]
     assert "Traceback" not in out + err
     if status == 2:
+        # the library's refusals print the usage too, as argparse's do
+        assert err.startswith(f"usage: alwabp {argv[0]} ")
         assert not rep.exists()     # not even the report directory
     written = sorted(p.name for p in rep.iterdir()) if rep.exists() else []
     assert written == ([report] if report else [])

@@ -20,8 +20,9 @@ from enum import Enum
 import pytest
 
 import alwabp
-from alwabp import (Chromosome, HgaParams, Instance, RuleConfig, SearchCache,
-                    Solution, TaskRule, WorkerRule)
+from alwabp import (BaseInstance, Chromosome, GeneratorConfig, HgaParams,
+                    Instance, RuleConfig, SearchCache, Solution, TaskRule,
+                    WorkerRule)
 
 UNCHECKED = ()
 
@@ -60,6 +61,7 @@ def optional(values):
 
 FLAG = member(bool)
 INSTANCE = member(Instance)
+NOT_ITERABLE = [None, 2.5]      # for a container
 CACHE = optional(member(SearchCache, SearchCache(OTHER)))
 SOURCE = MALFORMED + (WorkerRule.MIN_BWA,)     # a TaskRule or a matrix
 TASK_RULE = member(TaskRule, WorkerRule.MIN_BWA)
@@ -77,20 +79,24 @@ CONTRACT = {
     "Instance": (lambda tmp: dict(n_tasks=2, n_workers=1, times=[[1, 2]],
                                   edges=[(0, 1)]), {
         "n_tasks": integer(1), "n_workers": integer(1),
-        # the cells and the shape; `times` itself must be rows
+        # the cells, the shape, and the rows and `times` as containers
         "times": [[[v, 2]] for v in (2.5, True, 0, -1, math.nan, None,
-                                     NAME)] + [[[1]], [[1, 2], [1, 2]]],
-        # the ends, and the edges together; `edges` itself must be pairs
+                                     NAME)] + [[[1]], [[1, 2], [1, 2]]]
+        + NOT_ITERABLE + [[v] for v in NOT_ITERABLE],
+        # the ends, the edges together, and each edge and `edges` as
+        # containers
         "edges": [[(v, 1)] for v in (2.5, True, -1, 2, math.nan, None,
-                                     NAME)] + [[(0, 0)], [(0, 1), (1, 0)]],
+                                     NAME)] + [[(0, 0)], [(0, 1), (1, 0)]]
+        + NOT_ITERABLE + [[v] for v in NOT_ITERABLE],
         "name": UNCHECKED}),        # str() of anything
     "ParseError": (None, {}),
     "ValidationError": (None, {}),
+    "format_instance": (lambda tmp: dict(inst=TINY), {"inst": INSTANCE}),
     # the readers check the text, not the type of the path or the text
-    "format_instance": (None, {"inst": UNCHECKED}),
     "load_instance": (None, {"path": UNCHECKED}),
     "parse_instance": (None, {"text": UNCHECKED, "name": UNCHECKED}),
-    "save_instance": (None, {"inst": UNCHECKED, "path": UNCHECKED}),
+    "save_instance": (lambda tmp: dict(inst=TINY, path=tmp / "tiny.alwabp"), {
+        "inst": INSTANCE, "path": UNCHECKED}),
     # -- solution ---------------------------------------------------------
     "Solution": (None, dict.fromkeys(
         ("stations", "loads", "cycle", "direction"), UNCHECKED)),
@@ -99,14 +105,17 @@ CONTRACT = {
     # -- generator --------------------------------------------------------
     "BaseInstance": (lambda tmp: dict(name="b", times=(1, 2), edges=()), {
         "name": UNCHECKED,
-        "times": [(v, 1) for v in (2.5, True, 0, -1, math.nan, None, NAME)],
+        "times": [(v, 1) for v in (2.5, True, 0, -1, math.nan, None, NAME)]
+        + NOT_ITERABLE,
         # checked where an `Instance` is built from them
         "edges": UNCHECKED}),
     "GeneratorConfig": (lambda tmp: dict(n_workers=2), {
         "n_workers": integer(1), "variability": member(("low", "high")),
         "infeasibility_density": number(0, 1) + [1.0],
         "rng_seed": integer()}),
-    "generate": (None, {"base": UNCHECKED, "cfg": UNCHECKED}),
+    "generate": (lambda tmp: dict(base=BaseInstance("b", (1, 2), ()),
+                                  cfg=GeneratorConfig(2)), {
+        "base": member(BaseInstance), "cfg": member(GeneratorConfig)}),
     "load_base": (None, {"path": UNCHECKED}),
     "parse_base": (None, {"text": UNCHECKED, "name": UNCHECKED}),
     # -- bounds -----------------------------------------------------------
@@ -114,22 +123,22 @@ CONTRACT = {
         ("lc1", "lc2", "lc3", "external_relax", "best"), UNCHECKED)),
     "CycleInfeasibleError": (None, {}),
     "compute_bounds": (lambda tmp: dict(inst=TINY), {
-        "inst": UNCHECKED, "external_relax": optional(number())}),
-    "lc1": (None, {"inst": UNCHECKED}),
-    "lc2": (None, {"inst": UNCHECKED}),
+        "inst": INSTANCE, "external_relax": optional(number())}),
+    "lc1": (lambda tmp: dict(inst=TINY), {"inst": INSTANCE}),
+    "lc2": (lambda tmp: dict(inst=TINY), {"inst": INSTANCE}),
     "lc3": (lambda tmp: dict(inst=TINY), {
-        "inst": UNCHECKED, "c_start": optional(integer())}),
-    "min_times": (None, {"inst": UNCHECKED}),
+        "inst": INSTANCE, "c_start": optional(integer())}),
+    "min_times": (lambda tmp: dict(inst=TINY), {"inst": INSTANCE}),
     "preprocess": (lambda tmp: dict(inst=TINY, c=9), {
-        "inst": UNCHECKED, "c": integer(1)}),
+        "inst": INSTANCE, "c": integer(1)}),
     "relax_sidecar": (None, {"path": UNCHECKED}),
     "station_windows": (lambda tmp: dict(inst=TINY, c=9), {
-        "inst": UNCHECKED, "c": integer(1)}),
+        "inst": INSTANCE, "c": integer(1)}),
     # -- lp ---------------------------------------------------------------
     "export_lp": (lambda tmp: dict(inst=TINY), {
-        "inst": UNCHECKED, "relaxed": FLAG}),
+        "inst": INSTANCE, "relaxed": FLAG}),
     "write_lp": (lambda tmp: dict(inst=TINY, path=tmp / "tiny.lp"), {
-        "inst": UNCHECKED, "path": UNCHECKED, "relaxed": FLAG}),
+        "inst": INSTANCE, "path": UNCHECKED, "relaxed": FLAG}),
     # -- constructive -----------------------------------------------------
     "NoFeasibleAssignmentError": (None, {}),
     "RuleConfig": (lambda tmp: dict(task_rule=TaskRule.MAX_F,
@@ -145,10 +154,10 @@ CONTRACT = {
     "all_rule_configs": (None, {}),
     "assemble": (lambda tmp: dict(inst=TINY, c_bar=9, source=TaskRule.MAX_F,
                                   worker_rule=WorkerRule.MIN_RLB), {
-        "inst": UNCHECKED, "c_bar": integer(1), "source": SOURCE,
+        "inst": INSTANCE, "c_bar": integer(1), "source": SOURCE,
         "worker_rule": WORKER_RULE,
         "direction": member(alwabp.DIRECTIONS, "both")}),
-    "cycle_ceiling": (None, {"inst": UNCHECKED}),
+    "cycle_ceiling": (lambda tmp: dict(inst=TINY), {"inst": INSTANCE}),
     "priority_rows": (lambda tmp: dict(inst=TINY, source=TaskRule.MAX_F,
                                        c_bar=9), {
         "inst": INSTANCE, "source": SOURCE, "c_bar": integer(1),
@@ -158,8 +167,8 @@ CONTRACT = {
     "run_configs": (lambda tmp: dict(inst=TINY, configs=[RuleConfig(
         TaskRule.MAX_F, WorkerRule.MIN_RLB)]), {
         "inst": INSTANCE,
-        # the configurations; `configs` itself must be iterable
-        "configs": [[v] for v in member(RuleConfig)],
+        # the configurations, and `configs` as a container
+        "configs": [[v] for v in member(RuleConfig)] + NOT_ITERABLE,
         "use_preprocess": FLAG}),
     "solve_lower_bound_search": (lambda tmp: dict(
         inst=TINY, source=TaskRule.MAX_F, worker_rule=WorkerRule.MIN_RLB), {
@@ -176,7 +185,7 @@ CONTRACT = {
     "WorkerSwap": (None, {"station_a": UNCHECKED, "station_b": UNCHECKED}),
     "improve": (lambda tmp: dict(inst=TINY, sol=alwabp.assemble(
         TINY, 9, TaskRule.MAX_F, WorkerRule.MIN_RLB)), {
-        "inst": UNCHECKED,
+        "inst": INSTANCE,
         "sol": member(Solution, Solution(
             ((0, frozenset({0, 1, 2})), (1, frozenset())), (8, 0), 8)),
         "moves": [v for v in optional(MALFORMED)
@@ -184,7 +193,8 @@ CONTRACT = {
     # -- hga --------------------------------------------------------------
     "Chromosome": (lambda tmp: dict(p=((0.5,),)), {
         "p": [v for v in MALFORMED if v is not WRONG_SHAPE]
-        + [((v,),) for v in (2.5, -1, math.nan, None, NAME)]}),
+        + [((v,),) for v in (2.5, -1, math.nan, None, NAME, True, False)]
+        + [((True, False),)]}),
     "Fitness": (None, {"cycle": UNCHECKED, "norm_load": UNCHECKED}),
     "HgaParams": (lambda tmp: dict(), {
         "p": integer(2), "p_e": optional(integer(1)),
@@ -205,13 +215,14 @@ CONTRACT = {
         "inst": INSTANCE, "chromosome": CHROMOSOME,
         "c_start": optional(integer()), "cache": CACHE}),
     "encode_rule": (lambda tmp: dict(inst=TINY, rule=TaskRule.MAX_F), {
-        "inst": UNCHECKED, "rule": TASK_RULE,
+        "inst": INSTANCE, "rule": TASK_RULE,
         "c_bar": optional(integer(1)), "cache": CACHE}),
     "evolve": (lambda tmp: dict(inst=TINY, params=HgaParams(p=4,
                                                            max_iters=1)), {
         "inst": INSTANCE, "params": member(HgaParams),
         "external_relax": optional(number())}),
-    "random_chromosome": (None, {"inst": UNCHECKED, "rng": UNCHECKED}),
+    "random_chromosome": (lambda tmp: dict(inst=TINY, rng=random.Random(0)), {
+        "inst": INSTANCE, "rng": UNCHECKED}),
 }
 
 CALLABLES = sorted(name for name in alwabp.__all__
