@@ -4,12 +4,11 @@
 from .instance import (INFEASIBLE, BaseInstance, ClosureView, Instance,
                        ParseError, ValidationError, format_instance, load_base,
                        load_instance, parse_base, parse_instance,
-                       save_instance)
+                       relax_sidecar, save_instance)
 from .solution import Solution, validate_solution
 from .generator import GeneratorConfig, generate
 from .bounds import (BoundsReport, CycleInfeasibleError, compute_bounds, lc1,
-                     lc2, lc3, min_times, preprocess, relax_sidecar,
-                     station_windows)
+                     lc2, lc3, min_times, preprocess, station_windows)
 from .lp import export_lp, write_lp
 from .constructive import (DIRECTIONS, NoFeasibleAssignmentError, RuleConfig,
                            RuleRun, SearchCache, TaskRule, WorkerRule,

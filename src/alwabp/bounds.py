@@ -18,10 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
-from .instance import (INFEASIBLE, Instance, ParseError, as_int, as_member,
-                       as_number, read_decimal)
+from .instance import INFEASIBLE, Instance, as_int, as_member, as_number
 
 
 class CycleInfeasibleError(Exception):
@@ -122,28 +120,6 @@ def compute_bounds(inst: Instance,
         # round an exact relaxation value up
         best = max(best, math.ceil(external_relax - 1e-9))
     return BoundsReport(a, b, c, external_relax, best)
-
-
-def relax_sidecar(path) -> float | None:
-    """Read an externally computed relaxation bound for an instance file.
-
-    The side file sits next to the instance with '.relax' appended to the
-    full file name and holds a single finite number, written by the
-    ASCII decimal rule (`instance.read_decimal`).  Raises ParseError when
-    it cannot be read or holds anything else.
-    """
-    p = Path(str(path) + ".relax")
-    if not p.exists():
-        return None
-    try:
-        text = p.read_text().strip()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ParseError(f"cannot read {p}: {exc}") from exc
-    value = read_decimal(text, float)
-    if value is None or not math.isfinite(value):
-        raise ParseError(f"{p}: expected a single finite number, "
-                         f"got {text!r}")
-    return value
 
 
 # Task scans (see `_no_assignment`) an exhaustive search makes before it

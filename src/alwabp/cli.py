@@ -23,14 +23,15 @@ from functools import cache
 from itertools import product
 from pathlib import Path
 
-from .bounds import compute_bounds, relax_sidecar
+from .bounds import compute_bounds
 from .constructive import (DIRECTIONS, NoFeasibleAssignmentError, RuleConfig,
                            TaskRule, WorkerRule, all_rule_configs,
                            run_configs, solve_lower_bound_search)
 from .generator import (DENSITY_LEVELS, VARIABILITY_FACTOR, GeneratorConfig,
                         generate)
 from .hga import HgaParams, evolve
-from .instance import load_base, load_instance, read_decimal, save_instance
+from .instance import (load_base, load_instance, read_decimal, relax_sidecar,
+                       save_instance)
 from .lp import write_lp
 from .reports import (BOUNDS, CONSTRUCT_RUNS, CONSTRUCT_SUMMARY, HGA_LOG,
                       HGA_RUNS, HGA_SUMMARY, BkvError, deviation_pct,
@@ -44,9 +45,19 @@ def _report_dir(out) -> Path:
 
 
 def _fail(errors, msg):
-    """Report one failed item on stderr and record it in `errors`."""
+    """Report one failure, of an item or of the whole command, on stderr
+    and record it in `errors`, the list `main` hands the command and
+    reads the exit status from."""
     print(f"error: {msg}", file=sys.stderr)
     errors.append(msg)
+
+
+def _write(path, columns, records, say=True):
+    """Write one report with `write_csv` and, with `say`, print its
+    `wrote` line."""
+    write_csv(path, columns, records)
+    if say:
+        print(f"wrote {path}")
 
 
 def _load_all(paths, errors, with_relax=False):
@@ -83,30 +94,26 @@ def _best_known(bkv, name):
 
 # -- bounds -------------------------------------------------------------------
 
-def cmd_bounds(args) -> int:
+def cmd_bounds(args, errors):
     out = _report_dir(args.out) / "bounds.csv"
-    errors = []
     records = []
-    tally = {"lc1_max": 0, "lc2_max": 0, "lc3_max": 0}
     for inst, relax in _load_all(args.instances, errors, with_relax=True):
         report = compute_bounds(inst, relax)
         lcs = {"lc1": report.lc1, "lc2": report.lc2, "lc3": report.lc3}
         top = max(lcs.values())
-        flags = {f"{k}_max": int(v == top) for k, v in lcs.items()}
-        for k, v in flags.items():
-            tally[k] += v
         records.append({"instance": inst.name, **lcs,
                         "relax": report.external_relax, "best": report.best,
-                        **flags})
-    records.append({"instance": "TALLY", **tally})
-    write_csv(out, BOUNDS, records)
-    print(f"wrote {out}")
-    return 1 if errors else 0
+                        **{f"{k}_max": int(v == top) for k, v in lcs.items()}})
+    # the tally counts, per bound, the instances where it is the largest
+    flags = ("lc1_max", "lc2_max", "lc3_max")
+    records.append({"instance": "TALLY",
+                    **{k: sum(r[k] for r in records) for k in flags}})
+    _write(out, BOUNDS, records)
 
 
 # -- construct ----------------------------------------------------------------
 
-def cmd_construct(args) -> int:
+def cmd_construct(args, errors):
     if args.all_96 == (args.rule is not None):
         args.parser.error("exactly one of --rule or --all-96 is required")
     if args.all_96 and (args.worker_rule or args.direction):
@@ -118,8 +125,6 @@ def cmd_construct(args) -> int:
         args.direction or "forward")]
     out_dir = _report_dir(args.out)
     bkv = load_bkv(args.bkv) if args.bkv else None
-    errors = []
-
     records = []
     by_config = {cfg: [] for cfg in configs}    # solved run records
     bests = []                                  # solved best records
@@ -152,25 +157,19 @@ def cmd_construct(args) -> int:
         if best is not None:
             bests.append(rec)
 
-    out = out_dir / "construct_runs.csv"
-    write_csv(out, CONSTRUCT_RUNS, records)
-    print(f"wrote {out}")
-
+    _write(out_dir / "construct_runs.csv", CONSTRUCT_RUNS, records)
     if args.bkv:
         summary = [{"task_rule": cfg.task_rule.value,
                     "worker_rule": cfg.worker_rule.value,
                     "direction": cfg.direction, **summarize(runs)}
                    for cfg, runs in by_config.items()]
         summary.append({"task_rule": "BestOverAll", **summarize(bests)})
-        sout = out_dir / "construct_summary.csv"
-        write_csv(sout, CONSTRUCT_SUMMARY, summary)
-        print(f"wrote {sout}")
-    return 1 if errors else 0
+        _write(out_dir / "construct_summary.csv", CONSTRUCT_SUMMARY, summary)
 
 
 # -- hga ----------------------------------------------------------------------
 
-def cmd_hga(args) -> int:
+def cmd_hga(args, errors):
     try:
         params = HgaParams(p=args.population, p_e=args.elite,
                            p_r=args.immigrants, q=args.q,
@@ -181,8 +180,6 @@ def cmd_hga(args) -> int:
         args.parser.error(str(exc))
     out_dir = _report_dir(args.out)
     bkv = load_bkv(args.bkv) if args.bkv else None
-    errors = []
-
     records, summary = [], []
     for inst, relax in _load_all(args.instances, errors, with_relax=True):
         known = _best_known(bkv, inst.name)
@@ -208,8 +205,8 @@ def cmd_hga(args) -> int:
                        and e.norm_load == fit.norm_load)}
             records.append(rec)
             solved.append(rec)
-            write_csv(out_dir / f"{inst.name}.seed{seed}.log.csv", HGA_LOG,
-                      [asdict(e) for e in res.log])
+            _write(out_dir / f"{inst.name}.seed{seed}.log.csv", HGA_LOG,
+                   [asdict(e) for e in res.log], say=False)
         best = min((r["cycle"] for r in solved), default=None)
         summary.append({
             "instance": inst.name, "runs": len(solved), "best_cycle": best,
@@ -220,16 +217,13 @@ def cmd_hga(args) -> int:
             "avg_time_to_best_s": mean([r["time_to_best_s"]
                                         for r in solved])})
 
-    write_csv(out_dir / "hga_runs.csv", HGA_RUNS, records)
-    write_csv(out_dir / "hga_summary.csv", HGA_SUMMARY, summary)
-    print(f"wrote {out_dir / 'hga_runs.csv'}")
-    print(f"wrote {out_dir / 'hga_summary.csv'}")
-    return 1 if errors else 0
+    _write(out_dir / "hga_runs.csv", HGA_RUNS, records)
+    _write(out_dir / "hga_summary.csv", HGA_SUMMARY, summary)
 
 
 # -- generate -----------------------------------------------------------------
 
-def cmd_generate(args) -> int:
+def cmd_generate(args, errors):
     # "both" stands for every level the generator defines, in its order
     variabilities = (VARIABILITY_FACTOR if args.variability == "both"
                      else [args.variability])
@@ -246,12 +240,11 @@ def cmd_generate(args) -> int:
     except ValueError as exc:
         args.parser.error(str(exc))
     out_dir = _report_dir(args.out)
-    errors = []
     try:
         base = load_base(args.base)
     except Exception as exc:
         _fail(errors, f"{args.base}: {exc}")
-        return 1
+        return
     for suffix, cfg in items:
         name = base.name + suffix
         try:
@@ -259,18 +252,15 @@ def cmd_generate(args) -> int:
         except Exception as exc:
             _fail(errors, f"{name}: {exc}")
     print(f"wrote {len(items) - len(errors)} instances to {out_dir}")
-    return 1 if errors else 0
 
 
 # -- export-lp ----------------------------------------------------------------
 
-def cmd_export_lp(args) -> int:
-    errors = []
+def cmd_export_lp(args, errors):
     for inst, _ in _load_all([args.instance], errors):
         out = Path(args.out) if args.out else Path(f"{args.instance}.lp")
         write_lp(inst, out, relaxed=args.relaxed)
         print(f"wrote {out}")
-    return 1 if errors else 0
 
 
 # -- parser -------------------------------------------------------------------
@@ -313,14 +303,19 @@ def _build_parser():
         description="Heuristics, bounds and reports for assembly line "
                     "worker assignment and balancing (type 2).")
     sub = parser.add_subparsers(dest="command", required=True)
+    batch = argparse.ArgumentParser(add_help=False)     # the batch commands
+    batch.add_argument("instances", nargs="+")
+    batch.add_argument("--out", default=".", help="report directory")
+    scored = argparse.ArgumentParser(add_help=False)    # and the deviations
+    scored.add_argument("--bkv",
+                        help="CSV of best known values (instance,cycle)")
 
-    b = sub.add_parser("bounds", help="lower-bound report for instances")
-    b.add_argument("instances", nargs="+")
-    b.add_argument("--out", default=".", help="report directory")
+    b = sub.add_parser("bounds", parents=[batch],
+                       help="lower-bound report for instances")
     b.set_defaults(func=cmd_bounds, parser=b)
 
-    c = sub.add_parser("construct", help="priority-rule constructive runs")
-    c.add_argument("instances", nargs="+")
+    c = sub.add_parser("construct", parents=[batch, scored],
+                       help="priority-rule constructive runs")
     c.add_argument("--rule", choices=[r.value for r in TaskRule],
                    help="task priority rule")
     c.add_argument("--worker-rule", choices=[r.value for r in WorkerRule],
@@ -333,12 +328,10 @@ def _build_parser():
     c.add_argument("--preprocess", action="store_true",
                    help="run the assemblies on the times reduced at each "
                         "tentative cycle")
-    c.add_argument("--bkv", help="CSV of best known values (instance,cycle)")
-    c.add_argument("--out", default=".", help="report directory")
     c.set_defaults(func=cmd_construct, parser=c)
 
-    h = sub.add_parser("hga", help="hybrid genetic algorithm runs")
-    h.add_argument("instances", nargs="+")
+    h = sub.add_parser("hga", parents=[batch, scored],
+                       help="hybrid genetic algorithm runs")
     h.add_argument("--seeds", type=_decimal(least=1), default=1,
                    help="number of differently seeded runs per instance")
     h.add_argument("--seed", type=_decimal(), default=0, help="first seed")
@@ -351,8 +344,6 @@ def _build_parser():
     h.add_argument("--max-stale", type=_decimal(), default=100)
     h.add_argument("--no-bound-stop", action="store_true",
                    help="keep evolving even at the lower bound")
-    h.add_argument("--bkv", help="CSV of best known values (instance,cycle)")
-    h.add_argument("--out", default=".", help="report directory")
     h.set_defaults(func=cmd_hga, parser=h)
 
     g = sub.add_parser("generate", help="derive worker-time instances "
@@ -378,19 +369,19 @@ def _build_parser():
 
 
 def main(argv=None) -> int:
+    errors = []     # the failed items, each reported through `_fail`
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        args.func(args, errors)
     except _BadArguments as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BkvError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        _fail(errors, str(exc))
     except OSError as exc:      # an output file cannot be written
         where = f"{exc.filename}: " if exc.filename else ""
-        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
-        return 1
+        _fail(errors, f"{where}{exc.strerror or exc}")
+    return 1 if errors else 0
 
 
 if __name__ == "__main__":

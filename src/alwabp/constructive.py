@@ -621,6 +621,16 @@ def _assemble(times, c_bar, source, worker_rule, line, crews, fills):
     w_mask = (1 << m) - 1
     picks = []
     crew = w = None         # the previous station's crew and committed worker
+    # the worker rule's score of a pair p = (w, (T, load, picked, rlb)) at
+    # the current station: the smallest commits; chosen once per pass, as
+    # a branch per worker costs more
+    if worker_rule is WorkerRule.MAX_TASKS:
+        score = lambda p: (-len(p[1][2]), p[1][3], c_bar - p[1][1], p[0])
+    elif worker_rule is WorkerRule.MIN_BWA:
+        score = lambda p: (_bwa_without(crew, left, p[1][0], p[0], m),
+                           p[1][3], c_bar - p[1][1], p[0])
+    else:
+        score = lambda p: (p[1][3], -len(p[1][2]), c_bar - p[1][1], p[0])
 
     for _ in range(m):
         parent, crew = crew, crews.get(w_mask)
@@ -637,21 +647,7 @@ def _assemble(times, c_bar, source, worker_rule, line, crews, fills):
                                                       left, u_mask, c_bar)
         if min(fill[3] for fill in station) > c_bar:
             return None
-        best = None
-        best_score = None
-        for w, fill in zip(crew.workers, station):
-            T, load, picked, rlb = fill
-            if worker_rule is WorkerRule.MAX_TASKS:
-                score = (-len(picked), rlb, c_bar - load, w)
-            elif worker_rule is WorkerRule.MIN_BWA:
-                score = (_bwa_without(crew, left, T, w, m), rlb,
-                         c_bar - load, w)
-            else:
-                score = (rlb, -len(picked), c_bar - load, w)
-            if best_score is None or score < best_score:
-                best_score = score
-                best = (w, *fill)
-        w, T, load, picked, rlb = best
+        w, (T, load, picked, rlb) = min(zip(crew.workers, station), key=score)
         if rlb > c_bar:
             return None
         picks.append((w, picked, load))

@@ -16,6 +16,11 @@ are refused.  Zero entries are rejected on load so that ratio based
 priority rules never divide by zero.  Internally tasks and workers are
 0-based; only the file format is 1-based.
 
+A relaxation sidecar holds an externally computed relaxation bound for
+an instance file: it sits next to the file, with '.relax' appended to
+the full file name, and holds one finite number by the same rule, as a
+real number (`relax_sidecar`).
+
 A base instance is SALBP-like: one integer time per task plus the
 precedence edges (`generator` derives worker times from it).  Base text
 format, in the same lexical conventions:
@@ -291,6 +296,21 @@ def _read_file(path) -> tuple[str, str]:
         return p.read_text(), p.stem
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {p}: {exc}") from exc
+
+
+def relax_sidecar(path) -> float | None:
+    """The relaxation bound in the sidecar of the instance file at
+    `path` (see module docstring), None when there is no sidecar;
+    ParseError when it cannot be read or holds anything else."""
+    p = Path(str(path) + ".relax")
+    if not p.exists():
+        return None
+    text = _read_file(p)[0].strip()
+    value = read_decimal(text, float)
+    if value is None or not math.isfinite(value):
+        raise ParseError(f"{p}: expected a single finite number, "
+                         f"got {text!r}")
+    return value
 
 
 def parse_instance(text: str, name: str = "instance") -> Instance:

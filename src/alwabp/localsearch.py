@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 
-from .instance import INFEASIBLE, Instance, as_member
+from .instance import INFEASIBLE, Instance, as_int, as_member
 from .solution import Solution, validate_solution
 
 
@@ -32,6 +32,8 @@ class Shift:
     to_station: int
 
     def __post_init__(self):
+        for name in ("task", "from_station", "to_station"):
+            as_int(getattr(self, name), name, 0)
         if self.from_station == self.to_station:
             raise ValueError("shift must change the station")
 
@@ -42,6 +44,8 @@ class Swap:
     task_b: int
 
     def __post_init__(self):
+        for name in ("task_a", "task_b"):
+            as_int(getattr(self, name), name, 0)
         if self.task_a == self.task_b:
             raise ValueError("swap needs two distinct tasks")
 
@@ -51,6 +55,10 @@ class DoubleShift:
     first: Shift
     second: Shift
 
+    def __post_init__(self):
+        as_member(self.first, Shift, "first")
+        as_member(self.second, Shift, "second")
+
 
 @dataclass(frozen=True)
 class WorkerSwap:
@@ -58,6 +66,8 @@ class WorkerSwap:
     station_b: int
 
     def __post_init__(self):
+        for name in ("station_a", "station_b"):
+            as_int(getattr(self, name), name, 0)
         if self.station_a == self.station_b:
             raise ValueError("worker swap needs two distinct stations")
 

@@ -21,6 +21,12 @@ def _y(s, w) -> str:
     return f"y_s{s + 1}_w{w + 1}"
 
 
+def _terms(parts) -> str:
+    """A row's signed terms ("+ ..." or "- ...") as LP text, with no
+    leading "+"."""
+    return " ".join(parts).lstrip("+ ")
+
+
 def export_lp(inst: Instance, relaxed: bool = False) -> str:
     """The model of `inst` as LP text; with `relaxed` the continuous
     relaxation.  A `relaxed` that is not a bool is refused with
@@ -48,30 +54,22 @@ def export_lp(inst: Instance, relaxed: bool = False) -> str:
         lines.append(f" station_s{s + 1}: {terms} = 1")
 
     for i, j in inst.edges:
-        parts = []
-        for s in range(m):
-            for w in able[i]:
-                coef = "" if s == 0 else f"{s + 1} "
-                parts.append(f"+ {coef}{_x(s, w, i)}")
-        for s in range(m):
-            for w in able[j]:
-                coef = "" if s == 0 else f"{s + 1} "
-                parts.append(f"- {coef}{_x(s, w, j)}")
-        body = " ".join(parts).lstrip("+ ")
-        lines.append(f" prec_i{i + 1}_j{j + 1}: {body} <= 0")
+        # station of i minus station of j, each as the sum of s * x
+        parts = [f"{sign} {'' if s == 0 else f'{s + 1} '}{_x(s, w, k)}"
+                 for sign, k in (("+", i), ("-", j))
+                 for s in range(m) for w in able[k]]
+        lines.append(f" prec_i{i + 1}_j{j + 1}: {_terms(parts)} <= 0")
 
     for s in range(m):
         parts = [f"+ {inst.times[w][i]} {_x(s, w, i)}"
                  for i in range(n) for w in able[i]]
-        body = " ".join(parts).lstrip("+ ")
-        lines.append(f" load_s{s + 1}: {body} - c <= 0")
+        lines.append(f" load_s{s + 1}: {_terms(parts)} - c <= 0")
 
     for s in range(m):
         for w in range(m):
             parts = [f"+ {_x(s, w, i)}" for i in range(n) if w in able[i]]
             parts.append(f"- {n} {_y(s, w)}")
-            body = " ".join(parts).lstrip("+ ")
-            lines.append(f" link_s{s + 1}_w{w + 1}: {body} <= 0")
+            lines.append(f" link_s{s + 1}_w{w + 1}: {_terms(parts)} <= 0")
 
     names = [_x(s, w, i) for s in range(m) for i in range(n) for w in able[i]]
     names += [_y(s, w) for s in range(m) for w in range(m)]

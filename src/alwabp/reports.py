@@ -48,13 +48,14 @@ def load_bkv(path) -> dict[str, int]:
     """Two-column CSV `instance,cycle`; a header row is optional.  A cycle
     is a positive integer by the ASCII decimal rule
     (`instance.read_decimal`).  Raises BkvError when the file cannot be
-    read or decoded, or a row is bad."""
+    read or decoded, a row is bad, or a row names an instance an earlier
+    row named, as every report keys its rows by that name."""
     try:
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise BkvError(f"cannot read {path}: {exc}") from exc
-    table = {}
+    table, first = {}, {}       # first: instance -> the line of its row
     for lineno, row in enumerate(rows, start=1):
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
@@ -72,7 +73,10 @@ def load_bkv(path) -> dict[str, int]:
             raise BkvError(f"{path}:{lineno}: bad cycle {value!r}")
         if cycle <= 0:
             raise BkvError(f"{path}:{lineno}: cycle must be positive")
-        table[name] = cycle
+        if name in first:
+            raise BkvError(f"{path}:{lineno}: instance {name!r} is also on "
+                           f"line {first[name]}")
+        table[name], first[name] = cycle, lineno
     return table
 
 

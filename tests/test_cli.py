@@ -196,8 +196,10 @@ def test_construct_summary_aggregates_recompute(tmp_path):
     ("instance,cycle\ntiny-A,+3\n", "bkv.csv:2: bad cycle '+3'"),
     ("instance,cycle\ntiny-A,\u0664\n", "bkv.csv:2: bad cycle '\u0664'"),
     ("instance,cycle\ntiny-A,-3\n", "bkv.csv:2: cycle must be positive"),
+    ("instance,cycle\ntiny-A,5\ntiny-A,7\n",
+     "bkv.csv:3: instance 'tiny-A' is also on line 2"),
 ], ids=["header", "no-header", "fraction-row-1", "fraction-row-2",
-        "separator", "plus", "non-ascii", "negative"])
+        "separator", "plus", "non-ascii", "negative", "repeated-instance"])
 def test_load_bkv_skips_only_a_first_row_without_a_number(tmp_path, text,
                                                           want):
     path = tmp_path / "bkv.csv"

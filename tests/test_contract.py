@@ -21,8 +21,8 @@ import pytest
 
 import alwabp
 from alwabp import (BaseInstance, Chromosome, GeneratorConfig, HgaParams,
-                    Instance, RuleConfig, SearchCache, Solution, TaskRule,
-                    WorkerRule)
+                    Instance, RuleConfig, SearchCache, Shift, Solution,
+                    TaskRule, WorkerRule)
 
 UNCHECKED = ()
 
@@ -177,12 +177,17 @@ CONTRACT = {
         "c_start": optional(integer()), "use_preprocess": FLAG,
         "cache": CACHE}),
     # -- local search -----------------------------------------------------
-    # moves check only that their two ends differ
-    "DoubleShift": (None, {"first": UNCHECKED, "second": UNCHECKED}),
-    "Shift": (None, dict.fromkeys(
-        ("task", "from_station", "to_station"), UNCHECKED)),
-    "Swap": (None, {"task_a": UNCHECKED, "task_b": UNCHECKED}),
-    "WorkerSwap": (None, {"station_a": UNCHECKED, "station_b": UNCHECKED}),
+    # moves hold task and station indices, and check that their ends differ
+    "DoubleShift": (lambda tmp: dict(first=Shift(0, 0, 1),
+                                     second=Shift(1, 1, 0)), {
+        "first": member(Shift), "second": member(Shift)}),
+    "Shift": (lambda tmp: dict(task=0, from_station=0, to_station=1),
+              dict.fromkeys(("task", "from_station", "to_station"),
+                            integer(0))),
+    "Swap": (lambda tmp: dict(task_a=0, task_b=1), {
+        "task_a": integer(0), "task_b": integer(0)}),
+    "WorkerSwap": (lambda tmp: dict(station_a=0, station_b=1), {
+        "station_a": integer(0), "station_b": integer(0)}),
     "improve": (lambda tmp: dict(inst=TINY, sol=alwabp.assemble(
         TINY, 9, TaskRule.MAX_F, WorkerRule.MIN_RLB)), {
         "inst": INSTANCE,

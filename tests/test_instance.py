@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import random
+import re
 
 import pytest
 
 from alwabp import (INFEASIBLE, Instance, ParseError, Solution,
                     ValidationError, format_instance, improve, load_base,
-                    load_instance, parse_instance, validate_solution)
+                    load_instance, parse_instance, relax_sidecar,
+                    validate_solution)
 from bruteforce import brute_force_feasible
 from conftest import build_solution, random_instance
 
@@ -69,11 +71,14 @@ def test_parse_errors(text):
         parse_instance(text)
 
 
-@pytest.mark.parametrize("load", [load_instance, load_base])
+@pytest.mark.parametrize("load", [load_instance, load_base, relax_sidecar])
 def test_undecodable_file_is_a_parse_error(tmp_path, load):
+    """The error names the file read: for `relax_sidecar`, the sidecar."""
     p = tmp_path / "binary.alwabp"
-    p.write_bytes(b"\xff\xfe\x00\x01 3 2\n")
-    with pytest.raises(ParseError, match="binary.alwabp"):
+    bad = tmp_path / ("binary.alwabp.relax" if load is relax_sidecar
+                      else "binary.alwabp")
+    bad.write_bytes(b"\xff\xfe\x00\x01 3 2\n")
+    with pytest.raises(ParseError, match=re.escape(f"cannot read {bad}:")):
         load(p)
 
 
