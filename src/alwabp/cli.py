@@ -98,6 +98,10 @@ def cmd_bounds(args, errors):
     out = _report_dir(args.out) / "bounds.csv"
     records = []
     for inst, relax in _load_all(args.instances, errors, with_relax=True):
+        if inst.name == "TALLY":
+            _fail(errors, f"instance name 'TALLY' is that of the tally row "
+                          f"of {out}")
+            continue
         report = compute_bounds(inst, relax)
         lcs = {"lc1": report.lc1, "lc2": report.lc2, "lc3": report.lc3}
         top = max(lcs.values())

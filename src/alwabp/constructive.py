@@ -261,6 +261,18 @@ class _Crew:
         return fmax, fsum, ninf
 
 
+def _crew_of(crews, times, mask, parent, gone):
+    """The crew over `times` of the workers in the bitmask `mask`, read
+    from `crews`, the crew table of `times`, or built (from `parent`
+    without `gone`, see `_Crew`) and stored there."""
+    crew = crews.get(mask)
+    if crew is None:
+        crew = crews[mask] = _Crew(
+            times, [w for w in range(len(times)) if mask >> w & 1],
+            len(times[0]), parent, gone)
+    return crew
+
+
 def _workers_at(workers, col, t):
     """The workers whose time in `col` is t, in `workers` order."""
     if col.count(t) == 1:
@@ -355,11 +367,8 @@ def priority_rows(inst, source, c_bar, cache=None) -> list[list]:
     cache = _cache_of(inst, cache)
     _check_source(inst, source)
     c_bar = as_int(c_bar, "cycle", 1)
-    crews, full = cache.crews(inst.times), (1 << inst.n_workers) - 1
-    crew = crews.get(full)
-    if crew is None:
-        crew = crews[full] = _Crew(inst.times, range(inst.n_workers),
-                                   inst.n_tasks, None, None)
+    crew = _crew_of(cache.crews(inst.times), inst.times,
+                    (1 << inst.n_workers) - 1, None, None)
     prio = _station_prio(source, crew, cache.lines["forward"],
                          range(inst.n_tasks), c_bar)
     return [list(prio(w)) for w in crew.workers]
@@ -633,18 +642,15 @@ def _assemble(times, c_bar, source, worker_rule, line, crews, fills):
         score = lambda p: (p[1][3], -len(p[1][2]), c_bar - p[1][1], p[0])
 
     for _ in range(m):
-        parent, crew = crew, crews.get(w_mask)
-        if crew is None:
-            crew = crews[w_mask] = _Crew(
-                times, [v for v in range(m) if w_mask >> v & 1], n, parent, w)
-        if fills is None:
-            station = _station_fills(source, crew, line, left, u_mask, c_bar)
-        else:
+        crew = _crew_of(crews, times, w_mask, crew, w)
+        station = None
+        if fills is not None:
             key = (c_bar, line.direction, w_mask, u_mask)
             station = fills.get(key)
-            if station is None:
-                station = fills[key] = _station_fills(source, crew, line,
-                                                      left, u_mask, c_bar)
+        if station is None:
+            station = _station_fills(source, crew, line, left, u_mask, c_bar)
+            if fills is not None:
+                fills[key] = station
         if min(fill[3] for fill in station) > c_bar:
             return None
         w, (T, load, picked, rlb) = min(zip(crew.workers, station), key=score)
@@ -657,7 +663,7 @@ def _assemble(times, c_bar, source, worker_rule, line, crews, fills):
 
     if line.direction == "backward":
         picks.reverse()
-    stations = tuple((w, frozenset(picked)) for w, picked, _ in picks)
+    stations = tuple((w, tuple(sorted(picked))) for w, picked, _ in picks)
     loads = tuple(load for _, _, load in picks)
     return Solution(stations, loads, max(loads), line.direction)
 
@@ -691,11 +697,12 @@ def cycle_ceiling(inst) -> int:
 
 
 # Table cells (solutions x tasks x workers) a SearchCache's local-search
-# memo holds before it is cleared.  An entry takes about 15 KB on 70x10
-# and 75x19 lines, where a GA run gets almost no hits; the bound keeps
-# 375 and 184 solutions there.  It holds every distinct solution of a run
-# on the small lines (a few dozen at most), and 1,337 on 28x7 lines, where
-# two 40-generation runs still skipped 64.0% and 32.8% of their local
+# memo holds before it is cleared.  An entry (a solution and its local
+# search result) takes about 3.7 KB on 70x10 lines and 5.7 KB on 75x19
+# lines, where a GA run gets almost no hits; the bound keeps 375 and 184
+# solutions there.  It holds every distinct solution of a run on the
+# small lines (a few dozen at most), and 1,337 on 28x7 lines, where two
+# 40-generation runs still skipped 64.0% and 32.8% of their local
 # searches (64.0% and 37.2% with no bound, 58.9% and 31.0% at a cap of
 # 1,024 solutions).
 IMPROVED_CELLS = 1 << 18

@@ -105,6 +105,7 @@ class _State:
         self.succ = inst.succ
         self.m = inst.n_workers
         self.workers = [w for w, _ in sol.stations]
+        # each station's tasks ascending, kept so by `insort`
         self.tasks = [sorted(ts) for _, ts in sol.stations]
         self.where = [0] * inst.n_tasks
         for s, ts in enumerate(self.tasks):
@@ -117,7 +118,7 @@ class _State:
         return cycle, self.loads.count(cycle)
 
     def to_solution(self, direction):
-        return Solution(tuple((self.workers[s], frozenset(self.tasks[s]))
+        return Solution(tuple((self.workers[s], tuple(self.tasks[s]))
                               for s in range(self.m)),
                         tuple(self.loads), max(self.loads), direction)
 

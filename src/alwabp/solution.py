@@ -1,4 +1,5 @@
-"""Solutions: an ordered worker/task-set per station, plus the checker."""
+"""Solutions: an ordered worker and task tuple per station, plus the
+checker."""
 
 from __future__ import annotations
 
@@ -7,11 +8,15 @@ from dataclasses import dataclass
 from .instance import INFEASIBLE, Instance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Solution:
-    """stations[k] = (worker, tasks at station k); stations are in line order."""
+    """`stations[k] = (worker, tasks)`, with `tasks` an ascending tuple of
+    task indices; stations are in line order.  Tuples and slots keep a
+    solution small, as callers hold them by the thousand (a GA's
+    population and its local-search memo, the results of a batch of
+    searches)."""
 
-    stations: tuple[tuple[int, frozenset[int]], ...]
+    stations: tuple[tuple[int, tuple[int, ...]], ...]
     loads: tuple[int, ...]
     cycle: int
     direction: str = "forward"

@@ -185,7 +185,7 @@ def reference_improve(inst, sol):
     shift feasible after it; only the pair must lower the key.  Moves
     are tuples: ("shift", i, a, b), ("swap", i, j), ("double_shift",
     (i, a, b), (j, c, d)) and ("worker_swap", a, b).  `stations` lists
-    (worker, frozenset of tasks) per station.
+    (worker, ascending tuple of tasks) per station.
     """
     n, m, times = inst.n_tasks, inst.n_workers, inst.times
     pred = [[] for _ in range(n)]
@@ -262,5 +262,5 @@ def reference_improve(inst, sol):
             break
         move, where, workers = step
         moves.append(move)
-    stations = [(workers[s], frozenset(at(where, s))) for s in range(m)]
+    stations = [(workers[s], tuple(at(where, s))) for s in range(m)]
     return moves, stations, loads_of(where, workers)

@@ -19,7 +19,7 @@ def tiny_a() -> Instance:
 def build_solution(inst: Instance, stations, direction="forward") -> Solution:
     """The solution of (worker, tasks) `stations` in line order, with the
     loads and cycle recomputed from `inst`'s times."""
-    norm = tuple((w, frozenset(ts)) for w, ts in stations)
+    norm = tuple((w, tuple(sorted(ts))) for w, ts in stations)
     loads = tuple(sum(inst.times[w][i] for i in ts) for w, ts in norm)
     return Solution(norm, loads, max(loads, default=0), direction)
 

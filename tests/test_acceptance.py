@@ -131,7 +131,7 @@ def test_acceptance_03_hand_trace_values(capsys):
         assert report.best == 2
 
         sol = assemble(TINY, 2, TaskRule.MAX_F, WorkerRule.MIN_RLB)
-        assert sol.stations == ((0, frozenset({0})), (1, frozenset({1, 2})))
+        assert sol.stations == ((0, (0,)), (1, (1, 2)))
         assert sol.cycle == 2
 
         all_tasks = {0, 1, 2}

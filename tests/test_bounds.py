@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -328,7 +329,7 @@ def test_no_exhaustive_proof_without_budget(monkeypatch):
             for chrom in chroms:
                 try:
                     sol, fit = decode(inst, chrom)
-                    out.append((vars(sol), vars(fit)))
+                    out.append((asdict(sol), vars(fit)))
                 except NoFeasibleAssignmentError:
                     out.append(None)
         return out, proofs

@@ -78,6 +78,22 @@ def test_bounds_partial_results_on_bad_file(tmp_path, capsys):
     assert names == ["tiny-A", "TALLY"]
 
 
+def test_bounds_fails_an_instance_named_like_the_tally(tmp_path, capsys):
+    """bounds.csv keys its tally row "TALLY", so an instance of that name
+    fails its item; the other rows and the tally are still written."""
+    good = write_tiny(tmp_path)
+    clash = write_tiny(tmp_path, name="TALLY")
+    rep = tmp_path / "rep"
+    rc = main(["bounds", str(clash), str(good), "--out", str(rep)])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "error: instance name 'TALLY' is that of the tally row of "
+        f"{rep / 'bounds.csv'}\n")
+    rows = read_rows(rep / "bounds.csv")
+    assert rows[1:] == [["tiny-A", "2", "2", "2", "", "2", "1", "1", "1"],
+                        ["TALLY", "", "", "", "", "", "1", "1", "1"]]
+
+
 @pytest.mark.parametrize("command", ["bounds", "hga"])
 @pytest.mark.parametrize("text", ["nan", "inf", "abc"])
 def test_bad_relax_sidecar_fails_only_its_item(tmp_path, capsys, command,
@@ -485,6 +501,10 @@ BAD_INPUTS = {
                       1, "{tmp}/missing/x.lp", None),
     "binary-instance": (["bounds", "{binary}", "{inst}"], 1, "{binary}",
                         "bounds.csv"),
+    # the name bounds.csv keys its tally row by
+    "tally-name": (["bounds", "{inst}", "{tmp}/TALLY.alwabp"], 1,
+                   "instance name 'TALLY' is that of the tally row",
+                   "bounds.csv"),
     "duplicate-name": (["bounds", "{inst}", "{tmp}/copy/tiny-A.alwabp"], 1,
                        "{tmp}/copy/tiny-A.alwabp: instance name 'tiny-A' is "
                        "also that of {inst}", "bounds.csv"),
@@ -532,6 +552,7 @@ def test_bad_input_gives_one_error_line(tmp_path, capsys, monkeypatch, case):
     paths["binary"].write_bytes(b"\xff\xfe\x00\x01")
     (tmp_path / "copy").mkdir()
     write_tiny(tmp_path / "copy")       # tiny-A again, in another directory
+    write_tiny(tmp_path, "TALLY")
     (tmp_path / "bad.csv").write_text("instance,cycle\ntiny-A,2,3\n")
     (tmp_path / "frac.csv").write_text("tiny-A,12.5\n")
     (tmp_path / "line.base").write_text("3\n1 2 3\n0\n")

@@ -192,7 +192,7 @@ CONTRACT = {
         TINY, 9, TaskRule.MAX_F, WorkerRule.MIN_RLB)), {
         "inst": INSTANCE,
         "sol": member(Solution, Solution(
-            ((0, frozenset({0, 1, 2})), (1, frozenset())), (8, 0), 8)),
+            ((0, (0, 1, 2)), (1, ())), (8, 0), 8)),
         "moves": [v for v in optional(MALFORMED)
                   if not isinstance(v, list)]}),
     # -- hga --------------------------------------------------------------

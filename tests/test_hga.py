@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -30,7 +31,7 @@ from alwabp import (
 )
 
 from bruteforce import brute_force_optimum
-from conftest import random_instance
+from conftest import random_instance, random_line
 from test_constructive import dense_tie_instance
 
 
@@ -249,7 +250,7 @@ def test_crossover_bias_statistics():
 
 def test_decode_tiny(tiny_a):
     sol, fit = decode(tiny_a, encode_rule(tiny_a, TaskRule.MAX_F))
-    assert sol.stations == ((0, frozenset({0})), (1, frozenset({1, 2})))
+    assert sol.stations == ((0, (0,)), (1, (1, 2)))
     assert fit == Fitness(2, 1.0)       # (2 + 1 + 1) / (2 stations * 2)
     sol, fit = decode(tiny_a, random_chromosome(tiny_a, random.Random(3)))
     assert fit.cycle == 2 and fit.norm_load == 1.0
@@ -281,7 +282,7 @@ def test_decode_picks_backward_when_forward_is_stuck():
                     "backward") is not None
     sol, fit = decode(inst, matrix)
     assert sol.direction == "backward"
-    assert sol.stations == ((1, frozenset({1})), (0, frozenset({0, 2})))
+    assert sol.stations == ((1, (1,)), (0, (0, 2)))
     assert sol.loads == (6, 3)
     assert fit == Fitness(6, 9 / 12)
 
@@ -342,7 +343,7 @@ def test_memoised_decode_equals_fresh_decode(monkeypatch, cells):
                 continue
             size = len(cache._improved)
             sol, fit = decode(inst, chrom, c0, cache)
-            assert vars(sol) == vars(fresh), inst.name
+            assert asdict(sol) == asdict(fresh), inst.name
             assert vars(fit) == vars(fresh_fit), inst.name
             assert len(cache._improved) <= cap
             cleared += len(cache._improved) < size
@@ -506,3 +507,44 @@ def test_evolve_on_random_instances_respects_oracle():
             hits += 1
     assert cases >= 8
     assert hits >= cases // 2       # the seeds alone solve most tiny cases
+
+
+# -- the representation of the solutions returned -----------------------------
+
+def _compact(sol):
+    """Whether `sol` keeps no per-instance dict and lists each station's
+    tasks as a strictly ascending tuple of ints."""
+    return not hasattr(sol, "__dict__") and all(
+        type(tasks) is tuple and all(type(i) is int for i in tasks)
+        and all(a < b for a, b in zip(tasks, tasks[1:]))
+        for _, tasks in sol.stations)
+
+
+def test_returned_solutions_list_tasks_as_ascending_tuples():
+    """Callers hold solutions by the thousand, so every path that returns
+    one builds its stations as ascending tuples in a slotted `Solution`:
+    assemblies in both directions under a task rule and a priority
+    matrix, searches in both directions with reduction, local search,
+    decodes and whole GA runs."""
+    rng = random.Random(0x5107)
+    for k in range(3):
+        inst = random_line(rng, n=24, m=5, name=f"line{k}")
+        chrom = random_chromosome(inst, rng)
+        sols = []
+        for source in (TaskRule.MAX_F, chrom.p):
+            for direction in ("forward", "backward"):
+                try:
+                    found = solve_lower_bound_search(
+                        inst, source, WorkerRule.MAX_TASKS, direction)
+                except NoFeasibleAssignmentError:
+                    continue
+                sols.append(assemble(inst, found.cycle, source,
+                                     WorkerRule.MAX_TASKS, direction))
+        searched = solve_lower_bound_search(inst, chrom.p, WorkerRule.MIN_RLB,
+                                            "both", use_preprocess=True)
+        sols += [searched, improve(inst, searched), decode(inst, chrom)[0],
+                 evolve(inst, HgaParams(p=6, max_iters=2,
+                                        rng_seed=k)).solution]
+        assert len(sols) >= 7, inst.name
+        for sol in sols:
+            assert _compact(sol), (inst.name, sol)

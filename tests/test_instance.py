@@ -289,7 +289,7 @@ def test_malformed_station_is_a_violation(tiny_a, stations, violation):
      "stations ((0, 5),) are not (worker, tasks) pairs"),
     (Solution(((0,), (1,)), (1,), 1),
      "stations ((0,), (1,)) are not (worker, tasks) pairs"),
-    (Solution(((0, frozenset({0})), (1, frozenset({1, 2}))), None, 2),
+    (Solution(((0, (0,)), (1, (1, 2))), None, 2),
      "recorded loads None differ from (2, 2)"),
 ])
 def test_malformed_station_list_is_a_violation(tiny_a, sol, violation):

@@ -49,7 +49,7 @@ def test_improve_shifts_overloaded_station(tiny_a):
     assert start.loads == (5, 1)
     moves = []
     out = improve(tiny_a, start, moves)
-    assert out.stations == ((0, frozenset({0})), (1, frozenset({1, 2})))
+    assert out.stations == ((0, (0,)), (1, (1, 2)))
     assert out.loads == (2, 2)
     assert out.cycle == 2
     assert moves == [Shift(1, 0, 1)]
@@ -65,7 +65,7 @@ def test_improve_reaches_worker_swap(tiny_a):
     moves = []
     out = improve(tiny_a, start, moves)
     assert out.cycle == 2
-    assert out.stations == ((0, frozenset({0})), (1, frozenset({1, 2})))
+    assert out.stations == ((0, (0,)), (1, (1, 2)))
     assert moves == [Shift(1, 1, 0), WorkerSwap(0, 1), Shift(1, 0, 1)]
 
 
@@ -158,8 +158,7 @@ def test_double_shift_escapes_local_optimum():
         DoubleShift(Shift(3, 1, 2), Shift(2, 0, 2)),
         Shift(1, 0, 1),
     ]
-    assert out.stations == ((1, frozenset({0})), (0, frozenset({1, 4})),
-                            (2, frozenset({2, 3})))
+    assert out.stations == ((1, (0,)), (0, (1, 4)), (2, (2, 3)))
     assert out.loads == (2, 2, 2)
     assert out.cycle == brute_force_optimum(inst) == 2
     ok, violations = validate_solution(inst, out)
