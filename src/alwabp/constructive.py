@@ -125,20 +125,22 @@ class _Crew:
 
     `min1`, `amin` and `min2` hold each task's fastest time, the
     smallest-index worker at that time (-1 if none) and the second
-    fastest time (equal to `min1` when two workers tie).  The fields
-    only some rules read (`cols`, `ranks`, `ties`, `spread`) and the
-    first station's `totals` are built on first use.  A crew is a pure
-    function of the times and its workers, so the searches sharing a
-    `SearchCache` build one per pair they meet and read it at every
-    later station with the same pair, in either direction.  The cache
-    keeps one table of crews per value of the times, which the cycles
-    with equal reduced times share, and clears them all as a search
-    starts once they together hold `CREW_CELLS` table cells; that costs
-    hits, never results.  `cells` counts the table cells
-    the crew holds: 3n for `min1`, `amin` and `min2`, plus what each
-    table built so far holds (n x k for `cols` and for `ranks`, k the
-    crew's workers, 6n for `ties`, 3n for `spread`, 2m + 3 for
-    `totals`, m the instance's workers).
+    fastest time (equal to `min1` when two workers tie).  The tables
+    only some rules read (`ranks`, `ties`, `spread`, each read off the
+    workers' rows of the times) and the first station's `totals` are
+    built on first use.  A crew is a pure function of the times and its
+    workers, so the searches sharing a `SearchCache` build one per pair
+    they meet and read it at every later station with the same pair, in
+    either direction.  The cache keeps one table of crews per value of
+    the times, which the cycles with equal reduced times share, and
+    clears them all as a search starts once they together hold
+    `CREW_CELLS` table cells; that costs hits, never results.  `cells`
+    counts the table cells the crew holds: 3n for `min1`, `amin` and
+    `min2`, plus what each table built so far holds (n x k for `ranks`,
+    k the crew's workers, 6n for `ties`, 3n for `spread`, 2m + 3 for
+    `totals`, m the instance's workers).  Over the crews of a
+    `run_all_96` that is 3n to 22n on 70x10 sweep lines (see
+    `CREW_CELLS`).
 
     A station's crew is derived from `parent`, the previous station's
     crew, without `gone`, the worker committed there; a crew with no
@@ -194,19 +196,14 @@ class _Crew:
         return _station_start(range(n), 0, [0] * n, self, m)[1]
 
     @cached_property
-    def cols(self):
-        """Per task: its times over the workers."""
-        self.cells += len(self.min1) * len(self.workers)
-        return list(zip(*(self.times[w] for w in self.workers)))
-
-    @cached_property
     def ranks(self):
         """Per worker: its MinRank row, minus the number of workers
         faster than it on each task."""
-        ranked = list(map(sorted, self.cols))
-        self.cells += len(self.min1) * len(self.workers)
-        return {w: [-bisect_left(s, t) for s, t in zip(ranked, self.times[w])]
-                for w in self.workers}
+        times, workers = self.times, self.workers
+        ranked = list(map(sorted, zip(*(times[w] for w in workers))))
+        self.cells += len(self.min1) * len(workers)
+        return {w: [-bisect_left(s, t) for s, t in zip(ranked, times[w])]
+                for w in workers}
 
     @cached_property
     def ties(self):
@@ -218,19 +215,18 @@ class _Crew:
             out = [None] * len(self.min1)
         else:
             out = self.parent.ties.copy()
-        workers, cols = self.workers, self.cols
-        min1, min2 = self.min1, self.min2
+        times, workers = self.times, self.workers
+        min1, amin, min2 = self.min1, self.amin, self.min2
         self.cells += 6 * len(min1)
         for i in self.redo:
-            col, t1, t2 = cols[i], min1[i], min2[i]
-            solo, at1, at2 = -1, (), ()
-            if t1 != INFEASIBLE:
-                at1 = _workers_at(workers, col, t1)
-                if t1 != t2:
-                    solo = at1[0]
-                    if t2 != INFEASIBLE:
-                        at2 = _workers_at(workers, col, t2)
-            out[i] = (1 << i, solo, t1, at1, t2, at2)
+            t1, t2 = min1[i], min2[i]
+            # the workers at t2, which is t1 when no worker alone is fastest
+            at = () if t2 == INFEASIBLE else tuple(
+                w for w in workers if times[w][i] == t2)
+            if t1 == t2:
+                out[i] = (1 << i, -1, t1, at, t2, ())
+            else:
+                out[i] = (1 << i, amin[i], t1, (amin[i],), t2, at)
         return out
 
     @cached_property
@@ -251,13 +247,13 @@ class _Crew:
                     fsum[i] -= t
                     if t == fmax[i]:
                         redo.append(i)
-        k, cols = len(self.workers), self.cols
+        rows = [self.times[w] for w in self.workers]
         self.cells += 3 * len(fmax)
         for i in redo:
-            finite = [t for t in cols[i] if t != INFEASIBLE]
+            finite = [t for row in rows if (t := row[i]) != INFEASIBLE]
             fmax[i] = max(finite, default=0)
             fsum[i] = sum(finite)
-            ninf[i] = k - len(finite)
+            ninf[i] = len(rows) - len(finite)
         return fmax, fsum, ninf
 
 
@@ -271,13 +267,6 @@ def _crew_of(crews, times, mask, parent, gone):
             times, [w for w in range(len(times)) if mask >> w & 1],
             len(times[0]), parent, gone)
     return crew
-
-
-def _workers_at(workers, col, t):
-    """The workers whose time in `col` is t, in `workers` order."""
-    if col.count(t) == 1:
-        return (workers[col.index(t)],)
-    return tuple(w for w, x in zip(workers, col) if x == t)
 
 
 def _fixed_prio(source, times, line):
@@ -709,13 +698,15 @@ IMPROVED_CELLS = 1 << 18
 
 # Table cells the crews of a SearchCache may hold as a search starts
 # before they are cleared, each crew counting the cells it holds (see
-# `_Crew`): 3n for a GA decode's crew, from 3n to 32n (about 10n on
-# average) for those of a `run_all_96` at 70x10.  A GA run on a 70x10
-# line keeps every crew it builds, some 400 per run, and so does every
-# search on the small lines.  `run_all_96` on 70x10 and 75x19 lines
-# builds fewer crews than when each crew counted n x m cells against a
-# bound of 2^17, and peaks at the same RSS within 1 MB; at 2^17 cells it
-# built more crews on a 70x10 line, and unbounded it took 144 MB.
+# `_Crew`): 3n for a GA decode's crew, from 3n to 22n (8n on average)
+# for those of a `run_all_96` on 70x10 sweep lines (U[1, 10] base times,
+# low variability), and to 19n (7n) on a paper-shaped 70x10 line.  A GA
+# run on a 70x10 line keeps every crew it builds, some 400 per run, and
+# so does every search on the small lines.  On the paper-shaped 70x10
+# and 75x19 lines a `run_all_96` builds 3,149 and 21,149 crews, clearing
+# them 7 and 38 times, and peaks at 26 and 33 MB RSS; at 2^17 cells it
+# builds 4,290 crews on the 70x10 line, and unbounded it peaks at 31 and
+# 98 MB.
 CREW_CELLS = 3 << 16
 
 

@@ -110,8 +110,14 @@ _DECIMAL = {int: re.compile(r"-?[0-9]+"),
 
 def read_decimal(text, kind=int):
     """`text` as a `kind` (int or float) when it follows the ASCII decimal
-    rule above; None otherwise."""
-    return kind(text) if _DECIMAL[kind].fullmatch(text) else None
+    rule above; None otherwise, and for an int of more digits than `int`
+    converts (`sys.get_int_max_str_digits`)."""
+    if not _DECIMAL[kind].fullmatch(text):
+        return None
+    try:
+        return kind(text)
+    except ValueError:
+        return None
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ report and recomputing its summary reproduces it exactly.
 from __future__ import annotations
 
 import csv
+import io
 
 from .instance import read_decimal
 
@@ -45,25 +46,28 @@ class BkvError(Exception):
 
 
 def load_bkv(path) -> dict[str, int]:
-    """Two-column CSV `instance,cycle`; a header row is optional.  A cycle
-    is a positive integer by the ASCII decimal rule
-    (`instance.read_decimal`).  Raises BkvError when the file cannot be
-    read or decoded, a row is bad, or a row names an instance an earlier
-    row named, as every report keys its rows by that name."""
+    """Two-column CSV `instance,cycle`; blank lines are skipped, and the
+    first other row is a header when its second cell is not a number.  A
+    cycle is a positive integer by the ASCII decimal rule
+    (`instance.read_decimal`).  A leading byte-order mark, which
+    spreadsheets write, is dropped.  Raises BkvError when the file cannot
+    be read or decoded, a row is bad, or a row names an instance an
+    earlier row named, as every report keys its rows by that name."""
     try:
         with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
+            text = fh.read().removeprefix("\ufeff")
+        rows = [(lineno, row) for lineno, row in enumerate(
+                    csv.reader(io.StringIO(text, newline="")), start=1)
+                if row and (len(row) > 1 or row[0].strip())]
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise BkvError(f"cannot read {path}: {exc}") from exc
     table, first = {}, {}       # first: instance -> the line of its row
-    for lineno, row in enumerate(rows, start=1):
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
+    for lineno, row in rows:
         if len(row) != 2:
             raise BkvError(f"{path}:{lineno}: expected 2 columns, "
                            f"got {len(row)}")
         name, value = row[0].strip(), row[1].strip()
-        if lineno == 1:
+        if lineno == rows[0][0]:
             try:
                 float(value)
             except ValueError:

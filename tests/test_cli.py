@@ -214,8 +214,14 @@ def test_construct_summary_aggregates_recompute(tmp_path):
     ("instance,cycle\ntiny-A,-3\n", "bkv.csv:2: cycle must be positive"),
     ("instance,cycle\ntiny-A,5\ntiny-A,7\n",
      "bkv.csv:3: instance 'tiny-A' is also on line 2"),
+    ("\ninstance,cycle\ntiny-A,2\n", {"tiny-A": 2}),
+    ("instance,cycle\n\ncycle,x\n", "bkv.csv:3: bad cycle 'x'"),
+    ("\ufefftiny-A,2\n", {"tiny-A": 2}),
+    ("tiny-A," + "7" * 5000 + "\n", "bkv.csv:1: bad cycle '777"),
 ], ids=["header", "no-header", "fraction-row-1", "fraction-row-2",
-        "separator", "plus", "non-ascii", "negative", "repeated-instance"])
+        "separator", "plus", "non-ascii", "negative", "repeated-instance",
+        "blank-line-then-header", "one-header-only", "byte-order-mark",
+        "too-many-digits"])
 def test_load_bkv_skips_only_a_first_row_without_a_number(tmp_path, text,
                                                           want):
     path = tmp_path / "bkv.csv"
@@ -472,6 +478,10 @@ BAD_INPUTS = {
     "construct-bkv-fraction-on-row-1": (["construct", "{inst}", "--rule",
                                          "MaxF", "--bkv", "{tmp}/frac.csv"],
                                         1, "frac.csv:1", None),
+    # more digits than int() converts by default
+    "construct-bkv-long-cycle": (["construct", "{inst}", "--rule", "MaxF",
+                                  "--bkv", "{tmp}/long.csv"], 1,
+                                 "long.csv:2", None),
     "hga-population": (["hga", "{inst}", "--population", "0"], 2,
                        "p must be at least 2", None),
     "hga-q": (["hga", "{inst}", "--q", "2"], 2, "crossover probability q",
@@ -555,6 +565,8 @@ def test_bad_input_gives_one_error_line(tmp_path, capsys, monkeypatch, case):
     write_tiny(tmp_path, "TALLY")
     (tmp_path / "bad.csv").write_text("instance,cycle\ntiny-A,2,3\n")
     (tmp_path / "frac.csv").write_text("tiny-A,12.5\n")
+    (tmp_path / "long.csv").write_text("instance,cycle\ntiny-A," + "9" * 5000
+                                       + "\n")
     (tmp_path / "line.base").write_text("3\n1 2 3\n0\n")
     (tmp_path / "edge.base").write_text("3\n1 2 3\n1\n5 9\n")
     # no case may run a search; bad arguments (exit status 2) and a report

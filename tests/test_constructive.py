@@ -168,10 +168,28 @@ def derived_crew(rng, inst, crew_workers):
     return crew, len(extra)
 
 
+def direct_ties(inst, workers):
+    """`_Crew.ties` by its definition, from the sorted finite times of
+    each task over `workers`."""
+    out = []
+    for i in range(inst.n_tasks):
+        col = [inst.times[w][i] for w in workers]
+        t1, t2 = (sorted(t for t in col if t != INFEASIBLE)
+                  + [INFEASIBLE] * 2)[:2]
+        at1, at2 = ((tuple(w for w, x in zip(workers, col) if x == t)
+                     if t != INFEASIBLE else ()) for t in (t1, t2))
+        if t1 == t2:
+            out.append((1 << i, -1, t1, at1, t2, ()))
+        else:
+            out.append((1 << i, at1[0], t1, at1, t2, at2))
+    return out
+
+
 def test_derived_crews_equal_fresh_crews():
     """Along random chains of worker removals, every field of a derived
     crew equals that of a fresh crew of the same workers, whether or not
-    its parent built that field first."""
+    its parent built that field first, and the fresh crew's `ties` equal
+    their definition."""
     rng = random.Random(0xDE7)
     derived = skipped = cold = 0
     for _ in range(300):
@@ -185,6 +203,7 @@ def test_derived_crews_equal_fresh_crews():
             assert crew.workers == fresh.workers
             assert (crew.min1, crew.amin, crew.min2) == (
                 fresh.min1, fresh.amin, fresh.min2)
+            assert fresh.ties == direct_ties(inst, workers)
             for name in rng.sample(["ties", "spread", "ranks"],
                                    rng.randint(0, 3)):
                 cold += (crew.parent is not None
@@ -1165,12 +1184,12 @@ def test_cleared_crews_match_fresh_searches(monkeypatch):
 
 def _held_cells(crew):
     """The table cells `crew` holds, counted off the tables it has built:
-    its three per-task lists, then `cols`, `ranks`, `ties`, `spread` and
-    `totals` where built, each entry of a task's tuple, of a worker's
-    row and of the totals one cell."""
+    its three per-task lists, then `ranks`, `ties`, `spread` and `totals`
+    where built, each entry of a task's tuple, of a worker's row and of
+    the totals one cell."""
     built = vars(crew)
     cells = len(crew.min1) + len(crew.amin) + len(crew.min2)
-    for name in ("cols", "ties", "spread"):
+    for name in ("ties", "spread"):
         cells += sum(map(len, built.get(name, ())))
     if "totals" in built:
         count, total, short, extra, lost = crew.totals

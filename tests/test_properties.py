@@ -65,6 +65,7 @@ TEXT = st.one_of(TOKEN_TEXT, CSV_TEXT, st.text(max_size=60))
 
 @SETTINGS
 @example("0 99999999 0")
+@example("1 " + "9" * 5000)
 @given(TEXT)
 def test_parsers_raise_only_documented_errors(text):
     for parse in (parse_instance, parse_base):
@@ -81,6 +82,7 @@ def fuzz_dir(tmp_path_factory):
 
 @SETTINGS
 @example(b"0 99999999 0")
+@example(b"tiny-A," + b"9" * 5000)
 @given(st.one_of(TEXT.map(str.encode), st.binary(max_size=60)))
 def test_file_readers_raise_only_documented_errors(fuzz_dir, data):
     path = fuzz_dir / "fuzz.alwabp"
