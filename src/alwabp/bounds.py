@@ -36,13 +36,11 @@ def _ceil_div(a, b) -> int:
 
 
 def lc1(inst: Instance) -> int:
-    as_member(inst, Instance, "inst")
     t = min_times(inst)
     return max(max(t), _ceil_div(sum(t), inst.n_workers))
 
 
 def lc2(inst: Instance) -> int:
-    as_member(inst, Instance, "inst")
     # t sorted non-increasingly, 1-based position p -> t[p - 1]
     t = sorted(min_times(inst), reverse=True)
     n, m = inst.n_tasks, inst.n_workers
@@ -82,7 +80,6 @@ def lc3(inst: Instance, c_start: int | None = None) -> int:
     integer is refused with ValidationError.  Terminates: at c = sum(t-)
     every window collapses to [1, m].
     """
-    as_member(inst, Instance, "inst")
     if c_start is None:
         c_start = max(lc1(inst), lc2(inst))
     head, tail = _head_tail(inst)

@@ -339,13 +339,15 @@ def _build_parser():
     h.add_argument("--seeds", type=_decimal(least=1), default=1,
                    help="number of differently seeded runs per instance")
     h.add_argument("--seed", type=_decimal(), default=0, help="first seed")
-    h.add_argument("--population", type=_decimal(), default=100)
-    h.add_argument("--elite", type=_decimal(), default=None)
-    h.add_argument("--immigrants", type=_decimal(), default=None)
-    h.add_argument("--q", type=_decimal(float), default=0.5,
+    # the GA's defaults are read off `HgaParams`, which alone states them
+    h.add_argument("--population", type=_decimal(), default=HgaParams.p)
+    h.add_argument("--elite", type=_decimal(), default=HgaParams.p_e)
+    h.add_argument("--immigrants", type=_decimal(), default=HgaParams.p_r)
+    h.add_argument("--q", type=_decimal(float), default=HgaParams.q,
                    help="crossover probability")
-    h.add_argument("--max-iters", type=_decimal(), default=200)
-    h.add_argument("--max-stale", type=_decimal(), default=100)
+    h.add_argument("--max-iters", type=_decimal(), default=HgaParams.max_iters)
+    h.add_argument("--max-stale", type=_decimal(),
+                   default=HgaParams.max_stale_iters)
     h.add_argument("--no-bound-stop", action="store_true",
                    help="keep evolving even at the lower bound")
     h.set_defaults(func=cmd_hga, parser=h)

@@ -358,7 +358,7 @@ def priority_rows(inst, source, c_bar, cache=None) -> list[list]:
     c_bar = as_int(c_bar, "cycle", 1)
     crew = _crew_of(cache.crews(inst.times), inst.times,
                     (1 << inst.n_workers) - 1, None, None)
-    prio = _station_prio(source, crew, cache.lines["forward"],
+    prio = _station_prio(source, crew, cache._lines["forward"],
                          range(inst.n_tasks), c_bar)
     return [list(prio(w)) for w in crew.workers]
 
@@ -712,31 +712,34 @@ CREW_CELLS = 3 << 16
 
 class SearchCache:
     """What the lower-bound searches on one instance share, each rule
-    stated where it lives: the search's `start` (LC1) and `ceiling`,
-    both set at construction; the precedence of each direction (`lines`,
-    read off the instance's closure, which the cache alone keeps); per
-    tentative cycle the outcome of `preprocess` (`times`); per value of
-    the times a table of crews (`crews`, see `_Crew`); the stations'
-    fills (`fills`, None unless `run_configs` sets it); and the GA's
-    local-search memo (`improved`).  Pass one as the `cache` of every
+    stated where it lives: the search's first cycle (LC1) and its
+    ceiling (`cycle_ceiling`), both found at construction; the
+    precedence of each direction, read off the instance's closure, which
+    the cache alone keeps; per tentative cycle the outcome of
+    `preprocess` (`times`); per value of the times a table of crews
+    (`crews`, see `_Crew`); within one `run_configs` call, the stations'
+    fills of one task rule (see there); and the GA's local-search memo
+    (`improved`).  A cache is passed to searches, never configured: it
+    has no field to set, and every search through it returns what a
+    search through a fresh one would.  Pass one as the `cache` of every
     `solve_lower_bound_search` call on `inst`; anything but an
     `Instance` is refused with ValueError.
     """
 
     def __init__(self, inst):
-        self.inst = as_member(inst, Instance, "inst")
+        self._inst = as_member(inst, Instance, "inst")
         clo = inst.closure()
-        self.lines = {d: _Line(clo, d) for d in DIRECTIONS}
+        self._lines = {d: _Line(clo, d) for d in DIRECTIONS}
         self._reduced = {}      # cycle -> reduced times, None if infeasible
         self._reached = set()   # cycles a search reached without `preprocess`
         self._crews = {}        # times -> {mask: _Crew}
-        self.fills = None       # station -> fills (see `run_configs`)
+        self._fills = None      # station -> fills (see `run_configs`)
         self._improved = {}     # solution -> its local-search result
         self.improve_hits = 0
         # table cells of one solution
         self._cells = inst.n_tasks * inst.n_workers
-        self.start = lc1(inst)
-        self.ceiling = cycle_ceiling(inst)
+        self._start = lc1(inst)
+        self._ceiling = cycle_ceiling(inst)
 
     def times(self, c, use_preprocess):
         """The times assemblies at tentative cycle c run on, the reduced
@@ -753,15 +756,15 @@ class SearchCache:
         if c not in self._reduced:
             if not use_preprocess and c not in self._reached:
                 self._reached.add(c)
-                return self.inst.times
+                return self._inst.times
             try:
-                self._reduced[c] = preprocess(self.inst, c)[0].times
+                self._reduced[c] = preprocess(self._inst, c)[0].times
             except CycleInfeasibleError:
                 self._reduced[c] = None
         reduced = self._reduced[c]
         if reduced is None or use_preprocess:
             return reduced
-        return self.inst.times
+        return self._inst.times
 
     def crews(self, times):
         """The crew table of `times`, shared by every set of equal times."""
@@ -788,7 +791,7 @@ class SearchCache:
         if out is None:
             if len(self._improved) * self._cells >= IMPROVED_CELLS:
                 self._improved.clear()
-            out = self._improved[sol] = improve(self.inst, sol)
+            out = self._improved[sol] = improve(self._inst, sol)
         else:
             self.improve_hits += 1
         return out
@@ -819,7 +822,7 @@ def _cache_of(inst, cache):
     anything but a `SearchCache` of `inst` is refused."""
     if cache is None:
         return SearchCache(inst)
-    if as_member(cache, SearchCache, "cache").inst is not inst:
+    if as_member(cache, SearchCache, "cache")._inst is not inst:
         raise ValueError("the search cache belongs to another instance")
     return cache
 
@@ -864,23 +867,23 @@ def solve_lower_bound_search(inst, source, worker_rule, direction="forward",
     as_member(worker_rule, WorkerRule, "worker_rule")
     as_member(use_preprocess, bool, "use_preprocess")
     cache.open_search()
-    c = cache.start
+    c = cache._start
     if c_start is not None:             # no assembly fits below cycle 1
         c = max(1, as_int(c_start, "c_start"))
-    ceiling = max(cache.ceiling, c)     # an explicit start is always tried
+    ceiling = max(cache._ceiling, c)    # an explicit start is always tried
     ranks = None            # per direction, once a fixed source passed a cycle
     while c <= ceiling:
         times = cache.times(c, use_preprocess)
         if times is not None:
             crews = cache.crews(times)
             for d in directions:
-                line, by = cache.lines[d], source
+                line, by = cache._lines[d], source
                 if ranks is not None:
                     if d not in ranks:
                         ranks[d] = _rank_rows(source, inst.times, line)
                     by = ranks[d]
                 sol = _assemble(times, c, by, worker_rule, line, crews,
-                                cache.fills)
+                                cache._fills)
                 if sol is not None:
                     return sol
             if ranks is None and _fixed_prio(source, inst.times, line):
@@ -908,16 +911,16 @@ def run_configs(inst, configs, use_preprocess=False,
     before any search runs.
 
     The configurations of one task rule also share a table of the
-    stations' fills and rest bounds (`SearchCache.fills`), keyed by
-    cycle, direction and the masks of the workers and tasks left.  A
-    pass that meets a station an earlier pass met, as the three worker
-    rules of one task rule and direction do until they commit different
-    workers, reads them there; the worker rule still picks the worker,
-    and MinBWA still scores each one.  Within the call `use_preprocess`
-    is fixed, so the times are a function of the cycle, and the key is
-    exact.  The table is started afresh at each new task rule and freed
-    when the call returns; a lone search and a GA decode keep none, as
-    nothing else would read it.
+    stations' fills and rest bounds, which only this function opens in
+    its cache, keyed by cycle, direction and the masks of the workers
+    and tasks left.  A pass that meets a station an earlier pass met, as
+    the three worker rules of one task rule and direction do until they
+    commit different workers, reads them there; the worker rule still
+    picks the worker, and MinBWA still scores each one.  Within the call
+    `use_preprocess` is fixed, so the times are a function of the cycle,
+    and the key is exact.  The table is started afresh at each new task
+    rule and freed when the call returns; a lone search and a GA decode
+    keep none, as nothing else would read it.
     """
     as_member(use_preprocess, bool, "use_preprocess")
     configs = [as_member(cfg, RuleConfig, "config")
@@ -931,7 +934,7 @@ def run_configs(inst, configs, use_preprocess=False,
     rule = None
     for cfg in configs:
         if cfg.task_rule is not rule:
-            rule, cache.fills = cfg.task_rule, {}
+            rule, cache._fills = cfg.task_rule, {}
         t0 = time.perf_counter()
         try:
             sol = search(inst, cfg.task_rule, cfg.worker_rule, cfg.direction,

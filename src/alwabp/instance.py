@@ -401,5 +401,4 @@ def format_instance(inst: Instance) -> str:
 
 
 def save_instance(inst: Instance, path) -> None:
-    as_member(inst, Instance, "inst")
     Path(path).write_text(format_instance(inst))

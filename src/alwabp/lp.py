@@ -88,5 +88,4 @@ def export_lp(inst: Instance, relaxed: bool = False) -> str:
 
 
 def write_lp(inst: Instance, path, relaxed: bool = False) -> None:
-    as_member(inst, Instance, "inst")
     Path(path).write_text(export_lp(inst, relaxed=relaxed))

@@ -52,13 +52,18 @@ def load_bkv(path) -> dict[str, int]:
     (`instance.read_decimal`).  A leading byte-order mark, which
     spreadsheets write, is dropped.  Raises BkvError when the file cannot
     be read or decoded, a row is bad, or a row names an instance an
-    earlier row named, as every report keys its rows by that name."""
+    earlier row named, as every report keys its rows by that name; the
+    error names the line the row starts on, as a quoted cell may span
+    lines."""
     try:
         with open(path, newline="") as fh:
             text = fh.read().removeprefix("\ufeff")
-        rows = [(lineno, row) for lineno, row in enumerate(
-                    csv.reader(io.StringIO(text, newline="")), start=1)
-                if row and (len(row) > 1 or row[0].strip())]
+        reader = csv.reader(io.StringIO(text, newline=""))
+        rows, start = [], 1     # start: the line the next record starts on
+        for row in reader:
+            if row and (len(row) > 1 or row[0].strip()):
+                rows.append((start, row))
+            start = reader.line_num + 1
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise BkvError(f"cannot read {path}: {exc}") from exc
     table, first = {}, {}       # first: instance -> the line of its row

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from alwabp import INFEASIBLE, Instance, load_instance, save_instance
+from alwabp import (HgaParams, INFEASIBLE, Instance, load_instance,
+                    save_instance)
 from alwabp import cli, reports
 from alwabp.cli import main
 from conftest import TINY_A
@@ -218,10 +219,17 @@ def test_construct_summary_aggregates_recompute(tmp_path):
     ("instance,cycle\n\ncycle,x\n", "bkv.csv:3: bad cycle 'x'"),
     ("\ufefftiny-A,2\n", {"tiny-A": 2}),
     ("tiny-A," + "7" * 5000 + "\n", "bkv.csv:1: bad cycle '777"),
+    # a quoted cell may span lines: an error names the line its row
+    # starts on
+    ('a,"x\ny"\ntiny-A,bad\n', "bkv.csv:3: bad cycle 'bad'"),
+    ('\n\ninstance,cycle\n"x\ny",1\ntiny-A,5\ntiny-A,7\n',
+     "bkv.csv:7: instance 'tiny-A' is also on line 6"),
+    ('instance,cycle\n"x\ny",bad\n', "bkv.csv:2: bad cycle 'bad'"),
 ], ids=["header", "no-header", "fraction-row-1", "fraction-row-2",
         "separator", "plus", "non-ascii", "negative", "repeated-instance",
         "blank-line-then-header", "one-header-only", "byte-order-mark",
-        "too-many-digits"])
+        "too-many-digits", "after-a-line-break-in-a-header",
+        "after-a-two-line-row", "in-a-two-line-row"])
 def test_load_bkv_skips_only_a_first_row_without_a_number(tmp_path, text,
                                                           want):
     path = tmp_path / "bkv.csv"
@@ -360,6 +368,33 @@ def test_hga_passes_algorithm_knobs(tmp_path):
     row = read_rows(rep / "hga_runs.csv")[1]
     assert row[7] == "stale"
     assert row[6] == "4"
+
+
+@pytest.mark.parametrize("given,changed", [
+    ([], {}),
+    (["--population", "20"], {"p": 20}),
+    (["--elite", "3"], {"p_e": 3}),
+    (["--immigrants", "2"], {"p_r": 2}),
+    (["--q", "0.75"], {"q": 0.75}),
+    (["--max-iters", "5"], {"max_iters": 5}),
+    (["--max-stale", "7"], {"max_stale_iters": 7}),
+    (["--no-bound-stop"], {"stop_at_lower_bound": False}),
+])
+def test_hga_options_default_to_hga_params(tmp_path, monkeypatch, given,
+                                           changed):
+    """With no GA option `hga` hands `evolve` `HgaParams`' own defaults,
+    and with one option only that field changes: the library owns them."""
+    class Captured(Exception):
+        pass
+
+    def captured(inst, params, external_relax=None):
+        raise Captured(params)
+
+    monkeypatch.setattr(cli, "evolve", captured)
+    with pytest.raises(Captured) as got:
+        main(["hga", str(write_tiny(tmp_path)), "--seed", "7", *given,
+              "--out", str(tmp_path / "rep")])
+    assert got.value.args[0] == HgaParams(rng_seed=7, **changed)
 
 
 # -- generate -----------------------------------------------------------------

@@ -434,7 +434,7 @@ def test_max_pw_avg_sums_in_the_closure_order():
         inst = random_line(rng, name=f"line{k}", span=span,
                            edge_prob=edge_prob)
         n, everyone = inst.n_tasks, range(inst.n_workers)
-        lines = SearchCache(inst).lines
+        lines = SearchCache(inst)._lines
         crew = _Crew(inst.times, everyone, n, None, None)
         c_bar = lc1(inst)
         base = direct_base(TaskRule.MAX_PW_AVG, inst, everyone, c_bar)
@@ -1258,9 +1258,9 @@ def test_fills_are_kept_only_inside_run_configs(monkeypatch):
         cache = SearchCache(inst)
         _run_searches(inst, [(TaskRule.MAX_PW_AVG, WorkerRule.MIN_BWA,
                               "backward", False)], cache)
-        assert cache.fills is None
+        assert cache._fills is None
         decode(inst, random_chromosome(inst, rng), cache=cache)
-        assert cache.fills is None
+        assert cache._fills is None
 
     assemble_ = constructive._assemble
     seen = []               # per assembly: (task rule, its table, size)
@@ -1287,6 +1287,14 @@ def test_fills_are_kept_only_inside_run_configs(monkeypatch):
             else:
                 assert table is tables[-1], inst
         assert len(tables) == 3, inst
+
+
+def test_search_cache_keeps_no_field_a_caller_can_set(tiny_a):
+    """A cache is passed to searches, never configured: its one public
+    instance attribute is the counter `improved` keeps."""
+    cache = SearchCache(tiny_a)
+    assert sorted(k for k in vars(cache) if not k.startswith("_")) == [
+        "improve_hits"]
 
 
 def test_run_all_96_builds_each_crew_once(monkeypatch):
