@@ -275,4 +275,5 @@ def preprocess(inst: Instance, c: int) -> tuple[Instance, int]:
                                    "exhaustive search")
     if removed == 0:
         return inst, 0
-    return Instance(n, m, times, inst.edges, name=inst.name), removed
+    edges = ((i, j) for i, ss in enumerate(inst.succ) for j in ss)
+    return Instance(n, m, times, edges, name=inst.name), removed

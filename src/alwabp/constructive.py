@@ -336,7 +336,7 @@ def _station_prio(source, crew, line, left, c_bar):
     succ_star = line.succ_star
     pw = [0] * len(base)
     for i in left:
-        pw[i] = base[i] + sum(base[h] for h in succ_star[i])
+        pw[i] = base[i] + sum(map(base.__getitem__, succ_star[i]))
     return lambda w: pw
 
 

@@ -133,15 +133,21 @@ class ClosureView:
 class Instance:
     """Immutable ALWABP-2 problem data.
 
-    times[w][i] is the integer execution time of task i by worker w, or
-    INFEASIBLE.  The number of stations always equals the number of
-    workers.  `pred[i]` and `succ[i]` hold the immediate predecessors and
-    followers of task i as tuples, in the order a frozenset of them
-    iterates, which the closure and every rule summing over it inherit.
+    An instance stores `n_tasks`, `n_workers`, `name`, `times`, `pred`
+    and `succ`, and a topological order for `closure`.  times[w][i] is
+    the integer execution time of task i by worker w, or INFEASIBLE.
+    The number of stations always equals the number of workers.
+    `pred[i]` and `succ[i]` hold the immediate predecessors and followers
+    of task i as tuples, in the order a frozenset of them iterates, which
+    the closure and every rule summing over it inherit.  They are the one
+    stored form of the precedence: `edges` is a view built from `succ`.
     """
 
+    __slots__ = ("n_tasks", "n_workers", "name", "times", "pred", "succ",
+                 "_topo")
+
     def __init__(self, n_tasks, n_workers, times, edges, name="instance"):
-        self.n_tasks = as_int(n_tasks, "task count", 1)
+        self.n_tasks = n = as_int(n_tasks, "task count", 1)
         self.n_workers = as_int(n_workers, "worker count", 1)
         self.name = str(name)
 
@@ -151,44 +157,34 @@ class Instance:
             raise ValidationError(
                 f"expected {self.n_workers} worker rows, got {len(rows)}")
         for w, row in enumerate(rows):
-            if len(row) != self.n_tasks:
+            if len(row) != n:
                 raise ValidationError(
-                    f"worker {w + 1}: expected {self.n_tasks} times, got {len(row)}")
+                    f"worker {w + 1}: expected {n} times, got {len(row)}")
             for i, t in enumerate(row):
-                if t == INFEASIBLE:
-                    continue
+                if type(t) is int and t >= 1 or t == INFEASIBLE:
+                    continue        # the common cases, tested first
                 if isinstance(t, bool) or not isinstance(t, int) or t < 1:
                     raise ValidationError(
                         f"time of task {i + 1} for worker {w + 1} must be a "
                         f"positive integer or Inf, got {t!r}")
         self.times = rows
 
-        seen = set()
-        for edge in as_member(edges, Iterable, "edges"):
-            i, j = as_member(edge, Iterable, "an edge")
-            i, j = as_int(i, "edge tail"), as_int(j, "edge head")
-            if not (0 <= i < self.n_tasks and 0 <= j < self.n_tasks):
-                raise ValidationError(f"edge ({i + 1}, {j + 1}) out of range")
-            if i == j:
-                raise ValidationError(f"task {i + 1} precedes itself")
-            seen.add((i, j))
-        self.edges = tuple(sorted(seen))
+        self.pred, self.succ, self._topo = _precedence(n, edges)
 
-        pred = [set() for _ in range(self.n_tasks)]
-        succ = [set() for _ in range(self.n_tasks)]
-        for i, j in self.edges:
-            pred[j].add(i)
-            succ[i].add(j)
-        self.pred = tuple(tuple(frozenset(p)) for p in pred)
-        self.succ = tuple(tuple(frozenset(s)) for s in succ)
-
-        self._topo = _toposort(self.n_tasks, self.succ, [len(p) for p in pred])
-
-        for i in range(self.n_tasks):
-            if all(self.times[w][i] == INFEASIBLE for w in range(self.n_workers)):
-                raise ValidationError(f"task {i + 1} has no capable worker")
+        columns = list(zip(*rows))
+        none = (INFEASIBLE,) * self.n_workers
+        if none in columns:
+            raise ValidationError(
+                f"task {columns.index(none) + 1} has no capable worker")
 
     # -- derived views ----------------------------------------------------
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """The precedence edges (i, j), i before j, in ascending order,
+        built from `succ` on each read."""
+        return tuple((i, j) for i, ss in enumerate(self.succ)
+                     for j in sorted(ss))
 
     def closure(self) -> ClosureView:
         """Transitive closure of the precedence relation, built afresh on
@@ -222,15 +218,52 @@ class Instance:
     def __eq__(self, other):
         if not isinstance(other, Instance):
             return NotImplemented
-        return (self.n_tasks, self.n_workers, self.times, self.edges, self.name) == \
-               (other.n_tasks, other.n_workers, other.times, other.edges, other.name)
+        return (self.n_tasks, self.n_workers, self.times, self.succ, self.name) == \
+               (other.n_tasks, other.n_workers, other.times, other.succ, other.name)
 
     def __hash__(self):
-        return hash((self.n_tasks, self.n_workers, self.times, self.edges))
+        return hash((self.n_tasks, self.n_workers, self.times, self.succ))
 
     def __repr__(self):
         return (f"Instance({self.name!r}, tasks={self.n_tasks}, "
                 f"workers={self.n_workers}, edges={len(self.edges)})")
+
+
+def _edge_pairs(n, edges) -> list[tuple[int, int]]:
+    """`edges` as a list of int pairs (i, j) of task indices below `n`,
+    with i != j; ValidationError for the first edge at fault."""
+    pairs = []
+    for edge in as_member(edges, Iterable, "edges"):
+        # the common cases, tuples of two ints, tested first
+        i, j = (edge if type(edge) is tuple
+                else as_member(edge, Iterable, "an edge"))
+        if type(i) is not int or type(j) is not int:
+            i, j = as_int(i, "edge tail"), as_int(j, "edge head")
+        if not (0 <= i < n and 0 <= j < n):
+            raise ValidationError(f"edge ({i + 1}, {j + 1}) out of range")
+        if i == j:
+            raise ValidationError(f"task {i + 1} precedes itself")
+        pairs.append((i, j))
+    return pairs
+
+
+def _precedence(n, edges):
+    """(pred, succ, topological order) of `n` tasks under `edges`, as an
+    `Instance` holds them; ValidationError for an edge that is not a pair
+    of task indices, a self-loop or a cycle.
+
+    Each set is filled in ascending order (a repeated edge adds nothing),
+    and its tuple follows the frozenset's iteration order, which depends
+    on insertion order where two indices collide in the set's table (3
+    and 11 in a table of 8)."""
+    pred = [set() for _ in range(n)]
+    succ = [set() for _ in range(n)]
+    for i, j in sorted(_edge_pairs(n, edges)):
+        pred[j].add(i)
+        succ[i].add(j)
+    succ_t = tuple(map(tuple, map(frozenset, succ)))
+    topo = _toposort(n, succ_t, list(map(len, pred)))
+    return tuple(map(tuple, map(frozenset, pred))), succ_t, topo
 
 
 def _toposort(n, succ, indegree) -> list[int]:
@@ -344,10 +377,11 @@ def load_instance(path) -> Instance:
 
 @dataclass(frozen=True)
 class BaseInstance:
-    """Single-time base instance (see module docstring).  `times` that
-    are not a sequence, and a time that is not an int, or is a bool or
-    below 1, are refused with ValidationError; the edges are checked where an `Instance` is built
-    from them (`parse_base`, `generator.generate`)."""
+    """Single-time base instance (see module docstring).  `times` and
+    `edges` that are not sequences, a time that is not an int, or is a
+    bool or below 1, and edges that an `Instance` of these tasks would
+    refuse (out of range, a self-loop, a cycle) are refused with
+    ValidationError."""
 
     name: str
     times: tuple[int, ...]
@@ -361,6 +395,8 @@ class BaseInstance:
             if t < 1:
                 raise ValidationError(
                     f"base task times must be positive, got {t}")
+        _precedence(len(self.times),
+                    as_member(self.edges, Sequence, "base edges"))
 
     @property
     def n_tasks(self) -> int:
@@ -375,10 +411,7 @@ def parse_base(text: str, name: str = "base") -> BaseInstance:
                   for _ in range(n))
     edges = tuple(_read_edges(stream))
     _read_end(stream)
-    base = BaseInstance(name, times, edges)
-    # the edges must pass the checks an instance's edges pass
-    Instance(n, 1, [times], edges, name=name)
-    return base
+    return BaseInstance(name, times, edges)
 
 
 def load_base(path) -> BaseInstance:
@@ -391,8 +424,9 @@ def format_instance(inst: Instance) -> str:
     as_member(inst, Instance, "inst")
     out = [f"# {inst.name}"]
     out.append(f"{inst.n_tasks} {inst.n_workers}")
-    out.append(str(len(inst.edges)))
-    for i, j in inst.edges:
+    edges = inst.edges
+    out.append(str(len(edges)))
+    for i, j in edges:
         out.append(f"{i + 1} {j + 1}")
     for w in range(inst.n_workers):
         out.append(" ".join(

@@ -79,9 +79,10 @@ def validate_solution(inst: Instance, sol: Solution) -> tuple[bool, list[str]]:
     if missing:
         v.append("unassigned tasks: " + ", ".join(str(i + 1) for i in missing))
 
-    for i, j in inst.edges:
-        if i in where and j in where and where[i] > where[j]:
-            v.append(f"task {i + 1} must not come after task {j + 1}")
+    # walks `succ`, which iterates in set order, and lists in edge order
+    late = sorted((i, j) for i, ss in enumerate(inst.succ) for j in ss
+                  if i in where and j in where and where[i] > where[j])
+    v += [f"task {i + 1} must not come after task {j + 1}" for i, j in late]
 
     if not v:
         loads = tuple(sum(inst.times[w][i] for i in ts)

@@ -559,6 +559,9 @@ BAD_INPUTS = {
                              "--replicates", "-1"], 2, "--replicates", None),
     "generate-base-edge": (["generate", "{tmp}/edge.base", "--workers", "2"],
                            1, "{tmp}/edge.base", None),
+    "generate-base-cycle": (["generate", "{tmp}/cycle.base", "--workers",
+                             "2"], 1, "{tmp}/cycle.base: precedence "
+                            "relation contains a cycle", None),
     "construct-rule-and-all": (["construct", "{inst}", "--rule", "MaxF",
                                 "--all-96"], 2, "--rule or --all-96", None),
     "construct-worker-rule-with-all": (["construct", "{inst}", "--all-96",
@@ -604,6 +607,7 @@ def test_bad_input_gives_one_error_line(tmp_path, capsys, monkeypatch, case):
                                        + "\n")
     (tmp_path / "line.base").write_text("3\n1 2 3\n0\n")
     (tmp_path / "edge.base").write_text("3\n1 2 3\n1\n5 9\n")
+    (tmp_path / "cycle.base").write_text("3\n1 2 3\n2\n1 2\n2 1\n")
     # no case may run a search; bad arguments (exit status 2) and a report
     # directory that cannot be made must fail before any input file is read
     forbidden = ["solve_lower_bound_search", "evolve"]

@@ -68,6 +68,11 @@ TASK_RULE = member(TaskRule, WorkerRule.MIN_BWA)
 WORKER_RULE = member(WorkerRule, "MinRLB", TaskRule.MAX_F)
 CHROMOSOME = member(Chromosome, Chromosome(((0.5,),)))  # wrong shape too
 TINY_KEYS = Chromosome(((0.5, 0.25, 0.0), (0.0, 0.5, 0.25)))
+# for two tasks: the ends, the edges together (a self-loop, a cycle), and
+# each edge and `edges` as containers
+EDGES = ([[(v, 1)] for v in (2.5, True, -1, 2, math.nan, None, NAME)]
+         + [[(0, 0)], [(0, 1), (1, 0)]] + NOT_ITERABLE
+         + [[v] for v in NOT_ITERABLE])
 
 
 # name -> (valid keyword arguments, built from a temporary directory, or
@@ -83,11 +88,7 @@ CONTRACT = {
         "times": [[[v, 2]] for v in (2.5, True, 0, -1, math.nan, None,
                                      NAME)] + [[[1]], [[1, 2], [1, 2]]]
         + NOT_ITERABLE + [[v] for v in NOT_ITERABLE],
-        # the ends, the edges together, and each edge and `edges` as
-        # containers
-        "edges": [[(v, 1)] for v in (2.5, True, -1, 2, math.nan, None,
-                                     NAME)] + [[(0, 0)], [(0, 1), (1, 0)]]
-        + NOT_ITERABLE + [[v] for v in NOT_ITERABLE],
+        "edges": EDGES,
         "name": UNCHECKED}),        # str() of anything
     "ParseError": (None, {}),
     "ValidationError": (None, {}),
@@ -107,8 +108,7 @@ CONTRACT = {
         "name": UNCHECKED,
         "times": [(v, 1) for v in (2.5, True, 0, -1, math.nan, None, NAME)]
         + NOT_ITERABLE,
-        # checked where an `Instance` is built from them
-        "edges": UNCHECKED}),
+        "edges": EDGES}),
     "GeneratorConfig": (lambda tmp: dict(n_workers=2), {
         "n_workers": integer(1), "variability": member(("low", "high")),
         "infeasibility_density": number(0, 1) + [1.0],

@@ -216,6 +216,78 @@ def test_reverse_flips_closure(tiny_a):
     assert rc.succ_star == c.pred_star
 
 
+# -- stored precedence ----------------------------------------------------------
+
+def test_an_instance_stores_its_precedence_once(tiny_a):
+    """`pred` and `succ` are the one stored form of the precedence, and
+    `edges` is a view built from `succ`: an instance holds no edge tuple,
+    and its stored fields are exactly the documented ones."""
+    assert Instance.__slots__ == ("n_tasks", "n_workers", "name", "times",
+                                  "pred", "succ", "_topo")
+    assert not hasattr(tiny_a, "__dict__")
+    assert isinstance(vars(Instance)["edges"], property)
+    assert tiny_a.edges == ((0, 1), (0, 2))
+
+
+# Tasks whose predecessors or followers collide in a set's table of 8:
+# 3, 11 and 19 come before 20, and 5, 13 and 21 after 0, while the six
+# tasks before 17 outgrow that table.  A set's tuple iterates in an order
+# that depends on the order it was filled in, and the closure and the
+# MaxPW rules' float sums inherit it.
+COLLIDING = ((3, 20), (11, 20), (19, 20), (2, 3), (10, 11), (18, 19),
+             (0, 5), (0, 13), (0, 21), (5, 22), (13, 22), (21, 22),
+             (20, 23), (22, 23), (1, 9), (1, 17), (4, 17), (6, 17),
+             (9, 17), (12, 17), (14, 17))
+_SHUFFLED = random.Random(17).sample(COLLIDING, len(COLLIDING))
+EDGE_ORDERS = {
+    "sorted": sorted(COLLIDING),
+    "reversed": sorted(COLLIDING, reverse=True),
+    "shuffled": _SHUFFLED,
+    "duplicated": random.Random(18).sample(COLLIDING * 2,
+                                           2 * len(COLLIDING)),
+    "lists": [list(e) for e in _SHUFFLED],
+}
+# the tuples as instances have always built them, each set filled in
+# ascending order
+COLLIDING_PRED = (
+    (), (), (), (2,), (), (0,), (), (), (), (1,), (), (10,), (), (0,), (),
+    (), (), (1, 4, 6, 9, 12, 14), (), (18,), (11, 19, 3), (0,),
+    (13, 21, 5), (20, 22))
+COLLIDING_SUCC = (
+    (13, 21, 5), (9, 17), (3,), (20,), (17,), (22,), (17,), (), (), (17,),
+    (11,), (20,), (17,), (22,), (17,), (), (), (), (19,), (20,), (23,),
+    (22,), (23,), ())
+COLLIDING_PRED_STAR = (
+    (), (), (), (2,), (), (0,), (), (), (), (1,), (), (10,), (), (0,), (),
+    (), (), (1, 4, 6, 9, 12, 14), (), (18,), (2, 3, 18, 19, 10, 11), (0,),
+    (0, 5, 13, 21), (0, 2, 3, 5, 10, 11, 13, 18, 19, 20, 21, 22))
+COLLIDING_SUCC_STAR = (
+    (21, 22, 23, 5, 13), (9, 17), (3, 20, 23), (20, 23), (17,), (22, 23),
+    (17,), (), (), (17,), (11, 20, 23), (20, 23), (17,), (22, 23), (17,),
+    (), (), (), (19, 20, 23), (20, 23), (23,), (22, 23), (23,), ())
+
+
+@pytest.mark.parametrize("order", EDGE_ORDERS)
+def test_precedence_tuples_do_not_depend_on_the_edge_order(order):
+    inst = Instance(24, 1, [[1] * 24], EDGE_ORDERS[order])
+    clo = inst.closure()
+    assert inst.pred == COLLIDING_PRED
+    assert inst.succ == COLLIDING_SUCC
+    assert tuple(map(tuple, clo.pred_star)) == COLLIDING_PRED_STAR
+    assert tuple(map(tuple, clo.succ_star)) == COLLIDING_SUCC_STAR
+    assert inst.edges == tuple(sorted(COLLIDING))
+
+
+def test_precedence_violations_are_listed_in_edge_order():
+    """Task 1's followers 6, 14 and 22 iterate as 14, 22, 6 in `succ`;
+    the violations still come in the order of `edges`."""
+    inst = Instance(24, 2, [[1] * 24] * 2, COLLIDING)
+    early = {5, 13, 21}
+    sol = build_solution(inst, [(0, early), (1, set(range(24)) - early)])
+    assert validate_solution(inst, sol) == (False, [
+        f"task 1 must not come after task {j}" for j in (6, 14, 22)])
+
+
 # -- solution checker ---------------------------------------------------------
 
 def test_validate_accepts_feasible(tiny_a):

@@ -49,6 +49,35 @@ def test_format_parse_round_trip(inst):
     assert parse_instance(format_instance(inst), name=inst.name) == inst
 
 
+@SETTINGS
+@given(st.data())
+def test_edges_are_the_sorted_distinct_pairs(data):
+    """An instance stores its precedence as `pred` and `succ` alone, yet
+    reads back the sorted distinct pairs as `edges`, in whatever order
+    and with whatever repeats they were given; equality and the hash
+    follow the edge set."""
+    n = data.draw(st.integers(1, 20))
+    order = data.draw(st.permutations(range(n)))
+
+    def draw_edges():       # acyclic: each edge follows the drawn order
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.integers(0, n - 1)),
+                                   max_size=40))
+        return [(order[min(a, b)], order[max(a, b)])
+                for a, b in pairs if a != b]
+
+    def build(edges):
+        return Instance(n, 1, [[1] * n], edges)
+
+    edges, other = draw_edges(), draw_edges()
+    repeats = data.draw(st.integers(0, len(edges)))
+    again = build(data.draw(st.permutations(edges + edges[:repeats])))
+    inst = build(edges)
+    assert inst.edges == again.edges == tuple(sorted(set(edges)))
+    assert again == inst and hash(again) == hash(inst)
+    assert (build(other) == inst) == (set(other) == set(edges))
+
+
 # Plain text rarely forms a header of counts, so most examples are built
 # from the tokens the formats use, counts that are zero, negative or huge
 # among them.
