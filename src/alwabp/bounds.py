@@ -131,7 +131,7 @@ class _OutOfScans(Exception):
     """The exhaustive search used up `SEARCH_SCANS`."""
 
 
-def _no_assignment(times, pred, succ, c) -> bool:
+def _no_assignment(times, succ, c) -> bool:
     """Whether an exhaustive search proves that no assignment keeps every
     station at or below c; False when it finds one or runs out of scans.
 
@@ -152,7 +152,10 @@ def _no_assignment(times, pred, succ, c) -> bool:
     """
     n, m = len(times[0]), len(times)
     bits = [1 << i for i in range(n)]
-    pred_masks = [sum(bits[p] for p in ps) for ps in pred]
+    pred_masks = [0] * n
+    for i, ss in enumerate(succ):
+        for j in ss:
+            pred_masks[j] |= bits[i]
     fastest = {}            # used-worker mask -> fastest time per task
     failed = set()
     left = SEARCH_SCANS
@@ -270,7 +273,7 @@ def preprocess(inst: Instance, c: int) -> tuple[Instance, int]:
                             f"cycle time {c} proven infeasible: task {k + 1} "
                             f"lost its last capable worker")
 
-    if _no_assignment(times, inst.pred, inst.succ, c):
+    if _no_assignment(times, inst.succ, c):
         raise CycleInfeasibleError(f"cycle time {c} proven infeasible by "
                                    "exhaustive search")
     if removed == 0:

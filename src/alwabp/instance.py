@@ -122,7 +122,8 @@ def read_decimal(text, kind=int):
 
 @dataclass(frozen=True)
 class ClosureView:
-    """Immediate and transitive precedence sets of one instance."""
+    """Immediate and transitive precedence sets of one instance, as
+    `Instance.closure` derives them from its `succ` on each call."""
 
     pred: tuple[tuple[int, ...], ...]       # P_i, immediate predecessors
     succ: tuple[tuple[int, ...], ...]       # F_i, immediate successors
@@ -133,18 +134,17 @@ class ClosureView:
 class Instance:
     """Immutable ALWABP-2 problem data.
 
-    An instance stores `n_tasks`, `n_workers`, `name`, `times`, `pred`
-    and `succ`, and a topological order for `closure`.  times[w][i] is
-    the integer execution time of task i by worker w, or INFEASIBLE.
-    The number of stations always equals the number of workers.
-    `pred[i]` and `succ[i]` hold the immediate predecessors and followers
-    of task i as tuples, in the order a frozenset of them iterates, which
-    the closure and every rule summing over it inherit.  They are the one
-    stored form of the precedence: `edges` is a view built from `succ`.
+    An instance stores `n_tasks`, `n_workers`, `name`, `times` and
+    `succ`.  times[w][i] is the integer execution time of task i by
+    worker w, or INFEASIBLE.  The number of stations always equals the
+    number of workers.  `succ[i]` holds the immediate followers of task
+    i as a tuple, in the order a frozenset of them iterates, which the
+    closure and every rule summing over it inherit.  It is the one
+    stored form of the precedence: `pred` and `edges` are views built
+    from it on each read.
     """
 
-    __slots__ = ("n_tasks", "n_workers", "name", "times", "pred", "succ",
-                 "_topo")
+    __slots__ = ("n_tasks", "n_workers", "name", "times", "succ")
 
     def __init__(self, n_tasks, n_workers, times, edges, name="instance"):
         self.n_tasks = n = as_int(n_tasks, "task count", 1)
@@ -169,7 +169,7 @@ class Instance:
                         f"positive integer or Inf, got {t!r}")
         self.times = rows
 
-        self.pred, self.succ, self._topo = _precedence(n, edges)
+        self.succ = _precedence(n, edges)
 
         columns = list(zip(*rows))
         none = (INFEASIBLE,) * self.n_workers
@@ -178,6 +178,17 @@ class Instance:
                 f"task {columns.index(none) + 1} has no capable worker")
 
     # -- derived views ----------------------------------------------------
+
+    @property
+    def pred(self) -> tuple[tuple[int, ...], ...]:
+        """`pred[i]`, the immediate predecessors of task i as a tuple,
+        built from `succ` on each read: each set is filled in ascending
+        order, as the sorted edges fill `succ`, then frozen."""
+        pred = [set() for _ in range(self.n_tasks)]
+        for i, ss in enumerate(self.succ):
+            for j in ss:
+                pred[j].add(i)
+        return tuple(map(tuple, map(frozenset, pred)))
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
@@ -190,20 +201,21 @@ class Instance:
         """Transitive closure of the precedence relation, built afresh on
         each call: the holder keeps it (a `SearchCache` keeps one for
         all the searches on the instance)."""
-        n = self.n_tasks
+        n, pred, succ = self.n_tasks, self.pred, self.succ
+        topo = _toposort(n, succ, list(map(len, pred)))
         pred_star = [set() for _ in range(n)]
         succ_star = [set() for _ in range(n)]
-        for i in self._topo:
-            for p in self.pred[i]:
+        for i in topo:
+            for p in pred[i]:
                 pred_star[i].add(p)
                 pred_star[i] |= pred_star[p]
-        for i in reversed(self._topo):
-            for s in self.succ[i]:
+        for i in reversed(topo):
+            for s in succ[i]:
                 succ_star[i].add(s)
                 succ_star[i] |= succ_star[s]
         return ClosureView(
-            pred=self.pred,
-            succ=self.succ,
+            pred=pred,
+            succ=succ,
             pred_star=tuple(frozenset(s) for s in pred_star),
             succ_star=tuple(frozenset(s) for s in succ_star),
         )
@@ -248,22 +260,22 @@ def _edge_pairs(n, edges) -> list[tuple[int, int]]:
 
 
 def _precedence(n, edges):
-    """(pred, succ, topological order) of `n` tasks under `edges`, as an
-    `Instance` holds them; ValidationError for an edge that is not a pair
-    of task indices, a self-loop or a cycle.
+    """`succ` of `n` tasks under `edges`, as an `Instance` holds it;
+    ValidationError for an edge that is not a pair of task indices, a
+    self-loop or a cycle.
 
     Each set is filled in ascending order (a repeated edge adds nothing),
     and its tuple follows the frozenset's iteration order, which depends
     on insertion order where two indices collide in the set's table (3
     and 11 in a table of 8)."""
-    pred = [set() for _ in range(n)]
     succ = [set() for _ in range(n)]
-    for i, j in sorted(_edge_pairs(n, edges)):
-        pred[j].add(i)
+    indegree = [0] * n
+    for i, j in sorted(set(_edge_pairs(n, edges))):
         succ[i].add(j)
-    succ_t = tuple(map(tuple, map(frozenset, succ)))
-    topo = _toposort(n, succ_t, list(map(len, pred)))
-    return tuple(map(tuple, map(frozenset, pred))), succ_t, topo
+        indegree[j] += 1
+    succ = tuple(map(tuple, map(frozenset, succ)))
+    _toposort(n, succ, indegree)
+    return succ
 
 
 def _toposort(n, succ, indegree) -> list[int]:

@@ -348,7 +348,7 @@ def test_preprocess_leaves_no_cyclic_garbage(monkeypatch):
     search, searched = bounds._no_assignment, []
 
     def counted(*args):
-        searched.append(args[3])
+        searched.append(args[-1])
         return search(*args)
 
     monkeypatch.setattr(bounds, "_no_assignment", counted)

@@ -1476,5 +1476,5 @@ def test_instances_and_lone_searches_keep_little_memory():
         per_search = (tracemalloc.get_traced_memory()[0] - before) / 5
     finally:
         tracemalloc.stop()
-    assert per_instance < 30 * 1024
+    assert per_instance < 15 * 1024
     assert per_search < 4 * 1024

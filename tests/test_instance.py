@@ -219,13 +219,16 @@ def test_reverse_flips_closure(tiny_a):
 # -- stored precedence ----------------------------------------------------------
 
 def test_an_instance_stores_its_precedence_once(tiny_a):
-    """`pred` and `succ` are the one stored form of the precedence, and
-    `edges` is a view built from `succ`: an instance holds no edge tuple,
-    and its stored fields are exactly the documented ones."""
+    """`succ` is the one stored form of the precedence, and `pred` and
+    `edges` are views built from it: an instance holds no predecessor,
+    edge or order tuple, and its stored fields are exactly the
+    documented ones."""
     assert Instance.__slots__ == ("n_tasks", "n_workers", "name", "times",
-                                  "pred", "succ", "_topo")
+                                  "succ")
     assert not hasattr(tiny_a, "__dict__")
+    assert isinstance(vars(Instance)["pred"], property)
     assert isinstance(vars(Instance)["edges"], property)
+    assert tiny_a.pred == ((), (0,), (0,))
     assert tiny_a.edges == ((0, 1), (0, 2))
 
 

@@ -302,10 +302,10 @@ def test_swap_check_agrees_with_the_checker():
         base = random_base(rng, n, edge_prob=rng.choice([0.1, 0.2, 0.4]))
         inst = generate(base, GeneratorConfig(
             n_workers=m, rng_seed=rng.randrange(2 ** 32)))
-        order, left = [], set(range(n))
+        order, left, pred = [], set(range(n)), inst.pred
         while left:         # a random order that respects precedence
             k = rng.choice(sorted(k for k in left
-                                  if not left.intersection(inst.pred[k])))
+                                  if not left.intersection(pred[k])))
             order.append(k)
             left.remove(k)
         cuts = sorted(rng.randint(0, n) for _ in range(m - 1))

@@ -52,9 +52,10 @@ def test_format_parse_round_trip(inst):
 @SETTINGS
 @given(st.data())
 def test_edges_are_the_sorted_distinct_pairs(data):
-    """An instance stores its precedence as `pred` and `succ` alone, yet
-    reads back the sorted distinct pairs as `edges`, in whatever order
-    and with whatever repeats they were given; equality and the hash
+    """An instance stores its precedence as `succ` alone, yet reads back
+    the sorted distinct pairs as `edges`, in whatever order and with
+    whatever repeats they were given, and as `pred` the tuples of sets
+    filled from those pairs in order, then frozen; equality and the hash
     follow the edge set."""
     n = data.draw(st.integers(1, 20))
     order = data.draw(st.permutations(range(n)))
@@ -74,6 +75,10 @@ def test_edges_are_the_sorted_distinct_pairs(data):
     again = build(data.draw(st.permutations(edges + edges[:repeats])))
     inst = build(edges)
     assert inst.edges == again.edges == tuple(sorted(set(edges)))
+    pred = [set() for _ in range(n)]
+    for i, j in sorted(set(edges)):
+        pred[j].add(i)
+    assert inst.pred == again.pred == tuple(map(tuple, map(frozenset, pred)))
     assert again == inst and hash(again) == hash(inst)
     assert (build(other) == inst) == (set(other) == set(edges))
 
