@@ -26,8 +26,7 @@ class CycleInfeasibleError(Exception):
     """The tentative cycle time admits no assignment at all."""
 
 
-def min_times(inst: Instance) -> list:
-    as_member(inst, Instance, "inst")
+def _min_times(inst: Instance) -> list:
     return [min(col) for col in zip(*inst.times)]
 
 
@@ -36,57 +35,35 @@ def _ceil_div(a, b) -> int:
 
 
 def lc1(inst: Instance) -> int:
-    t = min_times(inst)
+    t = _min_times(as_member(inst, Instance, "inst"))
     return max(max(t), _ceil_div(sum(t), inst.n_workers))
 
 
-def lc2(inst: Instance) -> int:
+def _lc2(inst: Instance) -> int:
     # t sorted non-increasingly, 1-based position p -> t[p - 1]
-    t = sorted(min_times(inst), reverse=True)
+    t = sorted(_min_times(inst), reverse=True)
     n, m = inst.n_tasks, inst.n_workers
     return max((sum(t[k * m - i] for i in range(k + 1))  # positions km+1-i
                 for k in range(1, (n - 1) // m + 1)), default=0)
 
 
-def _head_tail(inst: Instance) -> tuple[list, list]:
-    """Per task: t- of the task plus all its transitive predecessors
-    (head) respectively successors (tail)."""
-    t = min_times(inst)
+def _lc3(inst: Instance, c_start: int) -> int:
+    """Smallest c >= c_start (at least 1) at which every task's station
+    window is consistent: its earliest station, ceil(head / c), is not
+    after its latest, m + 1 - ceil(tail / c), where head (tail) is t- of
+    the task plus all its transitive predecessors (successors).
+    Terminates: at c = sum(t-) every window collapses to [1, m].
+    """
+    t = _min_times(inst)
     clo = inst.closure()
     head = [t[i] + sum(t[j] for j in clo.pred_star[i])
             for i in range(inst.n_tasks)]
     tail = [t[i] + sum(t[j] for j in clo.succ_star[i])
             for i in range(inst.n_tasks)]
-    return head, tail
-
-
-def station_windows(inst: Instance, c: int) -> tuple[list[int], list[int]]:
-    """Earliest and latest station (1-based) each task can occupy at cycle
-    c; a cycle that is not an integer of at least 1 is refused with
-    ValidationError."""
-    as_member(inst, Instance, "inst")
-    c = as_int(c, "cycle", 1)
-    head, tail = _head_tail(inst)
     m = inst.n_workers
-    earliest = [_ceil_div(h, c) for h in head]
-    latest = [m + 1 - _ceil_div(t, c) for t in tail]
-    return earliest, latest
-
-
-def lc3(inst: Instance, c_start: int | None = None) -> int:
-    """Smallest c >= c_start whose station windows are all consistent.
-
-    Defaults to starting at max(LC1, LC2); a c_start that is not an
-    integer is refused with ValidationError.  Terminates: at c = sum(t-)
-    every window collapses to [1, m].
-    """
-    if c_start is None:
-        c_start = max(lc1(inst), lc2(inst))
-    head, tail = _head_tail(inst)
-    m = inst.n_workers
-    c = max(1, as_int(c_start, "c_start"))
-    while any(_ceil_div(h, c) > m + 1 - _ceil_div(t, c)
-              for h, t in zip(head, tail)):
+    c = c_start
+    while any(_ceil_div(hd, c) > m + 1 - _ceil_div(tl, c)
+              for hd, tl in zip(head, tail)):
         c += 1
     return c
 
@@ -109,8 +86,8 @@ def compute_bounds(inst: Instance,
     if external_relax is not None:
         as_number(external_relax, "the external relaxation bound")
     a = lc1(inst)
-    b = lc2(inst)
-    c = lc3(inst, max(a, b))
+    b = _lc2(inst)
+    c = _lc3(inst, max(a, b))
     best = max(a, b, c)
     if external_relax is not None:
         # small slack so solver noise just above an integer does not

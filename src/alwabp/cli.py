@@ -32,7 +32,7 @@ from .generator import (DENSITY_LEVELS, VARIABILITY_FACTOR, GeneratorConfig,
 from .hga import HgaParams, evolve
 from .instance import (load_base, load_instance, read_decimal, relax_sidecar,
                        save_instance)
-from .lp import write_lp
+from .lp import export_lp
 from .reports import (BOUNDS, CONSTRUCT_RUNS, CONSTRUCT_SUMMARY, HGA_LOG,
                       HGA_RUNS, HGA_SUMMARY, BkvError, deviation_pct,
                       load_bkv, mean, summarize, write_csv)
@@ -263,7 +263,7 @@ def cmd_generate(args, errors):
 def cmd_export_lp(args, errors):
     for inst, _ in _load_all([args.instance], errors):
         out = Path(args.out) if args.out else Path(f"{args.instance}.lp")
-        write_lp(inst, out, relaxed=args.relaxed)
+        out.write_text(export_lp(inst, relaxed=args.relaxed))
         print(f"wrote {out}")
 
 

@@ -356,7 +356,7 @@ def priority_rows(inst, source, c_bar, cache=None) -> list[list]:
     cache = _cache_of(inst, cache)
     _check_source(inst, source)
     c_bar = as_int(c_bar, "cycle", 1)
-    crew = _crew_of(cache.crews(inst.times), inst.times,
+    crew = _crew_of(cache._crew_table(inst.times), inst.times,
                     (1 << inst.n_workers) - 1, None, None)
     prio = _station_prio(source, crew, cache._lines["forward"],
                          range(inst.n_tasks), c_bar)
@@ -657,30 +657,9 @@ def _assemble(times, c_bar, source, worker_rule, line, crews, fills):
     return Solution(stations, loads, max(loads), line.direction)
 
 
-def assemble(inst, c_bar, source, worker_rule,
-             direction="forward") -> Solution | None:
-    """One full pass at a fixed tentative cycle time.
-
-    Returns a feasible Solution or None when tasks remain unassigned.
-    Backward runs fill the stations from the end of the line and report
-    them in original line order.  A `source` must be a `TaskRule` or a
-    priority matrix of workers x tasks, and `worker_rule` a `WorkerRule`
-    (else ValueError); a c_bar that is not an integer of at least 1 is
-    refused with ValidationError.
-    """
-    as_member(inst, Instance, "inst")
-    as_member(direction, DIRECTIONS, "direction")
-    _check_source(inst, source)
-    as_member(worker_rule, WorkerRule, "worker_rule")
-    c_bar = as_int(c_bar, "cycle", 1)
-    return _assemble(inst.times, c_bar, source, worker_rule,
-                     _Line(inst.closure(), direction), {}, None)
-
-
-def cycle_ceiling(inst) -> int:
+def _cycle_ceiling(inst) -> int:
     """Cycle no heuristic needs to exceed: the whole line done serially,
     each task at its slowest capable worker."""
-    as_member(inst, Instance, "inst")
     return sum(max(t for t in col if t != INFEASIBLE)
                for col in zip(*inst.times))
 
@@ -713,17 +692,17 @@ CREW_CELLS = 3 << 16
 class SearchCache:
     """What the lower-bound searches on one instance share, each rule
     stated where it lives: the search's first cycle (LC1) and its
-    ceiling (`cycle_ceiling`), both found at construction; the
+    ceiling (`_cycle_ceiling`), both found at construction; the
     precedence of each direction, read off the instance's closure, which
     the cache alone keeps; per tentative cycle the outcome of
-    `preprocess` (`times`); per value of the times a table of crews
-    (`crews`, see `_Crew`); within one `run_configs` call, the stations'
-    fills of one task rule (see there); and the GA's local-search memo
-    (`improved`).  A cache is passed to searches, never configured: it
-    has no field to set, and every search through it returns what a
-    search through a fresh one would.  Pass one as the `cache` of every
-    `solve_lower_bound_search` call on `inst`; anything but an
-    `Instance` is refused with ValueError.
+    `preprocess` (`_times`); per value of the times a table of crews
+    (`_crew_table`, see `_Crew`); within one `run_configs` call, the
+    stations' fills of one task rule (see there); and the GA's
+    local-search memo (`improved`).  A cache is passed to searches,
+    never configured: it has no field to set, and every search through
+    it returns what a search through a fresh one would.  Pass one as the
+    `cache` of every `solve_lower_bound_search` call on `inst`; anything
+    but an `Instance` is refused with ValueError.
     """
 
     def __init__(self, inst):
@@ -739,9 +718,9 @@ class SearchCache:
         # table cells of one solution
         self._cells = inst.n_tasks * inst.n_workers
         self._start = lc1(inst)
-        self._ceiling = cycle_ceiling(inst)
+        self._ceiling = _cycle_ceiling(inst)
 
-    def times(self, c, use_preprocess):
+    def _times(self, c, use_preprocess):
         """The times assemblies at tentative cycle c run on, the reduced
         ones with `use_preprocess` and the instance's otherwise, or None
         when `preprocess` proves c infeasible, so that the search skips
@@ -766,11 +745,11 @@ class SearchCache:
             return reduced
         return self._inst.times
 
-    def crews(self, times):
+    def _crew_table(self, times):
         """The crew table of `times`, shared by every set of equal times."""
         return self._crews.setdefault(times, {})
 
-    def open_search(self):
+    def _open_search(self):
         """Clears the crews as a search starts, by the bound `_Crew`
         states."""
         if sum(crew.cells for crews in self._crews.values()
@@ -838,7 +817,7 @@ def solve_lower_bound_search(inst, source, worker_rule, direction="forward",
     `source` must be workers x tasks (else ValueError).  With
     use_preprocess the instance is reduced at each tentative cycle
     first.  A cycle that `preprocess` proves infeasible is skipped (see
-    `SearchCache.times` for when it is asked).  `cache`, a `SearchCache`
+    `SearchCache._times` for when it is asked).  `cache`, a `SearchCache`
     of `inst`, may be shared between calls on the same instance.  A
     `worker_rule` that is not a `WorkerRule` is refused with ValueError,
     and a c_start that is not an integer or a `use_preprocess` that is
@@ -866,16 +845,16 @@ def solve_lower_bound_search(inst, source, worker_rule, direction="forward",
     _check_source(inst, source)
     as_member(worker_rule, WorkerRule, "worker_rule")
     as_member(use_preprocess, bool, "use_preprocess")
-    cache.open_search()
+    cache._open_search()
     c = cache._start
     if c_start is not None:             # no assembly fits below cycle 1
         c = max(1, as_int(c_start, "c_start"))
     ceiling = max(cache._ceiling, c)    # an explicit start is always tried
     ranks = None            # per direction, once a fixed source passed a cycle
     while c <= ceiling:
-        times = cache.times(c, use_preprocess)
+        times = cache._times(c, use_preprocess)
         if times is not None:
-            crews = cache.crews(times)
+            crews = cache._crew_table(times)
             for d in directions:
                 line, by = cache._lines[d], source
                 if ranks is not None:

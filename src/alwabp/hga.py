@@ -84,7 +84,7 @@ class HgaParams:
 
 
 @dataclass(frozen=True)
-class Individual:
+class _Individual:
     chromosome: Chromosome
     solution: Solution
     fitness: Fitness
@@ -133,8 +133,7 @@ def encode_rule(inst, rule: TaskRule, c_bar=None, cache=None) -> Chromosome:
     return Chromosome(tuple(rows))
 
 
-def random_chromosome(inst, rng) -> Chromosome:
-    as_member(inst, Instance, "inst")
+def _random_chromosome(inst, rng) -> Chromosome:
     return Chromosome(tuple(
         tuple(rng.random() for _ in range(inst.n_tasks))
         for _ in range(inst.n_workers)))
@@ -213,16 +212,16 @@ def evolve(inst, params: HgaParams, external_relax=None) -> HgaResult:
     # default, topped up with random chromosomes to p
     c_bar = max(bounds.lc1, bounds.lc2, bounds.lc3)
     chroms = [encode_rule(inst, rule, c_bar, cache) for rule in TaskRule]
-    chroms += [random_chromosome(inst, rng)
+    chroms += [_random_chromosome(inst, rng)
                for _ in range(params.p - len(chroms))]
     elite, best, log, iteration, stale = [], None, [], 0, 0
     while True:
         # decode draws nothing, so decoding after all draws keeps their
         # order; the p fittest of the elite and the new individuals form
         # the population (the sort is stable: ties keep that order)
-        population = elite + [Individual(chrom, *decode(inst, chrom,
-                                                        bounds.best, cache))
-                              for chrom in chroms]
+        population = elite + [
+            _Individual(chrom, *decode(inst, chrom, bounds.best, cache))
+            for chrom in chroms]
         population.sort(key=lambda ind: ind.fitness)
         del population[params.p:]
         if best is None or population[0].fitness < best.fitness:
@@ -244,4 +243,4 @@ def evolve(inst, params: HgaParams, external_relax=None) -> HgaResult:
                             rest[rng.randrange(len(rest))].chromosome,
                             params.q, rng)
                   for _ in range(params.p - params.p_e - params.p_r)]
-        chroms += [random_chromosome(inst, rng) for _ in range(params.p_r)]
+        chroms += [_random_chromosome(inst, rng) for _ in range(params.p_r)]

@@ -364,7 +364,7 @@ def relax_sidecar(path) -> float | None:
     return value
 
 
-def parse_instance(text: str, name: str = "instance") -> Instance:
+def _parse_instance(text: str, name: str = "instance") -> Instance:
     """Parse the canonical instance format (see module docstring)."""
     stream = _tokens(text)
     n_tasks = _read_count(stream, "task count")
@@ -384,7 +384,7 @@ def parse_instance(text: str, name: str = "instance") -> Instance:
 
 def load_instance(path) -> Instance:
     text, name = _read_file(path)
-    return parse_instance(text, name=name)
+    return _parse_instance(text, name=name)
 
 
 @dataclass(frozen=True)
@@ -415,7 +415,7 @@ class BaseInstance:
         return len(self.times)
 
 
-def parse_base(text: str, name: str = "base") -> BaseInstance:
+def _parse_base(text: str, name: str = "base") -> BaseInstance:
     """Parse the base format (see module docstring)."""
     stream = _tokens(text)
     n = _read_count(stream, "task count")
@@ -428,12 +428,11 @@ def parse_base(text: str, name: str = "base") -> BaseInstance:
 
 def load_base(path) -> BaseInstance:
     text, name = _read_file(path)
-    return parse_base(text, name=name)
+    return _parse_base(text, name=name)
 
 
-def format_instance(inst: Instance) -> str:
+def _format_instance(inst: Instance) -> str:
     """Serialize back to the canonical text format."""
-    as_member(inst, Instance, "inst")
     out = [f"# {inst.name}"]
     out.append(f"{inst.n_tasks} {inst.n_workers}")
     edges = inst.edges
@@ -447,4 +446,5 @@ def format_instance(inst: Instance) -> str:
 
 
 def save_instance(inst: Instance, path) -> None:
-    Path(path).write_text(format_instance(inst))
+    as_member(inst, Instance, "inst")
+    Path(path).write_text(_format_instance(inst))

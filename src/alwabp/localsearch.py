@@ -72,9 +72,6 @@ class WorkerSwap:
             raise ValueError("worker swap needs two distinct stations")
 
 
-Move = Shift | Swap | DoubleShift | WorkerSwap
-
-
 def _beats(key, at, loads, a, la, b, lb):
     """Whether loading stations a != b with la and lb instead gives a
     smaller key than `key` = (cycle, count).
@@ -288,7 +285,7 @@ def _try_worker_swap(st, key):
 
 
 def improve(inst, sol: Solution,
-            moves: list[Move] | None = None) -> Solution:
+            moves: list | None = None) -> Solution:
     """Descend until no move is accepted; never worsens, never breaks
     feasibility.  Each pass returns the move it applied, or None; when
     `moves` is a list, every accepted move is appended to it.  A `moves`

@@ -8,8 +8,6 @@ outright.  Station/worker/task indices in the file are 1-based.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 from .instance import INFEASIBLE, Instance, as_member
 
 
@@ -85,7 +83,3 @@ def export_lp(inst: Instance, relaxed: bool = False) -> str:
             lines.append(f" {v}")
     lines.append("End")
     return "\n".join(lines) + "\n"
-
-
-def write_lp(inst: Instance, path, relaxed: bool = False) -> None:
-    Path(path).write_text(export_lp(inst, relaxed=relaxed))

@@ -9,7 +9,8 @@ for each, what the solver makes of them:
 - `sweep`: the cycle of all 96 rule configurations (`run_all_96`);
 - `sweep_reduced`: the same with reduction (`run_all_96(inst, True)`);
 - `assemble`: for a few named rules and two priority matrices, forward
-  and backward, the `assemble` result at every cycle from LC1 up to the
+  and backward, the result of one pass (the test helper
+  `tests/stations.py`'s `assemble`) at every cycle from LC1 up to the
   first one that succeeds;
 - `search`: the matrix-priority search with reduction, both directions,
   as the genetic algorithm's decoder runs it;
@@ -41,11 +42,13 @@ if __name__ == "__main__":
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from alwabp import (BaseInstance, GeneratorConfig, HgaParams,
-                    NoFeasibleAssignmentError, TaskRule, WorkerRule, assemble,
-                    compute_bounds, cycle_ceiling, encode_rule, evolve,
-                    format_instance, generate, improve, lc1,
-                    random_chromosome, run_all_96, solve_lower_bound_search)
-from stations import score_worker, station_load_tasks
+                    NoFeasibleAssignmentError, TaskRule, WorkerRule,
+                    compute_bounds, encode_rule, evolve, generate, improve,
+                    lc1, run_all_96, solve_lower_bound_search)
+from alwabp.constructive import _cycle_ceiling
+from alwabp.hga import _random_chromosome
+from alwabp.instance import _format_instance
+from stations import assemble, score_worker, station_load_tasks
 
 GOLDEN = Path(__file__).with_name("golden.json")
 
@@ -104,7 +107,7 @@ def move_text(move):
 def _source(inst, name):
     if name.startswith("matrix:"):
         rng = random.Random(int(name.split(":")[1]))
-        return random_chromosome(inst, rng).p
+        return _random_chromosome(inst, rng).p
     return TaskRule(name)
 
 
@@ -119,7 +122,7 @@ def outputs_of(inst):
         for d in ("forward", "backward"):
             key = f"{name}/{wname}/{d}"
             trail = []
-            for c in range(lc1(inst), cycle_ceiling(inst) + 1):
+            for c in range(lc1(inst), _cycle_ceiling(inst) + 1):
                 sol = assemble(inst, c, source, wrule, d)
                 trail.append(sol_text(sol))
                 if sol is not None:
@@ -197,7 +200,7 @@ def snapshot(instances):
 
 def main():
     instances = make_instances()
-    data = {"instances": [format_instance(inst) for inst in instances],
+    data = {"instances": [_format_instance(inst) for inst in instances],
             "outputs": snapshot(instances)}
     GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
     print(f"wrote {GOLDEN}", file=sys.stderr)

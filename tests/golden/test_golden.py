@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from alwabp import parse_instance
+from alwabp.instance import _parse_instance
 
 from make_golden import GOLDEN, outputs_of
 
@@ -19,7 +19,7 @@ CASES = [(text.split("\n", 1)[0][2:], text) for text in DATA["instances"]]
 
 @pytest.mark.parametrize("name,text", CASES, ids=[name for name, _ in CASES])
 def test_outputs_match_snapshot(name, text):
-    inst = parse_instance(text, name=name)
+    inst = _parse_instance(text, name=name)
     got = outputs_of(inst)
     want = DATA["outputs"][name]
     assert set(got) == set(want)

@@ -1,22 +1,33 @@
-"""One station of an assembly, offered to one worker, for hand traces
-and the golden snapshot.
+"""One pass of an assembly, and one station of it offered to one
+worker, for hand traces and the golden snapshot.
 
 Built from the constructive module's own parts, so what these return is
-what an assembly computes at such a station: `station_load_tasks` runs
-`_fill` on the worker's priority row, and `score_worker` scores the
-commitment as `_assemble` does, MinBWA with `_bwa_without` and MinRLB
-with `_rest_bound`.
+what an assembly computes: `assemble` runs `_assemble` at a fixed cycle,
+`station_load_tasks` runs `_fill` on the worker's priority row, and
+`score_worker` scores the commitment as `_assemble` does, MinBWA with
+`_bwa_without` and MinRLB with `_rest_bound`.
 """
 
 from __future__ import annotations
 
-from alwabp import WorkerRule
-from alwabp.constructive import (_bwa_without, _Crew, _fill, _Line,
-                                 _rest_bound, _station_prio, _station_start)
+from alwabp import Solution, WorkerRule
+from alwabp.constructive import (_assemble, _bwa_without, _Crew, _fill,
+                                 _Line, _rest_bound, _station_prio,
+                                 _station_start)
 
 
 def _mask(tasks):
     return sum(1 << i for i in tasks)
+
+
+def assemble(inst, c_bar, source, worker_rule,
+             direction="forward") -> Solution | None:
+    """One full pass at the fixed tentative cycle c_bar, under a
+    `TaskRule` or a workers x tasks priority matrix: a feasible Solution,
+    or None when tasks remain unassigned.  A backward pass fills the
+    stations from the end of the line and reports them in line order."""
+    return _assemble(inst.times, c_bar, source, worker_rule,
+                     _Line(inst.closure(), direction), {}, None)
 
 
 def station_load_tasks(inst, unassigned, available_workers, worker, c_bar,

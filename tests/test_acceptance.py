@@ -27,7 +27,6 @@ from alwabp import (
     TaskRule,
     WorkerRule,
     all_rule_configs,
-    assemble,
     compute_bounds,
     decode,
     encode_rule,
@@ -42,7 +41,7 @@ from alwabp.cli import main
 from bruteforce import brute_force_optimum, bwa_cycle
 from conftest import random_instance
 from lpsolve import parse_lp, solve_lp_text
-from stations import score_worker
+from stations import assemble, score_worker
 
 
 @contextmanager

@@ -9,11 +9,11 @@ import pytest
 from alwabp import bounds
 from alwabp import (INFEASIBLE, BaseInstance, CycleInfeasibleError,
                     GeneratorConfig, Instance, NoFeasibleAssignmentError,
-                    TaskRule, ValidationError, WorkerRule, compute_bounds,
-                    decode, generate, lc1, lc2, lc3, min_times, preprocess,
-                    random_chromosome, relax_sidecar, run_all_96,
-                    solve_lower_bound_search, station_windows,
-                    validate_solution)
+                    TaskRule, WorkerRule, compute_bounds, decode, generate,
+                    lc1, preprocess, relax_sidecar, run_all_96,
+                    solve_lower_bound_search, validate_solution)
+from alwabp.bounds import _lc2, _lc3, _min_times
+from alwabp.hga import _random_chromosome
 from bruteforce import brute_force_optimum, enumerate_min_times
 from conftest import random_base, random_instance
 
@@ -25,12 +25,12 @@ def chain(times_by_worker, n=None):
 
 
 def test_min_times(tiny_a):
-    assert min_times(tiny_a) == [2, 1, 1]
+    assert _min_times(tiny_a) == [2, 1, 1]
     single = Instance(3, 1, [[4, 5, 6]], [])
-    assert min_times(single) == [4, 5, 6]
+    assert _min_times(single) == [4, 5, 6]
     withinf = Instance(3, 2, [[2, 3, 4], [INFEASIBLE, 1, 1]],
                        [(0, 1), (0, 2)])
-    assert min_times(withinf) == [2, 1, 1]
+    assert _min_times(withinf) == [2, 1, 1]
 
 
 def test_lc1(tiny_a):
@@ -40,48 +40,21 @@ def test_lc1(tiny_a):
 
 
 def test_lc2(tiny_a):
-    assert lc2(tiny_a) == 2
+    assert _lc2(tiny_a) == 2
     inst = Instance(5, 2, [[5, 4, 3, 2, 1]] * 2, [])
-    assert lc2(inst) == 7            # k=1 takes positions 2 and 3: 4+3
+    assert _lc2(inst) == 7           # k=1 takes positions 2 and 3: 4+3
     few = Instance(2, 3, [[9, 9]] * 3, [])
-    assert lc2(few) == 0             # n <= m leaves no k to sum over
-
-
-def test_station_windows(tiny_a):
-    earliest, latest = station_windows(tiny_a, 2)
-    assert earliest == [1, 2, 2]
-    assert latest == [1, 2, 2]
-    earliest, latest = station_windows(tiny_a, 1)
-    assert earliest[0] > latest[0]   # inconsistent at c=1
-    earliest, latest = station_windows(tiny_a, 100)
-    assert earliest == [1, 1, 1]
-    assert latest == [2, 2, 2]
-
-
-@pytest.mark.parametrize("c", [0, -1])
-def test_station_windows_refuses_cycle_below_one(tiny_a, c):
-    with pytest.raises(ValueError, match="at least 1"):
-        station_windows(tiny_a, c)
+    assert _lc2(few) == 0            # n <= m leaves no k to sum over
 
 
 def test_lc3(tiny_a):
-    assert lc3(tiny_a, 1) == 2
-    assert lc3(tiny_a) == 2
+    assert _lc3(tiny_a, 1) == 2
     three = chain([[1, 1, 1]] * 3)
-    assert lc3(three, 1) == 1        # 3 unit tasks, 3 stations: windows fit
+    assert _lc3(three, 1) == 1       # 3 unit tasks, 3 stations: windows fit
 
 
 def test_lc3_never_below_start(tiny_a):
-    assert lc3(tiny_a, 10) == 10
-
-
-@pytest.mark.parametrize("start", [2.5, True])
-def test_lc3_refuses_a_start_that_is_not_an_integer(tiny_a, start):
-    """A float start would step through x.5 cycles and never try the
-    integer ceiling; a bool would be read as 0 or 1."""
-    with pytest.raises(ValidationError,
-                       match=f"^c_start must be an integer, got {start!r}$"):
-        lc3(tiny_a, start)
+    assert _lc3(tiny_a, 10) == 10
 
 
 def test_compute_bounds(tiny_a):
@@ -138,7 +111,7 @@ def test_bounds_never_exceed_optimum():
     checked = 0
     for k in range(60):
         inst = random_instance(rng, n_max=7, m_max=3, name=f"b{k}")
-        assert min_times(inst) == enumerate_min_times(inst)
+        assert _min_times(inst) == enumerate_min_times(inst)
         opt = brute_force_optimum(inst)
         if opt is None:
             continue
@@ -314,7 +287,7 @@ def test_no_exhaustive_proof_without_budget(monkeypatch):
     cases = []
     for k in range(25):
         inst = random_instance(rng, name=f"z{k}")
-        chroms = [random_chromosome(inst, rng) for _ in range(3)]
+        chroms = [_random_chromosome(inst, rng) for _ in range(3)]
         cases.append((inst, chroms))
 
     def outcomes():

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from alwabp import (HgaParams, INFEASIBLE, Instance, load_instance,
+from alwabp import (HgaParams, INFEASIBLE, Instance, export_lp, load_instance,
                     save_instance)
 from alwabp import cli, reports
 from alwabp.cli import main
@@ -485,6 +485,15 @@ def test_export_lp_default_and_custom_out(tmp_path):
     assert rc == 0
     _, _, _, binaries = parse_lp(custom.read_text())
     assert binaries == set()
+
+
+def test_export_lp_writes_the_model_text(tmp_path):
+    """The command writes `export_lp`'s text byte for byte."""
+    inst = write_tiny(tmp_path)
+    for flags, relaxed in (([], False), (["--relaxed"], True)):
+        out = tmp_path / f"{relaxed}.lp"
+        assert main(["export-lp", str(inst), "--out", str(out), *flags]) == 0
+        assert out.read_text() == export_lp(load_instance(inst), relaxed)
 
 
 def test_export_lp_missing_file(tmp_path, capsys):

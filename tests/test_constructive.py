@@ -21,31 +21,28 @@ from alwabp import (
     ValidationError,
     WorkerRule,
     all_rule_configs,
-    assemble,
     compute_bounds,
     crossover,
-    cycle_ceiling,
     decode,
     encode_rule,
     evolve,
     lc1,
-    random_chromosome,
     run_all_96,
     run_configs,
     solve_lower_bound_search,
-    station_windows,
     validate_solution,
 )
 
 from alwabp import constructive
 from alwabp.bounds import CycleInfeasibleError, preprocess
-from alwabp.constructive import (_bwa_without, _Crew, _fill, _fill_ranked,
-                                 _Line, _rank_rows, _Ranks, _rest_bound,
-                                 _station_prio, _station_start,
+from alwabp.constructive import (_bwa_without, _Crew, _cycle_ceiling, _fill,
+                                 _fill_ranked, _Line, _rank_rows, _Ranks,
+                                 _rest_bound, _station_prio, _station_start,
                                  priority_rows)
+from alwabp.hga import _random_chromosome
 from bruteforce import brute_force_optimum, bwa_cycle, rest_bound
 from conftest import TINY_A, random_instance, random_line
-from stations import score_worker, station_load_tasks
+from stations import assemble, score_worker, station_load_tasks
 
 
 def test_all_rule_configs_shape():
@@ -492,11 +489,6 @@ def test_assemble_tiny_backward(tiny_a):
     assert ok, violations
 
 
-def test_assemble_rejects_bad_direction(tiny_a):
-    with pytest.raises(ValueError):
-        assemble(tiny_a, 2, TaskRule.MAX_F, WorkerRule.MIN_RLB, "up")
-
-
 def test_search_rejects_bad_direction(tiny_a):
     with pytest.raises(ValueError, match="direction must be one of "
                        "'forward', 'backward', 'both', got 'sideways'"):
@@ -508,8 +500,7 @@ def test_search_rejects_bad_direction(tiny_a):
 def test_worker_rule_not_of_its_enum_is_refused(tiny_a, rule):
     """Refused, not scored as MinRLB, which the assembly scores for any
     worker rule but MaxTasks and MinBWA."""
-    for call in (lambda: assemble(tiny_a, 2, TaskRule.MAX_F, rule),
-                 lambda: solve_lower_bound_search(tiny_a, TaskRule.MAX_F,
+    for call in (lambda: solve_lower_bound_search(tiny_a, TaskRule.MAX_F,
                                                   rule),
                  lambda: RuleConfig(TaskRule.MAX_F, rule)):
         with pytest.raises(ValueError,
@@ -520,8 +511,7 @@ def test_worker_rule_not_of_its_enum_is_refused(tiny_a, rule):
 @pytest.mark.parametrize("rule", ["MaxF", "nonsense", WorkerRule.MIN_BWA])
 def test_task_rule_not_of_its_enum_is_refused(tiny_a, rule):
     """Named as an unknown task rule, not measured as a priority matrix."""
-    for call in (lambda: assemble(tiny_a, 2, rule, WorkerRule.MIN_RLB),
-                 lambda: solve_lower_bound_search(tiny_a, rule,
+    for call in (lambda: solve_lower_bound_search(tiny_a, rule,
                                                   WorkerRule.MIN_RLB),
                  lambda: priority_rows(tiny_a, rule, 30),
                  lambda: RuleConfig(rule, WorkerRule.MIN_BWA)):
@@ -530,9 +520,6 @@ def test_task_rule_not_of_its_enum_is_refused(tiny_a, rule):
 
 
 FIXED_CYCLE_CALLS = {
-    "assemble": lambda inst, c: assemble(inst, c, TaskRule.MAX_F,
-                                         WorkerRule.MIN_RLB),
-    "station_windows": station_windows,
     "preprocess": preprocess,
     "priority_rows": lambda inst, c: priority_rows(inst, TaskRule.MAX_PW_AVG,
                                                    c),
@@ -545,8 +532,8 @@ FIXED_CYCLE_CALLS = {
 @pytest.mark.parametrize("entry", list(FIXED_CYCLE_CALLS))
 def test_fixed_cycle_entry_points_refuse_a_cycle_they_cannot_use(tiny_a,
                                                                  entry, c):
-    """A cycle must be an integer of at least 1: no float windows or
-    priorities, no pass at a fractional cycle, no None for a cycle of 0."""
+    """A cycle must be an integer of at least 1: no float priorities, no
+    reduction at a fractional cycle, no None for a cycle of 0."""
     with pytest.raises(ValidationError, match="cycle must be"):
         FIXED_CYCLE_CALLS[entry](tiny_a, c)
 
@@ -556,8 +543,6 @@ def test_fixed_cycle_entry_points_refuse_a_cycle_they_cannot_use(tiny_a,
 def test_matrix_of_another_shape_is_refused(tiny_a, rows):
     """A priority matrix must hold one row per worker and one priority
     per task: 2 x 3 on tiny-A."""
-    with pytest.raises(ValueError, match="2 x 3"):
-        assemble(tiny_a, 9, rows, WorkerRule.MIN_RLB)
     for direction in DIRECTIONS + ("both",):
         with pytest.raises(ValueError, match="2 x 3"):
             solve_lower_bound_search(tiny_a, rows, WorkerRule.MIN_RLB,
@@ -566,7 +551,7 @@ def test_matrix_of_another_shape_is_refused(tiny_a, rows):
 
 def test_priority_rows_refuses_matrix_of_another_shape(tiny_a):
     """priority_rows reads a matrix row by worker and entry by task, so
-    it refuses any shape but 2 x 3 on tiny-A, as `assemble` does."""
+    it refuses any shape but 2 x 3 on tiny-A, as a search does."""
     for rows in ([[0.5] * 5] * 3, [[0.5]] * 2, [[0.5] * 3, [0.5] * 2]):
         with pytest.raises(ValueError, match="2 x 3"):
             priority_rows(tiny_a, rows, 5)
@@ -577,10 +562,10 @@ NOT_FINITE_MATRICES = {
     "search of None": lambda inst: solve_lower_bound_search(
         inst, None, WorkerRule.MIN_RLB),
     "rows of an int": lambda inst: priority_rows(inst, 5, 3),
-    "string entry": lambda inst: assemble(
-        inst, 9, [[0.5] * 3, [0.5, "a", 0.5]], WorkerRule.MIN_RLB),
-    "NaN entry": lambda inst: assemble(
-        inst, 9, [[0.5] * 3, [0.5, math.nan, 0.5]], WorkerRule.MIN_RLB),
+    "string entry": lambda inst: solve_lower_bound_search(
+        inst, [[0.5] * 3, [0.5, "a", 0.5]], WorkerRule.MIN_RLB),
+    "NaN entry": lambda inst: solve_lower_bound_search(
+        inst, [[0.5] * 3, [0.5, math.nan, 0.5]], WorkerRule.MIN_RLB),
     "search with a NaN entry": lambda inst: solve_lower_bound_search(
         inst, [[math.nan] * 3, [0.5] * 3], WorkerRule.MIN_RLB, "both"),
     "infinite entry": lambda inst: priority_rows(
@@ -629,7 +614,7 @@ def test_backward_line_is_forward_line_of_reversed():
 
 
 def test_cycle_ceiling(tiny_a):
-    assert cycle_ceiling(tiny_a) == 5 + 3 + 4
+    assert _cycle_ceiling(tiny_a) == 5 + 3 + 4
 
 
 def test_solve_tiny(tiny_a):
@@ -703,7 +688,7 @@ def test_both_directions_equal_separate_passes():
         for rule in TaskRule:
             for wr in WorkerRule:
                 want = None
-                for c in range(lc1(inst), cycle_ceiling(inst) + 1):
+                for c in range(lc1(inst), _cycle_ceiling(inst) + 1):
                     want = (assemble(inst, c, rule, wr, "forward")
                             or assemble(inst, c, rule, wr, "backward"))
                     if want is not None:
@@ -952,13 +937,13 @@ def test_min_bwa_scores_no_station_that_every_rest_bound_cuts(monkeypatch):
 
 def _reference_search(inst, source, c_start, reduce):
     """`solve_lower_bound_search(inst, source, MinRLB, 'both', c_start,
-    use_preprocess=reduce)` by the public API: at each cycle from
-    c_start, `preprocess` when `reduce`, then `assemble` on the reduced
-    instance (or `inst`), forward then backward.  Returns the solution
-    and the cycles assembled at, or None and those cycles when the
-    ceiling is exhausted."""
+    use_preprocess=reduce)` by `preprocess` and one pass at a time: at
+    each cycle from c_start, `preprocess` when `reduce`, then `assemble`
+    on the reduced instance (or `inst`), forward then backward.  Returns
+    the solution and the cycles assembled at, or None and those cycles
+    when the ceiling is exhausted."""
     tried = []
-    for c in range(c_start, max(cycle_ceiling(inst), c_start) + 1):
+    for c in range(c_start, max(_cycle_ceiling(inst), c_start) + 1):
         reduced = inst
         if reduce:
             try:
@@ -979,7 +964,7 @@ def _matrices(inst, rng):
     one of all-equal keys."""
     rules = rng.sample(list(TaskRule), 4)
     encodings = [encode_rule(inst, rule) for rule in rules]
-    chroms = [random_chromosome(inst, rng) for _ in range(2)]
+    chroms = [_random_chromosome(inst, rng) for _ in range(2)]
     chroms += encodings[:2]
     chroms += [crossover(a, b, 0.5, rng)
                for a, b in (encodings[:2], encodings[2:])]
@@ -1060,7 +1045,7 @@ def test_ranks_are_built_once_a_search_passes_its_first_cycle(monkeypatch):
     forward_only = 0
     insts = [random_instance(rng) for _ in range(20)] + [random_line(rng)]
     for inst in insts:
-        for chrom in [random_chromosome(inst, rng) for _ in range(3)]:
+        for chrom in [_random_chromosome(inst, rng) for _ in range(3)]:
             builds.clear()
             runs.clear()
             decode(inst, chrom)
@@ -1154,7 +1139,7 @@ def test_cleared_crews_match_fresh_searches(monkeypatch):
     equals a fresh one, and each search with reduction evaluates as many
     station states as a fresh one."""
     monkeypatch.setattr(constructive, "CREW_CELLS", 1)
-    open_search, station_start = (SearchCache.open_search,
+    open_search, station_start = (SearchCache._open_search,
                                   constructive._station_start)
     clears, starts = [], []
 
@@ -1167,7 +1152,7 @@ def test_cleared_crews_match_fresh_searches(monkeypatch):
         starts.append(args)
         return station_start(*args)
 
-    monkeypatch.setattr(SearchCache, "open_search", counted_open_search)
+    monkeypatch.setattr(SearchCache, "_open_search", counted_open_search)
     monkeypatch.setattr(constructive, "_station_start", counted_station_start)
     for inst, searches in _cache_cases(random.Random(0x5CB), 6):
         fresh = _run_counting_states(inst, searches, None, starts)
@@ -1205,7 +1190,7 @@ def test_crew_bound_counts_every_crew_table(monkeypatch):
     the tables held reached k: also where no single table held k, and
     where the crews' own per-task lists alone, or a fixed count per
     crew, would have decided otherwise."""
-    open_search = SearchCache.open_search
+    open_search = SearchCache._open_search
     starts = []     # per search: (cells per table, crews, cleared)
 
     def watched_open_search(cache):
@@ -1215,7 +1200,7 @@ def test_crew_bound_counts_every_crew_table(monkeypatch):
         open_search(cache)
         starts.append((cells, crews, bool(cells) and not cache._crews))
 
-    monkeypatch.setattr(SearchCache, "open_search", watched_open_search)
+    monkeypatch.setattr(SearchCache, "_open_search", watched_open_search)
     split = lazy = per_crew = 0
     for inst, searches in _cache_cases(random.Random(0x5CF), 6):
         n, m = inst.n_tasks, inst.n_workers
@@ -1259,7 +1244,7 @@ def test_fills_are_kept_only_inside_run_configs(monkeypatch):
         _run_searches(inst, [(TaskRule.MAX_PW_AVG, WorkerRule.MIN_BWA,
                               "backward", False)], cache)
         assert cache._fills is None
-        decode(inst, random_chromosome(inst, rng), cache=cache)
+        decode(inst, _random_chromosome(inst, rng), cache=cache)
         assert cache._fills is None
 
     assemble_ = constructive._assemble
@@ -1327,7 +1312,7 @@ def test_ga_run_on_a_70x10_line_builds_each_crew_once(monkeypatch):
     """A GA run at the paper's scale keeps every crew its decodes build:
     no two crews are built over equal times and the same workers, and
     the crews are never cleared."""
-    init, open_search = _Crew.__init__, SearchCache.open_search
+    init, open_search = _Crew.__init__, SearchCache._open_search
     built, clears = [], []
 
     def counted_init(self, times, workers, n, parent, gone):
@@ -1340,7 +1325,7 @@ def test_ga_run_on_a_70x10_line_builds_each_crew_once(monkeypatch):
         clears.append(held and not cache._crews)
 
     monkeypatch.setattr(_Crew, "__init__", counted_init)
-    monkeypatch.setattr(SearchCache, "open_search", counted_open_search)
+    monkeypatch.setattr(SearchCache, "_open_search", counted_open_search)
     inst = random_line(random.Random(0x6A))
     evolve(inst, HgaParams(p=16, max_iters=1, max_stale_iters=99,
                            stop_at_lower_bound=False, rng_seed=1))
@@ -1416,28 +1401,28 @@ def test_run_all_96_assembles_below_the_optimum_once(monkeypatch):
 
 
 def test_equal_times_share_one_crew_table():
-    """`SearchCache.times` hands out the instance's own times exactly at
-    the cycles where `preprocess` removes no cell, and `crews` gives
-    cycles with equal times the same table, also when two reductions
-    built them apart."""
+    """`SearchCache._times` hands out the instance's own times exactly
+    at the cycles where `preprocess` removes no cell, and `_crew_table`
+    gives cycles with equal times the same table, also when two
+    reductions built them apart."""
     rng = random.Random(0x5CD)
     seen, repeats = set(), 0
     for _ in range(30):
         inst = random_instance(rng)
         cache = SearchCache(inst)
         first = {}          # times -> (first cycle's times, their table)
-        for c in range(lc1(inst), cycle_ceiling(inst) + 1):
+        for c in range(lc1(inst), _cycle_ceiling(inst) + 1):
             try:
                 removed = preprocess(inst, c)[1]
             except CycleInfeasibleError:
-                assert cache.times(c, True) is None
+                assert cache._times(c, True) is None
                 continue
-            times = cache.times(c, True)
+            times = cache._times(c, True)
             assert (times is inst.times) == (removed == 0)
             seen.add(removed == 0)
-            earlier, table = first.setdefault(times,
-                                              (times, cache.crews(times)))
-            assert cache.crews(times) is table
+            earlier, table = first.setdefault(
+                times, (times, cache._crew_table(times)))
+            assert cache._crew_table(times) is table
             repeats += earlier is not times
     assert seen == {False, True}
     assert repeats

@@ -92,10 +92,8 @@ CONTRACT = {
         "name": UNCHECKED}),        # str() of anything
     "ParseError": (None, {}),
     "ValidationError": (None, {}),
-    "format_instance": (lambda tmp: dict(inst=TINY), {"inst": INSTANCE}),
-    # the readers check the text, not the type of the path or the text
+    # the readers check the text, not the type of the path
     "load_instance": (None, {"path": UNCHECKED}),
-    "parse_instance": (None, {"text": UNCHECKED, "name": UNCHECKED}),
     "save_instance": (lambda tmp: dict(inst=TINY, path=tmp / "tiny.alwabp"), {
         "inst": INSTANCE, "path": UNCHECKED}),
     # -- solution ---------------------------------------------------------
@@ -117,7 +115,6 @@ CONTRACT = {
                                   cfg=GeneratorConfig(2)), {
         "base": member(BaseInstance), "cfg": member(GeneratorConfig)}),
     "load_base": (None, {"path": UNCHECKED}),
-    "parse_base": (None, {"text": UNCHECKED, "name": UNCHECKED}),
     # -- bounds -----------------------------------------------------------
     "BoundsReport": (None, dict.fromkeys(
         ("lc1", "lc2", "lc3", "external_relax", "best"), UNCHECKED)),
@@ -125,20 +122,12 @@ CONTRACT = {
     "compute_bounds": (lambda tmp: dict(inst=TINY), {
         "inst": INSTANCE, "external_relax": optional(number())}),
     "lc1": (lambda tmp: dict(inst=TINY), {"inst": INSTANCE}),
-    "lc2": (lambda tmp: dict(inst=TINY), {"inst": INSTANCE}),
-    "lc3": (lambda tmp: dict(inst=TINY), {
-        "inst": INSTANCE, "c_start": optional(integer())}),
-    "min_times": (lambda tmp: dict(inst=TINY), {"inst": INSTANCE}),
     "preprocess": (lambda tmp: dict(inst=TINY, c=9), {
         "inst": INSTANCE, "c": integer(1)}),
     "relax_sidecar": (None, {"path": UNCHECKED}),
-    "station_windows": (lambda tmp: dict(inst=TINY, c=9), {
-        "inst": INSTANCE, "c": integer(1)}),
     # -- lp ---------------------------------------------------------------
     "export_lp": (lambda tmp: dict(inst=TINY), {
         "inst": INSTANCE, "relaxed": FLAG}),
-    "write_lp": (lambda tmp: dict(inst=TINY, path=tmp / "tiny.lp"), {
-        "inst": INSTANCE, "path": UNCHECKED, "relaxed": FLAG}),
     # -- constructive -----------------------------------------------------
     "NoFeasibleAssignmentError": (None, {}),
     "RuleConfig": (lambda tmp: dict(task_rule=TaskRule.MAX_F,
@@ -152,12 +141,6 @@ CONTRACT = {
     "TaskRule": (None, {}),
     "WorkerRule": (None, {}),
     "all_rule_configs": (None, {}),
-    "assemble": (lambda tmp: dict(inst=TINY, c_bar=9, source=TaskRule.MAX_F,
-                                  worker_rule=WorkerRule.MIN_RLB), {
-        "inst": INSTANCE, "c_bar": integer(1), "source": SOURCE,
-        "worker_rule": WORKER_RULE,
-        "direction": member(alwabp.DIRECTIONS, "both")}),
-    "cycle_ceiling": (lambda tmp: dict(inst=TINY), {"inst": INSTANCE}),
     "priority_rows": (lambda tmp: dict(inst=TINY, source=TaskRule.MAX_F,
                                        c_bar=9), {
         "inst": INSTANCE, "source": SOURCE, "c_bar": integer(1),
@@ -188,8 +171,8 @@ CONTRACT = {
         "task_a": integer(0), "task_b": integer(0)}),
     "WorkerSwap": (lambda tmp: dict(station_a=0, station_b=1), {
         "station_a": integer(0), "station_b": integer(0)}),
-    "improve": (lambda tmp: dict(inst=TINY, sol=alwabp.assemble(
-        TINY, 9, TaskRule.MAX_F, WorkerRule.MIN_RLB)), {
+    "improve": (lambda tmp: dict(inst=TINY, sol=Solution(
+        ((0, (0, 1, 2)), (1, ())), (9, 0), 9)), {
         "inst": INSTANCE,
         "sol": member(Solution, Solution(
             ((0, (0, 1, 2)), (1, ())), (8, 0), 8)),
@@ -208,8 +191,6 @@ CONTRACT = {
         "rng_seed": integer(), "stop_at_lower_bound": FLAG}),
     "HgaResult": (None, dict.fromkeys(
         ("solution", "fitness", "log", "iterations", "reason"), UNCHECKED)),
-    "Individual": (None, dict.fromkeys(
-        ("chromosome", "solution", "fitness"), UNCHECKED)),
     "LogEntry": (None, dict.fromkeys(
         ("iteration", "cycle", "norm_load", "seconds"), UNCHECKED)),
     "crossover": (lambda tmp: dict(a=TINY_KEYS, b=TINY_KEYS, q=0.7,
@@ -226,8 +207,6 @@ CONTRACT = {
                                                            max_iters=1)), {
         "inst": INSTANCE, "params": member(HgaParams),
         "external_relax": optional(number())}),
-    "random_chromosome": (lambda tmp: dict(inst=TINY, rng=random.Random(0)), {
-        "inst": INSTANCE, "rng": UNCHECKED}),
 }
 
 CALLABLES = sorted(name for name in alwabp.__all__

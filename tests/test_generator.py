@@ -5,7 +5,8 @@ import random
 import pytest
 
 from alwabp import (INFEASIBLE, BaseInstance, GeneratorConfig, ParseError,
-                    ValidationError, generate, parse_base)
+                    ValidationError, generate)
+from alwabp.instance import _parse_base
 
 BASE_TEXT = """\
 # two tasks in a chain
@@ -18,7 +19,7 @@ BASE_TEXT = """\
 
 
 def test_parse_base():
-    base = parse_base(BASE_TEXT, name="chain2")
+    base = _parse_base(BASE_TEXT, name="chain2")
     assert base == BaseInstance("chain2", (10, 10), ((0, 1),))
 
 
@@ -37,25 +38,25 @@ def test_base_instance_checks_its_times(times, message):
 
 def test_parse_base_errors():
     with pytest.raises(ParseError):
-        parse_base("2\n10\n")
+        _parse_base("2\n10\n")
     with pytest.raises(ValidationError,
                        match="^base task times must be positive, got 0$"):
-        parse_base("1\n0\n0\n")
+        _parse_base("1\n0\n0\n")
     with pytest.raises(ParseError):
-        parse_base("0\n0\n")
+        _parse_base("0\n0\n")
     with pytest.raises(ParseError):
-        parse_base("1\n5\n-1\n")      # once read as no edges
+        _parse_base("1\n5\n-1\n")      # once read as no edges
     # edges are checked as an instance's are
     with pytest.raises(ValidationError, match="out of range"):
-        parse_base("3\n1\n2\n3\n1\n5 9\n")
+        _parse_base("3\n1\n2\n3\n1\n5 9\n")
     with pytest.raises(ValidationError, match="precedes itself"):
-        parse_base("2\n1\n2\n1\n2 2\n")
+        _parse_base("2\n1\n2\n1\n2 2\n")
     with pytest.raises(ValidationError, match="cycle"):
-        parse_base("2\n1\n2\n2\n1 2\n2 1\n")
+        _parse_base("2\n1\n2\n2\n1 2\n2 1\n")
 
 
 def test_low_variability_range():
-    base = parse_base(BASE_TEXT)
+    base = _parse_base(BASE_TEXT)
     inst = generate(base, GeneratorConfig(n_workers=2, rng_seed=7))
     for w in range(2):
         for i in range(2):
@@ -96,7 +97,7 @@ def test_densest_marking_leaves_one_worker_per_task(m, n, density):
 
 
 def test_generation_is_deterministic():
-    base = parse_base(BASE_TEXT, name="chain2")
+    base = _parse_base(BASE_TEXT, name="chain2")
     cfg = GeneratorConfig(n_workers=3, variability="high",
                           infeasibility_density=0.2, rng_seed=123)
     assert generate(base, cfg) == generate(base, cfg)

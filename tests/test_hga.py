@@ -17,21 +17,21 @@ from alwabp import (
     TaskRule,
     ValidationError,
     WorkerRule,
-    assemble,
     compute_bounds,
     crossover,
     decode,
     encode_rule,
     evolve,
     improve,
-    random_chromosome,
     run_configs,
     solve_lower_bound_search,
     validate_solution,
 )
 
+from alwabp.hga import _random_chromosome
 from bruteforce import brute_force_optimum
 from conftest import random_instance, random_line
+from stations import assemble
 from test_constructive import dense_tie_instance
 
 
@@ -141,7 +141,7 @@ def test_decode_refuses_anything_but_a_chromosome(tiny_a, matrix):
 
 
 def test_decode_refuses_a_start_that_is_not_an_integer(tiny_a):
-    chrom = random_chromosome(tiny_a, random.Random(0))
+    chrom = _random_chromosome(tiny_a, random.Random(0))
     with pytest.raises(ValidationError,
                        match=r"^c_start must be an integer, got 2\.5$"):
         decode(tiny_a, chrom, 2.5)
@@ -199,8 +199,8 @@ def test_params_refuse_a_bound_stop_that_is_not_a_bool(flag):
 
 
 def test_random_chromosome_deterministic(tiny_a):
-    a = random_chromosome(tiny_a, random.Random(5))
-    b = random_chromosome(tiny_a, random.Random(5))
+    a = _random_chromosome(tiny_a, random.Random(5))
+    b = _random_chromosome(tiny_a, random.Random(5))
     assert a == b
     assert len(a.p) == 2 and len(a.p[0]) == 3
     assert all(0.0 <= v < 1.0 for row in a.p for v in row)
@@ -252,7 +252,7 @@ def test_decode_tiny(tiny_a):
     sol, fit = decode(tiny_a, encode_rule(tiny_a, TaskRule.MAX_F))
     assert sol.stations == ((0, (0,)), (1, (1, 2)))
     assert fit == Fitness(2, 1.0)       # (2 + 1 + 1) / (2 stations * 2)
-    sol, fit = decode(tiny_a, random_chromosome(tiny_a, random.Random(3)))
+    sol, fit = decode(tiny_a, _random_chromosome(tiny_a, random.Random(3)))
     assert fit.cycle == 2 and fit.norm_load == 1.0
 
 
@@ -292,7 +292,7 @@ def test_decode_never_worse_than_raw_search():
     checked = 0
     for _ in range(30):
         inst = random_instance(rng)
-        chrom = random_chromosome(inst, rng)
+        chrom = _random_chromosome(inst, rng)
         c0 = compute_bounds(inst).best
         try:
             raw = solve_lower_bound_search(inst, chrom.p, WorkerRule.MIN_RLB,
@@ -320,7 +320,7 @@ def _decode_cases(rng):
     for make in (random_instance,) * 4 + (dense_tie_instance,) * 4:
         inst = make(rng)
         chroms = [encode_rule(inst, rule) for rule in TaskRule]
-        chroms += [random_chromosome(inst, rng) for _ in range(6)]
+        chroms += [_random_chromosome(inst, rng) for _ in range(6)]
         yield inst, chroms + chroms[::-1]
 
 
@@ -388,7 +388,7 @@ def test_second_decode_of_a_chromosome_skips_improve(monkeypatch):
     monkeypatch.setattr(hga, "improve", counted)
     rng = random.Random(0x3E4)
     inst = random_instance(rng)
-    chroms = [random_chromosome(inst, rng) for _ in range(20)]
+    chroms = [_random_chromosome(inst, rng) for _ in range(20)]
     cache = SearchCache(inst)
     first = [decode(inst, chrom, cache=cache) for chrom in chroms]
     assert calls[0] + cache.improve_hits == len(chroms)
@@ -529,7 +529,7 @@ def test_returned_solutions_list_tasks_as_ascending_tuples():
     rng = random.Random(0x5107)
     for k in range(3):
         inst = random_line(rng, n=24, m=5, name=f"line{k}")
-        chrom = random_chromosome(inst, rng)
+        chrom = _random_chromosome(inst, rng)
         sols = []
         for source in (TaskRule.MAX_F, chrom.p):
             for direction in ("forward", "backward"):

@@ -6,6 +6,7 @@ import re
 from pathlib import Path
 
 import alwabp
+from test_bench_seams import BENCH, _assigned
 
 SRC = Path(alwabp.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -23,46 +24,79 @@ def test_no_module_imports_another_modules_private_names():
     assert found == []
 
 
-def test_every_export_is_used_in_the_package_or_documented():
-    """Each name in `alwabp.__all__`, and each public method or property
-    of an exported class, is used by a module of the package other than
-    `__init__.py`, or named in backticks in the README's Library section
-    (a method as `Class.method`): an entry point that only tests call
-    belongs with the tests.  A name counts as used where it is read or
-    imported; a method where a call reads its name as an attribute, a
-    property where any read does.  A method or property that a builtin
-    type also has (`reverse`, say) counts only when documented, as such
-    a read may be the builtin's.  Docstrings do not count as uses."""
-    used, read, called = set(), set(), set()
-    for path in sorted(SRC.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                used.add(node.id)
-            elif isinstance(node, ast.ImportFrom):
-                used.update(alias.name for alias in node.names)
-            elif (isinstance(node, ast.Attribute)
-                  and isinstance(node.ctx, ast.Load)):
-                read.add(node.attr)
-            elif (isinstance(node, ast.Call)
-                  and isinstance(node.func, ast.Attribute)):
-                called.add(node.func.attr)
-    builtin = {name for kind in (list, dict, set, frozenset, tuple, str, int,
-                                 float) for name in dir(kind)}
+def _bench_names():
+    """The names `bench/` wraps or calls, read as `test_bench_seams.py`
+    reads them: each `mods.<module>.<name>` of the workloads and each
+    call site of `LAYER_SITES`, a method as `Class.method`."""
+    names = {name for _, name in re.findall(
+        r"\bmods\.(\w+)\.(\w+)", (BENCH / "workloads.py").read_text())}
+    for sites in _assigned(BENCH / "layers.py", "LAYER_SITES").values():
+        for owner, attr in sites:
+            cls = owner.partition(".")[2]
+            names.add(f"{cls}.{attr}" if cls else attr)
+    return names
+
+
+def _rule_paragraph():
+    """The one paragraph of the README's Library section that states
+    which names are public."""
     text = README.read_text()
     start = text.index("\n## Library\n")
     library = text[start:text.index("\n## ", start + 1)]
-    documented = {*re.findall(r"`(\w+)", library),
-                  *re.findall(r"`(\w+\.\w+)", library)}
-    unused = [name for name in alwabp.__all__
-              if name not in used and name not in documented]
-    methods = 0
-    for name in alwabp.__all__:
-        cls = getattr(alwabp, name)
-        if not isinstance(cls, type):
+    rule, = [par for par in library.split("\n\n")
+             if "public function or method" in " ".join(par.split())]
+    return rule
+
+
+def test_every_export_is_used_in_the_package_or_documented():
+    """Each function in `alwabp.__all__`, and each public method or
+    property of an exported class, is read by a module of the package
+    other than its own and `__init__.py`, named by the benchmark
+    (`_bench_names`), or named in backticks in the README paragraph that
+    states the rule (a method as `Class.method`): an entry point that
+    only its own module and the tests call is private, or belongs with
+    the tests.  Any other export, a class or a constant, is read by a
+    module other than `__init__.py` or named there.  A name counts as
+    read where it is loaded or imported; a method where a call reads its
+    name as an attribute, a property where any read does.  A method or
+    property that a builtin type also has (`reverse`, say) counts only
+    when the benchmark or the README names it, as such a read may be the
+    builtin's.  Docstrings do not count as reads."""
+    used, read, called = {}, {}, {}     # module -> names it reads
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
             continue
-        for attr, value in vars(cls).items():
+        module = f"alwabp.{path.stem}"
+        used[module], read[module], called[module] = set(), set(), set()
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used[module].add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                used[module].update(alias.name for alias in node.names)
+            elif (isinstance(node, ast.Attribute)
+                  and isinstance(node.ctx, ast.Load)):
+                read[module].add(node.attr)
+            elif (isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)):
+                called[module].add(node.func.attr)
+
+    def elsewhere(table, name, home=None):
+        return any(name in names for module, names in table.items()
+                   if module != home)
+
+    builtin = {name for kind in (list, dict, set, frozenset, tuple, str, int,
+                                 float) for name in dir(kind)}
+    documented = {*_bench_names(),
+                  *re.findall(r"`(\w+(?:\.\w+)?)", _rule_paragraph())}
+    unused, methods = [], 0
+    for name in alwabp.__all__:
+        obj = getattr(alwabp, name)
+        home = obj.__module__ if inspect.isfunction(obj) else None
+        if not elsewhere(used, name, home) and name not in documented:
+            unused.append(name)
+        if not isinstance(obj, type):
+            continue
+        for attr, value in vars(obj).items():
             if attr.startswith("_"):
                 continue
             if isinstance(value, property):
@@ -73,11 +107,12 @@ def test_every_export_is_used_in_the_package_or_documented():
             else:
                 continue
             methods += 1
-            if (attr in builtin or attr not in seen) and \
-                    f"{name}.{attr}" not in documented:
+            if (attr in builtin or not elsewhere(seen, attr, obj.__module__)) \
+                    and f"{name}.{attr}" not in documented:
                 unused.append(f"{name}.{attr}")
-    assert "SearchCache" in documented and "improve" in used
-    assert methods >= 8 and "improved" in called
+    assert {"run_all_96", "decode", "Instance.reverse"} <= documented
+    assert methods >= 7
+    assert elsewhere(called, "improved", "alwabp.constructive")
     assert unused == []
 
 

@@ -6,9 +6,9 @@ import re
 import pytest
 
 from alwabp import (INFEASIBLE, Instance, ParseError, Solution,
-                    ValidationError, format_instance, improve, load_base,
-                    load_instance, parse_instance, relax_sidecar,
-                    validate_solution)
+                    ValidationError, improve, load_base, load_instance,
+                    relax_sidecar, validate_solution)
+from alwabp.instance import _format_instance, _parse_instance
 from bruteforce import brute_force_feasible
 from conftest import build_solution, random_instance
 
@@ -24,7 +24,7 @@ TINY_A_TEXT = """\
 
 
 def test_parse_tiny_a(tiny_a):
-    inst = parse_instance(TINY_A_TEXT, name="tiny-A")
+    inst = _parse_instance(TINY_A_TEXT, name="tiny-A")
     assert inst == tiny_a
     assert inst.times[1][0] == 5
     assert inst.edges == ((0, 1), (0, 2))
@@ -32,19 +32,19 @@ def test_parse_tiny_a(tiny_a):
 
 def test_parse_accepts_inf_spellings():
     text = "1 3\n0\n4\nInf\ninf\n"
-    inst = parse_instance(text)
+    inst = _parse_instance(text)
     assert inst.times[1][0] == INFEASIBLE
     assert inst.times[2][0] == INFEASIBLE
 
 
 def test_format_round_trip(tiny_a):
-    again = parse_instance(format_instance(tiny_a), name=tiny_a.name)
+    again = _parse_instance(_format_instance(tiny_a), name=tiny_a.name)
     assert again == tiny_a
 
 
 def test_load_names_instance_after_file(tmp_path, tiny_a):
     p = tmp_path / "tiny-A.alwabp"
-    p.write_text(format_instance(tiny_a))
+    p.write_text(_format_instance(tiny_a))
     inst = load_instance(p)
     assert inst.name == "tiny-A"
     assert inst == tiny_a
@@ -68,7 +68,7 @@ def test_load_names_instance_after_file(tmp_path, tiny_a):
 ])
 def test_parse_errors(text):
     with pytest.raises(ParseError):
-        parse_instance(text)
+        _parse_instance(text)
 
 
 @pytest.mark.parametrize("load", [load_instance, load_base, relax_sidecar])
@@ -99,7 +99,7 @@ def test_uncoverable_task_is_rejected():
 
 def test_zero_time_is_rejected():
     with pytest.raises(ValidationError, match="positive"):
-        parse_instance("2 1\n0\n1 0\n")
+        _parse_instance("2 1\n0\n1 0\n")
 
 
 def test_edge_out_of_range_is_rejected():
@@ -154,7 +154,7 @@ def test_built_instance_checks_its_counts_and_rows(n_tasks, n_workers, times,
 
 
 def test_equal_instances_hash_equal(tiny_a):
-    again = parse_instance(TINY_A_TEXT, name="tiny-A")
+    again = _parse_instance(TINY_A_TEXT, name="tiny-A")
     assert again is not tiny_a and hash(again) == hash(tiny_a)
     assert len({tiny_a, again}) == 1
 

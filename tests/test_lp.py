@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from alwabp import ValidationError, export_lp, write_lp
+from alwabp import ValidationError, export_lp
 from bruteforce import brute_force_optimum
 from conftest import random_instance
 from lpsolve import parse_lp, solve_lp_text
@@ -104,18 +104,8 @@ def test_milp_matches_bruteforce_on_random_instances():
     assert agree == 12
 
 
-def test_write_lp(tmp_path, tiny_a):
-    p = tmp_path / "tiny.lp"
-    write_lp(tiny_a, p)
-    assert p.read_text() == export_lp(tiny_a)
-
-
 @pytest.mark.parametrize("relaxed", ["no", 2.5, 1, None])
-def test_relaxed_that_is_not_a_bool_is_refused(tmp_path, tiny_a, relaxed):
+def test_relaxed_that_is_not_a_bool_is_refused(tiny_a, relaxed):
     """Each of these used to write the continuous relaxation."""
     with pytest.raises(ValidationError, match="relaxed must be a bool"):
         export_lp(tiny_a, relaxed)
-    p = tmp_path / "tiny.lp"
-    with pytest.raises(ValidationError, match="relaxed must be a bool"):
-        write_lp(tiny_a, p, relaxed)
-    assert not p.exists()

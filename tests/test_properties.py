@@ -16,9 +16,9 @@ from hypothesis import strategies as st
 
 from alwabp import (INFEASIBLE, Instance, NoFeasibleAssignmentError,
                     ParseError, Solution, ValidationError, all_rule_configs,
-                    format_instance, load_base, load_instance, parse_base,
-                    parse_instance, relax_sidecar, solve_lower_bound_search,
-                    validate_solution)
+                    load_base, load_instance, relax_sidecar,
+                    solve_lower_bound_search, validate_solution)
+from alwabp.instance import _format_instance, _parse_base, _parse_instance
 from alwabp.reports import BkvError, load_bkv
 from bruteforce import brute_force_feasible
 
@@ -46,7 +46,7 @@ def instances(draw):
 @SETTINGS
 @given(instances())
 def test_format_parse_round_trip(inst):
-    assert parse_instance(format_instance(inst), name=inst.name) == inst
+    assert _parse_instance(_format_instance(inst), name=inst.name) == inst
 
 
 @SETTINGS
@@ -102,7 +102,7 @@ TEXT = st.one_of(TOKEN_TEXT, CSV_TEXT, st.text(max_size=60))
 @example("1 " + "9" * 5000)
 @given(TEXT)
 def test_parsers_raise_only_documented_errors(text):
-    for parse in (parse_instance, parse_base):
+    for parse in (_parse_instance, _parse_base):
         try:
             parse(text)
         except (ParseError, ValidationError):
