@@ -1,5 +1,6 @@
 """Constructive heuristics: frozen small-case traces + oracle properties."""
 
+import functools
 import gc
 import itertools
 import math
@@ -748,6 +749,49 @@ def test_search_deterministic():
             a = solve_lower_bound_search(inst, t_rule, w_rule, direction)
             b = solve_lower_bound_search(inst, t_rule, w_rule, direction)
             assert a == b
+
+
+@functools.cache
+def _oracle_lines():
+    """Random lines and a line with no assignment (the chain of
+    `test_solve_infeasible_instance`), each with its optimum (None when
+    no assignment exists) and its best lower bound."""
+    rng = random.Random(0xC96)
+    insts = [random_instance(rng, name=f"o{k}") for k in range(12)]
+    insts.append(Instance(3, 2,
+                          [[INFEASIBLE, 1, INFEASIBLE], [1, INFEASIBLE, 1]],
+                          [(0, 1), (1, 2)], name="stuck"))
+    return tuple((inst, brute_force_optimum(inst), compute_bounds(inst).best)
+                 for inst in insts)
+
+
+@pytest.mark.parametrize("config", all_rule_configs(),
+                         ids=lambda cfg: cfg.label)
+def test_each_configuration_vs_oracle(config):
+    """Every one of the 96 configurations on its own, where the sampled
+    test above checks six: `run_configs` reports the cycle of the
+    configuration's lone search, whose solution is valid and no better
+    than the optimum or the bounds, with and without reduction; on a
+    line with no assignment both report the failure."""
+    assert {opt is None for _, opt, _ in _oracle_lines()} == {False, True}
+    for inst, opt, best in _oracle_lines():
+        for reduce in (False, True):
+            run, = run_configs(inst, [config], reduce)
+            assert run.config == config
+            if opt is None:
+                assert run.cycle is None and run.error, inst
+                with pytest.raises(NoFeasibleAssignmentError):
+                    solve_lower_bound_search(
+                        inst, config.task_rule, config.worker_rule,
+                        config.direction, use_preprocess=reduce)
+                continue
+            sol = solve_lower_bound_search(
+                inst, config.task_rule, config.worker_rule, config.direction,
+                use_preprocess=reduce)
+            ok, violations = validate_solution(inst, sol)
+            assert ok, (inst, violations)
+            assert sol.direction == config.direction
+            assert run.cycle == sol.cycle >= max(opt, best), inst
 
 
 def test_search_skips_exactly_the_cycles_preprocess_proves(monkeypatch):
