@@ -509,16 +509,21 @@ def _rank_rows(source, times, line):
 
 # -- worker scoring -----------------------------------------------------------
 
-def _bwa_without(crew, left, T, w, m):
+def _bwa_without(crew, left, T, w, m, limit=INFEASIBLE):
     """MinBWA's score of committing w with the tasks of the mask T: the
     largest load when the other tasks of `left`, in ascending order, each
     go to their fastest worker other than w (ties: the least loaded so
     far, then the smallest index), ignoring precedence; INFEASIBLE when a
-    task has no such worker, 0 when no task is left.
+    task has no such worker, 0 when no task is left.  The score is
+    computed only up to `limit`: as soon as a load reaches it, the call
+    returns `limit`, and a value of at least `limit` says only that the
+    score is at least `limit`.
 
     Read from the crew's ties: without w a task's fastest time is still
     min1, unless w alone was fastest; then it is min2, at the workers
-    tied there."""
+    tied there.  The loads sum to the total that `_rest_bound` divides
+    among the crew's other workers, who alone take tasks here, so the
+    score is at least that rest bound rounded up."""
     ties = crew.ties
     loads = [0] * m
     for i in left:
@@ -537,6 +542,8 @@ def _bwa_without(crew, left, T, w, m):
                 if v != w and (pick < 0 or loads[v] < loads[pick]):
                     pick = v
         loads[pick] += t
+        if loads[pick] >= limit:
+            return limit
     return max(loads)
 
 
@@ -593,6 +600,32 @@ def _station_fills(source, crew, line, left, u_mask, c_bar):
     return fills
 
 
+def _min_bwa(crew, left, station, c_bar, m):
+    """MinBWA's choice at a station: the (worker, fill) pair of the crew
+    and its `station` fills with the smallest (`_bwa_without` score,
+    rest bound, idle, worker).
+
+    Only the workers that can still win are scored.  A worker's score is
+    at least its rest bound rounded up (see `_bwa_without`), so the
+    workers are visited in ascending (rest bound, idle, worker) order,
+    and the visit stops at the first whose rest bound is above the best
+    score so far less one: it and every later worker score at least that
+    best and, on a tie, come later in the order.  As the rest bound is
+    an integer total divided by a count, and float division is monotone,
+    the stop never skips a worker that could win.  A score is computed
+    only up to the best so far, and a worker that reaches it loses too."""
+    order = sorted([(fill[3], c_bar - fill[1], w, fill)
+                    for w, fill in zip(crew.workers, station)])
+    best, choice = INFEASIBLE, order[0][2:]
+    for rlb, _, w, fill in order:
+        if rlb > best - 1:
+            break
+        score = _bwa_without(crew, left, fill[0], w, m, best)
+        if score < best:
+            best, choice = score, (w, fill)
+    return choice
+
+
 def _assemble(times, c_bar, source, worker_rule, line, crews, fills):
     """One pass over `times` in the order of `line`, the `_Line` of its
     direction, at tentative cycle c_bar; None on failure.  The stations
@@ -612,6 +645,11 @@ def _assemble(times, c_bar, source, worker_rule, line, crews, fills):
     cut changes no decision.  When every worker's bound is above c_bar,
     so is the committed worker's, and the pass stops before it scores
     any worker, which spares MinBWA's scores there.
+
+    MaxTasks and MinRLB take the smallest score over every worker.  A
+    MinBWA score is at least the worker's rest bound rounded up, so
+    `_min_bwa` scores the workers in ascending rest-bound order and
+    stops once that floor reaches the best score so far.
     """
     n, m = len(times[0]), len(times)
     left = list(range(n))
@@ -621,12 +659,11 @@ def _assemble(times, c_bar, source, worker_rule, line, crews, fills):
     crew = w = None         # the previous station's crew and committed worker
     # the worker rule's score of a pair p = (w, (T, load, picked, rlb)) at
     # the current station: the smallest commits; chosen once per pass, as
-    # a branch per worker costs more
+    # a branch per worker costs more; None for MinBWA, which prunes
     if worker_rule is WorkerRule.MAX_TASKS:
         score = lambda p: (-len(p[1][2]), p[1][3], c_bar - p[1][1], p[0])
     elif worker_rule is WorkerRule.MIN_BWA:
-        score = lambda p: (_bwa_without(crew, left, p[1][0], p[0], m),
-                           p[1][3], c_bar - p[1][1], p[0])
+        score = None
     else:
         score = lambda p: (p[1][3], -len(p[1][2]), c_bar - p[1][1], p[0])
 
@@ -642,7 +679,11 @@ def _assemble(times, c_bar, source, worker_rule, line, crews, fills):
                 fills[key] = station
         if min(fill[3] for fill in station) > c_bar:
             return None
-        w, (T, load, picked, rlb) = min(zip(crew.workers, station), key=score)
+        if score is None:
+            w, (T, load, picked, rlb) = _min_bwa(crew, left, station, c_bar, m)
+        else:
+            w, (T, load, picked, rlb) = min(zip(crew.workers, station),
+                                            key=score)
         if rlb > c_bar:
             return None
         picks.append((w, picked, load))
@@ -895,11 +936,11 @@ def run_configs(inst, configs, use_preprocess=False,
     and tasks left.  A pass that meets a station an earlier pass met, as
     the three worker rules of one task rule and direction do until they
     commit different workers, reads them there; the worker rule still
-    picks the worker, and MinBWA still scores each one.  Within the call
-    `use_preprocess` is fixed, so the times are a function of the cycle,
-    and the key is exact.  The table is started afresh at each new task
-    rule and freed when the call returns; a lone search and a GA decode
-    keep none, as nothing else would read it.
+    picks the worker, and MinBWA's scores are computed afresh.  Within
+    the call `use_preprocess` is fixed, so the times are a function of
+    the cycle, and the key is exact.  The table is started afresh at
+    each new task rule and freed when the call returns; a lone search
+    and a GA decode keep none, as nothing else would read it.
     """
     as_member(use_preprocess, bool, "use_preprocess")
     configs = [as_member(cfg, RuleConfig, "config")

@@ -49,10 +49,17 @@ def test_every_traced_layer_site_exists():
     assert [site for site in sites if not _resolves(*site)] == []
 
 
+def module_reads():
+    """Each (module, name) that a file under `bench/` reads as
+    `mods.<module>.<name>`, sorted."""
+    return sorted({site for path in BENCH.glob("*.py")
+                   for site in re.findall(r"\bmods\.(\w+)\.(\w+)",
+                                          path.read_text())})
+
+
 def test_every_module_name_the_workloads_read_exists():
-    names = sorted(set(re.findall(r"\bmods\.(\w+)\.(\w+)",
-                                  (BENCH / "workloads.py").read_text())))
-    assert names
+    names = module_reads()
+    assert ("bounds", "lc1") in names        # read by run.py, not workloads.py
     assert [site for site in names if not _resolves(*site)] == []
 
 

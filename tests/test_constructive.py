@@ -37,9 +37,9 @@ from alwabp import (
 from alwabp import constructive
 from alwabp.bounds import CycleInfeasibleError, preprocess
 from alwabp.constructive import (_bwa_without, _Crew, _cycle_ceiling, _fill,
-                                 _fill_ranked, _Line, _rank_rows, _Ranks,
-                                 _rest_bound, _station_prio, _station_start,
-                                 priority_rows)
+                                 _fill_ranked, _Line, _min_bwa, _rank_rows,
+                                 _Ranks, _rest_bound, _station_prio,
+                                 _station_start, priority_rows)
 from alwabp.hga import _random_chromosome
 from bruteforce import brute_force_optimum, bwa_cycle, rest_bound
 from conftest import TINY_A, random_instance, random_line
@@ -288,6 +288,115 @@ def test_rest_bound_equals_oracle():
                 picking += len(picked) > 0
                 finite += want != INFEASIBLE
     assert checked > 1200 and picking > 700 and finite > 900 and derived > 100
+
+
+def random_station(rng, inst, crew_workers, left, crew):
+    """Per worker of the crew, in order, a fill of `left` as a station
+    holds it: (T mask, load, tasks, rest bound), the tasks a random set
+    the worker can execute, the load a small random number so that idle
+    times tie, and the rest bound read from the station's totals."""
+    _, totals = _station_start(left, 0, [0] * inst.n_tasks, crew,
+                               inst.n_workers)
+    station = []
+    for w in crew_workers:
+        can = [i for i in left if inst.times[w][i] != INFEASIBLE]
+        picked = rng.sample(can, rng.randint(0, len(can)))
+        station.append((sum(1 << i for i in picked), rng.randint(0, 3),
+                        picked, _rest_bound(totals, len(crew_workers) - 1,
+                                            w, picked, crew)))
+    return station
+
+
+def test_bwa_score_is_at_least_the_rest_bound_rounded_up():
+    """A MinBWA score spreads over the crew's other workers, in integer
+    loads, the total that the rest bound divides among them: it is at
+    least the rest bound rounded up, and INFEASIBLE exactly when the
+    bound is, on root and derived crews.  Under a `limit`, the score
+    comes back exact when below it, and as a value at least `limit`
+    otherwise."""
+    rng = random.Random(0xF100)
+    chain_rng = random.Random(0xF101)
+    checked = tight = loose = infeasible = limited = 0
+    for _ in range(300):
+        inst = dense_tie_instance(rng)
+        n, m = inst.n_tasks, inst.n_workers
+        crew_workers = random_crew(rng, inst)
+        chained, _ = derived_crew(chain_rng, inst, crew_workers)
+        left = sorted(rng.sample(range(n), rng.randint(0, n)))
+        for crew in (_Crew(inst.times, crew_workers, n, None, None), chained):
+            station = random_station(rng, inst, crew_workers, left, crew)
+            for w, (T, _, _, rlb) in zip(crew_workers, station):
+                bwa = _bwa_without(crew, left, T, w, m)
+                checked += 1
+                if rlb == INFEASIBLE:
+                    assert bwa == INFEASIBLE, (inst.times, left, w, T)
+                    infeasible += 1
+                else:
+                    assert math.ceil(rlb) <= bwa < INFEASIBLE, (
+                        inst.times, left, w, T)
+                    tight += bwa == math.ceil(rlb)
+                    loose += bwa > math.ceil(rlb) > rlb
+                for limit in sorted({0, rng.randint(0, 8), bwa, bwa + 1,
+                                     INFEASIBLE}):
+                    got = _bwa_without(crew, left, T, w, m, limit)
+                    if bwa < limit:
+                        assert got == bwa, (inst.times, left, w, T, limit)
+                    else:
+                        assert got >= limit, (inst.times, left, w, T, limit)
+                        limited += bwa < INFEASIBLE
+    assert checked > 1200 and infeasible > 200 and limited > 1500
+    assert tight > 600 and loose > 100, (tight, loose)
+
+
+def test_min_bwa_choice_equals_the_full_min(monkeypatch):
+    """`_min_bwa`, which scores the workers in rest-bound order and stops
+    early, commits the worker that the smallest (score, rest bound, idle,
+    worker) of every worker names, on random stations of root and
+    derived crews, one-worker crews among them, at stations where every
+    rest bound is INFEASIBLE and where the best score ties.  It scores a
+    worker only up to the best score so far, and only while the worker's
+    rest bound is at most that best less one."""
+    rng = random.Random(0xF102)
+    chain_rng = random.Random(0xF103)
+    calls = []              # the arguments of each score `_min_bwa` asks for
+
+    def counted(*args):
+        calls.append(args)
+        return _bwa_without(*args)
+
+    monkeypatch.setattr(constructive, "_bwa_without", counted)
+    checked = lone = all_infeasible = tied = pruned = close = 0
+    for _ in range(1500):
+        inst = dense_tie_instance(rng)
+        n, m = inst.n_tasks, inst.n_workers
+        crew_workers = random_crew(rng, inst)
+        chained, _ = derived_crew(chain_rng, inst, crew_workers)
+        left = sorted(rng.sample(range(n), rng.randint(0, n)))
+        c_bar = rng.randint(3, 9)
+        for crew in (_Crew(inst.times, crew_workers, n, None, None), chained):
+            station = random_station(rng, inst, crew_workers, left, crew)
+            scores = [(_bwa_without(crew, left, fill[0], w, m), fill[3],
+                       c_bar - fill[1], w)
+                      for w, fill in zip(crew_workers, station)]
+            k = scores.index(min(scores))
+            calls.clear()
+            got = _min_bwa(crew, left, station, c_bar, m)
+            assert got == (crew_workers[k], station[k]), (
+                inst.times, left, station, c_bar)
+            rlb = dict(zip(crew_workers, (fill[3] for fill in station)))
+            assert [w for _, _, _, w, _, limit in calls
+                    if rlb[w] > limit - 1] == [], (inst.times, left, station)
+            # another worker's rest bound in (best - 1, best]: one that only
+            # a stop at `rlb > best` would score
+            close += any(scores[k][0] - 1 < s[1] <= scores[k][0]
+                         for j, s in enumerate(scores) if j != k)
+            checked += 1
+            lone += len(crew_workers) == 1
+            all_infeasible += all(f[3] == INFEASIBLE for f in station)
+            tied += sum(s[0] == scores[k][0] for s in scores) > 1
+            pruned += len(calls) < len(station)
+    assert checked == 3000 and lone > 1000 and all_infeasible > 800
+    assert tied > 700 and pruned > 1300 and close > 600, (tied, pruned, close)
 
 
 def test_unassigned_line_reads_roots_and_crew_totals():
@@ -977,6 +1086,36 @@ def test_min_bwa_scores_no_station_that_every_rest_bound_cuts(monkeypatch):
             solve_lower_bound_search(inst, rule, WorkerRule.MIN_BWA, "both",
                                      use_preprocess=reduce)
     assert cut >= 1000 and scored >= 5000, (cut, scored)
+
+
+def test_min_bwa_scores_a_quarter_fewer_workers_than_it_is_offered(
+        monkeypatch):
+    """On seeded 70x10 lines, one MinBWA search per line and task rule,
+    the workers `_bwa_without` scores are at least a quarter fewer than
+    the workers offered at the stations where MinBWA chooses: the rest
+    bound's floor cuts the rest.  A work count, so the host's timing
+    noise cannot move it."""
+    min_bwa, bwa_without = constructive._min_bwa, constructive._bwa_without
+    offered = scored = 0
+
+    def counted_min_bwa(crew, left, station, c_bar, m):
+        nonlocal offered
+        offered += len(station)
+        return min_bwa(crew, left, station, c_bar, m)
+
+    def counted_bwa_without(*args):
+        nonlocal scored
+        scored += 1
+        return bwa_without(*args)
+
+    monkeypatch.setattr(constructive, "_min_bwa", counted_min_bwa)
+    monkeypatch.setattr(constructive, "_bwa_without", counted_bwa_without)
+    rng = random.Random(0x70A10)
+    for k in range(32):
+        rule = list(TaskRule)[k % len(TaskRule)]
+        solve_lower_bound_search(random_line(rng, name=f"line{k}"), rule,
+                                 WorkerRule.MIN_BWA, "both")
+    assert offered > 20000 and scored <= 0.75 * offered, (offered, scored)
 
 
 def _reference_search(inst, source, c_start, reduce):

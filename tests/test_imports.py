@@ -6,7 +6,7 @@ import re
 from pathlib import Path
 
 import alwabp
-from test_bench_seams import BENCH, _assigned
+from test_bench_seams import BENCH, _assigned, module_reads
 
 SRC = Path(alwabp.__file__).parent
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -26,10 +26,9 @@ def test_no_module_imports_another_modules_private_names():
 
 def _bench_names():
     """The names `bench/` wraps or calls, read as `test_bench_seams.py`
-    reads them: each `mods.<module>.<name>` of the workloads and each
-    call site of `LAYER_SITES`, a method as `Class.method`."""
-    names = {name for _, name in re.findall(
-        r"\bmods\.(\w+)\.(\w+)", (BENCH / "workloads.py").read_text())}
+    reads them: each `mods.<module>.<name>` of its files and each call
+    site of `LAYER_SITES`, a method as `Class.method`."""
+    names = {name for _, name in module_reads()}
     for sites in _assigned(BENCH / "layers.py", "LAYER_SITES").values():
         for owner, attr in sites:
             cls = owner.partition(".")[2]
