@@ -20,13 +20,13 @@ to each rule of that sharing.
 Priorities come either from a named task rule or from an externally
 supplied worker x task matrix of values in [0, 1] (larger = earlier).
 Worker-dependent statistics (fastest/slowest/average times, positional
-weights, ranks, MinBWA's fastest workers) are taken over the workers
-still available, with INFEASIBLE times replaced by the tentative cycle
-time where an aggregate needs a finite stand-in; `_Crew` keeps them per
-set of available workers.  The aggregates that depend on the tentative
-cycle are derived per station, for the unassigned tasks, and so are the
-rows that read the precedence, which differs between the two directions
-one crew serves.
+weights, ranks, MinD and MinR rows, MinBWA's fastest workers) are taken
+over the workers still available, with INFEASIBLE times replaced by the
+tentative cycle time where an aggregate needs a finite stand-in; `_Crew`
+keeps them per set of available workers.  The aggregates that depend on
+the tentative cycle are derived per station, for the unassigned tasks,
+and so are the rows that read the precedence, which differs between the
+two directions one crew serves.
 
 Tie-breaking is fixed everywhere so runs are reproducible: tasks by more
 immediate followers, then smaller time for the candidate worker, then
@@ -126,7 +126,8 @@ class _Crew:
     `min1`, `amin` and `min2` hold each task's fastest time, the
     smallest-index worker at that time (-1 if none) and the second
     fastest time (equal to `min1` when two workers tie).  The tables
-    only some rules read (`ranks`, `ties`, `spread`, each read off the
+    only some rules read (`ranks`, `mind` and `minr`, per worker its
+    MinRank, MinD and MinR row; `ties`, `spread`, each read off the
     workers' rows of the times) and the first station's `totals` are
     built on first use.  A crew is a pure function of the times and its
     workers, so the searches sharing a `SearchCache` build one per pair
@@ -136,11 +137,11 @@ class _Crew:
     clears them all as a search starts once they together hold
     `CREW_CELLS` table cells; that costs hits, never results.  `cells`
     counts the table cells the crew holds: 3n for `min1`, `amin` and
-    `min2`, plus what each table built so far holds (n x k for `ranks`,
-    k the crew's workers, 6n for `ties`, 3n for `spread`, 2m + 3 for
-    `totals`, m the instance's workers).  Over the crews of a
-    `run_all_96` that is 3n to 22n on 70x10 sweep lines (see
-    `CREW_CELLS`).
+    `min2`, plus what each table built so far holds (n x k for each of
+    `ranks`, `mind` and `minr`, k the crew's workers, 6n for `ties`, 4n
+    for `spread`, 2m + 3 for `totals`, m the instance's workers).  Over
+    the crews of a `run_all_96` that is 3n to 36n on 70x10 sweep lines
+    (see `CREW_CELLS`).
 
     A station's crew is derived from `parent`, the previous station's
     crew, without `gone`, the worker committed there; a crew with no
@@ -152,7 +153,9 @@ class _Crew:
     workers at both times (`ties`) are exactly the parent's.  `spread`
     takes `gone`'s row out of the parent's sums and counts, which is
     exact as times are integers, and rescans the largest finite time
-    only where `gone` held it.  MinRank rows are built afresh.
+    only where `gone` alone held it.  The MinD and MinR rows copy the
+    parent's, where it built them, and recompute the tasks `redo`.
+    MinRank rows are built afresh.
     """
 
     def __init__(self, times, workers, n, parent, gone):
@@ -205,6 +208,35 @@ class _Crew:
         return {w: [-bisect_left(s, t) for s, t in zip(ranked, times[w])]
                 for w in workers}
 
+    def _rows(self, name, entry):
+        """Per worker, its row of `entry(fastest time, own time)` over the
+        tasks, as table `name`: a copy of the parent's row with the `redo`
+        tasks recomputed where the parent built that table, as no other
+        task's fastest time moved, else built whole."""
+        min1, times = self.min1, self.times
+        self.cells += len(min1) * len(self.workers)
+        if self.parent is None or name not in vars(self.parent):
+            return {w: list(map(entry, min1, times[w])) for w in self.workers}
+        rows, redo, out = vars(self.parent)[name], self.redo, {}
+        for w in self.workers:
+            out[w] = row = rows[w].copy()
+            own = times[w]
+            for i in redo:
+                row[i] = entry(min1[i], own[i])
+        return out
+
+    @cached_property
+    def mind(self):
+        """Per worker: its MinD row, the fastest time less its own."""
+        return self._rows("mind", lambda f, t: f - t)
+
+    @cached_property
+    def minr(self):
+        """Per worker: its MinR row, minus its own time over the fastest,
+        and 0.0 where no worker of the crew can execute the task."""
+        return self._rows(
+            "minr", lambda f, t: -(t / f) if f != INFEASIBLE else 0.0)
+
     @cached_property
     def ties(self):
         """Per task: (its bit, the worker that alone is fastest or -1,
@@ -232,13 +264,14 @@ class _Crew:
     @cached_property
     def spread(self):
         """Per task: the largest finite time (0 if none), the sum of the
-        finite times and the number of INFEASIBLE cells."""
+        finite times, the number of INFEASIBLE cells and the number of
+        workers at the largest finite time."""
         if self.parent is None:
             n = len(self.min1)
-            fmax, fsum, ninf = [0] * n, [0] * n, [0] * n
+            fmax, fsum, ninf, nmax = [0] * n, [0] * n, [0] * n, [0] * n
             redo = range(n)
         else:
-            fmax, fsum, ninf = map(list.copy, self.parent.spread)
+            fmax, fsum, ninf, nmax = map(list.copy, self.parent.spread)
             redo = []
             for i, t in enumerate(self.times[self.gone]):
                 if t == INFEASIBLE:
@@ -246,15 +279,19 @@ class _Crew:
                 else:
                     fsum[i] -= t
                     if t == fmax[i]:
-                        redo.append(i)
+                        if nmax[i] == 1:
+                            redo.append(i)
+                        else:
+                            nmax[i] -= 1
         rows = [self.times[w] for w in self.workers]
-        self.cells += 3 * len(fmax)
+        self.cells += 4 * len(fmax)
         for i in redo:
             finite = [t for row in rows if (t := row[i]) != INFEASIBLE]
-            fmax[i] = max(finite, default=0)
+            fmax[i] = top = max(finite, default=0)
             fsum[i] = sum(finite)
             ninf[i] = len(rows) - len(finite)
-        return fmax, fsum, ninf
+            nmax[i] = finite.count(top)
+        return fmax, fsum, ninf, nmax
 
 
 def _crew_of(crews, times, mask, parent, gone):
@@ -296,10 +333,10 @@ def _station_prio(source, crew, line, left, c_bar):
     Aggregates over the crew count an INFEASIBLE time as c_bar; they and
     the positional weights are set for `left` only, as a station reads
     no other entry (in a pass every follower of an unassigned task is
-    unassigned too).  MinRank rows, which need the sorted times, are
-    kept on the crew; a crew serves both directions of a search, so rows
-    that read the precedence are built per station.  Entries for tasks
-    the worker cannot execute are never read.
+    unassigned too).  MinRank, MinD and MinR rows, which read the crew
+    alone, are kept on it; a crew serves both directions of a search, so
+    rows that read the precedence are built per station.  Entries for
+    tasks the worker cannot execute are never read.
     """
     prio = _fixed_prio(source, crew.times, line)
     if prio is not None:
@@ -308,18 +345,15 @@ def _station_prio(source, crew, line, left, c_bar):
     rule = source
     if rule is TaskRule.MIN_RANK:
         return crew.ranks.__getitem__
-    times, min1 = crew.times, crew.min1
-    n = len(min1)
     if rule is TaskRule.MIN_D:
-        return lambda w: [min1[i] - times[w][i] for i in range(n)]
+        return crew.mind.__getitem__
     if rule is TaskRule.MIN_R:
-        return lambda w: [-(times[w][i] / min1[i]) if min1[i] != INFEASIBLE
-                          else 0.0 for i in range(n)]
+        return crew.minr.__getitem__
 
     if rule in _BY_MIN:
         base = [t if t != INFEASIBLE else c_bar for t in crew.min1]
     else:
-        fmax, fsum, ninf = crew.spread
+        fmax, fsum, ninf, _ = crew.spread
         base = [0] * len(fmax)
         if rule in _BY_MAX:
             for i in left:
@@ -718,15 +752,15 @@ IMPROVED_CELLS = 1 << 18
 
 # Table cells the crews of a SearchCache may hold as a search starts
 # before they are cleared, each crew counting the cells it holds (see
-# `_Crew`): 3n for a GA decode's crew, from 3n to 22n (8n on average)
+# `_Crew`): 3n for a GA decode's crew, from 3n to 36n (9n on average)
 # for those of a `run_all_96` on 70x10 sweep lines (U[1, 10] base times,
-# low variability), and to 19n (7n) on a paper-shaped 70x10 line.  A GA
+# low variability), and to 33n (8n) on a paper-shaped 70x10 line.  A GA
 # run on a 70x10 line keeps every crew it builds, some 400 per run, and
 # so does every search on the small lines.  On the paper-shaped 70x10
-# and 75x19 lines a `run_all_96` builds 3,149 and 21,149 crews, clearing
-# them 7 and 38 times, and peaks at 26 and 33 MB RSS; at 2^17 cells it
-# builds 4,290 crews on the 70x10 line, and unbounded it peaks at 31 and
-# 98 MB.
+# and 75x19 lines a `run_all_96` builds 3,977 and 22,749 crews, clearing
+# them 10 and 48 times, and takes 5.0 and 8.4 s with peaks of 26 and
+# 38 MB RSS (one run each); at 2^17 cells it builds 4,963 crews on the
+# 70x10 line, and unbounded it peaks at 33 and 140 MB.
 CREW_CELLS = 3 << 16
 
 

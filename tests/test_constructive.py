@@ -183,11 +183,35 @@ def direct_ties(inst, workers):
     return out
 
 
+def direct_tables(inst, workers):
+    """`_Crew.mind`, `minr` and `spread` by their definitions, from the
+    finite times of each task over `workers`."""
+    mind, minr = {}, {}
+    spread = ([], [], [], [])
+    fastest = []
+    for i in range(inst.n_tasks):
+        finite = [inst.times[w][i] for w in workers
+                  if inst.times[w][i] != INFEASIBLE]
+        top = max(finite, default=0)
+        for table, value in zip(spread, (top, sum(finite),
+                                         len(workers) - len(finite),
+                                         finite.count(top))):
+            table.append(value)
+        fastest.append(min(finite, default=INFEASIBLE))
+    for w in workers:
+        row = inst.times[w]
+        mind[w] = [f - t for f, t in zip(fastest, row)]
+        minr[w] = [0.0 if f == INFEASIBLE else -(t / f)
+                   for f, t in zip(fastest, row)]
+    return {"mind": mind, "minr": minr, "spread": spread}
+
+
 def test_derived_crews_equal_fresh_crews():
     """Along random chains of worker removals, every field of a derived
     crew equals that of a fresh crew of the same workers, whether or not
-    its parent built that field first, and the fresh crew's `ties` equal
-    their definition."""
+    its parent built that field first, and the fresh crew's `ties`, its
+    MinD and MinR rows and its `spread` (with the count of workers at
+    each task's largest time) equal their definitions."""
     rng = random.Random(0xDE7)
     derived = skipped = cold = 0
     for _ in range(300):
@@ -202,11 +226,16 @@ def test_derived_crews_equal_fresh_crews():
             assert (crew.min1, crew.amin, crew.min2) == (
                 fresh.min1, fresh.amin, fresh.min2)
             assert fresh.ties == direct_ties(inst, workers)
-            for name in rng.sample(["ties", "spread", "ranks"],
-                                   rng.randint(0, 3)):
+            # by repr, as a MinD entry no worker of the crew can execute
+            # is NaN (INFEASIBLE less INFEASIBLE), never read
+            for name, want in direct_tables(inst, workers).items():
+                assert repr(getattr(fresh, name)) == repr(want), name
+            for name in rng.sample(["ties", "spread", "ranks", "mind",
+                                    "minr"], rng.randint(0, 5)):
                 cold += (crew.parent is not None
                          and name not in vars(crew.parent))
-                assert getattr(crew, name) == getattr(fresh, name), name
+                assert (repr(getattr(crew, name))
+                        == repr(getattr(fresh, name))), name
             if rng.random() < 0.5:
                 got = _station_prio(TaskRule.MIN_RANK, crew, line, range(n), 1)
                 want = _station_prio(TaskRule.MIN_RANK, fresh, line, range(n),
@@ -1352,17 +1381,19 @@ def test_cleared_crews_match_fresh_searches(monkeypatch):
 
 def _held_cells(crew):
     """The table cells `crew` holds, counted off the tables it has built:
-    its three per-task lists, then `ranks`, `ties`, `spread` and `totals`
-    where built, each entry of a task's tuple, of a worker's row and of
-    the totals one cell."""
+    its three per-task lists, then `ranks`, `mind`, `minr`, `ties`,
+    `spread` and `totals` where built, each entry of a task's tuple or
+    list, of a worker's row and of the totals one cell."""
     built = vars(crew)
     cells = len(crew.min1) + len(crew.amin) + len(crew.min2)
     for name in ("ties", "spread"):
         cells += sum(map(len, built.get(name, ())))
+    for name in ("ranks", "mind", "minr"):
+        cells += sum(map(len, built.get(name, {}).values()))
     if "totals" in built:
         count, total, short, extra, lost = crew.totals
         cells += 3 + len(extra) + len(lost)
-    return cells + sum(map(len, built.get("ranks", {}).values()))
+    return cells
 
 
 def test_crew_bound_counts_every_crew_table(monkeypatch):
@@ -1489,6 +1520,86 @@ def test_run_all_96_builds_each_crew_once(monkeypatch):
             run()
             assert len(built) == len(set(built)), inst
             assert built, inst
+
+
+class _ReadRow(list):
+    """A row of times that records the tasks read from it by index."""
+
+    def __init__(self, row, reads):
+        super().__init__(row)
+        self.reads = reads
+
+    def __getitem__(self, i):
+        self.reads.add(i)
+        return super().__getitem__(i)
+
+
+def test_crews_build_rows_once_and_rescan_only_lone_largest_times(
+        monkeypatch):
+    """In `run_all_96` on 70x10 lines, each crew builds its MinD and MinR
+    rows at most once: every station with that crew hands a worker the
+    same row object, so the rows built number no more than the crews'
+    workers.  A derived crew's `spread` rescans exactly the tasks whose
+    largest finite time the departing worker alone held; a task where
+    another worker ties that time keeps the parent's entries."""
+    station_prio = constructive._station_prio
+    spread = _Crew.__dict__["spread"].func
+    rows = {}       # (rule, crew, worker) -> the distinct rows handed out
+    rescans = []    # per derived `spread`: (crew, the tasks it rescanned)
+    calls = 0
+
+    def watched_station_prio(source, crew, line, left, c_bar):
+        prio = station_prio(source, crew, line, left, c_bar)
+        if source not in (TaskRule.MIN_D, TaskRule.MIN_R):
+            return prio
+
+        def watched(w):
+            nonlocal calls
+            calls += 1
+            row = prio(w)
+            rows.setdefault((source, crew, w), {})[id(row)] = row
+            return row
+        return watched
+
+    def watched_spread(crew):
+        times, reads = crew.times, set()
+        crew.times = [_ReadRow(row, reads) for row in times]
+        try:
+            out = spread(crew)
+        finally:
+            crew.times = times
+        if crew.parent is not None:
+            rescans.append((crew, reads))
+        return out
+
+    watched = functools.cached_property(watched_spread)
+    watched.__set_name__(_Crew, "spread")
+    monkeypatch.setattr(_Crew, "spread", watched)
+    monkeypatch.setattr(constructive, "_station_prio", watched_station_prio)
+    rng = random.Random(0x5CD)
+    for _ in range(2):
+        run_all_96(random_line(rng))
+    builds = sum(map(len, rows.values()))
+    crews = {(rule, crew) for rule, crew, _ in rows}
+    assert all(len(built) == 1 for built in rows.values())
+    assert builds <= sum(len(crew.workers) for _, crew in crews)
+    assert calls > 2 * builds
+
+    tied = 0        # tasks where `gone` held the largest time, not alone
+    for crew, reads in rescans:
+        times, gone = crew.times, crew.gone
+        alone = set()
+        for i, t in enumerate(times[gone]):
+            if t == INFEASIBLE:
+                continue
+            others = [times[v][i] for v in crew.workers
+                      if times[v][i] != INFEASIBLE]
+            if all(x < t for x in others):
+                alone.add(i)
+            elif max(others) == t:
+                tied += 1
+        assert reads == alone, crew.workers
+    assert len(rescans) > 1000 and tied > 10000
 
 
 def test_ga_run_on_a_70x10_line_builds_each_crew_once(monkeypatch):
