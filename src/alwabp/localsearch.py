@@ -21,7 +21,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 
-from .instance import INFEASIBLE, Instance, as_int, as_member
+from .instance import INFEASIBLE, Instance, as_member
 from .solution import Solution, validate_solution
 
 
@@ -31,23 +31,11 @@ class Shift:
     from_station: int
     to_station: int
 
-    def __post_init__(self):
-        for name in ("task", "from_station", "to_station"):
-            as_int(getattr(self, name), name, 0)
-        if self.from_station == self.to_station:
-            raise ValueError("shift must change the station")
-
 
 @dataclass(frozen=True)
 class Swap:
     task_a: int
     task_b: int
-
-    def __post_init__(self):
-        for name in ("task_a", "task_b"):
-            as_int(getattr(self, name), name, 0)
-        if self.task_a == self.task_b:
-            raise ValueError("swap needs two distinct tasks")
 
 
 @dataclass(frozen=True)
@@ -55,21 +43,11 @@ class DoubleShift:
     first: Shift
     second: Shift
 
-    def __post_init__(self):
-        as_member(self.first, Shift, "first")
-        as_member(self.second, Shift, "second")
-
 
 @dataclass(frozen=True)
 class WorkerSwap:
     station_a: int
     station_b: int
-
-    def __post_init__(self):
-        for name in ("station_a", "station_b"):
-            as_int(getattr(self, name), name, 0)
-        if self.station_a == self.station_b:
-            raise ValueError("worker swap needs two distinct stations")
 
 
 def _beats(key, at, loads, a, la, b, lb):

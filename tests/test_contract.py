@@ -7,7 +7,8 @@ of its valid value and must be refused with ValueError or a subclass
 (`ValidationError`, `ParseError`), never with another exception or a
 result.  A parameter no entry point checks is listed as `UNCHECKED`,
 with the reason, so a new public callable or parameter cannot go
-unlisted.
+unlisted.  A class whose fields are all unchecked is a record, and must
+build from any values.
 """
 
 from __future__ import annotations
@@ -21,8 +22,8 @@ import pytest
 
 import alwabp
 from alwabp import (BaseInstance, Chromosome, GeneratorConfig, HgaParams,
-                    Instance, RuleConfig, SearchCache, Shift, Solution,
-                    TaskRule, WorkerRule)
+                    Instance, RuleConfig, SearchCache, Solution, TaskRule,
+                    WorkerRule)
 
 UNCHECKED = ()
 
@@ -160,17 +161,14 @@ CONTRACT = {
         "c_start": optional(integer()), "use_preprocess": FLAG,
         "cache": CACHE}),
     # -- local search -----------------------------------------------------
-    # moves hold task and station indices, and check that their ends differ
-    "DoubleShift": (lambda tmp: dict(first=Shift(0, 0, 1),
-                                     second=Shift(1, 1, 0)), {
-        "first": member(Shift), "second": member(Shift)}),
-    "Shift": (lambda tmp: dict(task=0, from_station=0, to_station=1),
-              dict.fromkeys(("task", "from_station", "to_station"),
-                            integer(0))),
-    "Swap": (lambda tmp: dict(task_a=0, task_b=1), {
-        "task_a": integer(0), "task_b": integer(0)}),
-    "WorkerSwap": (lambda tmp: dict(station_a=0, station_b=1), {
-        "station_a": integer(0), "station_b": integer(0)}),
+    # the records of the moves a pass accepted; the passes build them
+    # with distinct ends in range (tests/test_localsearch.py)
+    "DoubleShift": (None, dict.fromkeys(("first", "second"), UNCHECKED)),
+    "Shift": (None, dict.fromkeys(("task", "from_station", "to_station"),
+                                  UNCHECKED)),
+    "Swap": (None, dict.fromkeys(("task_a", "task_b"), UNCHECKED)),
+    "WorkerSwap": (None, dict.fromkeys(("station_a", "station_b"),
+                                       UNCHECKED)),
     "improve": (lambda tmp: dict(inst=TINY, sol=Solution(
         ((0, (0, 1, 2)), (1, ())), (9, 0), 9)), {
         "inst": INSTANCE,
@@ -213,6 +211,11 @@ CALLABLES = sorted(name for name in alwabp.__all__
                    if callable(getattr(alwabp, name)))
 CHECKED = [(name, param) for name, (_, kinds) in CONTRACT.items()
            for param, bad in kinds.items() if bad]
+# the classes with fields and no checked one: the records the package
+# returns
+RECORDS = sorted(name for name, (_, kinds) in CONTRACT.items()
+                 if isinstance(getattr(alwabp, name), type) and kinds
+                 and not any(kinds.values()))
 
 
 def test_every_public_callable_has_a_row():
@@ -232,6 +235,14 @@ def test_a_row_lists_every_parameter(name):
               if not p.startswith("_")]
     assert sorted(kinds) == sorted(params)
     assert (valid is None) == (not any(kinds.values()))
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_a_record_checks_nothing(name):
+    """A row with every field unchecked is true: the record holds
+    whatever it is given."""
+    _, kinds = CONTRACT[name]
+    getattr(alwabp, name)(**{field: object() for field in kinds})
 
 
 @pytest.mark.parametrize("name", sorted({name for name, _ in CHECKED}))

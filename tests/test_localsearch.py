@@ -33,14 +33,62 @@ from conftest import build_solution, random_base, random_instance
 
 
 def test_move_invariants():
-    with pytest.raises(ValueError):
-        Shift(0, 1, 1)
-    with pytest.raises(ValueError):
-        Swap(2, 2)
-    with pytest.raises(ValueError):
-        WorkerSwap(0, 0)
     d = DoubleShift(Shift(0, 0, 1), Shift(1, 1, 0))
     assert d.first.task == 0 and d.second.to_station == 0
+
+
+@pytest.fixture(scope="module")
+def descent_moves():
+    """(instance, move) for every move accepted by seeded descents from
+    lower-bound search solutions on lines of up to 12 tasks and 5
+    workers."""
+    rng = random.Random(0xE4)
+    found = []
+    for _ in range(300):
+        inst = random_instance(rng, n_max=12, m_max=5)
+        for rule in (TaskRule.MAX_F, TaskRule.MAX_TIME_MAX):
+            try:
+                sol = solve_lower_bound_search(inst, rule, WorkerRule.MIN_RLB)
+            except NoFeasibleAssignmentError:
+                continue
+            moves = []
+            improve(inst, sol, moves)
+            found += [(inst, move) for move in moves]
+    return found
+
+
+def distinct_in_range(a, b, size):
+    return a != b and 0 <= a < size and 0 <= b < size
+
+
+def shift_ends(inst, move):
+    return distinct_in_range(move.from_station, move.to_station,
+                             inst.n_workers)
+
+
+MOVE_ENDS = {
+    Shift: shift_ends,
+    Swap: lambda inst, move: distinct_in_range(move.task_a, move.task_b,
+                                               inst.n_tasks),
+    DoubleShift: lambda inst, move: all(
+        type(half) is Shift and shift_ends(inst, half)
+        for half in (move.first, move.second)),
+    WorkerSwap: lambda inst, move: distinct_in_range(
+        move.station_a, move.station_b, inst.n_workers),
+}
+
+
+@pytest.mark.parametrize("kind", MOVE_ENDS, ids=lambda kind: kind.__name__)
+def test_accepted_moves_have_distinct_ends_in_range(descent_moves, kind):
+    """The move records check nothing: the passes build them with two
+    distinct ends in range, shifts and worker swaps between stations and
+    swaps between tasks, and a double shift from two such shifts."""
+    ends = MOVE_ENDS[kind]
+    moves = [(inst, move) for inst, move in descent_moves
+             if type(move) is kind]
+    assert moves
+    for inst, move in moves:
+        assert ends(inst, move), (inst.name, move)
 
 
 def test_improve_shifts_overloaded_station(tiny_a):
