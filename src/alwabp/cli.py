@@ -263,7 +263,7 @@ def cmd_generate(args, errors):
 def cmd_export_lp(args, errors):
     for inst, _ in _load_all([args.instance], errors):
         out = Path(args.out) if args.out else Path(f"{args.instance}.lp")
-        out.write_text(export_lp(inst, relaxed=args.relaxed))
+        out.write_text(export_lp(inst, relaxed=args.relaxed), encoding="utf-8")
         print(f"wrote {out}")
 
 

@@ -568,13 +568,10 @@ def _bwa_without(crew, left, T, w, m, limit=INFEASIBLE):
             t, at = t2, at2
         if t == INFEASIBLE:
             return INFEASIBLE
-        if len(at) == 1:                # never w: w is not alone here
-            pick = at[0]
-        else:
-            pick = -1
-            for v in at:
-                if v != w and (pick < 0 or loads[v] < loads[pick]):
-                    pick = v
+        pick = -1
+        for v in at:
+            if v != w and (pick < 0 or loads[v] < loads[pick]):
+                pick = v
         loads[pick] += t
         if loads[pick] >= limit:
             return limit
@@ -647,10 +644,16 @@ def _min_bwa(crew, left, station, c_bar, m):
     best and, on a tie, come later in the order.  As the rest bound is
     an integer total divided by a count, and float division is monotone,
     the stop never skips a worker that could win.  A score is computed
-    only up to the best so far, and a worker that reaches it loses too."""
+    only up to the best so far, and a worker that reaches it loses too.
+
+    When even the first worker's rest bound is above c_bar, so is every
+    worker's, and that first pair comes back unscored: whichever worker
+    MinBWA would commit, its bound ends the pass (see `_assemble`)."""
     order = sorted([(fill[3], c_bar - fill[1], w, fill)
                     for w, fill in zip(crew.workers, station)])
     best, choice = INFEASIBLE, order[0][2:]
+    if order[0][0] > c_bar:
+        return choice
     for rlb, _, w, fill in order:
         if rlb > best - 1:
             break
@@ -676,14 +679,13 @@ def _assemble(times, c_bar, source, worker_rule, line, crews, fills):
     other workers' stations holds at most c_bar, so together they cannot
     take the remaining work, and the pass would end with tasks left
     over.  Every worker rule computes that bound for its scores, so the
-    cut changes no decision.  When every worker's bound is above c_bar,
-    so is the committed worker's, and the pass stops before it scores
-    any worker, which spares MinBWA's scores there.
+    cut changes no decision.
 
     MaxTasks and MinRLB take the smallest score over every worker.  A
     MinBWA score is at least the worker's rest bound rounded up, so
     `_min_bwa` scores the workers in ascending rest-bound order and
-    stops once that floor reaches the best score so far.
+    stops once that floor reaches the best score so far; it scores none
+    where every bound is above c_bar.
     """
     n, m = len(times[0]), len(times)
     left = list(range(n))
@@ -711,8 +713,6 @@ def _assemble(times, c_bar, source, worker_rule, line, crews, fills):
             station = _station_fills(source, crew, line, left, u_mask, c_bar)
             if fills is not None:
                 fills[key] = station
-        if min(fill[3] for fill in station) > c_bar:
-            return None
         if score is None:
             w, (T, load, picked, rlb) = _min_bwa(crew, left, station, c_bar, m)
         else:

@@ -1,7 +1,7 @@
 """ALWABP-2 instances: file formats, precedence structure, derived views.
 
-Instance text format (whitespace separated, lines starting with '#' are
-comments):
+Every file is UTF-8 text.  Instance text format (whitespace separated,
+lines starting with '#' are comments):
 
     n_tasks n_workers
     n_edges
@@ -344,7 +344,7 @@ def _read_file(path) -> tuple[str, str]:
     """The text of the file at `path` and its stem, or ParseError."""
     p = Path(path)
     try:
-        return p.read_text(), p.stem
+        return p.read_text(encoding="utf-8"), p.stem
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {p}: {exc}") from exc
 
@@ -432,8 +432,9 @@ def load_base(path) -> BaseInstance:
 
 
 def _format_instance(inst: Instance) -> str:
-    """Serialize back to the canonical text format."""
-    out = [f"# {inst.name}"]
+    """Serialize back to the canonical text format; the comment line
+    holds the lines of the name joined by spaces."""
+    out = ["# " + " ".join(inst.name.splitlines())]
     out.append(f"{inst.n_tasks} {inst.n_workers}")
     edges = inst.edges
     out.append(str(len(edges)))
@@ -447,4 +448,4 @@ def _format_instance(inst: Instance) -> str:
 
 def save_instance(inst: Instance, path) -> None:
     as_member(inst, Instance, "inst")
-    Path(path).write_text(_format_instance(inst))
+    Path(path).write_text(_format_instance(inst), encoding="utf-8")

@@ -11,7 +11,6 @@ report and recomputing its summary reproduces it exactly.
 from __future__ import annotations
 
 import csv
-import io
 
 from .instance import read_decimal
 
@@ -49,21 +48,20 @@ def load_bkv(path) -> dict[str, int]:
     """Two-column CSV `instance,cycle`; blank lines are skipped, and the
     first other row is a header when its second cell is not a number.  A
     cycle is a positive integer by the ASCII decimal rule
-    (`instance.read_decimal`).  A leading byte-order mark, which
-    spreadsheets write, is dropped.  Raises BkvError when the file cannot
-    be read or decoded, a row is bad, or a row names an instance an
-    earlier row named, as every report keys its rows by that name; the
-    error names the line the row starts on, as a quoted cell may span
-    lines."""
+    (`instance.read_decimal`).  The text is UTF-8, and a leading
+    byte-order mark, which spreadsheets write, is dropped.  Raises
+    BkvError when the file cannot be read or decoded, a row is bad, or a
+    row names an instance an earlier row named, as every report keys its
+    rows by that name; the error names the line the row starts on, as a
+    quoted cell may span lines."""
     try:
-        with open(path, newline="") as fh:
-            text = fh.read().removeprefix("\ufeff")
-        reader = csv.reader(io.StringIO(text, newline=""))
-        rows, start = [], 1     # start: the line the next record starts on
-        for row in reader:
-            if row and (len(row) > 1 or row[0].strip()):
-                rows.append((start, row))
-            start = reader.line_num + 1
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            rows, start = [], 1     # start: the line the next record starts on
+            for row in reader:
+                if row and (len(row) > 1 or row[0].strip()):
+                    rows.append((start, row))
+                start = reader.line_num + 1
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise BkvError(f"cannot read {path}: {exc}") from exc
     table, first = {}, {}       # first: instance -> the line of its row
@@ -103,7 +101,7 @@ def write_csv(path, columns, records):
     cell is left empty, a value in a column of FORMATS is written in its
     format, and a key that is not one of `columns` raises ValueError."""
     formats = [(col, FORMATS[col]) for col in columns if col in FORMATS]
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.DictWriter(fh, columns, lineterminator="\n")
         w.writeheader()
         for rec in records:

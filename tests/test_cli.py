@@ -645,19 +645,19 @@ def test_bad_input_gives_one_error_line(tmp_path, capsys, monkeypatch, case):
 
 # -- one process, many invocations --------------------------------------------
 
-def _run_module(argv):
-    """`python -m alwabp.cli argv` in a child process on this checkout."""
+def _run_python(*args):
+    """`python *args` in a child process on this checkout."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-m", "alwabp.cli", *argv],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
 
 
 def test_module_runs_as_a_script():
     """`python -m alwabp.cli` reaches `main` through its `__main__`
     guard."""
-    done = _run_module(["--help"])
+    done = _run_python("-m", "alwabp.cli", "--help")
     assert done.returncode == 0
     assert done.stdout.startswith("usage: alwabp")
 
@@ -690,13 +690,42 @@ def test_main_repeats_in_one_process_as_in_separate_ones(tmp_path, capsys):
 
     separate = []
     for argv in argvs:
-        done = _run_module(argv)
+        done = _run_python("-m", "alwabp.cli", *argv)
         separate.append((done.returncode, done.stdout, done.stderr,
                          _reports(Path(argv[-1]))))
 
     assert [r[0] for r in in_process] == [0, 2, 0, 2, 0, 0]
     assert "invalid choice: 'NoSuchRule'" in in_process[1][2]
     assert in_process == separate
+
+
+def test_files_are_utf8_whatever_the_locale(tmp_path):
+    """Every file a command reads or writes names its encoding: in one
+    child process where an open in the locale's encoding raises, each
+    command that touches a file succeeds, and `construct` reads a BKV
+    table that opens with a byte-order mark."""
+    inst = str(write_tiny(tmp_path))
+    bkv = tmp_path / "bkv.csv"
+    bkv.write_bytes(b"\xef\xbb\xbftiny-A,2\n")
+    base = tmp_path / "lineB.base"
+    base.write_bytes(b"4\n3 5 2 6\n3\n1 2\n2 4\n3 4\n")
+    out = str(tmp_path / "out")
+    calls = [["bounds", inst, "--out", out],
+             ["construct", inst, "--rule", "MaxF", "--bkv", str(bkv),
+              "--out", out],
+             ["hga", inst, "--population", "8", "--max-iters", "2",
+              "--out", out],
+             ["generate", str(base), "--workers", "2",
+              "--out", str(tmp_path / "generated")],
+             ["export-lp", inst, "--out", str(tmp_path / "tiny-A.lp")]]
+    done = _run_python(
+        "-X", "warn_default_encoding", "-W", "error::EncodingWarning", "-c",
+        f"from alwabp.cli import main; print([main(a) for a in {calls!r}])")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0]", done.stdout
+    runs = read_rows(Path(out) / "construct_runs.csv")
+    assert runs[1][:7] == ["run", "tiny-A", "MaxF", "MinRLB", "forward",
+                           "2", "2"]
 
 
 # -- report schemas -----------------------------------------------------------

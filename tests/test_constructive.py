@@ -381,10 +381,12 @@ def test_min_bwa_choice_equals_the_full_min(monkeypatch):
     """`_min_bwa`, which scores the workers in rest-bound order and stops
     early, commits the worker that the smallest (score, rest bound, idle,
     worker) of every worker names, on random stations of root and
-    derived crews, one-worker crews among them, at stations where every
-    rest bound is INFEASIBLE and where the best score ties.  It scores a
-    worker only up to the best score so far, and only while the worker's
-    rest bound is at most that best less one."""
+    derived crews, one-worker crews among them, at stations where the
+    best score ties and where the least rest bound is c_bar itself.  It
+    scores a worker only up to the best score so far, and only while the
+    worker's rest bound is at most that best less one.  Where every rest
+    bound exceeds c_bar, as where every one is INFEASIBLE, it scores no
+    worker and returns the least (rest bound, idle, worker) pair."""
     rng = random.Random(0xF102)
     chain_rng = random.Random(0xF103)
     calls = []              # the arguments of each score `_min_bwa` asks for
@@ -394,22 +396,37 @@ def test_min_bwa_choice_equals_the_full_min(monkeypatch):
         return _bwa_without(*args)
 
     monkeypatch.setattr(constructive, "_bwa_without", counted)
-    checked = lone = all_infeasible = tied = pruned = close = 0
-    for _ in range(1500):
+    checked = lone = cut = at_cycle = moved = tied = pruned = close = 0
+    for _ in range(2000):
         inst = dense_tie_instance(rng)
         n, m = inst.n_tasks, inst.n_workers
         crew_workers = random_crew(rng, inst)
         chained, _ = derived_crew(chain_rng, inst, crew_workers)
         left = sorted(rng.sample(range(n), rng.randint(0, n)))
-        c_bar = rng.randint(3, 9)
         for crew in (_Crew(inst.times, crew_workers, n, None, None), chained):
             station = random_station(rng, inst, crew_workers, left, crew)
+            least = min(fill[3] for fill in station)
+            # where it can, c_bar is the least rest bound: the one cycle at
+            # which the early return must not yet be taken
+            if 1 <= least < INFEASIBLE and least % 1 == 0:
+                c_bar = int(least)
+            else:
+                c_bar = rng.randint(3, 9)
+            first = min((fill[3], c_bar - fill[1], w, fill)
+                        for w, fill in zip(crew_workers, station))[2:]
+            calls.clear()
+            got = _min_bwa(crew, left, station, c_bar, m)
+            checked += 1
+            lone += len(crew_workers) == 1
+            if least > c_bar:
+                assert got == first and calls == [], (
+                    inst.times, left, station, c_bar)
+                cut += 1
+                continue
             scores = [(_bwa_without(crew, left, fill[0], w, m), fill[3],
                        c_bar - fill[1], w)
                       for w, fill in zip(crew_workers, station)]
             k = scores.index(min(scores))
-            calls.clear()
-            got = _min_bwa(crew, left, station, c_bar, m)
             assert got == (crew_workers[k], station[k]), (
                 inst.times, left, station, c_bar)
             rlb = dict(zip(crew_workers, (fill[3] for fill in station)))
@@ -419,12 +436,12 @@ def test_min_bwa_choice_equals_the_full_min(monkeypatch):
             # a stop at `rlb > best` would score
             close += any(scores[k][0] - 1 < s[1] <= scores[k][0]
                          for j, s in enumerate(scores) if j != k)
-            checked += 1
-            lone += len(crew_workers) == 1
-            all_infeasible += all(f[3] == INFEASIBLE for f in station)
+            at_cycle += least == c_bar
+            moved += least == c_bar and got != first
             tied += sum(s[0] == scores[k][0] for s in scores) > 1
             pruned += len(calls) < len(station)
-    assert checked == 3000 and lone > 1000 and all_infeasible > 800
+    assert checked == 4000 and lone > 1300 and cut > 1000, (lone, cut)
+    assert at_cycle > 500 and moved > 15, (at_cycle, moved)
     assert tied > 700 and pruned > 1300 and close > 600, (tied, pruned, close)
 
 
@@ -1121,15 +1138,16 @@ def test_min_bwa_scores_a_quarter_fewer_workers_than_it_is_offered(
         monkeypatch):
     """On seeded 70x10 lines, one MinBWA search per line and task rule,
     the workers `_bwa_without` scores are at least a quarter fewer than
-    the workers offered at the stations where MinBWA chooses: the rest
-    bound's floor cuts the rest.  A work count, so the host's timing
-    noise cannot move it."""
+    the workers offered at the stations where MinBWA chooses, those where
+    some rest bound is at most c_bar: the rest bound's floor cuts the
+    rest.  A work count, so the host's timing noise cannot move it."""
     min_bwa, bwa_without = constructive._min_bwa, constructive._bwa_without
     offered = scored = 0
 
     def counted_min_bwa(crew, left, station, c_bar, m):
         nonlocal offered
-        offered += len(station)
+        if min(fill[3] for fill in station) <= c_bar:
+            offered += len(station)
         return min_bwa(crew, left, station, c_bar, m)
 
     def counted_bwa_without(*args):

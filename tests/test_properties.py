@@ -39,7 +39,9 @@ def instances(draw):
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
                                     st.integers(0, n - 1)), max_size=12))
     edges = [(order[min(a, b)], order[max(a, b)]) for a, b in pairs if a != b]
-    name = draw(st.text("abcxyz-_0123456789", min_size=1, max_size=8))
+    # line breaks too: `str.splitlines` splits the text on each of them
+    name = draw(st.text("abcxyz-_0123456789\n\r\x85\u2028", min_size=1,
+                        max_size=8))
     return Instance(n, m, times, edges, name=name)
 
 
