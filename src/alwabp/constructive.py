@@ -4,8 +4,9 @@ Stations are filled in line order.  For one tentative cycle time, every
 still-available worker is offered the station: the worker greedily takes
 the highest-priority available task that still fits until nothing fits
 (a maximal load).  A worker rule then commits one worker and its task
-set, and the next station starts.  If tasks remain after the last
-station, the cycle time is infeasible for the heuristic and the search
+set, and the next station starts.  The last station has one worker
+left, who takes every remaining task; if their summed times exceed the
+cycle, the cycle time is infeasible for the heuristic and the search
 tries the next integer.  A failing assembly may stop before the last
 station, as soon as the remaining stations provably cannot hold the
 remaining work.  A backward pass fills the stations from the end of the
@@ -686,6 +687,16 @@ def _assemble(times, c_bar, source, worker_rule, line, crews, fills):
     `_min_bwa` scores the workers in ascending rest-bound order and
     stops once that floor reaches the best score so far; it scores none
     where every bound is above c_bar.
+
+    The last station has one worker left and no choice: that worker
+    takes every task left, and the pass fails when their summed times
+    (INFEASIBLE for a task the worker cannot execute) exceed c_bar.
+    That is the station a fill would give: the tasks left hold every
+    follower of theirs and each time is at least 1, so a fill takes them
+    all when their sum fits, and otherwise leaves one, which no other
+    worker can take.  With two workers or more the check never fails:
+    the rest bound at the station before is the last worker's summed
+    times on the tasks left, and the cut there has decided.
     """
     n, m = len(times[0]), len(times)
     left = list(range(n))
@@ -703,7 +714,7 @@ def _assemble(times, c_bar, source, worker_rule, line, crews, fills):
     else:
         score = lambda p: (p[1][3], -len(p[1][2]), c_bar - p[1][1], p[0])
 
-    for _ in range(m):
+    for _ in range(m - 1):
         crew = _crew_of(crews, times, w_mask, crew, w)
         station = None
         if fills is not None:
@@ -724,6 +735,12 @@ def _assemble(times, c_bar, source, worker_rule, line, crews, fills):
         u_mask ^= T
         left = [i for i in left if not T >> i & 1]
         w_mask ^= 1 << w
+    w = w_mask.bit_length() - 1
+    row = times[w]
+    load = sum(row[i] for i in left)
+    if load > c_bar:
+        return None
+    picks.append((w, left, load))
 
     if line.direction == "backward":
         picks.reverse()

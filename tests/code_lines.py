@@ -52,7 +52,7 @@ def main(argv) -> int:
         Path(__file__).resolve().parent.parent / "src" / "alwabp")
     total = 0
     for path in sorted(root.glob("*.py")):
-        n = code_lines(path.read_text())
+        n = code_lines(path.read_text(encoding="utf-8"))
         total += n
         print(f"{path.name:20} {n:6,}")
     print(f"{'total':20} {total:6,}")

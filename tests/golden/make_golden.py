@@ -202,7 +202,8 @@ def main():
     instances = make_instances()
     data = {"instances": [_format_instance(inst) for inst in instances],
             "outputs": snapshot(instances)}
-    GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
+    GOLDEN.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n",
+                      encoding="utf-8")
     print(f"wrote {GOLDEN}", file=sys.stderr)
 
 

@@ -13,7 +13,7 @@ from alwabp.instance import _parse_instance
 
 from make_golden import GOLDEN, outputs_of
 
-DATA = json.loads(GOLDEN.read_text())
+DATA = json.loads(GOLDEN.read_text(encoding="utf-8"))
 CASES = [(text.split("\n", 1)[0][2:], text) for text in DATA["instances"]]
 
 

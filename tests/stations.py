@@ -3,17 +3,28 @@ worker, for hand traces and the golden snapshot.
 
 Built from the constructive module's own parts, so what these return is
 what an assembly computes: `assemble` runs `_assemble` at a fixed cycle,
-`station_load_tasks` runs `_fill` on the worker's priority row, and
-`score_worker` scores the commitment as `_assemble` does, MinBWA with
-`_bwa_without` and MinRLB with `_rest_bound`.
+`full_pass` runs the same pass with every station evaluated in full, the
+last one included, `station_load_tasks` runs `_fill` on the worker's
+priority row, and `score_worker` scores the commitment as `_assemble`
+does, MinBWA with `_bwa_without` and MinRLB with `_rest_bound`.
 """
 
 from __future__ import annotations
 
 from alwabp import Solution, WorkerRule
-from alwabp.constructive import (_assemble, _bwa_without, _Crew, _fill,
-                                 _Line, _rest_bound, _station_prio,
+from alwabp.constructive import (_assemble, _bwa_without, _Crew, _crew_of,
+                                 _fill, _Line, _min_bwa, _rest_bound,
+                                 _station_fills, _station_prio,
                                  _station_start)
+
+# each worker rule's key of a pair (w, (T, load, picked, rest bound)) at
+# cycle c: the smallest commits
+_KEYS = {
+    WorkerRule.MAX_TASKS: lambda c, p: (-len(p[1][2]), p[1][3], c - p[1][1],
+                                        p[0]),
+    WorkerRule.MIN_RLB: lambda c, p: (p[1][3], -len(p[1][2]), c - p[1][1],
+                                      p[0]),
+}
 
 
 def _mask(tasks):
@@ -28,6 +39,40 @@ def assemble(inst, c_bar, source, worker_rule,
     stations from the end of the line and reports them in line order."""
     return _assemble(inst.times, c_bar, source, worker_rule,
                      _Line(inst.closure(), direction), {}, None)
+
+
+def full_pass(times, c_bar, source, worker_rule, line, crews):
+    """`_assemble(times, c_bar, source, worker_rule, line, crews, None)`
+    with every station evaluated, the last one included: each station
+    reads its crew from `crews`, fills every worker of it by
+    `_station_fills` and commits the worker the rule chooses, and the
+    pass fails at the first committed worker whose rest bound exceeds
+    c_bar.  Returns the Solution or None, and the stations evaluated."""
+    n, m = len(times[0]), len(times)
+    left, u_mask, w_mask = list(range(n)), (1 << n) - 1, (1 << m) - 1
+    picks = []
+    crew = w = None
+    for k in range(1, m + 1):
+        crew = _crew_of(crews, times, w_mask, crew, w)
+        station = _station_fills(source, crew, line, left, u_mask, c_bar)
+        if worker_rule is WorkerRule.MIN_BWA:
+            w, fill = _min_bwa(crew, left, station, c_bar, m)
+        else:
+            key = _KEYS[worker_rule]
+            w, fill = min(zip(crew.workers, station),
+                          key=lambda p: key(c_bar, p))
+        T, load, picked, rlb = fill
+        if rlb > c_bar:
+            return None, k
+        picks.append((w, tuple(sorted(picked)), load))
+        u_mask ^= T
+        left = [i for i in left if not T >> i & 1]
+        w_mask ^= 1 << w
+    if line.direction == "backward":
+        picks.reverse()
+    loads = tuple(load for _, _, load in picks)
+    return Solution(tuple(p[:2] for p in picks), loads, max(loads),
+                    line.direction), m
 
 
 def station_load_tasks(inst, unassigned, available_workers, worker, c_bar,

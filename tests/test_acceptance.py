@@ -146,7 +146,7 @@ def test_acceptance_03_hand_trace_values(capsys):
 
 
 def _censor_timing(path):
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.reader(fh))
     keep = [k for k, name in enumerate(rows[0])
             if not name.endswith("_s") and name != "seconds"]
@@ -199,7 +199,8 @@ def test_acceptance_05_rule_combinatorics(tmp_path, capsys):
         save_instance(TINY, p)
         assert main(["construct", str(p), "--all-96",
                      "--out", str(tmp_path)]) == 0
-        with open(tmp_path / "construct_runs.csv", newline="") as fh:
+        with open(tmp_path / "construct_runs.csv", newline="",
+                  encoding="utf-8") as fh:
             kinds = [row[0] for row in csv.reader(fh)][1:]
         assert kinds.count("run") == 96
 

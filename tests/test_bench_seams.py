@@ -19,7 +19,7 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 def _assigned(path, name, function=None):
     """The literal value assigned to `name` at the top of `path`, or
     inside its function `function`."""
-    tree = ast.parse(path.read_text(), str(path))
+    tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
     if function is not None:
         tree, = [node for node in ast.walk(tree)
                  if isinstance(node, ast.FunctionDef)
@@ -54,7 +54,7 @@ def module_reads():
     `mods.<module>.<name>`, sorted."""
     return sorted({site for path in BENCH.glob("*.py")
                    for site in re.findall(r"\bmods\.(\w+)\.(\w+)",
-                                          path.read_text())})
+                                          path.read_text(encoding="utf-8"))})
 
 
 def test_every_module_name_the_workloads_read_exists():

@@ -89,7 +89,7 @@ def test_relax_sidecar(tmp_path, tiny_a):
     p = tmp_path / "tiny-A.alwabp"
     save_instance(tiny_a, p)
     assert relax_sidecar(p) is None
-    (tmp_path / "tiny-A.alwabp.relax").write_text("2.75\n")
+    (tmp_path / "tiny-A.alwabp.relax").write_text("2.75\n", encoding="utf-8")
     assert relax_sidecar(p) == 2.75
 
 
@@ -100,7 +100,8 @@ def test_relax_sidecar_rejects_non_finite(tmp_path, tiny_a, text):
 
     p = tmp_path / "tiny-A.alwabp"
     save_instance(tiny_a, p)
-    (tmp_path / "tiny-A.alwabp.relax").write_text(text + "\n")
+    (tmp_path / "tiny-A.alwabp.relax").write_text(text + "\n",
+                                                  encoding="utf-8")
     with pytest.raises(ParseError, match="tiny-A.alwabp.relax"):
         relax_sidecar(p)
 

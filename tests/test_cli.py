@@ -27,12 +27,13 @@ def write_tiny(tmp_path, name="tiny-A"):
 def write_bkv(tmp_path, entries):
     path = tmp_path / "bkv.csv"
     path.write_text("instance,cycle\n"
-                    + "".join(f"{k},{v}\n" for k, v in entries.items()))
+                    + "".join(f"{k},{v}\n" for k, v in entries.items()),
+                    encoding="utf-8")
     return path
 
 
 def read_rows(path):
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.reader(fh))
 
 
@@ -60,7 +61,7 @@ def test_bounds_report(tmp_path, capsys):
 
 def test_bounds_reads_relax_sidecar(tmp_path):
     inst = write_tiny(tmp_path)
-    (tmp_path / "tiny-A.alwabp.relax").write_text("1.75\n")
+    (tmp_path / "tiny-A.alwabp.relax").write_text("1.75\n", encoding="utf-8")
     main(["bounds", str(inst), "--out", str(tmp_path / "rep")])
     rows = read_rows(tmp_path / "rep" / "bounds.csv")
     assert rows[1][4] == "1.75"
@@ -70,7 +71,7 @@ def test_bounds_reads_relax_sidecar(tmp_path):
 def test_bounds_partial_results_on_bad_file(tmp_path, capsys):
     good = write_tiny(tmp_path)
     bad = tmp_path / "broken.alwabp"
-    bad.write_text("this is not an instance\n")
+    bad.write_text("this is not an instance\n", encoding="utf-8")
     rc = main(["bounds", str(bad), str(good), "--out", str(tmp_path / "rep")])
     assert rc == 1
     assert "broken.alwabp" in capsys.readouterr().err
@@ -102,7 +103,7 @@ def test_bad_relax_sidecar_fails_only_its_item(tmp_path, capsys, command,
     good = write_tiny(tmp_path)
     bad = write_tiny(tmp_path, name="tiny-B")
     sidecar = tmp_path / "tiny-B.alwabp.relax"
-    sidecar.write_text(text + "\n")
+    sidecar.write_text(text + "\n", encoding="utf-8")
     rep = tmp_path / "rep"
     rc = main([command, str(bad), str(good), "--out", str(rep)])
     assert rc == 1
@@ -233,7 +234,7 @@ def test_construct_summary_aggregates_recompute(tmp_path):
 def test_load_bkv_skips_only_a_first_row_without_a_number(tmp_path, text,
                                                           want):
     path = tmp_path / "bkv.csv"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     if isinstance(want, dict):
         assert reports.load_bkv(path) == want
     else:
@@ -401,7 +402,7 @@ def test_hga_options_default_to_hga_params(tmp_path, monkeypatch, given,
 
 def test_generate_factorial_layout(tmp_path):
     base = tmp_path / "lineB.base"
-    base.write_text("4\n3 5 2 6\n3\n1 2\n2 4\n3 4\n")
+    base.write_text("4\n3 5 2 6\n3\n1 2\n2 4\n3 4\n", encoding="utf-8")
     out = tmp_path / "gen"
     rc = main(["generate", str(base), "--workers", "3", "--replicates", "5",
                "--seed", "11", "--out", str(out)])
@@ -418,7 +419,7 @@ def test_generate_factorial_layout(tmp_path):
 
 def test_generate_deterministic(tmp_path):
     base = tmp_path / "lineB.base"
-    base.write_text("4\n3 5 2 6\n3\n1 2\n2 4\n3 4\n")
+    base.write_text("4\n3 5 2 6\n3\n1 2\n2 4\n3 4\n", encoding="utf-8")
     for tag in ("a", "b"):
         main(["generate", str(base), "--workers", "2", "--replicates", "3",
               "--seed", "5", "--out", str(tmp_path / tag)])
@@ -429,7 +430,7 @@ def test_generate_deterministic(tmp_path):
 
 def test_generate_single_level_selection(tmp_path):
     base = tmp_path / "lineB.base"
-    base.write_text("4\n3 5 2 6\n0\n")
+    base.write_text("4\n3 5 2 6\n0\n", encoding="utf-8")
     out = tmp_path / "gen"
     main(["generate", str(base), "--workers", "2", "--variability", "low",
           "--density", "high", "--replicates", "2", "--out", str(out)])
@@ -440,7 +441,7 @@ def test_generate_single_level_selection(tmp_path):
 
 def test_generate_bad_base_file(tmp_path, capsys):
     base = tmp_path / "junk.base"
-    base.write_text("not numbers\n")
+    base.write_text("not numbers\n", encoding="utf-8")
     rc = main(["generate", str(base), "--workers", "2",
                "--out", str(tmp_path / "gen")])
     assert rc == 1
@@ -452,7 +453,7 @@ def test_generate_reports_each_failing_item(tmp_path, capsys):
     with no capable worker: each item fails on its own error line, the
     others are still attempted, and the exit status is 1."""
     base = tmp_path / "line.base"
-    base.write_text("10\n" + "3\n" * 10 + "0\n")
+    base.write_text("10\n" + "3\n" * 10 + "0\n", encoding="utf-8")
     out = tmp_path / "gen"
     rc = main(["generate", str(base), "--workers", "1", "--replicates", "2",
                "--out", str(out)])
@@ -475,7 +476,8 @@ def test_export_lp_default_and_custom_out(tmp_path):
     assert rc == 0
     default = tmp_path / "tiny-A.alwabp.lp"
     assert default.exists()
-    objective, constraints, _, binaries = parse_lp(default.read_text())
+    objective, constraints, _, binaries = parse_lp(
+        default.read_text(encoding="utf-8"))
     assert objective == {"c": 1.0}
     assert len(constraints) == 15
     assert binaries  # integral model by default
@@ -483,7 +485,7 @@ def test_export_lp_default_and_custom_out(tmp_path):
     custom = tmp_path / "relaxed.lp"
     rc = main(["export-lp", str(inst), "--relaxed", "--out", str(custom)])
     assert rc == 0
-    _, _, _, binaries = parse_lp(custom.read_text())
+    _, _, _, binaries = parse_lp(custom.read_text(encoding="utf-8"))
     assert binaries == set()
 
 
@@ -493,7 +495,8 @@ def test_export_lp_writes_the_model_text(tmp_path):
     for flags, relaxed in (([], False), (["--relaxed"], True)):
         out = tmp_path / f"{relaxed}.lp"
         assert main(["export-lp", str(inst), "--out", str(out), *flags]) == 0
-        assert out.read_text() == export_lp(load_instance(inst), relaxed)
+        assert out.read_text(encoding="utf-8") == export_lp(
+            load_instance(inst), relaxed)
 
 
 def test_export_lp_missing_file(tmp_path, capsys):
@@ -605,18 +608,20 @@ def test_bad_input_gives_one_error_line(tmp_path, capsys, monkeypatch, case):
     argv, status, named, report = BAD_INPUTS[case]
     paths = {"inst": write_tiny(tmp_path), "tmp": tmp_path,
              "file": tmp_path / "afile", "binary": tmp_path / "bin.alwabp"}
-    paths["file"].write_text("")
+    paths["file"].write_text("", encoding="utf-8")
     paths["binary"].write_bytes(b"\xff\xfe\x00\x01")
     (tmp_path / "copy").mkdir()
     write_tiny(tmp_path / "copy")       # tiny-A again, in another directory
     write_tiny(tmp_path, "TALLY")
-    (tmp_path / "bad.csv").write_text("instance,cycle\ntiny-A,2,3\n")
-    (tmp_path / "frac.csv").write_text("tiny-A,12.5\n")
+    (tmp_path / "bad.csv").write_text("instance,cycle\ntiny-A,2,3\n",
+                                      encoding="utf-8")
+    (tmp_path / "frac.csv").write_text("tiny-A,12.5\n", encoding="utf-8")
     (tmp_path / "long.csv").write_text("instance,cycle\ntiny-A," + "9" * 5000
-                                       + "\n")
-    (tmp_path / "line.base").write_text("3\n1 2 3\n0\n")
-    (tmp_path / "edge.base").write_text("3\n1 2 3\n1\n5 9\n")
-    (tmp_path / "cycle.base").write_text("3\n1 2 3\n2\n1 2\n2 1\n")
+                                       + "\n", encoding="utf-8")
+    (tmp_path / "line.base").write_text("3\n1 2 3\n0\n", encoding="utf-8")
+    (tmp_path / "edge.base").write_text("3\n1 2 3\n1\n5 9\n", encoding="utf-8")
+    (tmp_path / "cycle.base").write_text("3\n1 2 3\n2\n1 2\n2 1\n",
+                                         encoding="utf-8")
     # no case may run a search; bad arguments (exit status 2) and a report
     # directory that cannot be made must fail before any input file is read
     forbidden = ["solve_lower_bound_search", "evolve"]
@@ -646,12 +651,14 @@ def test_bad_input_gives_one_error_line(tmp_path, capsys, monkeypatch, case):
 # -- one process, many invocations --------------------------------------------
 
 def _run_python(*args):
-    """`python *args` in a child process on this checkout."""
+    """`python *args` in a child process on this checkout, its standard
+    streams in UTF-8."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(os.environ, PYTHONIOENCODING="utf-8",
+               PYTHONPATH=os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env)
+                          encoding="utf-8", env=env)
 
 
 def test_module_runs_as_a_script():
@@ -752,7 +759,8 @@ def test_report_headers_match_declarations(tmp_path):
 def test_readme_lists_declared_columns():
     """Each report in the README's "Reports" section lists its columns as
     one backticked comma list right after the file name."""
-    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8")
     section = text.split("\n## Reports\n", 1)[1].split("\n## ", 1)[0]
     listed = {name: tuple(re.sub(r"\s+", "", cols).split(","))
               for name, cols in re.findall(r"^- `([^`]+)`: `([^`]+)`",

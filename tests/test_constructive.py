@@ -43,7 +43,7 @@ from alwabp.constructive import (_bwa_without, _Crew, _cycle_ceiling, _fill,
 from alwabp.hga import _random_chromosome
 from bruteforce import brute_force_optimum, bwa_cycle, rest_bound
 from conftest import TINY_A, random_instance, random_line
-from stations import assemble, score_worker, station_load_tasks
+from stations import assemble, full_pass, score_worker, station_load_tasks
 
 
 def test_all_rule_configs_shape():
@@ -643,6 +643,132 @@ def test_assemble_tiny_backward(tiny_a):
     assert sol.loads == (2, 2)
     ok, violations = validate_solution(tiny_a, sol)
     assert ok, violations
+
+
+def forced_station_line(rng, k):
+    """Random line of 1-12 tasks and 1-5 workers, one worker on every
+    sixth: times U[1, 3] or U[1, 9], some cells INFEASIBLE, each task
+    with a worker that can execute it."""
+    n = rng.randint(1, 12)
+    m = 1 if k % 6 == 0 else rng.randint(2, 5)
+    top, gaps = rng.choice((3, 9)), rng.choice((0.0, 0.15, 0.3))
+    times = [[INFEASIBLE if rng.random() < gaps else rng.randint(1, top)
+              for _ in range(n)] for _ in range(m)]
+    for i in range(n):
+        if all(row[i] == INFEASIBLE for row in times):
+            times[rng.randrange(m)][i] = rng.randint(1, top)
+    edge_prob = rng.choice((0.1, 0.3, 0.6))
+    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if rng.random() < edge_prob]
+    return Instance(n, m, times, edges, name=f"forced{k}")
+
+
+def test_forced_last_station_equals_the_full_pass():
+    """`_assemble`, whose last worker takes the tasks left by one sum,
+    equals `full_pass`, which evaluates that station in full, at every
+    cycle from 1 up to the first success: on lines of 1-12 tasks and 1-5
+    workers, for the 96 configurations, random and tied priority
+    matrices and the ranked sources of a matrix and of the four fixed
+    rules, in both directions, each pass kind with its own crew table
+    shared by every pass on the line, and `_assemble` on every other
+    line with a table of fills per source.
+
+    A full pass fails at its last station, which the sum check alone
+    decides now, only on one-worker lines: with two workers or more the
+    rest bound at the station before has already cut the pass."""
+    rng = random.Random(0xF0CE)
+    passes = last_failed = last_reached = 0
+    for k in range(48):
+        inst = forced_station_line(rng, k)
+        times, m = inst.times, inst.n_workers
+        matrices = [[[rng.random() for _ in times[0]] for _ in times],
+                    [[rng.choice((0.25, 0.5)) for _ in times[0]]
+                     for _ in times]]
+        crews, full_crews = {}, {}
+        for direction in DIRECTIONS:
+            line = _Line(inst.closure(), direction)
+            sources = [*TaskRule, *matrices]
+            sources += [_rank_rows(source, times, line)
+                        for source in (matrices[0], *FIXED_RULES)]
+            for source in sources:
+                fills = {} if k % 2 else None
+                for rule in WorkerRule:
+                    for c in range(1, _cycle_ceiling(inst) + 1):
+                        got = constructive._assemble(times, c, source, rule,
+                                                     line, crews, fills)
+                        want, reached = full_pass(times, c, source, rule,
+                                                  line, full_crews)
+                        assert got == want, (inst, source, rule, c)
+                        passes += 1
+                        last_reached += reached == m
+                        if want is None and reached == m:
+                            assert m == 1, (inst, source, rule, c)
+                            last_failed += 1
+                        if got is not None:
+                            break
+    assert passes > 50000 and last_failed > 20000, (passes, last_failed)
+    assert last_reached - last_failed > 5000, last_reached
+
+
+def test_one_other_worker_rest_bound_is_their_sum():
+    """With one other worker in the crew, `_rest_bound` is that worker's
+    summed times on the tasks the committed worker leaves, or INFEASIBLE
+    when it cannot execute one of them: the cut at a pass's next-to-last
+    station is the sum check of its last."""
+    rng = random.Random(0x5A3)
+    checked = short = 0
+    for _ in range(1500):
+        inst = dense_tie_instance(rng)
+        m = inst.n_workers
+        if m < 2:
+            continue
+        pair = sorted(rng.sample(range(m), 2))
+        crew = (_Crew(inst.times, pair, inst.n_tasks, None, None)
+                if rng.random() < 0.5 else derived_crew(rng, inst, pair)[0])
+        left = sorted(rng.sample(range(inst.n_tasks),
+                                 rng.randint(0, inst.n_tasks)))
+        u_mask = sum(1 << i for i in left)
+        _, totals = _station_start(left, u_mask, [0] * inst.n_tasks, crew, m)
+        for w, v in (pair, pair[::-1]):
+            picked = [i for i in left
+                      if inst.times[w][i] != INFEASIBLE and rng.random() < 0.5]
+            want = sum(inst.times[v][i] for i in left if i not in picked)
+            assert _rest_bound(totals, 1, w, picked, crew) == want, (
+                inst, pair, w, left, picked)
+            checked += 1
+            short += want == INFEASIBLE
+    assert checked > 2000 and 500 < short < checked - 1000, (checked, short)
+
+
+def test_no_pass_evaluates_a_one_worker_station(monkeypatch):
+    """Over `run_all_96` with and without reduction, then a short
+    `evolve`, on seeded small lines, no `_Crew` is built for one worker
+    and no `_station_fills` call sees a one-worker crew: the last worker
+    of a pass takes the tasks left with no crew, fill or score."""
+    init, station_fills = _Crew.__init__, constructive._station_fills
+    crew_sizes, station_sizes = [], []
+
+    def counted_init(self, times, workers, n, parent, gone):
+        crew_sizes.append(len(workers))
+        init(self, times, workers, n, parent, gone)
+
+    def counted_station_fills(source, crew, line, left, u_mask, c_bar):
+        station_sizes.append(len(crew.workers))
+        return station_fills(source, crew, line, left, u_mask, c_bar)
+
+    monkeypatch.setattr(_Crew, "__init__", counted_init)
+    monkeypatch.setattr(constructive, "_station_fills",
+                        counted_station_fills)
+    rng = random.Random(0x1A57)
+    lines = [random_instance(rng) for _ in range(20)]
+    lines.append(random_line(rng, 30, 6))
+    for k, inst in enumerate(lines):
+        run_all_96(inst)
+        run_all_96(inst, use_preprocess=True)
+        evolve(inst, HgaParams(p=20, max_iters=3, rng_seed=k))
+    assert 1 not in crew_sizes and 1 not in station_sizes
+    assert len(crew_sizes) > 300 and len(station_sizes) > 10000, (
+        len(crew_sizes), len(station_sizes))
 
 
 def test_search_rejects_bad_direction(tiny_a):

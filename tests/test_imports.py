@@ -15,7 +15,8 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 def test_no_module_imports_another_modules_private_names():
     found = []
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.level:
                 found += [f"{path.name}:{node.lineno}: {alias.name}"
                           for alias in node.names
@@ -39,7 +40,7 @@ def _bench_names():
 def _rule_paragraph():
     """The one paragraph of the README's Library section that states
     which names are public."""
-    text = README.read_text()
+    text = README.read_text(encoding="utf-8")
     start = text.index("\n## Library\n")
     library = text[start:text.index("\n## ", start + 1)]
     rule, = [par for par in library.split("\n\n")
@@ -67,7 +68,8 @@ def test_every_export_is_used_in_the_package_or_documented():
             continue
         module = f"alwabp.{path.stem}"
         used[module], read[module], called[module] = set(), set(), set()
-        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+        for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 used[module].add(node.id)
             elif isinstance(node, ast.ImportFrom):
@@ -121,7 +123,7 @@ def test_every_private_module_name_is_read_in_the_package():
     reads is dead code."""
     defined, read = [], set()
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
@@ -145,7 +147,7 @@ def test_every_private_class_method_is_read_in_the_package():
     a helper method nothing reads is dead code."""
     defined, read = [], set()
     for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
+        tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
         for node in tree.body:
             if isinstance(node, ast.ClassDef) and node.name.startswith("_"):
                 defined += [(path.name, node.name, item.name)

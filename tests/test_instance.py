@@ -44,7 +44,7 @@ def test_format_round_trip(tiny_a):
 
 def test_load_names_instance_after_file(tmp_path, tiny_a):
     p = tmp_path / "tiny-A.alwabp"
-    p.write_text(_format_instance(tiny_a))
+    p.write_text(_format_instance(tiny_a), encoding="utf-8")
     inst = load_instance(p)
     assert inst.name == "tiny-A"
     assert inst == tiny_a
