@@ -649,11 +649,17 @@ def _min_bwa(crew, left, station, c_bar, m):
 
     When even the first worker's rest bound is above c_bar, so is every
     worker's, and that first pair comes back unscored: whichever worker
-    MinBWA would commit, its bound ends the pass (see `_assemble`)."""
+    MinBWA would commit, its bound ends the pass (see `_assemble`).
+
+    A crew of two workers is not scored either.  With one other worker
+    v, committing w leaves every other task of `left` to v, so w's score
+    is v's summed times on those tasks (INFEASIBLE if v cannot execute
+    one), and that is w's rest bound too.  Score and rest bound agree,
+    so the first (rest bound, idle, worker) pair is MinBWA's choice."""
     order = sorted([(fill[3], c_bar - fill[1], w, fill)
                     for w, fill in zip(crew.workers, station)])
     best, choice = INFEASIBLE, order[0][2:]
-    if order[0][0] > c_bar:
+    if order[0][0] > c_bar or len(order) == 2:
         return choice
     for rlb, _, w, fill in order:
         if rlb > best - 1:
@@ -686,7 +692,7 @@ def _assemble(times, c_bar, source, worker_rule, line, crews, fills):
     MinBWA score is at least the worker's rest bound rounded up, so
     `_min_bwa` scores the workers in ascending rest-bound order and
     stops once that floor reaches the best score so far; it scores none
-    where every bound is above c_bar.
+    where every bound is above c_bar, nor where two workers are left.
 
     The last station has one worker left and no choice: that worker
     takes every task left, and the pass fails when their summed times

@@ -4,6 +4,13 @@
 From a base, worker times are drawn uniformly per cell: U[1, t_i] under
 low variability, U[1, 3 t_i] under high.  A fraction of the cells is then
 marked INFEASIBLE, never leaving a task with no capable worker.
+
+Every draw takes the bits that `random.Random.randint` and `randrange`
+take, without their call chain: a cell of U[1, t] is r + 1 for the first
+r = getrandbits(t.bit_length()) below t, one `getrandbits` per try, as
+`randint(1, t)` draws it, and each infeasible cell is picked the same
+way, as `randrange` picks it.  So a seed gives the same instances as
+when each cell was `rng.randint(1, t)`.
 """
 
 from __future__ import annotations
@@ -58,31 +65,55 @@ def generate(base: BaseInstance, cfg: GeneratorConfig) -> Instance:
     """
     as_member(base, BaseInstance, "base")
     as_member(cfg, GeneratorConfig, "cfg")
-    rng = random.Random(cfg.rng_seed)
+    getrandbits = random.Random(cfg.rng_seed).getrandbits
     n, m = base.n_tasks, cfg.n_workers
     factor = VARIABILITY_FACTOR[cfg.variability]
 
-    times = [[rng.randint(1, factor * base.times[i]) for i in range(n)]
-             for _ in range(m)]
+    # each cell of task i is 1 + _randbelow(getrandbits, t) with t =
+    # factor * t_i, inlined, as it is the generator's hot loop
+    spans = [(factor * t, (factor * t).bit_length()) for t in base.times]
+    times = []
+    for _ in range(m):
+        row = []
+        for t, k in spans:
+            r = getrandbits(k)
+            while r >= t:
+                r = getrandbits(k)
+            row.append(r + 1)
+        times.append(row)
 
     target = round(cfg.infeasibility_density * m * n)
     if target > m * n - n:
         raise ValidationError(
             f"density {cfg.infeasibility_density} leaves some task uncoverable")
-    _mark_infeasible(times, target, rng)
+    _mark_infeasible(times, target, getrandbits)
 
     pct = round(cfg.infeasibility_density * 100)
     name = f"{base.name}-w{m}-{cfg.variability}-d{pct}-s{cfg.rng_seed}"
     return Instance(n, m, times, base.edges, name=name)
 
 
-def _mark_infeasible(times, target, rng):
+def _randbelow(getrandbits, n):
+    """A uniform draw from range(n), n >= 1, from the bits of
+    `getrandbits`, a `random.Random`'s bound method."""
+    # as Random._randbelow_with_getrandbits draws it (the same for n >= 1
+    # in the random.py of Python 3.10 to 3.13), so it takes the same bits
+    # as randrange(n), and randint(a, b) is a + _randbelow(b - a + 1)
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
+def _mark_infeasible(times, target, getrandbits):
     """Mark exactly `target` uniformly chosen cells INFEASIBLE.
 
     Draws cells without replacement; a draw that would leave its task
     with no capable worker is rejected (such a cell can never become
     safe again, so it is dropped from the pool).  Each task is rejected
     at most once, so with target <= m*n - n the pool cannot run dry.
+    Each cell is drawn as `randrange(len(pool))` draws it (`_randbelow`).
     """
     if target == 0:
         return
@@ -91,7 +122,7 @@ def _mark_infeasible(times, target, rng):
     pool = [(w, i) for w in range(len(times)) for i in range(n)]
     marked = 0
     while marked < target:
-        w, i = pool.pop(rng.randrange(len(pool)))
+        w, i = pool.pop(_randbelow(getrandbits, len(pool)))
         if finite_left[i] <= 1:
             continue
         times[w][i] = INFEASIBLE

@@ -386,7 +386,9 @@ def test_min_bwa_choice_equals_the_full_min(monkeypatch):
     scores a worker only up to the best score so far, and only while the
     worker's rest bound is at most that best less one.  Where every rest
     bound exceeds c_bar, as where every one is INFEASIBLE, it scores no
-    worker and returns the least (rest bound, idle, worker) pair."""
+    worker and returns the least (rest bound, idle, worker) pair.  Nor
+    does it score a two-worker crew, uncut ones among them, where each
+    worker's score is its rest bound."""
     rng = random.Random(0xF102)
     chain_rng = random.Random(0xF103)
     calls = []              # the arguments of each score `_min_bwa` asks for
@@ -396,7 +398,8 @@ def test_min_bwa_choice_equals_the_full_min(monkeypatch):
         return _bwa_without(*args)
 
     monkeypatch.setattr(constructive, "_bwa_without", counted)
-    checked = lone = cut = at_cycle = moved = tied = pruned = close = 0
+    checked = lone = pairs = cut = at_cycle = moved = tied = pruned = 0
+    close = 0
     for _ in range(2000):
         inst = dense_tie_instance(rng)
         n, m = inst.n_tasks, inst.n_workers
@@ -418,6 +421,9 @@ def test_min_bwa_choice_equals_the_full_min(monkeypatch):
             got = _min_bwa(crew, left, station, c_bar, m)
             checked += 1
             lone += len(crew_workers) == 1
+            if len(crew_workers) == 2:
+                assert calls == [], (inst.times, left, station, c_bar)
+                pairs += least <= c_bar
             if least > c_bar:
                 assert got == first and calls == [], (
                     inst.times, left, station, c_bar)
@@ -441,6 +447,7 @@ def test_min_bwa_choice_equals_the_full_min(monkeypatch):
             tied += sum(s[0] == scores[k][0] for s in scores) > 1
             pruned += len(calls) < len(station)
     assert checked == 4000 and lone > 1300 and cut > 1000, (lone, cut)
+    assert pairs > 500, pairs
     assert at_cycle > 500 and moved > 15, (at_cycle, moved)
     assert tied > 700 and pruned > 1300 and close > 600, (tied, pruned, close)
 

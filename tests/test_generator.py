@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 
 from alwabp import (INFEASIBLE, BaseInstance, GeneratorConfig, ParseError,
                     ValidationError, generate)
+from alwabp.generator import VARIABILITY_FACTOR
 from alwabp.instance import _parse_base
 
 BASE_TEXT = """\
@@ -105,6 +107,59 @@ def test_generation_is_deterministic():
         n_workers=3, variability="high", infeasibility_density=0.2,
         rng_seed=124))
     assert other != generate(base, cfg)
+
+
+def randint_generate(base, cfg):
+    """`generate`'s times by `random`'s call chain: each cell by
+    `rng.randint(1, factor * t)`, worker-major, then each marked cell by
+    `pool.pop(rng.randrange(len(pool)))`, as the generator drew them
+    before its draws took `getrandbits` directly."""
+    rng = random.Random(cfg.rng_seed)
+    n, m = base.n_tasks, cfg.n_workers
+    factor = VARIABILITY_FACTOR[cfg.variability]
+    times = [[rng.randint(1, factor * base.times[i]) for i in range(n)]
+             for _ in range(m)]
+    target = round(cfg.infeasibility_density * m * n)
+    finite_left = [m] * n
+    pool = [(w, i) for w in range(m) for i in range(n)]
+    marked = 0
+    while marked < target:
+        w, i = pool.pop(rng.randrange(len(pool)))
+        if finite_left[i] <= 1:
+            continue
+        times[w][i] = INFEASIBLE
+        finite_left[i] -= 1
+        marked += 1
+    return times
+
+
+def test_generate_draws_the_bits_of_randint_and_randrange():
+    """Every generated instance equals `randint_generate`'s, cell for
+    cell: the same seed gives the same times and the same infeasible
+    cells, over both variabilities, densities 0, 0.1 and 0.2 and the
+    densest marking m*n - n, and base times from 1 through powers of two
+    (where a one-bit-short draw would differ) to 2**40."""
+    rng = random.Random(0x6E4)
+    spread = (1, 2, 3, 4, 7, 8, 10, 2 ** 13 - 1, 2 ** 13, 2 ** 40)
+    checked = densest = 0
+    for n, m in itertools.product((1, 2, 7, 70), (1, 2, 10, 19)):
+        for seed, variability in itertools.product(
+                (0, 1, 97, 2 ** 40 + 3), VARIABILITY_FACTOR):
+            times = tuple(spread[(i + seed) % len(spread)] if seed % 2
+                          else rng.randint(1, 2 ** rng.randint(0, 40))
+                          for i in range(n))
+            base = BaseInstance("b", times, ())
+            for density in (0, 0.1, 0.2, (m * n - n) / (m * n)):
+                if round(density * m * n) > m * n - n:
+                    continue
+                cfg = GeneratorConfig(n_workers=m, variability=variability,
+                                      infeasibility_density=density,
+                                      rng_seed=seed)
+                got = [list(row) for row in generate(base, cfg).times]
+                assert got == randint_generate(base, cfg), (n, m, cfg)
+                checked += 1
+                densest += 0 < round(density * m * n) == m * n - n
+    assert checked == 480 and densest == 96, (checked, densest)
 
 
 def test_impossible_density_is_rejected():
