@@ -375,25 +375,24 @@ def _station_prio(source, crew, line, left, c_bar):
     return lambda w: pw
 
 
-def priority_rows(inst, source, c_bar, cache=None) -> list[list]:
+def priority_rows(inst, rule, c_bar, cache=None) -> list[list]:
     """Priority of every task (larger = earlier) for each worker, in
-    index order, when the whole crew is available, under a task rule or
-    a priority matrix.
+    index order, when the whole crew is available, under the task rule
+    `rule` (anything but a `TaskRule` is refused with ValueError).
 
     INFEASIBLE times count as c_bar where an aggregate needs a finite
     stand-in; a c_bar that is not an integer of at least 1 is refused
-    with ValidationError.  A `source` must be a `TaskRule` or a priority
-    matrix of workers x tasks (else ValueError).  `cache`, a
-    `SearchCache` of `inst` (a fresh one by default), holds the crew of
-    every worker over the instance's times, so the calls sharing one
-    build it once.
+    with ValidationError.  `cache`, a `SearchCache` of `inst` (a fresh
+    one by default), holds the crew of every worker over the instance's
+    times, so the calls sharing one build it once.  A priority matrix
+    reaches the solver only through `solve_lower_bound_search`.
     """
     cache = _cache_of(inst, cache)
-    _check_source(inst, source)
+    as_member(rule, TaskRule, "rule")
     c_bar = as_int(c_bar, "cycle", 1)
     crew = _crew_of(cache._crew_table(inst.times), inst.times,
                     (1 << inst.n_workers) - 1, None, None)
-    prio = _station_prio(source, crew, cache._lines["forward"],
+    prio = _station_prio(rule, crew, cache._lines["forward"],
                          range(inst.n_tasks), c_bar)
     return [list(prio(w)) for w in crew.workers]
 
@@ -635,11 +634,12 @@ def _station_fills(source, crew, line, left, u_mask, c_bar):
 def _min_bwa(crew, left, station, c_bar, m):
     """MinBWA's choice at a station: the (worker, fill) pair of the crew
     and its `station` fills with the smallest (`_bwa_without` score,
-    rest bound, idle, worker).
+    rest bound, idle, worker); idle time c_bar - load ranks as -load, as
+    in `_WORKER_KEYS`.
 
     Only the workers that can still win are scored.  A worker's score is
     at least its rest bound rounded up (see `_bwa_without`), so the
-    workers are visited in ascending (rest bound, idle, worker) order,
+    workers are visited in ascending (rest bound, -load, worker) order,
     and the visit stops at the first whose rest bound is above the best
     score so far less one: it and every later worker score at least that
     best and, on a tie, come later in the order.  As the rest bound is
@@ -655,8 +655,8 @@ def _min_bwa(crew, left, station, c_bar, m):
     v, committing w leaves every other task of `left` to v, so w's score
     is v's summed times on those tasks (INFEASIBLE if v cannot execute
     one), and that is w's rest bound too.  Score and rest bound agree,
-    so the first (rest bound, idle, worker) pair is MinBWA's choice."""
-    order = sorted([(fill[3], c_bar - fill[1], w, fill)
+    so the first (rest bound, -load, worker) pair is MinBWA's choice."""
+    order = sorted([(fill[3], -fill[1], w, fill)
                     for w, fill in zip(crew.workers, station)])
     best, choice = INFEASIBLE, order[0][2:]
     if order[0][0] > c_bar or len(order) == 2:
@@ -668,6 +668,16 @@ def _min_bwa(crew, left, station, c_bar, m):
         if score < best:
             best, choice = score, (w, fill)
     return choice
+
+
+# The order in which MaxTasks and MinRLB commit a worker at a station, as
+# the key of a pair (w, (T, load, picked, rest bound)): the smallest pair
+# commits.  Idle time c_bar - load ranks as -load, as c_bar is fixed in a
+# pass.  MinBWA, which prunes, has `_min_bwa` instead.
+_WORKER_KEYS = {
+    WorkerRule.MAX_TASKS: lambda p: (-len(p[1][2]), p[1][3], -p[1][1], p[0]),
+    WorkerRule.MIN_RLB: lambda p: (p[1][3], -len(p[1][2]), -p[1][1], p[0]),
+}
 
 
 def _assemble(times, c_bar, source, worker_rule, line, crews, fills):
@@ -688,11 +698,12 @@ def _assemble(times, c_bar, source, worker_rule, line, crews, fills):
     over.  Every worker rule computes that bound for its scores, so the
     cut changes no decision.
 
-    MaxTasks and MinRLB take the smallest score over every worker.  A
-    MinBWA score is at least the worker's rest bound rounded up, so
-    `_min_bwa` scores the workers in ascending rest-bound order and
-    stops once that floor reaches the best score so far; it scores none
-    where every bound is above c_bar, nor where two workers are left.
+    MaxTasks and MinRLB commit the smallest pair of every worker under
+    their key in `_WORKER_KEYS`.  A MinBWA score is at least the
+    worker's rest bound rounded up, so `_min_bwa` scores the workers in
+    ascending rest-bound order and stops once that floor reaches the
+    best score so far; it scores none where every bound is above c_bar,
+    nor where two workers are left.
 
     The last station has one worker left and no choice: that worker
     takes every task left, and the pass fails when their summed times
@@ -710,15 +721,8 @@ def _assemble(times, c_bar, source, worker_rule, line, crews, fills):
     w_mask = (1 << m) - 1
     picks = []
     crew = w = None         # the previous station's crew and committed worker
-    # the worker rule's score of a pair p = (w, (T, load, picked, rlb)) at
-    # the current station: the smallest commits; chosen once per pass, as
-    # a branch per worker costs more; None for MinBWA, which prunes
-    if worker_rule is WorkerRule.MAX_TASKS:
-        score = lambda p: (-len(p[1][2]), p[1][3], c_bar - p[1][1], p[0])
-    elif worker_rule is WorkerRule.MIN_BWA:
-        score = None
-    else:
-        score = lambda p: (p[1][3], -len(p[1][2]), c_bar - p[1][1], p[0])
+    # chosen once per pass, as a branch per worker costs more
+    score = _WORKER_KEYS.get(worker_rule)
 
     for _ in range(m - 1):
         crew = _crew_of(crews, times, w_mask, crew, w)

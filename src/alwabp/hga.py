@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from .bounds import compute_bounds
 from .constructive import (SearchCache, TaskRule, WorkerRule,
                            priority_rows, solve_lower_bound_search)
-from .instance import Instance, as_int, as_member, as_number
+from .instance import as_int, as_member, as_number
 from .localsearch import improve
 from .solution import Solution
 
@@ -115,16 +115,15 @@ def encode_rule(inst, rule: TaskRule, c_bar=None, cache=None) -> Chromosome:
     worst 0.  Aggregates use max(LC1, LC2, LC3) to stand in for
     INFEASIBLE entries unless a cycle is given.  `cache`, a `SearchCache`
     of `inst`, lets the encodings of a run share the full crew's
-    statistics, as `priority_rows` explains.  Any `rule` but a
+    statistics, as `priority_rows` explains.  `compute_bounds` and
+    `priority_rows` check the arguments: anything but an `Instance` or a
     `TaskRule` is refused with ValueError.
     """
-    as_member(inst, Instance, "inst")
-    as_member(rule, TaskRule, "rule")
-    n = inst.n_tasks
     if c_bar is None:
         c_bar = compute_bounds(inst).best
     rows = []
     for prio in priority_rows(inst, rule, c_bar, cache):
+        n = len(prio)
         order = sorted(range(n), key=lambda i: (-prio[i], i))
         keys = [0.0] * n
         for rank, i in enumerate(order):        # rank 0 is the best task

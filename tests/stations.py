@@ -12,19 +12,10 @@ does, MinBWA with `_bwa_without` and MinRLB with `_rest_bound`.
 from __future__ import annotations
 
 from alwabp import Solution, WorkerRule
-from alwabp.constructive import (_assemble, _bwa_without, _Crew, _crew_of,
-                                 _fill, _Line, _min_bwa, _rest_bound,
-                                 _station_fills, _station_prio,
+from alwabp.constructive import (_WORKER_KEYS, _assemble, _bwa_without,
+                                 _Crew, _crew_of, _fill, _Line, _min_bwa,
+                                 _rest_bound, _station_fills, _station_prio,
                                  _station_start)
-
-# each worker rule's key of a pair (w, (T, load, picked, rest bound)) at
-# cycle c: the smallest commits
-_KEYS = {
-    WorkerRule.MAX_TASKS: lambda c, p: (-len(p[1][2]), p[1][3], c - p[1][1],
-                                        p[0]),
-    WorkerRule.MIN_RLB: lambda c, p: (p[1][3], -len(p[1][2]), c - p[1][1],
-                                      p[0]),
-}
 
 
 def _mask(tasks):
@@ -45,9 +36,9 @@ def full_pass(times, c_bar, source, worker_rule, line, crews):
     """`_assemble(times, c_bar, source, worker_rule, line, crews, None)`
     with every station evaluated, the last one included: each station
     reads its crew from `crews`, fills every worker of it by
-    `_station_fills` and commits the worker the rule chooses, and the
-    pass fails at the first committed worker whose rest bound exceeds
-    c_bar.  Returns the Solution or None, and the stations evaluated."""
+    `_station_fills` and commits the worker the rule chooses (by
+    `_min_bwa`, or as the least pair under `_WORKER_KEYS`), and the pass
+    fails at the first committed worker whose rest bound exceeds c_bar.  Returns the Solution or None, and the stations evaluated."""
     n, m = len(times[0]), len(times)
     left, u_mask, w_mask = list(range(n)), (1 << n) - 1, (1 << m) - 1
     picks = []
@@ -58,9 +49,8 @@ def full_pass(times, c_bar, source, worker_rule, line, crews):
         if worker_rule is WorkerRule.MIN_BWA:
             w, fill = _min_bwa(crew, left, station, c_bar, m)
         else:
-            key = _KEYS[worker_rule]
             w, fill = min(zip(crew.workers, station),
-                          key=lambda p: key(c_bar, p))
+                          key=_WORKER_KEYS[worker_rule])
         T, load, picked, rlb = fill
         if rlb > c_bar:
             return None, k

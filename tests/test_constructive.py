@@ -36,10 +36,11 @@ from alwabp import (
 
 from alwabp import constructive
 from alwabp.bounds import CycleInfeasibleError, preprocess
-from alwabp.constructive import (_bwa_without, _Crew, _cycle_ceiling, _fill,
-                                 _fill_ranked, _Line, _min_bwa, _rank_rows,
-                                 _Ranks, _rest_bound, _station_prio,
-                                 _station_start, priority_rows)
+from alwabp.constructive import (_WORKER_KEYS, _bwa_without, _Crew,
+                                 _cycle_ceiling, _fill, _fill_ranked, _Line,
+                                 _min_bwa, _rank_rows, _Ranks, _rest_bound,
+                                 _station_prio, _station_start,
+                                 priority_rows)
 from alwabp.hga import _random_chromosome
 from bruteforce import brute_force_optimum, bwa_cycle, rest_bound
 from conftest import TINY_A, random_instance, random_line
@@ -452,6 +453,47 @@ def test_min_bwa_choice_equals_the_full_min(monkeypatch):
     assert tied > 700 and pruned > 1300 and close > 600, (tied, pruned, close)
 
 
+def test_worker_keys_commit_as_the_module_docstring_orders():
+    """MaxTasks and MinRLB commit the worker that the module docstring's
+    order puts first: the rule score, then the rule's second score (the
+    task count for MinRLB, the rest bound standing for the load balance
+    for MaxTasks), then the smaller idle time c_bar - load, then the
+    smaller index.  The order is applied one criterion at a time, on
+    random stations of root and derived crews whose loads tie often, and
+    every criterion decides some of them."""
+    rng = random.Random(0xF104)
+    chain_rng = random.Random(0xF105)
+    tasks = lambda w, fill: -len(fill[2])           # more tasks first
+    rest = lambda w, fill: fill[3]
+    criteria = {WorkerRule.MAX_TASKS: (tasks, rest),
+                WorkerRule.MIN_RLB: (rest, tasks)}
+    decided = {rule: [0] * 4 for rule in criteria}  # by the k-th criterion
+    for _ in range(1500):
+        inst = dense_tie_instance(rng)
+        n = inst.n_tasks
+        crew_workers = random_crew(rng, inst)
+        chained, _ = derived_crew(chain_rng, inst, crew_workers)
+        left = sorted(rng.sample(range(n), rng.randint(0, n)))
+        c_bar = rng.randint(3, 9)
+        for crew in (_Crew(inst.times, crew_workers, n, None, None), chained):
+            station = random_station(rng, inst, crew_workers, left, crew)
+            pairs = list(zip(crew_workers, station))
+            for rule, (first, second) in criteria.items():
+                want = pairs
+                for k, score in enumerate((first, second,
+                                           lambda w, fill: c_bar - fill[1],
+                                           lambda w, fill: w)):
+                    if len(want) == 1:
+                        break
+                    least = min(score(*pair) for pair in want)
+                    want = [pair for pair in want if score(*pair) == least]
+                    decided[rule][k] += len(want) == 1
+                assert min(pairs, key=_WORKER_KEYS[rule]) == want[0], (
+                    rule, c_bar, station)
+    for rule, counts in decided.items():
+        assert min(counts) > 100, (rule, counts)
+
+
 def test_unassigned_line_reads_roots_and_crew_totals():
     """While no task is assigned, a station's ready tasks are its line's
     roots and its rest-bound totals the crew's own, fresh or derived, in
@@ -799,10 +841,13 @@ def test_worker_rule_not_of_its_enum_is_refused(tiny_a, rule):
 
 @pytest.mark.parametrize("rule", ["MaxF", "nonsense", WorkerRule.MIN_BWA])
 def test_task_rule_not_of_its_enum_is_refused(tiny_a, rule):
-    """Named as an unknown task rule, not measured as a priority matrix."""
+    """Named as an unknown task rule, not measured as a priority matrix.
+    `priority_rows` takes a task rule alone: a priority matrix of the
+    instance's shape, which a search takes, is refused there too."""
     for call in (lambda: solve_lower_bound_search(tiny_a, rule,
                                                   WorkerRule.MIN_RLB),
                  lambda: priority_rows(tiny_a, rule, 30),
+                 lambda: priority_rows(tiny_a, [[0.5] * 3] * 2, 30),
                  lambda: RuleConfig(rule, WorkerRule.MIN_BWA)):
         with pytest.raises(ValueError, match="must be a TaskRule, got "):
             call()
@@ -838,27 +883,19 @@ def test_matrix_of_another_shape_is_refused(tiny_a, rows):
                                      direction, cache=SearchCache(tiny_a))
 
 
-def test_priority_rows_refuses_matrix_of_another_shape(tiny_a):
-    """priority_rows reads a matrix row by worker and entry by task, so
-    it refuses any shape but 2 x 3 on tiny-A, as a search does."""
-    for rows in ([[0.5] * 5] * 3, [[0.5]] * 2, [[0.5] * 3, [0.5] * 2]):
-        with pytest.raises(ValueError, match="2 x 3"):
-            priority_rows(tiny_a, rows, 5)
-    assert priority_rows(tiny_a, [[0.5] * 3] * 2, 5) == [[0.5] * 3] * 2
-
-
 NOT_FINITE_MATRICES = {
     "search of None": lambda inst: solve_lower_bound_search(
         inst, None, WorkerRule.MIN_RLB),
-    "rows of an int": lambda inst: priority_rows(inst, 5, 3),
+    "rows of an int": lambda inst: solve_lower_bound_search(
+        inst, 5, WorkerRule.MIN_RLB),
     "string entry": lambda inst: solve_lower_bound_search(
         inst, [[0.5] * 3, [0.5, "a", 0.5]], WorkerRule.MIN_RLB),
     "NaN entry": lambda inst: solve_lower_bound_search(
         inst, [[0.5] * 3, [0.5, math.nan, 0.5]], WorkerRule.MIN_RLB),
     "search with a NaN entry": lambda inst: solve_lower_bound_search(
         inst, [[math.nan] * 3, [0.5] * 3], WorkerRule.MIN_RLB, "both"),
-    "infinite entry": lambda inst: priority_rows(
-        inst, [[0.5] * 3, [0.5, 0.5, -math.inf]], 5),
+    "infinite entry": lambda inst: solve_lower_bound_search(
+        inst, [[0.5] * 3, [0.5, 0.5, -math.inf]], WorkerRule.MIN_RLB),
     "chromosome of strings": lambda inst: Chromosome((("a",),)),
 }
 

@@ -142,9 +142,9 @@ CONTRACT = {
     "TaskRule": (None, {}),
     "WorkerRule": (None, {}),
     "all_rule_configs": (None, {}),
-    "priority_rows": (lambda tmp: dict(inst=TINY, source=TaskRule.MAX_F,
+    "priority_rows": (lambda tmp: dict(inst=TINY, rule=TaskRule.MAX_F,
                                        c_bar=9), {
-        "inst": INSTANCE, "source": SOURCE, "c_bar": integer(1),
+        "inst": INSTANCE, "rule": TASK_RULE, "c_bar": integer(1),
         "cache": CACHE}),
     "run_all_96": (lambda tmp: dict(inst=TINY), {
         "inst": INSTANCE, "use_preprocess": FLAG}),
